@@ -1,8 +1,9 @@
 """Command-line front end: gen, bounds, solve, shift, closeness, crossover,
 round, verify.
 
-Exit codes: 0 success, 1 stage failure (round), 2 budget refusal,
-3 bound mismatch (verify).
+Exit codes: 0 success, 1 stage failure (round), 2 budget refusal or a
+usage error, 3 bound mismatch (verify), 4 input error (an input file that
+cannot be read or is not a valid `.hg` graph).
 """
 
 from __future__ import annotations
@@ -79,8 +80,22 @@ def render_report(obj, fmt: str = "json") -> str:
     return str(obj)
 
 
+class _InputError(Exception):
+    """An input graph file could not be read; reported as exit code 4."""
+
+
 def _load(path: str) -> Hypergraph:
-    return read_hg(path)
+    try:
+        return read_hg(path)
+    except (OSError, ValueError) as exc:
+        raise _InputError(str(exc)) from exc
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for counts such as --limit: 0, 1, 2, ..."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -249,7 +264,7 @@ def main(argv=None) -> int:
     p.add_argument("--what", choices=["nu", "tau", "alpha", "nustar", "taustar"], required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--exact-lp", action="store_true")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_nonnegative_int, default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("shift", help="stabilize by iterated shifts")
@@ -291,7 +306,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

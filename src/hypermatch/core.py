@@ -8,7 +8,6 @@ exact for any n.
 
 from __future__ import annotations
 
-import json
 import random
 from itertools import combinations
 from typing import Iterable
@@ -180,37 +179,49 @@ def write_hg(h: Hypergraph, path: str) -> None:
             fh.write(" ".join(map(str, e)) + "\n")
 
 
+def _bad_edge_line(path: str, lineno: int, line: str, why: str) -> ValueError:
+    return ValueError(f"{path}:{lineno}: edge line {line!r} {why}")
+
+
 def read_hg(path: str) -> Hypergraph:
+    """Parse a `.hg` file; malformed input raises ValueError naming path and line."""
     with open(path) as fh:
         lines = [
-            ln.strip()
-            for ln in fh
+            (lineno, ln.strip())
+            for lineno, ln in enumerate(fh, 1)
             if ln.strip() and not ln.lstrip().startswith("#")
         ]
     if not lines:
         raise ValueError(f"{path}: no header line")
-    header = lines[0].split()
+    head_no, head = lines[0]
+    header = head.split()
     if len(header) != 3:
-        raise ValueError(f"{path}: header must be 'k n m', got {lines[0]!r}")
+        raise ValueError(f"{path}:{head_no}: header must be 'k n m', got {head!r}")
     try:
         k, n, m = (int(x) for x in header)
     except ValueError as exc:
-        raise ValueError(f"{path}: non-integer header {lines[0]!r}") from exc
+        raise ValueError(f"{path}:{head_no}: non-integer header {head!r}") from exc
     body = lines[1:]
     if len(body) != m:
         raise ValueError(f"{path}: header promises {m} edges, found {len(body)}")
     edges = []
-    for ln in body:
+    for lineno, ln in body:
         parts = ln.split()
         if len(parts) != k:
-            raise ValueError(f"{path}: edge line {ln!r} does not have {k} ids")
-        ids = [int(x) for x in parts]
+            raise _bad_edge_line(path, lineno, ln, f"does not have {k} ids")
+        try:
+            ids = [int(x) for x in parts]
+        except ValueError as exc:
+            raise _bad_edge_line(path, lineno, ln, "has a non-integer vertex id") from exc
         if any(b <= a for a, b in zip(ids, ids[1:])):
-            raise ValueError(f"{path}: edge line {ln!r} is not strictly ascending")
+            raise _bad_edge_line(path, lineno, ln, "is not strictly ascending")
         if ids[0] < 1 or ids[-1] > n:
-            raise ValueError(f"{path}: edge line {ln!r} leaves 1..{n}")
+            raise _bad_edge_line(path, lineno, ln, f"leaves 1..{n}")
         edges.append(tuple(ids))
-    return Hypergraph(n, k, edges)
+    try:
+        return Hypergraph(n, k, edges)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{head_no}: {exc}") from exc
 
 
 def to_json_dict(h: Hypergraph) -> dict:
@@ -219,14 +230,3 @@ def to_json_dict(h: Hypergraph) -> dict:
 
 def from_json_dict(d: dict) -> Hypergraph:
     return Hypergraph(int(d["n"]), int(d["k"]), [tuple(e) for e in d["edges"]])
-
-
-def write_json(h: Hypergraph, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json_dict(h), fh)
-        fh.write("\n")
-
-
-def read_json(path: str) -> Hypergraph:
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))

@@ -55,40 +55,67 @@ def _label_sum(h: Hypergraph) -> int:
     return sum(sum(e) for e in h.edges)
 
 
+def _mask_edge(m: int) -> Edge:
+    """Ascending vertex tuple of an edge bitmask (bit v-1 for vertex v)."""
+    e = []
+    while m:
+        low = m & -m
+        e.append(low.bit_length())
+        m ^= low
+    return tuple(e)
+
+
 def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
     """Sweep all (i, j) in lexicographic order until nothing moves.
 
-    The label-sum potential strictly decreases whenever a sweep step moves
-    an edge, so termination is unconditional.
+    Works in place on one set of edge bitmasks. An (i, j) step moves every
+    mask holding j but not i whose image (j swapped for i) is absent; the
+    images all hold i and not j, so none moves again in the same step and
+    no two collide, which is exactly `shift_graph`'s simultaneous image.
+    Each moved edge lowers the vertex-label sum by j - i, so termination is
+    unconditional; the running total is checked against the output.
     """
     trace = ShiftTrace()
-    cur = h
+    masks = set(h.masks)
+    potential = _label_sum(h)
     while True:
         trace.rounds += 1
         moved_this_round = 0
-        for i in range(1, cur.n):
-            for j in range(i + 1, cur.n + 1):
-                nxt = shift_graph(cur, i, j)
-                moved = len(set(nxt.edges) - set(cur.edges))
+        for i in range(1, h.n):
+            bi = 1 << (i - 1)
+            for j in range(i + 1, h.n + 1):
+                bj = 1 << (j - 1)
+                bij = bi | bj
+                movers = [m for m in masks if m & bij == bj and m ^ bij not in masks]
+                moved = len(movers)
                 trace.steps.append((i, j, moved))
                 if moved:
-                    assert _label_sum(nxt) < _label_sum(cur), "potential must drop"
+                    masks.difference_update(movers)
+                    masks.update(m ^ bij for m in movers)
+                    potential -= (j - i) * moved
                     moved_this_round += moved
-                    cur = nxt
         if moved_this_round == 0:
-            return cur, trace
+            out = Hypergraph(h.n, h.k, map(_mask_edge, masks))
+            assert out.e() == h.e(), "shifts must preserve the edge count"
+            assert _label_sum(out) == potential, "label sum must drop by j - i per move"
+            return out, trace
 
 
 def is_stable(h: Hypergraph) -> bool:
     """True iff every (i, j)-shift is the identity."""
-    for e in h.edges:
-        present = set(e)
-        for j in e:
-            for i in range(1, j):
-                if i not in present:
-                    replaced = tuple(sorted([v for v in e if v != j] + [i]))
-                    if replaced not in h:
-                        return False
+    masks = set(h.masks)
+    for m in masks:
+        rest = m
+        while rest:
+            bj = rest & -rest
+            rest ^= bj
+            # for every absent i < j, the image (j swapped for i) must be an edge
+            free = (bj - 1) & ~m
+            while free:
+                bi = free & -free
+                free ^= bi
+                if m ^ bj | bi not in masks:
+                    return False
     return True
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hypermatch.cli import main
 from hypermatch.core import read_hg
 from hypermatch.constructions import hilton_milner_family
@@ -109,3 +111,38 @@ def test_verify_exit_codes(capsys):
 def test_verify_budget_refusal(capsys):
     code, _ = run(capsys, "verify", "--n", "6", "--k", "3", "--s", "1", "--budget-ms", "0.001")
     assert code == 2
+
+
+def test_malformed_input_is_a_clean_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.hg"
+    path.write_text("3 4 1\n1 two 3\n")
+    for argv in (
+        ["solve", "--what", "nu", "--in", str(path)],
+        ["shift", "--in", str(path)],
+        ["closeness", "--in", str(path), "--target", "cover", "--s", "1"],
+        ["round", "--in", str(path), "--s", "1"],
+    ):
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"input error: {path}:2: edge line '1 two 3' has a non-integer vertex id\n"
+        )
+    assert main(["solve", "--what", "nu", "--in", str(tmp_path / "missing.hg")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "missing.hg" in err
+
+
+@pytest.mark.parametrize("limit", ["-1", "x"])
+def test_solve_rejects_bad_limit(tmp_path, capsys, limit):
+    path = str(tmp_path / "g.hg")
+    (tmp_path / "g.hg").write_text("3 4 1\n1 2 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--what", "nu", "--in", path, "--limit", limit])
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
+def test_solve_accepts_zero_limit(tmp_path, capsys):
+    (tmp_path / "g.hg").write_text("3 4 1\n1 2 3\n")
+    code, out = run(capsys, "solve", "--what", "nu", "--in", str(tmp_path / "g.hg"), "--limit", "0")
+    assert code == 0
+    assert json.loads(out)["value"] == 0

@@ -204,6 +204,22 @@ class TestFiles:
         with pytest.raises(ValueError):
             read_hg(str(path))
 
+    @pytest.mark.parametrize("body", ["1 2 x\n", "1 2.0 3\n"])
+    def test_non_integer_id_names_path_and_line(self, tmp_path, body):
+        path = tmp_path / "g.hg"
+        path.write_text("# comment\n3 4 1\n" + body)
+        with pytest.raises(ValueError) as exc:
+            read_hg(str(path))
+        assert str(exc.value).startswith(f"{path}:3: edge line")
+        assert "non-integer vertex id" in str(exc.value)
+
+    def test_impossible_header_names_path_and_line(self, tmp_path):
+        path = tmp_path / "g.hg"
+        path.write_text("# comment\n4 3 0\n")
+        with pytest.raises(ValueError, match="uniformity k=4 exceeds") as exc:
+            read_hg(str(path))
+        assert str(exc.value).startswith(f"{path}:2: ")
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "g.hg"
         path.write_text("3 4\n")

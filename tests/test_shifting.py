@@ -5,6 +5,7 @@ from hypermatch.constructions import cover_family, hilton_milner_family
 from hypermatch.core import build, complete_graph
 from hypermatch.optimize import max_matching
 from hypermatch.shifting import (
+    ShiftTrace,
     dominated_edges,
     is_downset,
     is_stable,
@@ -19,6 +20,34 @@ from strategies import hypergraphs
 
 def label_sum(h):
     return sum(sum(e) for e in h.edges)
+
+
+def reference_stabilize(h):
+    """Lexicographic sweeps built from one shift_graph per (i, j) step."""
+    trace = ShiftTrace()
+    cur = h
+    while True:
+        trace.rounds += 1
+        moved_this_round = 0
+        for i in range(1, cur.n):
+            for j in range(i + 1, cur.n + 1):
+                nxt = shift_graph(cur, i, j)
+                moved = len(set(nxt.edges) - set(cur.edges))
+                trace.steps.append((i, j, moved))
+                if moved:
+                    assert label_sum(nxt) < label_sum(cur)
+                    moved_this_round += moved
+                    cur = nxt
+        if moved_this_round == 0:
+            return cur, trace
+
+
+def assert_matches_reference(h):
+    out, trace = stabilize(h)
+    ref, ref_trace = reference_stabilize(h)
+    assert out == ref
+    assert trace.steps == ref_trace.steps
+    assert trace.rounds == ref_trace.rounds
 
 
 class TestShiftEdge:
@@ -100,6 +129,16 @@ class TestStabilize:
         assert all(m == 0 for _, _, m in trace.steps[-per_round:])
 
 
+class TestStabilizeMatchesReference:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded(self, seed, k):
+        assert_matches_reference(seeded_graph(seed, n_lo=k, n_hi=11, k=k))
+
+    def test_empty_graph(self):
+        assert_matches_reference(build(6, 3, []))
+
+
 class TestStablePredicates:
     def test_complete_is_stable(self):
         assert is_stable(complete_graph(6, 3))
@@ -141,3 +180,20 @@ def test_downset_matches_full_domination_oracle(h):
 def test_stabilize_output_is_downset(h):
     out, _ = stabilize(h)
     assert is_downset(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs(max_n=8))
+def test_stabilize_matches_shift_graph_reference(h):
+    assert_matches_reference(h)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hypergraphs(max_n=7))
+def test_is_stable_matches_definition(h):
+    fixed = all(
+        shift_graph(h, i, j) == h
+        for i in range(1, h.n)
+        for j in range(i + 1, h.n + 1)
+    )
+    assert is_stable(h) == fixed
