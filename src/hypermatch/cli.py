@@ -2,8 +2,9 @@
 round, verify.
 
 Exit codes: 0 success, 1 stage failure (round), 2 budget refusal or a
-usage error, 3 bound mismatch (verify), 4 input error (an input file that
-cannot be read or is not a valid `.hg` graph).
+usage error (including a parameter out of range), 3 bound mismatch
+(verify), 4 input error (an input file that cannot be read or is not a
+valid `.hg` graph), 5 output error (an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -91,6 +92,28 @@ def _load(path: str) -> Hypergraph:
         raise _InputError(str(exc)) from exc
 
 
+class _OutputError(Exception):
+    """An output file could not be written; reported as exit code 5."""
+
+
+def _save(path: str, write) -> None:
+    """Call ``write(path)``, turning an OSError into an output error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise _OutputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _write_json(path: str, obj, indent: int | None = None) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=indent)
+
+
+def _usage_error(why) -> int:
+    print(f"usage error: {why}", file=sys.stderr)
+    return 2
+
+
 def _nonnegative_int(text: str) -> int:
     """argparse type for counts such as --limit: 0, 1, 2, ..."""
     if not (text.isascii() and text.isdigit()):
@@ -103,21 +126,24 @@ def _nonnegative_int(text: str) -> int:
 
 def _cmd_gen(args) -> int:
     fam = args.family
-    if fam == "cover":
-        h = constructions.cover_family(args.n, args.k, args.s)
-    elif fam == "clique":
-        h = constructions.clique_family(args.n, args.k, args.s)
-    elif fam == "hm":
-        h = constructions.hilton_milner_family(args.n, args.k, args.s)
-    elif fam == "a":
-        if args.i is None:
-            print("--i is required for the a family", file=sys.stderr)
-            return 2
-        h = constructions.prefix_overlap_family(args.n, args.k, args.s, args.i)
-    else:
-        raise AssertionError(fam)
+    if fam == "a" and args.i is None:
+        print("--i is required for the a family", file=sys.stderr)
+        return 2
+    try:
+        if fam == "cover":
+            h = constructions.cover_family(args.n, args.k, args.s)
+        elif fam == "clique":
+            h = constructions.clique_family(args.n, args.k, args.s)
+        elif fam == "hm":
+            h = constructions.hilton_milner_family(args.n, args.k, args.s)
+        elif fam == "a":
+            h = constructions.prefix_overlap_family(args.n, args.k, args.s, args.i)
+        else:
+            raise AssertionError(fam)
+    except ValueError as exc:
+        return _usage_error(exc)
     if args.out:
-        write_hg(h, args.out)
+        _save(args.out, lambda path: write_hg(h, path))
         print(f"wrote {h.n} {h.k} {h.e()} -> {args.out}")
     else:
         sys.stdout.write(render_report(h, "json") + "\n")
@@ -125,7 +151,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    rep = constructions.bound_report(args.n, args.k, args.s)
+    try:
+        rep = constructions.bound_report(args.n, args.k, args.s)
+    except ValueError as exc:
+        return _usage_error(exc)
     print(render_report(rep, args.format))
     return 0
 
@@ -161,10 +190,10 @@ def _cmd_shift(args) -> int:
     h = _load(args.infile)
     out, trace = shifting.stabilize(h)
     if args.out:
-        write_hg(out, args.out)
+        _save(args.out, lambda path: write_hg(out, path))
     if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump({"rounds": trace.rounds, "steps": trace.steps}, fh)
+        steps = {"rounds": trace.rounds, "steps": trace.steps}
+        _save(args.trace, lambda path: _write_json(path, steps))
     print(f"stable={shifting.is_stable(out)} e={out.e()} rounds={trace.rounds}")
     return 0
 
@@ -180,6 +209,8 @@ def _cmd_closeness(args) -> int:
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        return _usage_error(exc)
     print(render_report(rep, args.format))
     return 0
 
@@ -202,6 +233,12 @@ def _cmd_crossover(args) -> int:
 
 def _cmd_round(args) -> int:
     h = _load(args.infile)
+    # checked here rather than caught: a ValueError raised inside the
+    # pipeline is a fault and must surface
+    if h.k != 3:
+        return _usage_error(f"round needs a 3-graph, {args.infile} has k={h.k}")
+    if args.t is not None and args.t < 1:
+        return _usage_error(f"--t {args.t}: need t >= 1 rounds")
     res = rounding.pipeline(
         h,
         args.s,
@@ -210,8 +247,7 @@ def _cmd_round(args) -> int:
         matching_strategy=args.strategy,
     )
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(to_jsonable(res), fh, indent=2)
+        _save(args.report, lambda path: _write_json(path, to_jsonable(res), indent=2))
     print(f"{res.status} matching_size={res.matching.size} r={res.r} t={res.t}")
     return 0 if res.success else 1
 
@@ -311,6 +347,9 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -203,7 +203,7 @@ def read_hg(path: str) -> Hypergraph:
         raise ValueError(f"{path}:{head_no}: non-integer header {head!r}") from exc
     body = lines[1:]
     if len(body) != m:
-        raise ValueError(f"{path}: header promises {m} edges, found {len(body)}")
+        raise ValueError(f"{path}:{head_no}: header promises {m} edges, found {len(body)}")
     edges = []
     for lineno, ln in body:
         parts = ln.split()

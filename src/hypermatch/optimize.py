@@ -1,9 +1,10 @@
 """Exact and fractional matching/cover solvers.
 
-Exact values come from branch-and-bound with greedy bounds; a pure
-enumeration oracle (no pruning at all) sits behind ``exhaustive=True`` and
-is the ground truth in tests. Fractional values come from LPs solved either
-over exact rationals or in floats (HiGHS).
+Exact values come from one edge-bitset search kernel (``EdgeIndex``, shared
+with ``verify``) run by iterative deepening; a pure enumeration oracle (no
+pruning at all) sits behind ``exhaustive=True`` and is the ground truth in
+tests. Fractional values come from LPs solved either over exact rationals or
+in floats (HiGHS).
 """
 
 from __future__ import annotations
@@ -105,11 +106,98 @@ class FractionalAssignment:
             raise ValueError(f"unknown kind {self.kind!r}")
 
 
-# -- exact matching ----------------------------------------------------------
+# -- exact matching and cover: one edge-bitset kernel ------------------------
 
 
-class _Done(Exception):
-    pass
+class EdgeIndex:
+    """Edge bitsets over a fixed edge list: bit i of a set stands for edge i.
+
+    ``inc[v]`` holds the edges through vertex v and ``disj[i]`` the edges
+    disjoint from edge i (built by the first ``packing`` call). ``packing``
+    and ``cover`` answer the two questions of the paper's hypothesis,
+    nu <= s and tau > s, on any edge subset.
+    """
+
+    __slots__ = ("verts", "full", "inc", "disj")
+
+    def __init__(self, n: int, masks):
+        self.verts = [_vertices(mk) for mk in masks]
+        self.full = (1 << len(masks)) - 1
+        self.inc = inc = [0] * (n + 1)
+        for i, vs in enumerate(self.verts):
+            for v in vs:
+                inc[v] |= 1 << i
+        # m^2 bits in all, so left to the first packing search that needs them
+        self.disj: list[int] | None = None
+
+    def _disjoint_rows(self) -> list[int]:
+        """Row i is ``full & ~(inc[a] | inc[b] | ...)`` over edge i's vertices."""
+        rows = []
+        for vs in self.verts:
+            hit = 0
+            for v in vs:
+                hit |= self.inc[v]
+            rows.append(self.full & ~hit)
+        return rows
+
+    def packing(self, sub: int, need: int) -> list[int] | None:
+        """`need` pairwise disjoint edges of the subset, or None."""
+        if need <= 0:
+            return []
+        if self.disj is None:
+            self.disj = self._disjoint_rows()
+        disj = self.disj
+
+        def rec(avail: int, need: int) -> list[int] | None:
+            while avail:
+                if avail.bit_count() < need:
+                    return None
+                i = (avail & -avail).bit_length() - 1
+                avail &= avail - 1  # also covers the skip-i branch
+                if need == 1:
+                    return [i]
+                got = rec(avail & disj[i], need - 1)
+                if got is not None:
+                    got.append(i)
+                    return got
+            return None
+
+        return rec(sub, need)
+
+    def cover(self, sub: int, budget: int) -> list[int] | None:
+        """At most `budget` vertices meeting every edge of the subset, or None."""
+        if sub == 0:
+            return []
+        if budget == 0:
+            return None
+        i = (sub & -sub).bit_length() - 1
+        for v in self.verts[i]:
+            got = self.cover(sub & ~self.inc[v], budget - 1)
+            if got is not None:
+                got.append(v)
+                return got
+        return None
+
+
+def _vertices(mk: int) -> tuple[int, ...]:
+    """The vertices of a vertex bitmask, ascending."""
+    out = []
+    while mk:
+        low = mk & -mk
+        out.append(low.bit_length())
+        mk ^= low
+    return tuple(out)
+
+
+def _greedy_matching(masks) -> list[int]:
+    """A maximal matching: each edge in turn if it avoids those taken."""
+    used = 0
+    sel = []
+    for i, mk in enumerate(masks):
+        if mk & used == 0:
+            used |= mk
+            sel.append(i)
+    return sel
 
 
 def max_matching(
@@ -122,60 +210,18 @@ def max_matching(
     """
     if exhaustive:
         return _matching_oracle(h, limit)
-    masks = h.masks
-    edges = h.edges
-    k = h.k
-    cap = h.n // k
+    cap = h.n // h.k
     if limit is not None:
         cap = min(cap, limit)
-    if not edges or cap == 0:
-        return 0, Matching(())
-
-    best_n = 0
-    best: list[int] = []
-
-    def greedy(cand: list[int]) -> list[int]:
-        used = 0
-        sel = []
-        for i in cand:
-            if masks[i] & used == 0:
-                used |= masks[i]
-                sel.append(i)
-        return sel
-
-    def dfs(cand: list[int], chosen: list[int], avail: int) -> None:
-        nonlocal best_n, best
-        sel = greedy(cand)
-        del sel[max(0, cap - len(chosen)):]  # honor the requested ceiling
-        if len(chosen) + len(sel) > best_n:
-            best_n = len(chosen) + len(sel)
-            best = chosen + sel
-            if best_n >= cap:
-                raise _Done
-        if not cand:
-            return
-        if len(chosen) + min(avail.bit_count() // k, len(cand)) <= best_n:
-            return
-        v0 = edges[cand[0]][0]
-        head = 0
-        while head < len(cand) and edges[cand[head]][0] == v0:
-            head += 1
-        for idx in range(head):
-            i = cand[idx]
-            mi = masks[i]
-            dfs(
-                [j for j in cand if masks[j] & mi == 0],
-                chosen + [i],
-                avail & ~mi,
-            )
-        bit = 1 << (v0 - 1)
-        dfs(cand[head:], chosen, avail & ~bit)
-
-    try:
-        dfs(list(range(len(edges))), [], (1 << h.n) - 1)
-    except _Done:
-        pass
-    return best_n, Matching(tuple(edges[i] for i in sorted(best)))
+    best = _greedy_matching(h.masks)[:cap]
+    if len(best) < cap:
+        index = EdgeIndex(h.n, h.masks)
+        while len(best) < cap:
+            got = index.packing(index.full, len(best) + 1)
+            if got is None:
+                break
+            best = got
+    return len(best), Matching(tuple(h.edges[i] for i in sorted(best)))
 
 
 def _matching_oracle(h: Hypergraph, limit: int | None) -> tuple[int, Matching]:
@@ -197,23 +243,6 @@ def _matching_oracle(h: Hypergraph, limit: int | None) -> tuple[int, Matching]:
     return 0, Matching(())
 
 
-# -- exact cover and independence --------------------------------------------
-
-
-def _greedy_cover(h: Hypergraph) -> set[int]:
-    uncovered = list(range(h.e()))
-    chosen: set[int] = set()
-    while uncovered:
-        counts: dict[int, int] = {}
-        for i in uncovered:
-            for v in h.edges[i]:
-                counts[v] = counts.get(v, 0) + 1
-        v = min(counts, key=lambda u: (-counts[u], u))
-        chosen.add(v)
-        uncovered = [i for i in uncovered if v not in h.edges[i]]
-    return chosen
-
-
 def min_vertex_cover(
     h: Hypergraph, limit: int | None = None, exhaustive: bool = False
 ) -> tuple[int, VertexCover | None]:
@@ -224,47 +253,14 @@ def min_vertex_cover(
     """
     if exhaustive:
         return _cover_oracle(h, limit)
-    if not h.edges:
-        return 0, VertexCover(frozenset())
-    edges = h.edges
-    masks = h.masks
-
-    greedy = _greedy_cover(h)
-    best_n = len(greedy)
-    best: set[int] | None = set(greedy)
-    cap = h.n + 1 if limit is None else limit + 1
-
-    def lower_bound(uncov: list[int]) -> int:
-        used = 0
-        cnt = 0
-        for i in uncov:
-            if masks[i] & used == 0:
-                used |= masks[i]
-                cnt += 1
-        return cnt
-
-    def dfs(uncov: list[int], chosen: set[int]) -> None:
-        nonlocal best_n, best
-        if not uncov:
-            if len(chosen) < best_n:
-                best_n = len(chosen)
-                best = set(chosen)
-            return
-        bound = min(best_n, cap)
-        if len(chosen) + lower_bound(uncov) >= bound:
-            return
-        e = edges[uncov[0]]
-        by_cover = sorted(
-            e, key=lambda v: (-sum(1 for i in uncov if v in edges[i]), v)
-        )
-        for v in by_cover:
-            dfs([i for i in uncov if v not in edges[i]], chosen | {v})
-
-    dfs(list(range(len(edges))), set())
-    if best_n >= cap:
-        return cap, None
-    assert best is not None
-    return best_n, VertexCover(frozenset(best))
+    cap = h.n if limit is None else limit
+    index = EdgeIndex(h.n, h.masks)
+    # a matching needs one cover vertex per edge, so its size bounds tau below
+    for budget in range(len(_greedy_matching(h.masks)), cap + 1):
+        got = index.cover(index.full, budget)
+        if got is not None:
+            return len(got), VertexCover(frozenset(got))
+    return cap + 1, None
 
 
 def _cover_oracle(h: Hypergraph, limit: int | None) -> tuple[int, VertexCover | None]:

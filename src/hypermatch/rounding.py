@@ -73,15 +73,21 @@ def _uniform_round_budget(n: int, k: int, threshold) -> int:
 
 
 def _find_perfect_matching(
-    n: int, edges: list[Edge], masks: list[int], k: int, budget: int = 200_000
+    n: int,
+    edges: list[Edge],
+    masks: list[int],
+    k: int,
+    covered0: int = 0,
+    budget: int = 200_000,
 ) -> list[int] | None:
-    """Lex-first DFS for an integral perfect matching among the given edges."""
-    if n % k != 0:
+    """Lex-first DFS for a matching covering exactly the vertices outside covered0."""
+    remaining = n - covered0.bit_count()
+    if remaining % k != 0:
         return None
-    target = n // k
-    by_vertex: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    target = remaining // k
+    by_first: dict[int, list[int]] = {}
     for idx, e in enumerate(edges):
-        by_vertex[e[0]].append(idx)  # group by minimum vertex
+        by_first.setdefault(e[0], []).append(idx)  # group by minimum vertex
     full = (1 << n) - 1
     nodes = 0
 
@@ -94,14 +100,14 @@ def _find_perfect_matching(
             return chosen
         free = ~covered & full
         v = (free & -free).bit_length()  # lowest uncovered vertex
-        for idx in by_vertex[v]:
+        for idx in by_first.get(v, ()):
             if masks[idx] & covered == 0:
                 got = dfs(covered | masks[idx], chosen + [idx])
                 if got is not None:
                     return got
         return None
 
-    return dfs(0, [])
+    return dfs(covered0, [])
 
 
 def _pick_gadget_vertices(
@@ -183,50 +189,12 @@ def _near_integral_round(
             weights[tuple(sorted(tr))] = gw
     rest_edges = [e for e, m in zip(sub_edges, sub_masks) if m & gmask == 0]
     rest_masks = [m for m in sub_masks if m & gmask == 0]
-    pm = _find_perfect_matching_partial(h.n, rest_edges, rest_masks, 3, gmask)
+    pm = _find_perfect_matching(h.n, rest_edges, rest_masks, 3, gmask)
     if pm is None:
         return None
     for i in pm:
         weights[rest_edges[i]] = one
     return weights
-
-
-def _find_perfect_matching_partial(
-    n: int,
-    edges: list[Edge],
-    masks: list[int],
-    k: int,
-    covered0: int,
-    budget: int = 200_000,
-) -> list[int] | None:
-    """DFS for a matching covering exactly the vertices outside covered0."""
-    remaining = n - covered0.bit_count()
-    if remaining % k != 0:
-        return None
-    target = remaining // k
-    full = (1 << n) - 1
-    by_first: dict[int, list[int]] = {}
-    for idx, e in enumerate(edges):
-        by_first.setdefault(e[0], []).append(idx)
-    nodes = 0
-
-    def dfs(covered: int, chosen: list[int]) -> list[int] | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            return None
-        if len(chosen) == target:
-            return chosen
-        free = ~covered & full
-        v = (free & -free).bit_length()
-        for idx in by_first.get(v, ()):
-            if masks[idx] & covered == 0:
-                got = dfs(covered | masks[idx], chosen + [idx])
-                if got is not None:
-                    return got
-        return None
-
-    return dfs(covered0, [])
 
 
 def extract_fpm_family(

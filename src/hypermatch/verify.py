@@ -16,8 +16,8 @@ from itertools import combinations
 from math import comb
 
 from .constructions import bound_report
-from .core import BudgetExceeded, Hypergraph
-from .optimize import max_matching, min_vertex_cover
+from .core import BudgetExceeded, Hypergraph, edge_mask
+from .optimize import EdgeIndex, max_matching, min_vertex_cover
 
 EXHAUSTIVE_EDGE_GUARD = 24
 
@@ -41,7 +41,7 @@ class VerifyResult:
 
 
 class _Searcher:
-    """Bitmask machinery shared by both search methods."""
+    """The edge list and its bitset index, shared by both search methods."""
 
     def __init__(self, n: int, k: int, s: int, constraint: str):
         if constraint not in (NU_LE_S, NU_LE_S_TAU_GT_S):
@@ -50,58 +50,12 @@ class _Searcher:
         self.constraint = constraint
         self.edges = list(combinations(range(1, n + 1), k))
         self.m = len(self.edges)
-        emasks = []
-        for e in self.edges:
-            mk = 0
-            for v in e:
-                mk |= 1 << (v - 1)
-            emasks.append(mk)
-        self.disj = [0] * self.m  # bit j set iff edge j disjoint from edge i
-        for i in range(self.m):
-            for j in range(self.m):
-                if i != j and emasks[i] & emasks[j] == 0:
-                    self.disj[i] |= 1 << j
-        self.vmask = {v: 0 for v in range(1, n + 1)}
-        for i, e in enumerate(self.edges):
-            for v in e:
-                self.vmask[v] |= 1 << i
-
-    def has_packing(self, sub: int, need: int) -> bool:
-        """Does the subset hold `need` pairwise disjoint edges?"""
-        if need <= 0:
-            return True
-
-        def rec(avail: int, need: int) -> bool:
-            while avail:
-                if avail.bit_count() < need:
-                    return False
-                low = avail & -avail
-                i = low.bit_length() - 1
-                avail &= avail - 1  # also covers the skip-i branch
-                if need == 1:
-                    return True
-                if rec(avail & self.disj[i], need - 1):
-                    return True
-            return False
-
-        return rec(sub, need)
-
-    def coverable_within(self, sub: int, budget: int) -> bool:
-        """Is there a vertex set of size <= budget covering the subset?"""
-        if sub == 0:
-            return True
-        if budget == 0:
-            return False
-        i = (sub & -sub).bit_length() - 1
-        for v in self.edges[i]:
-            if self.coverable_within(sub & ~self.vmask[v], budget - 1):
-                return True
-        return False
+        self.index = EdgeIndex(n, [edge_mask(e) for e in self.edges])
 
     def satisfies(self, sub: int) -> bool:
-        if self.has_packing(sub, self.s + 1):
+        if self.index.packing(sub, self.s + 1) is not None:
             return False
-        if self.constraint == NU_LE_S_TAU_GT_S and self.coverable_within(sub, self.s):
+        if self.constraint == NU_LE_S_TAU_GT_S and self.index.cover(sub, self.s) is not None:
             return False
         return True
 
@@ -186,7 +140,7 @@ def _search_exhaustive(
 
 def _signature(searcher: _Searcher, sub: int) -> tuple:
     degs = sorted(
-        (searcher.vmask[v] & sub).bit_count() for v in range(1, searcher.n + 1)
+        (searcher.index.inc[v] & sub).bit_count() for v in range(1, searcher.n + 1)
     )
     pair_degs: dict[tuple[int, int], int] = {}
     for i in range(searcher.m):
@@ -213,7 +167,7 @@ def _search_maximal(
 
     def addable(sub: int, i: int) -> bool:
         new = sub | (1 << i)
-        return not searcher.has_packing(new, s + 1)
+        return searcher.index.packing(new, s + 1) is None
 
     def visit_maximal(sub: int, size: int) -> None:
         nonlocal best_size, best_subs, checked
@@ -226,7 +180,7 @@ def _search_maximal(
                 # an explicitly-checked family with this signature (hence this
                 # exact size) already registered; skipping cannot lower the max
                 return
-            if searcher.coverable_within(sub, s):
+            if searcher.index.cover(sub, s) is not None:
                 return
             passed_sigs.add(sig)
         if size > best_size:
@@ -272,13 +226,17 @@ def _search_maximal(
 
 
 def revalidate_witnesses(result: VerifyResult) -> bool:
-    """Check every witness against the independent exact solvers."""
+    """Check every witness against the enumeration oracles.
+
+    The oracles share no code with the search kernel, so a kernel fault
+    cannot pass its own audit.
+    """
     for w in result.extremal_witnesses:
-        nu, _ = max_matching(w)
+        nu, _ = max_matching(w, limit=result.s + 1, exhaustive=True)
         if nu > result.s:
             return False
         if result.constraint == NU_LE_S_TAU_GT_S:
-            tau, _ = min_vertex_cover(w, limit=result.s)
+            tau, _ = min_vertex_cover(w, limit=result.s, exhaustive=True)
             if tau <= result.s:
                 return False
     return True

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hypermatch.cli import main
-from hypermatch.core import read_hg
+from hypermatch.core import complete_graph, read_hg, write_hg
 from hypermatch.constructions import hilton_milner_family
 
 
@@ -146,3 +146,56 @@ def test_solve_accepts_zero_limit(tmp_path, capsys):
     code, out = run(capsys, "solve", "--what", "nu", "--in", str(tmp_path / "g.hg"), "--limit", "0")
     assert code == 0
     assert json.loads(out)["value"] == 0
+
+
+def _graph_file(tmp_path) -> str:
+    (tmp_path / "g.hg").write_text("3 6 2\n1 2 3\n4 5 6\n")
+    return str(tmp_path / "g.hg")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_shift_unwritable_output_is_an_output_error(tmp_path, capsys, flag):
+    dst = str(tmp_path / "missing-dir" / "x")
+    assert main(["shift", "--in", _graph_file(tmp_path), flag, dst]) == 5
+    assert capsys.readouterr().err == f"output error: {dst}: No such file or directory\n"
+
+
+def test_round_unwritable_report_is_an_output_error(tmp_path, capsys):
+    dst = str(tmp_path / "missing-dir" / "r.json")
+    argv = ["round", "--in", _graph_file(tmp_path), "--s", "1", "--t", "2", "--report", dst]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == f"output error: {dst}: No such file or directory\n"
+
+
+def test_gen_unwritable_output_is_an_output_error(tmp_path, capsys):
+    dst = str(tmp_path / "missing-dir" / "hm.hg")
+    argv = ["gen", "--family", "hm", "--n", "10", "--k", "3", "--s", "2", "--out", dst]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.err == f"output error: {dst}: No such file or directory\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["closeness", "--target", "clique", "--s", "5"], "clique core k(s+1)-1 = 17 exceeds n=8"),
+        (["bounds", "--n", "10", "--k", "3", "--s", "0"], "s=0 must be at least 1"),
+        (["gen", "--family", "cover", "--n", "3", "--k", "5", "--s", "1"], "n=3 smaller than k=5"),
+        (["round", "--s", "1", "--t", "0"], "--t 0: need t >= 1 rounds"),
+    ],
+)
+def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, why):
+    if argv[0] in ("closeness", "round"):
+        path = str(tmp_path / "g.hg")
+        write_hg(complete_graph(8, 3), path)
+        argv = [argv[0], "--in", path, *argv[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {why}\n"
+
+
+def test_round_on_a_graph_that_is_not_3_uniform_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "g.hg").write_text("2 4 1\n1 2\n")
+    path = str(tmp_path / "g.hg")
+    assert main(["round", "--in", path, "--s", "1"]) == 2
+    assert capsys.readouterr().err == f"usage error: round needs a 3-graph, {path} has k=2\n"

@@ -1,8 +1,11 @@
+import json
 import math
+import re
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermatch.core import (
     build,
@@ -295,3 +298,48 @@ def test_delete_vertices_drops_exactly_incident(h):
     survivors = {e for e in h.edges if not drop.intersection(e)}
     mapped = {tuple(sorted(relabel[v] for v in e)) for e in survivors}
     assert set(g.edges) == mapped
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=8, k=k)))
+def test_file_and_json_round_trip(tmp_path_factory, h):
+    path = str(tmp_path_factory.mktemp("rt") / "g.hg")
+    write_hg(h, path)
+    assert read_hg(path) == h
+    assert from_json_dict(json.loads(json.dumps(to_json_dict(h)))) == h
+
+
+_TOKEN = st.sampled_from(["0", "1", "2", "3", "4", "5", "7", "-1", "x", "2.0", "#", ""])
+_LINE = st.one_of(
+    st.lists(_TOKEN, max_size=4).map(" ".join),
+    st.lists(st.integers(-1, 6), min_size=2, max_size=3).map(lambda ids: " ".join(map(str, ids))),
+)
+
+
+@st.composite
+def _hg_lines(draw):
+    """Fuzzed `.hg` lines, half of them under a header that fits the body."""
+    body = draw(st.lists(_LINE, max_size=3))
+    if draw(st.booleans()):
+        header = draw(_LINE)
+    else:
+        k, n = draw(st.integers(2, 3)), draw(st.integers(1, 6))
+        header = f"{k} {n} {len(body) + draw(st.integers(-1, 1))}"
+    return [header, *body]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hg_lines())
+def test_read_hg_rejects_only_with_path_and_line(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("fuzz") / "g.hg"
+    path.write_text("".join(ln + "\n" for ln in lines))
+    try:
+        h = read_hg(str(path))
+    except ValueError as exc:
+        if any(ln.strip() and not ln.lstrip().startswith("#") for ln in lines):
+            assert re.match(re.escape(str(path)) + r":\d+: ", str(exc)), str(exc)
+        else:
+            assert str(exc) == f"{path}: no header line"
+    else:
+        write_hg(h, str(path))
+        assert read_hg(str(path)) == h

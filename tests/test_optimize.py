@@ -10,6 +10,9 @@ from hypermatch.constructions import (
 )
 from hypermatch.core import build, complete_graph
 from hypermatch.optimize import (
+    EdgeIndex,
+    Matching,
+    VertexCover,
     check_lp_duality,
     fractional_cover,
     fractional_matching,
@@ -51,7 +54,12 @@ class TestMaxMatching:
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_oracle(self, seed):
         h = seeded_graph(seed, n_lo=4, n_hi=8)
-        assert max_matching(h)[0] == max_matching(h, exhaustive=True)[0]
+        nu = max_matching(h, exhaustive=True)[0]
+        assert max_matching(h)[0] == nu
+        for limit in range(nu + 2):
+            value, witness = max_matching(h, limit=limit)
+            assert value == min(nu, limit) == witness.size
+            witness.validate(h)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_witness_has_no_disjoint_extension(self, seed):
@@ -92,7 +100,45 @@ class TestMinVertexCover:
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_oracle(self, seed):
         h = seeded_graph(seed, n_lo=4, n_hi=8)
-        assert min_vertex_cover(h)[0] == min_vertex_cover(h, exhaustive=True)[0]
+        tau = min_vertex_cover(h, exhaustive=True)[0]
+        assert min_vertex_cover(h)[0] == tau
+        for limit in range(tau + 2):
+            value, witness = min_vertex_cover(h, limit=limit)
+            if limit < tau:
+                assert (value, witness) == (limit + 1, None)
+            else:
+                assert value == tau == witness.size
+                witness.validate(h)
+
+
+class TestEdgeIndex:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_match_their_definitions(self, seed):
+        h = seeded_graph(seed, n_lo=4, n_hi=9)
+        index = EdgeIndex(h.n, h.masks)
+        assert index.disj is None and index.packing(0, 1) is None  # builds disj
+        for v in h.vertices():
+            bit = 1 << (v - 1)
+            assert index.inc[v] == sum(1 << i for i, m in enumerate(h.masks) if m & bit)
+        for i, mi in enumerate(h.masks):
+            want = sum(1 << j for j, mj in enumerate(h.masks) if mi & mj == 0)
+            assert index.disj[i] == want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_witnesses_on_subsets(self, seed):
+        h = seeded_graph(seed, n_lo=4, n_hi=8)
+        index = EdgeIndex(h.n, h.masks)
+        sub = sum(1 << i for i in range(0, h.e(), 2))  # every other edge
+        g = build(h.n, h.k, [e for i, e in enumerate(h.edges) if sub >> i & 1])
+        nu = max_matching(g, exhaustive=True)[0]
+        tau = min_vertex_cover(g, exhaustive=True)[0]
+        got = index.packing(sub, nu)
+        assert len(got) == nu and all(sub >> i & 1 for i in got)
+        Matching(tuple(h.edges[i] for i in got)).validate(g)
+        assert index.packing(sub, nu + 1) is None
+        cover = index.cover(sub, tau)
+        VertexCover(frozenset(cover)).validate(g)
+        assert tau == 0 or index.cover(sub, tau - 1) is None
 
 
 class TestIndependence:

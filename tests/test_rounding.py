@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from hypermatch.constructions import cover_family
-from hypermatch.core import build, complete_graph, random_hypergraph
+from hypermatch.core import build, complete_graph, edge_mask, random_hypergraph
 from hypermatch.optimize import max_matching
 from hypermatch.rounding import (
+    _find_perfect_matching,
     choose_augmentation,
     extract_fpm_family,
     mix_and_halve,
@@ -226,3 +227,21 @@ class TestPipeline:
         a = pipeline(complete_graph(12, 3), 3, t=9, seed=1)
         b = pipeline(complete_graph(12, 3), 3, t=9, seed=1)
         assert a.matching == b.matching and a.status == b.status
+
+
+class TestFindPerfectMatching:
+    def test_covers_exactly_the_complement(self):
+        h = complete_graph(10, 3)
+        covered0 = edge_mask((2, 5, 9, 10))  # six vertices left: two edges
+        pm = _find_perfect_matching(h.n, list(h.edges), list(h.masks), 3, covered0)
+        assert pm is not None
+        used = 0
+        for i in pm:
+            assert h.masks[i] & (used | covered0) == 0
+            used |= h.masks[i]
+        assert used == ((1 << h.n) - 1) & ~covered0
+
+    def test_none_when_the_rest_is_not_divisible_by_k(self):
+        h = complete_graph(10, 3)
+        covered0 = edge_mask((2, 5, 9))  # seven vertices left
+        assert _find_perfect_matching(h.n, list(h.edges), list(h.masks), 3, covered0) is None
