@@ -4,7 +4,8 @@ round, verify.
 Exit codes: 0 success, 1 stage failure (round), 2 budget refusal or a
 usage error (including a parameter out of range), 3 bound mismatch
 (verify), 4 input error (an input file that cannot be read or is not a
-valid `.hg` graph), 5 output error (an output file that cannot be written).
+valid `.hg` graph), 5 output error (an output file that cannot be written;
+`shift` and `round` check their output paths before computing).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -104,6 +106,20 @@ def _save(path: str, write) -> None:
         raise _OutputError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _probe_outputs(*paths: str | None) -> None:
+    """Fail before a long computation if an output path cannot be written.
+
+    Each path is opened for appending, so an existing file keeps its content
+    until the result is written; a file the probe created is removed again.
+    """
+    for path in paths:
+        if path:
+            existed = os.path.lexists(path)
+            _save(path, lambda p: open(p, "a").close())
+            if not existed:
+                os.remove(path)
+
+
 def _write_json(path: str, obj, indent: int | None = None) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=indent)
@@ -188,6 +204,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_shift(args) -> int:
     h = _load(args.infile)
+    _probe_outputs(args.out, args.trace)
     out, trace = shifting.stabilize(h)
     if args.out:
         _save(args.out, lambda path: write_hg(out, path))
@@ -239,6 +256,7 @@ def _cmd_round(args) -> int:
         return _usage_error(f"round needs a 3-graph, {args.infile} has k={h.k}")
     if args.t is not None and args.t < 1:
         return _usage_error(f"--t {args.t}: need t >= 1 rounds")
+    _probe_outputs(args.report)
     res = rounding.pipeline(
         h,
         args.s,

@@ -27,14 +27,45 @@ from math import comb
 
 from .constructions import augment_universal
 from .core import Edge, Hypergraph, edge_mask
-from .optimize import FractionalAssignment, Matching, fractional_perfect_matching
+from .optimize import (
+    EdgeIndex,
+    FractionalAssignment,
+    Matching,
+    fractional_perfect_matching,
+)
 
 _EPS = 1e-12
+ROUND_PATHS = ("uniform", "integral", "gadget", "lp")
+
+
+@dataclass
+class RoundRecord:
+    """How one extraction round was played.
+
+    ``path`` is how the member was made: ``uniform`` (closed form on the
+    complete graph), ``integral`` (one perfect matching), ``gadget`` (a
+    perfect matching beside uniform 4-blocks) or ``lp``. ``matching`` and
+    ``gadget`` are the outcomes of the perfect-matching search and of the
+    4-block pick (``found``, ``none`` when the search proved there is none,
+    ``budget`` when it gave up), or None when that search did not run;
+    ``nodes`` counts the perfect-matching search nodes of the round.
+    """
+
+    path: str
+    nodes: int = 0
+    matching: str | None = None
+    gadget: str | None = None
 
 
 @dataclass
 class FPMFamily:
-    """Fractional perfect matchings with capped accumulated pair weight."""
+    """Fractional perfect matchings with capped accumulated pair weight.
+
+    ``rounds`` holds one record per member, plus one for the round that
+    stalled, if any: there the searches found nothing and the LP proved the
+    surviving graph infeasible. A round that starts with no surviving edge
+    gets no record. ``attempts`` counts the extraction attempts run.
+    """
 
     members: list[FractionalAssignment]
     pair_load: dict[tuple[int, int], Fraction | float]
@@ -45,6 +76,8 @@ class FPMFamily:
     mode: str
     heavy_total: list[int] = field(default_factory=list)
     removed_total: list[int] = field(default_factory=list)
+    rounds: list[RoundRecord] = field(default_factory=list)
+    attempts: int = 1
 
     @property
     def complete(self) -> bool:
@@ -72,42 +105,85 @@ def _uniform_round_budget(n: int, k: int, threshold) -> int:
     return u
 
 
+def _bits(x: int) -> list[int]:
+    """The set bits of x, ascending."""
+    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+
+
+def _without_pairs(inc: list[int], live: int, pairs) -> int:
+    """The live edges that hold none of the vertex pairs, as a bitset."""
+    for x, y in pairs:
+        live &= ~(inc[x] & inc[y])  # inc[x] & inc[y]: the edges through x and y
+    return live
+
+
+class _BudgetSpent(Exception):
+    """The perfect-matching search ran out of nodes."""
+
+
 def _find_perfect_matching(
+    index: EdgeIndex,
+    live: int,
     n: int,
-    edges: list[Edge],
-    masks: list[int],
     k: int,
     covered0: int = 0,
     budget: int = 200_000,
-) -> list[int] | None:
-    """Lex-first DFS for a matching covering exactly the vertices outside covered0."""
-    remaining = n - covered0.bit_count()
-    if remaining % k != 0:
-        return None
-    target = remaining // k
-    by_first: dict[int, list[int]] = {}
-    for idx, e in enumerate(edges):
-        by_first.setdefault(e[0], []).append(idx)  # group by minimum vertex
-    full = (1 << n) - 1
+) -> tuple[str, list[int] | None, int]:
+    """A matching of live edges covering exactly the vertices outside covered0.
+
+    Branches on the uncovered vertex with the fewest live edges left (the
+    fewest-options rule of exact cover), trying its edges in index order; a
+    vertex with none ends the branch at once. Returns (outcome, edge ids in
+    index order, nodes): outcome "found", "none" when no such matching
+    exists, or "budget" when the search gave up after `budget` nodes.
+    """
+    inc, verts = index.inc, index.verts
+    free = []
+    for v in range(1, n + 1):
+        if covered0 >> (v - 1) & 1:
+            live &= ~inc[v]
+        else:
+            free.append(v)
+    if len(free) % k != 0:
+        return "none", None, 0
     nodes = 0
 
-    def dfs(covered: int, chosen: list[int]) -> list[int] | None:
+    def dfs(free: list[int], live: int) -> list[int] | None:
         nonlocal nodes
+        if nodes == budget:
+            raise _BudgetSpent
         nodes += 1
-        if nodes > budget:
-            return None
-        if len(chosen) == target:
-            return chosen
-        free = ~covered & full
-        v = (free & -free).bit_length()  # lowest uncovered vertex
-        for idx in by_first.get(v, ()):
-            if masks[idx] & covered == 0:
-                got = dfs(covered | masks[idx], chosen + [idx])
-                if got is not None:
-                    return got
+        if not free:
+            return []
+        fewest = None
+        for v in free:
+            opts = live & inc[v]
+            c = opts.bit_count()
+            if c == 0:
+                return None
+            if fewest is None or c < fewest:
+                fewest, best = c, opts
+        while best:
+            low = best & -best
+            best ^= low
+            i = low.bit_length() - 1
+            vs = verts[i]
+            hit = 0
+            for u in vs:
+                hit |= inc[u]
+            got = dfs([u for u in free if u not in vs], live & ~hit)
+            if got is not None:
+                got.append(i)
+                return got
         return None
 
-    return dfs(covered0, [])
+    try:
+        picks = dfs(free, live)
+    except _BudgetSpent:
+        return "budget", None, nodes
+    if picks is None:
+        return "none", None, nodes
+    return "found", sorted(picks), nodes
 
 
 def _pick_gadget_vertices(
@@ -115,34 +191,42 @@ def _pick_gadget_vertices(
     g: int,
     dead: set,
     heavy_by_vertex: Counter,
-    alive_edge_set: set,
+    index: EdgeIndex,
+    live: int,
     banned_mask: int = 0,
-) -> tuple[int, ...] | None:
-    """A g-set whose C(g,3) triples are all alive, biased to calm vertices."""
+) -> tuple[str, tuple[int, ...] | None]:
+    """A g-set whose C(g,3) triples are all live, biased to calm vertices.
+
+    Returns ("found", the set), ("none", None) once every candidate failed,
+    or ("budget", None) after 5000 candidates.
+    """
     ranked = [
         v
         for v in sorted(range(1, n + 1), key=lambda u: (heavy_by_vertex[u], u))
         if not banned_mask & (1 << (v - 1))
     ]
+    inc = index.inc
     tried = 0
     for cand in combinations(ranked, g):
         tried += 1
         if tried > 5000:
-            return None
+            return "budget", None
         if any(tuple(sorted(p)) in dead for p in combinations(cand, 2)):
             continue
-        if all(tuple(sorted(tr)) in alive_edge_set for tr in combinations(cand, 3)):
-            return cand
-    return None
+        if all(inc[a] & inc[b] & inc[c] & live for a, b, c in combinations(cand, 3)):
+            return "found", cand
+    return "none", None
 
 
 def _near_integral_round(
-    h: Hypergraph,
-    alive: list[int],
+    n: int,
+    index: EdgeIndex,
+    edges: list[Edge],
+    live: int,
     dead: set,
     heavy_by_vertex: Counter,
     rational: bool,
-    rng: random.Random | None,
+    rec: RoundRecord,
 ) -> dict[Edge, Fraction | float] | None:
     """An integral matching on most vertices plus uniform 4-blocks on the rest.
 
@@ -153,47 +237,31 @@ def _near_integral_round(
     and block profiles (3,...,3,4) and (3,...,3,4,4) keep that system solvable
     while (3,...,3,5) does not. With fewer than four blocks total no profile
     with unequal sizes works, so small non-divisible n get no gadget at all.
+    The search outcomes go into ``rec``.
     """
-    k = h.k
-    if k != 3:
-        return None
-    rem = h.n % 3
+    rem = n % 3
     blocks = [4] * rem
-    if (h.n - 4 * rem) // 3 + rem < 4 and rem:
+    if (n - 4 * rem) // 3 + rem < 4 and rem:
         return None  # too few blocks for a feasible follow-up round
-    sub_edges = [h.edges[i] for i in alive]
-    sub_masks = [h.masks[i] for i in alive]
-    if rng is not None:
-        order = list(range(len(sub_edges)))
-        rng.shuffle(order)
-        sub_edges = [sub_edges[i] for i in order]
-        sub_masks = [sub_masks[i] for i in order]
-    one = Fraction(1) if rational else 1.0
-    if not blocks:
-        pm = _find_perfect_matching(h.n, sub_edges, sub_masks, 3)
-        if pm is None:
-            return None
-        return {sub_edges[i]: one for i in pm}
-    alive_set = set(sub_edges)
     weights: dict[Edge, Fraction | float] = {}
     gmask = 0
     gw = Fraction(1, 3) if rational else 1.0 / 3.0
     for g in blocks:
-        gadget = _pick_gadget_vertices(
-            h.n, g, dead, heavy_by_vertex, alive_set, banned_mask=gmask
+        rec.gadget, gadget = _pick_gadget_vertices(
+            n, g, dead, heavy_by_vertex, index, live, banned_mask=gmask
         )
         if gadget is None:
             return None
         gmask |= edge_mask(gadget)
         for tr in combinations(gadget, 3):
             weights[tuple(sorted(tr))] = gw
-    rest_edges = [e for e, m in zip(sub_edges, sub_masks) if m & gmask == 0]
-    rest_masks = [m for m in sub_masks if m & gmask == 0]
-    pm = _find_perfect_matching(h.n, rest_edges, rest_masks, 3, gmask)
+    rec.matching, pm, rec.nodes = _find_perfect_matching(index, live, n, 3, gmask)
     if pm is None:
         return None
+    one = Fraction(1) if rational else 1.0
     for i in pm:
-        weights[rest_edges[i]] = one
+        weights[edges[i]] = one
+    rec.path = "gadget" if blocks else "integral"
     return weights
 
 
@@ -212,8 +280,8 @@ def extract_fpm_family(
     edge containing them before the next round. ``staged`` plays uniform
     weights while the graph is still complete, then near-integral matchings,
     then a load-focused LP; ``lp`` solves a bare feasibility LP every round.
-    A failed staged run is retried with reshuffled matching searches, up to
-    ``attempts`` times, all derived from the seed.
+    A failed staged run is retried, up to ``attempts`` times, each retry
+    searching the edges in its own order shuffled from the seed.
     """
     if t < 1:
         raise ValueError("need t >= 1 rounds")
@@ -224,11 +292,13 @@ def extract_fpm_family(
     for attempt in range(max(1, tries)):
         rng = None if attempt == 0 else random.Random(f"{seed}:{attempt}")
         fam = _extract_once(h, t, cap, mode, strategy, rng)
+        fam.attempts = attempt + 1
         if fam.complete:
             return fam
         if best is None or len(fam.members) > len(best.members):
             best = fam
     assert best is not None
+    best.attempts = max(1, tries)
     return best
 
 
@@ -243,59 +313,91 @@ def _extract_once(
     rational = mode == "rational"
     threshold = Fraction(cap) / 2 if rational else cap / 2.0
     zero = Fraction(0) if rational else 0.0
+    value = Fraction(h.n, h.k) if rational else h.n / h.k
 
-    k = h.k
-    alive = list(range(h.e()))
+    n, k = h.n, h.k
+    edges, masks = h.edges, h.masks
+    index: EdgeIndex | None = None  # built on the first round that needs it
+    live = (1 << len(edges)) - 1  # surviving edges, one bit per edge
     pair_load: dict[tuple[int, int], Fraction | float] = {}
     dead: set[tuple[int, int]] = set()
     heavy_by_vertex: Counter = Counter()
     members: list[FractionalAssignment] = []
+    rounds: list[RoundRecord] = []
     heavy_total: list[int] = []
     removed_total: list[int] = []
     status = "complete"
 
     u_planned = 0
-    if strategy == "staged" and h.e() == comb(h.n, h.k):
-        u_planned = min(t, _uniform_round_budget(h.n, h.k, threshold))
+    if strategy == "staged" and h.e() == comb(n, k):
+        u_planned = min(t, _uniform_round_budget(n, k, threshold))
+    if u_planned:
+        # Uniform rounds on the complete graph in closed form: every pair
+        # gets the same C(n-2, k-2) additions of w per round, in the same
+        # order as a per-edge sum would give them, so one scalar chain is
+        # every pair's load, bit for bit.
+        w = Fraction(1, comb(n - 1, k - 1)) if rational else 1.0 / comb(n - 1, k - 1)
+        uniform = {e: w for e in edges}
+        load = zero
+        for _ in range(u_planned):
+            for _ in range(comb(n - 2, k - 2)):
+                load += w
+                if load >= cap + 1e-9:
+                    raise AssertionError(f"every pair reached load {load} >= cap {cap}")
+            members.append(FractionalAssignment("matching", uniform, value, mode))
+            rounds.append(RoundRecord("uniform"))
+            if load >= threshold - _EPS:  # every pair dies at once
+                dead.update(combinations(range(1, n + 1), 2))
+                for v in range(1, n + 1):
+                    heavy_by_vertex[v] += n - 1
+                live = 0
+            heavy_total.append(len(dead))
+            removed_total.append(len(edges) if dead else 0)
+            if dead:
+                break
+        pair_load = dict.fromkeys(combinations(range(1, n + 1), 2), load)
 
-    for rnd in range(1, t + 1):
-        if not alive:
+    for rnd in range(len(members) + 1, t + 1):
+        if not live:
             status = f"infeasible at round {rnd}"
             break
+        if index is None:
+            if rng is not None:  # a retry searches the edges in its own order
+                order = list(range(len(edges)))
+                rng.shuffle(order)
+                edges = [edges[i] for i in order]
+                masks = [masks[i] for i in order]
+            index = EdgeIndex(n, masks)
+        rec = RoundRecord("lp")  # a search that succeeds names its own path
+        rounds.append(rec)
         weights: dict[Edge, Fraction | float] | None = None
-        if rnd <= u_planned and not dead:
-            w = Fraction(1, comb(h.n - 1, k - 1))
-            if not rational:
-                w = 1.0 / comb(h.n - 1, k - 1)
-            weights = {h.edges[i]: w for i in alive}
-        else:
-            if strategy == "staged":
-                weights = _near_integral_round(
-                    h, alive, dead, heavy_by_vertex, rational, rng
-                )
-            if weights is None:
-                sub_edges = [h.edges[i] for i in alive]
-                sub = Hypergraph(h.n, h.k, sub_edges)
-                objective = None
-                if strategy == "staged" and pair_load:
-                    objective = {
-                        e: sum(
-                            (pair_load.get(p, zero) for p in combinations(e, 2)),
-                            zero,
-                        )
-                        for e in sub_edges
-                    }
-                fpm = fractional_perfect_matching(
-                    sub, mode=mode, objective=objective,
-                    maximize_objective=objective is not None,
-                )
-                if fpm is None:
-                    status = f"infeasible at round {rnd}"
-                    break
-                weights = dict(fpm.weights)
+        if strategy == "staged" and k == 3:
+            weights = _near_integral_round(
+                n, index, edges, live, dead, heavy_by_vertex, rational, rec
+            )
+        if weights is None:
+            sub_edges = [edges[i] for i in _bits(live)]
+            sub = Hypergraph(n, k, sub_edges)
+            objective = None
+            if strategy == "staged" and pair_load:
+                objective = {
+                    e: sum(
+                        (pair_load.get(p, zero) for p in combinations(e, 2)),
+                        zero,
+                    )
+                    for e in sub_edges
+                }
+            fpm = fractional_perfect_matching(
+                sub, mode=mode, objective=objective,
+                maximize_objective=objective is not None,
+            )
+            if fpm is None:
+                status = f"infeasible at round {rnd}"
+                break
+            weights = dict(fpm.weights)
 
-        value = Fraction(h.n, k) if rational else h.n / k
         members.append(FractionalAssignment("matching", weights, value, mode))
+        newly = []
         for e, w in weights.items():
             if not w:
                 continue
@@ -304,25 +406,18 @@ def _extract_once(
                 pair_load[p] = load
                 if load >= cap + 1e-9:
                     raise AssertionError(f"pair {p} reached load {load} >= cap {cap}")
-        newly = {
-            p
-            for p, load in pair_load.items()
-            if p not in dead and load >= threshold - _EPS
-        }
-        dead.update(newly)
+                if load >= threshold - _EPS and p not in dead:
+                    dead.add(p)
+                    newly.append(p)
+        before = live.bit_count()
         for x, y in newly:
             heavy_by_vertex[x] += 1
             heavy_by_vertex[y] += 1
-        before = len(alive)
-        if newly:
-            newmasks = [edge_mask(p) for p in newly]
-            alive = [
-                i
-                for i in alive
-                if not any(h.masks[i] & pm == pm for pm in newmasks)
-            ]
+        live = _without_pairs(index.inc, live, newly)
         heavy_total.append(len(dead))
-        removed_total.append(removed_total[-1] + before - len(alive) if removed_total else before - len(alive))
+        removed_total.append(
+            (removed_total[-1] if removed_total else 0) + before - live.bit_count()
+        )
 
     return FPMFamily(
         members=members,
@@ -334,6 +429,7 @@ def _extract_once(
         mode=mode,
         heavy_total=heavy_total,
         removed_total=removed_total,
+        rounds=rounds,
     )
 
 
@@ -392,8 +488,8 @@ def sample_binomial_subgraph(
     vertex) and the largest pair degree against the large-deviation cutoff.
     """
     for e, w in f.weights.items():
-        if e not in h:
-            raise ValueError(f"weighted edge {e} not in the graph")
+        if e not in h.edge_set:  # sampling reads the weights by stored edge
+            raise ValueError(f"weighted edge {e} is not an edge of the graph as stored")
         if w < -1e-9 or w > 1 + 1e-9:
             raise ValueError(f"probability {w} on {e} outside [0, 1]")
     rng = random.Random(seed)
@@ -578,6 +674,10 @@ def pipeline(
     fam = extract_fpm_family(hr, t, cap=cap, mode=mode, strategy=extract_strategy)
     diag["extract_status"] = fam.status
     diag["extract_members"] = len(fam.members)
+    diag["extract_attempts"] = fam.attempts
+    made = Counter(rec.path for rec in fam.rounds[: len(fam.members)])
+    diag["extract_paths"] = {path: made[path] for path in ROUND_PATHS}
+    diag["extract_search_nodes"] = sum(rec.nodes for rec in fam.rounds)
     diag["max_pair_load"] = float(fam.max_pair_load())
     if not fam.complete:
         return PipelineResult(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hypermatch import rounding, shifting
 from hypermatch.cli import main
 from hypermatch.core import complete_graph, read_hg, write_hg
 from hypermatch.constructions import hilton_milner_family
@@ -153,18 +154,52 @@ def _graph_file(tmp_path) -> str:
     return str(tmp_path / "g.hg")
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("computed before the output paths were checked")
+
+
 @pytest.mark.parametrize("flag", ["--out", "--trace"])
-def test_shift_unwritable_output_is_an_output_error(tmp_path, capsys, flag):
+def test_shift_unwritable_output_is_an_output_error(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.setattr(shifting, "stabilize", _must_not_run)
     dst = str(tmp_path / "missing-dir" / "x")
     assert main(["shift", "--in", _graph_file(tmp_path), flag, dst]) == 5
     assert capsys.readouterr().err == f"output error: {dst}: No such file or directory\n"
 
 
-def test_round_unwritable_report_is_an_output_error(tmp_path, capsys):
+def test_shift_checks_every_output_before_writing_any(tmp_path, capsys):
+    out = tmp_path / "stable.hg"
+    bad = str(tmp_path / "missing-dir" / "t.json")
+    argv = ["shift", "--in", _graph_file(tmp_path), "--out", str(out), "--trace", bad]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == f"output error: {bad}: No such file or directory\n"
+    assert not out.exists()  # the probe of a new path leaves no file behind
+
+
+def test_round_unwritable_report_is_an_output_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rounding, "pipeline", _must_not_run)
     dst = str(tmp_path / "missing-dir" / "r.json")
     argv = ["round", "--in", _graph_file(tmp_path), "--s", "1", "--t", "2", "--report", dst]
     assert main(argv) == 5
     assert capsys.readouterr().err == f"output error: {dst}: No such file or directory\n"
+
+
+def test_round_report_probe_keeps_an_existing_file(tmp_path, monkeypatch):
+    # the probe must not truncate the old report: a run that dies before
+    # its result is ready leaves the file as it was
+    monkeypatch.setattr(rounding, "pipeline", _must_not_run)
+    dst = tmp_path / "r.json"
+    dst.write_text("old report\n")
+    argv = ["round", "--in", _graph_file(tmp_path), "--s", "1", "--t", "2", "--report", str(dst)]
+    with pytest.raises(AssertionError):
+        main(argv)
+    assert dst.read_text() == "old report\n"
+
+
+def test_round_report_into_a_directory_is_an_output_error(tmp_path, capsys):
+    dst = str(tmp_path)
+    argv = ["round", "--in", _graph_file(tmp_path), "--s", "1", "--t", "2", "--report", dst]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == f"output error: {dst}: Is a directory\n"
 
 
 def test_gen_unwritable_output_is_an_output_error(tmp_path, capsys):

@@ -1,12 +1,21 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypermatch.constructions import cover_family
-from hypermatch.core import build, complete_graph, edge_mask, random_hypergraph
-from hypermatch.optimize import max_matching
+from hypermatch.core import Hypergraph, build, complete_graph, edge_mask, random_hypergraph
+from hypermatch.optimize import EdgeIndex, FractionalAssignment, max_matching
 from hypermatch.rounding import (
+    ROUND_PATHS,
     _find_perfect_matching,
+    _pick_gadget_vertices,
+    _uniform_round_budget,
+    _without_pairs,
     choose_augmentation,
     extract_fpm_family,
     mix_and_halve,
@@ -14,6 +23,7 @@ from hypermatch.rounding import (
     pipeline,
     sample_binomial_subgraph,
 )
+from strategies import hypergraphs
 
 
 def vertex_sums(h, weights):
@@ -138,6 +148,14 @@ class TestSample:
         assert all(abs(ed - t / 2) < 1e-9 for ed in rep.expected_degrees.values())
         assert rep.sampled.edge_set <= h.edge_set
 
+    def test_non_canonical_weight_key_rejected(self):
+        # (2, 1, 3) names edge (1, 2, 3) but is not stored that way, so the
+        # sampler would count it in the expected degrees and never sample it
+        h = build(3, 3, [(1, 2, 3)])
+        fa = FractionalAssignment("sampling", {(2, 1, 3): 1.0}, 1.0, "float")
+        with pytest.raises(ValueError, match="not an edge of the graph as stored"):
+            sample_binomial_subgraph(h, fa, seed=0)
+
     def test_out_of_range_probability_rejected(self):
         h = complete_graph(6, 3)
         from hypermatch.optimize import FractionalAssignment
@@ -232,9 +250,10 @@ class TestPipeline:
 class TestFindPerfectMatching:
     def test_covers_exactly_the_complement(self):
         h = complete_graph(10, 3)
+        index = EdgeIndex(h.n, h.masks)
         covered0 = edge_mask((2, 5, 9, 10))  # six vertices left: two edges
-        pm = _find_perfect_matching(h.n, list(h.edges), list(h.masks), 3, covered0)
-        assert pm is not None
+        outcome, pm, _ = _find_perfect_matching(index, index.full, h.n, 3, covered0)
+        assert outcome == "found"
         used = 0
         for i in pm:
             assert h.masks[i] & (used | covered0) == 0
@@ -243,5 +262,174 @@ class TestFindPerfectMatching:
 
     def test_none_when_the_rest_is_not_divisible_by_k(self):
         h = complete_graph(10, 3)
+        index = EdgeIndex(h.n, h.masks)
         covered0 = edge_mask((2, 5, 9))  # seven vertices left
-        assert _find_perfect_matching(h.n, list(h.edges), list(h.masks), 3, covered0) is None
+        assert _find_perfect_matching(index, index.full, h.n, 3, covered0) == ("none", None, 0)
+
+    @given(hypergraphs(max_n=9), st.data())
+    def test_matches_the_exhaustive_oracle_on_small_graphs(self, h, data):
+        # a perfect matching of the live edges avoiding covered0 exists iff
+        # the oracle finds (n - |covered0|) / 3 disjoint such edges
+        index = EdgeIndex(h.n, h.masks)
+        live = data.draw(st.one_of(st.just(index.full), st.integers(0, index.full)))
+        if data.draw(st.booleans()):
+            covered0 = data.draw(st.integers(0, (1 << h.n) - 1))
+        else:  # leave a multiple of three vertices uncovered
+            order = data.draw(st.permutations(range(1, h.n + 1)))
+            covered0 = edge_mask(order[3 * data.draw(st.integers(0, h.n // 3)) :])
+        outcome, pm, _ = _find_perfect_matching(index, live, h.n, 3, covered0)
+        usable = [
+            e
+            for i, (e, m) in enumerate(zip(h.edges, h.masks))
+            if live >> i & 1 and m & covered0 == 0
+        ]
+        rest = h.n - covered0.bit_count()
+        exists = rest % 3 == 0 and (
+            max_matching(Hypergraph(h.n, 3, usable), exhaustive=True)[0] == rest // 3
+        )
+        assert outcome == ("found" if exists else "none")
+        if exists:
+            used = covered0
+            for i in pm:
+                assert live >> i & 1 and h.masks[i] & used == 0
+                used |= h.masks[i]
+            assert used == (1 << h.n) - 1
+
+    def test_tiny_budget_is_budget_not_none(self):
+        h = complete_graph(12, 3)
+        index = EdgeIndex(h.n, h.masks)
+        assert _find_perfect_matching(index, index.full, h.n, 3, budget=2) == ("budget", None, 2)
+        # an isolated vertex is a proof of none at the root, inside any budget
+        h = build(9, 3, [e for e in complete_graph(9, 3).edges if 9 not in e])
+        index = EdgeIndex(h.n, h.masks)
+        assert _find_perfect_matching(index, index.full, h.n, 3, budget=1) == ("none", None, 1)
+
+
+def _per_edge_uniform(h, rounds, cap=2.0):
+    """The reference for uniform rounds: pair loads summed edge by edge."""
+    w = 1.0 / comb(h.n - 1, 2)
+    threshold = cap / 2.0
+    load: dict = {}
+    dead: set = set()
+    alive = list(h.edges)
+    heavy_total, removed_total = [], []
+    for _ in range(rounds):
+        for e in alive:
+            for p in combinations(e, 2):
+                load[p] = load.get(p, 0.0) + w
+        dead |= {p for p, x in load.items() if x >= threshold - 1e-12}
+        alive = [e for e in alive if not any(p in dead for p in combinations(e, 2))]
+        heavy_total.append(len(dead))
+        removed_total.append(h.e() - len(alive))
+    return w, load, heavy_total, removed_total
+
+
+class TestExtractionIndex:
+    @pytest.mark.parametrize("n", range(9, 31))
+    def test_closed_form_uniform_rounds_equal_per_edge_sums(self, n):
+        h = complete_graph(n, 3)
+        u = _uniform_round_budget(n, 3, 1.0)
+        fam = extract_fpm_family(h, u)
+        w, load, heavy_total, removed_total = _per_edge_uniform(h, u)
+        assert fam.complete and [r.path for r in fam.rounds] == ["uniform"] * u
+        assert fam.pair_load == load  # float ==, not approximately
+        assert fam.heavy_total == heavy_total
+        assert fam.removed_total == removed_total
+        for member in fam.members:
+            assert member.weights == {e: w for e in h.edges}
+
+    def test_closed_form_kills_every_pair_once_the_load_crosses(self):
+        # a cap just above three uniform rounds' load on K9 (3/4 per pair):
+        # the rounds still fit the budget, but the summed load lands within
+        # the threshold's tolerance, so every pair and edge dies at once
+        h = complete_graph(9, 3)
+        cap = 2 * (0.75 + 1e-13)
+        fam = extract_fpm_family(h, 4, cap=cap)
+        _, load, heavy_total, removed_total = _per_edge_uniform(h, 3, cap)
+        assert fam.pair_load == load
+        assert fam.heavy_total == heavy_total == [0, 0, 36]
+        assert fam.removed_total == removed_total == [0, 0, 84]
+        assert fam.status == "infeasible at round 4"
+
+    def test_closed_form_rational_loads_are_exact(self):
+        for n in (9, 12, 13):
+            u = _uniform_round_budget(n, 3, 1)
+            fam = extract_fpm_family(complete_graph(n, 3), u, mode="rational")
+            want = Fraction(u * (n - 2), comb(n - 1, 2))
+            assert set(fam.pair_load.values()) == {want}
+
+    @given(hypergraphs(max_n=9), st.data())
+    def test_dead_pair_kill_matches_the_per_edge_definition(self, h, data):
+        index = EdgeIndex(h.n, h.masks)
+        live = data.draw(st.integers(0, index.full))
+        pool = list(combinations(range(1, h.n + 1), 2))
+        pairs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        want = sum(
+            1 << i
+            for i, e in enumerate(h.edges)
+            if live >> i & 1 and not any(set(p) <= set(e) for p in pairs)
+        )
+        assert _without_pairs(index.inc, live, pairs) == want
+
+    @pytest.mark.parametrize(
+        "h, t",
+        [
+            (complete_graph(15, 3), 8),
+            (complete_graph(13, 3), 9),
+            (random_hypergraph(15, 3, 0.7, seed=2), 4),
+            (build(12, 3, complete_graph(12, 3).edges[3:]), 6),
+        ],
+    )
+    def test_survivors_are_the_edges_without_a_dead_pair(self, h, t):
+        fam = extract_fpm_family(h, t)
+        dead = {p for p, x in fam.pair_load.items() if x >= fam.threshold - 1e-12}
+        survivors = [e for e in h.edges if not any(p in dead for p in combinations(e, 2))]
+        assert fam.heavy_total[-1] == len(dead)
+        assert h.e() - fam.removed_total[-1] == len(survivors)
+
+    def test_rounds_record_how_each_member_was_made(self):
+        fam = extract_fpm_family(complete_graph(13, 3), 9)
+        assert fam.complete and len(fam.rounds) == len(fam.members)
+        assert [r.path for r in fam.rounds] == ["uniform"] * 5 + ["gadget"] * 4
+        for r in fam.rounds[5:]:
+            assert r.matching == "found" and r.gadget == "found" and r.nodes > 0
+
+    def test_stalled_round_records_its_searches(self):
+        # the searches prove there is no perfect matching, then the LP
+        # proves the survivors have no fractional one
+        fam = extract_fpm_family(complete_graph(12, 3), 10)
+        assert fam.status == "infeasible at round 10"
+        assert len(fam.rounds) == len(fam.members) + 1
+        last = fam.rounds[-1]
+        assert (last.path, last.matching) == ("lp", "none")
+
+    def test_pipeline_reports_paths_and_nodes(self):
+        res = pipeline(complete_graph(12, 3), 3, t=9, seed=1)
+        diag = res.diagnostics
+        assert list(diag["extract_paths"]) == list(ROUND_PATHS)
+        assert sum(diag["extract_paths"].values()) == diag["extract_members"]
+        assert diag["extract_paths"]["uniform"] == 5
+        assert diag["extract_search_nodes"] > 0
+        assert diag["extract_attempts"] >= 1
+
+
+class TestPickGadget:
+    def test_none_when_every_candidate_fails(self):
+        h = complete_graph(20, 3)
+        index = EdgeIndex(h.n, h.masks)
+        dead = set(combinations(range(1, 21), 2))  # C(20, 4) = 4845 candidates
+        assert _pick_gadget_vertices(20, 4, dead, Counter(), index, index.full) == ("none", None)
+
+    def test_budget_after_five_thousand_candidates(self):
+        h = complete_graph(21, 3)
+        index = EdgeIndex(h.n, h.masks)
+        dead = set(combinations(range(1, 22), 2))  # C(21, 4) = 5985 candidates
+        assert _pick_gadget_vertices(21, 4, dead, Counter(), index, index.full) == ("budget", None)
+
+    def test_found_needs_live_triples(self):
+        h = complete_graph(10, 3)
+        index = EdgeIndex(h.n, h.masks)
+        outcome, cand = _pick_gadget_vertices(10, 4, set(), Counter(), index, index.full)
+        assert (outcome, cand) == ("found", (1, 2, 3, 4))
+        live = index.full & ~(1 << h.edges.index((1, 2, 3)))
+        assert _pick_gadget_vertices(10, 4, set(), Counter(), index, live) == ("found", (1, 2, 4, 5))
