@@ -283,6 +283,8 @@ def _cmd_verify(args) -> int:
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        return _usage_error(exc)
     print(render_report(res, args.format))
     if res.status.startswith("budget"):
         return 2

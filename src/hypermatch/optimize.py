@@ -113,9 +113,9 @@ class EdgeIndex:
     """Edge bitsets over a fixed edge list: bit i of a set stands for edge i.
 
     ``inc[v]`` holds the edges through vertex v and ``disj[i]`` the edges
-    disjoint from edge i (built by the first ``packing`` call). ``packing``
-    and ``cover`` answer the two questions of the paper's hypothesis,
-    nu <= s and tau > s, on any edge subset.
+    disjoint from edge i (built by the first ``disjoint_rows`` or ``packing``
+    call). ``packing`` and ``cover`` answer the two questions of the paper's
+    hypothesis, nu <= s and tau > s, on any edge subset.
     """
 
     __slots__ = ("verts", "full", "inc", "disj")
@@ -127,26 +127,29 @@ class EdgeIndex:
         for i, vs in enumerate(self.verts):
             for v in vs:
                 inc[v] |= 1 << i
-        # m^2 bits in all, so left to the first packing search that needs them
+        # m^2 bits in all, so left to the first search that needs them
         self.disj: list[int] | None = None
 
-    def _disjoint_rows(self) -> list[int]:
-        """Row i is ``full & ~(inc[a] | inc[b] | ...)`` over edge i's vertices."""
-        rows = []
-        for vs in self.verts:
-            hit = 0
-            for v in vs:
-                hit |= self.inc[v]
-            rows.append(self.full & ~hit)
-        return rows
+    def disjoint_rows(self) -> list[int]:
+        """``disj``, built on first use.
+
+        Row i is ``full & ~(inc[a] | inc[b] | ...)`` over edge i's vertices.
+        """
+        if self.disj is None:
+            rows = []
+            for vs in self.verts:
+                hit = 0
+                for v in vs:
+                    hit |= self.inc[v]
+                rows.append(self.full & ~hit)
+            self.disj = rows
+        return self.disj
 
     def packing(self, sub: int, need: int) -> list[int] | None:
         """`need` pairwise disjoint edges of the subset, or None."""
         if need <= 0:
             return []
-        if self.disj is None:
-            self.disj = self._disjoint_rows()
-        disj = self.disj
+        disj = self.disjoint_rows()
 
         def rec(avail: int, need: int) -> list[int] | None:
             while avail:

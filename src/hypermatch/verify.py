@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 
 from .constructions import bound_report
 from .core import BudgetExceeded, Hypergraph, edge_mask
@@ -84,6 +83,8 @@ def verify_extremal(
     budget_ms: float | None = None,
 ) -> VerifyResult:
     """Maximize e(H) under the constraint and compare to the bounds."""
+    if s < 1:
+        raise ValueError(f"s={s} must be at least 1")
     searcher = _Searcher(n, k, s, constraint)
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     if method == "exhaustive":
@@ -150,6 +151,38 @@ def _signature(searcher: _Searcher, sub: int) -> tuple:
     return tuple(degs), tuple(sorted(pair_degs.values()))
 
 
+def _addable_after(index: EdgeIndex, s: int, sub: int, i: int, pool: int) -> int:
+    """The edges of `pool` that stay addable once edge i joins `sub`.
+
+    Assumes nu(sub | i) <= s and nu(sub | j) <= s for every j in `pool`.
+    A matching of s+1 edges in sub | i | j must then use both i and j, so j
+    stays addable unless it is disjoint from i and ``sub & disj[i] & disj[j]``
+    holds s-1 disjoint edges.
+    """
+    disj = index.disjoint_rows()
+    row = disj[i]
+    threatened = pool & row
+    if not threatened:
+        return pool
+    keep = pool & ~row
+    if s == 1:
+        return keep
+    if s == 2:
+        holds = bool  # any one edge is a packing of s-1 = 1
+    else:
+        def holds(edges: int) -> bool:
+            return index.packing(edges, s - 1) is not None
+    base = sub & row
+    if not holds(base):
+        return pool
+    while threatened:
+        low = threatened & -threatened
+        threatened ^= low
+        if not holds(base & disj[low.bit_length() - 1]):
+            keep |= low
+    return keep
+
+
 def _search_maximal(
     searcher: _Searcher, witness_cap: int, deadline: float | None
 ) -> VerifyResult:
@@ -158,16 +191,19 @@ def _search_maximal(
     The edge-count maximum under a matching ceiling plus a cover floor is
     attained at a family maximal under the (downward-closed) matching
     ceiling, because enlarging a family never lowers its cover number.
+
+    `cand` and `banned` are edge bitsets, taken lowest bit first. The
+    search keeps two invariants: the family `sub` has nu <= s, and every
+    edge in `cand` or `banned` can be added to `sub` keeping nu <= s. So
+    adding an edge filters both sets with `_addable_after` alone, and a
+    leaf (`cand` empty) is maximal exactly when `banned` is empty.
     """
+    index = searcher.index
     s = searcher.s
     best_size = -1
     best_subs: list[int] = []
     passed_sigs: set[tuple] = set()
     checked = 0
-
-    def addable(sub: int, i: int) -> bool:
-        new = sub | (1 << i)
-        return searcher.index.packing(new, s + 1) is None
 
     def visit_maximal(sub: int, size: int) -> None:
         nonlocal best_size, best_subs, checked
@@ -180,7 +216,7 @@ def _search_maximal(
                 # an explicitly-checked family with this signature (hence this
                 # exact size) already registered; skipping cannot lower the max
                 return
-            if searcher.index.cover(sub, s) is not None:
+            if index.cover(sub, s) is not None:
                 return
             passed_sigs.add(sig)
         if size > best_size:
@@ -189,25 +225,23 @@ def _search_maximal(
         elif len(best_subs) < witness_cap:
             best_subs.append(sub)
 
-    def expand(sub: int, size: int, cand: list[int], banned: list[int]) -> None:
-        nonlocal checked
+    def expand(sub: int, size: int, cand: int, banned: int) -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("pruned search ran over budget")
-        if size + len(cand) < best_size:
+        if size + cand.bit_count() < best_size:
             return
         if not cand:
-            if not any(addable(sub, i) for i in banned):
+            if not banned:
                 visit_maximal(sub, size)
             return
-        i = cand[0]
-        rest = cand[1:]
-        new = sub | (1 << i)
-        expand(new, size + 1, [j for j in rest if addable(new, j)],
-               [j for j in banned if addable(new, j)])
-        expand(sub, size, rest, banned + [i])
+        low = cand & -cand
+        rest = cand ^ low
+        kept = _addable_after(index, s, sub, low.bit_length() - 1, rest | banned)
+        expand(sub | low, size + 1, kept & rest, kept & banned)
+        expand(sub, size, rest, banned | low)
 
     try:
-        expand(0, 0, list(range(searcher.m)), [])
+        expand(0, 0, index.full, 0)
     except BudgetExceeded:
         return VerifyResult(
             searcher.n, searcher.k, searcher.s, searcher.constraint,

@@ -218,6 +218,8 @@ def test_gen_unwritable_output_is_an_output_error(tmp_path, capsys):
         (["bounds", "--n", "10", "--k", "3", "--s", "0"], "s=0 must be at least 1"),
         (["gen", "--family", "cover", "--n", "3", "--k", "5", "--s", "1"], "n=3 smaller than k=5"),
         (["round", "--s", "1", "--t", "0"], "--t 0: need t >= 1 rounds"),
+        (["verify", "--n", "5", "--k", "3", "--s", "0"], "s=0 must be at least 1"),
+        (["verify", "--n", "5", "--k", "3", "--s", "0", "--pruned"], "s=0 must be at least 1"),
     ],
 )
 def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, why):

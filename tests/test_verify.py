@@ -1,17 +1,54 @@
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermatch.cli import render_report, to_jsonable
 from hypermatch.constructions import clique_family, hilton_milner_family
-from hypermatch.core import BudgetExceeded
-from hypermatch.optimize import max_matching, min_vertex_cover
+from hypermatch.core import BudgetExceeded, Hypergraph
+from hypermatch.optimize import EdgeIndex, max_matching, min_vertex_cover
 from hypermatch.verify import (
     NU_LE_S,
     NU_LE_S_TAU_GT_S,
+    _addable_after,
     revalidate_witnesses,
     verify_extremal,
 )
+
+# (max_edges_found, subsets_checked) of the pruned search, pinned: a faster
+# addability test must leave the search tree, and so the output, as it is.
+PINNED_TREES = [
+    (6, 3, 1, NU_LE_S_TAU_GT_S, 10, 1024),
+    (7, 3, 1, NU_LE_S_TAU_GT_S, 13, 182),
+    (7, 2, 2, NU_LE_S_TAU_GT_S, 10, 62),
+    (8, 2, 2, NU_LE_S_TAU_GT_S, 10, 364),
+    (8, 3, 1, NU_LE_S, 21, 8),
+    (8, 3, 1, NU_LE_S_TAU_GT_S, 16, 344),
+]
+
+
+@st.composite
+def _family_cases(draw):
+    """A random k 2/3 edge list, s in 1..3 and a family of it with nu <= s."""
+    k = draw(st.integers(2, 3))
+    s = draw(st.integers(1, 3))
+    # room for s+1 disjoint edges where it is cheap, so that edges get killed
+    n_hi = 10 if k == 3 else 2 * s + 5
+    n = draw(st.integers(max(k + 2, n_hi - 4), n_hi))
+    rnd = draw(st.randoms(use_true_random=False))
+    p = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    h = Hypergraph(n, k, [e for e in combinations(range(1, n + 1), k) if rnd.random() < p])
+    index = EdgeIndex(h.n, h.masks)
+    q = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))  # how full the family gets
+    order = list(range(h.e()))
+    rnd.shuffle(order)
+    sub = 0
+    for e in order:
+        if rnd.random() < q and index.packing(sub | 1 << e, s + 1) is None:
+            sub |= 1 << e
+    return h, s, sub, rnd
 
 
 class TestVerifyExtremal:
@@ -80,6 +117,53 @@ class TestVerifyExtremal:
     def test_unknown_constraint(self):
         with pytest.raises(ValueError):
             verify_extremal(5, 3, 1, "tau_le_s")
+
+    @pytest.mark.parametrize("method", ["exhaustive", "pruned"])
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_s_below_one_is_rejected(self, method, s):
+        # at s = 0 no edge can be added, so the pruned search's root breaks
+        # its own invariant; both methods refuse rather than disagree
+        with pytest.raises(ValueError, match=f"s={s} must be at least 1"):
+            verify_extremal(5, 3, s, NU_LE_S, method=method)
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("n,k,s,constraint,max_edges,checked", PINNED_TREES)
+    def test_search_tree_is_pinned(self, n, k, s, constraint, max_edges, checked):
+        res = verify_extremal(n, k, s, constraint, method="pruned")
+        assert (res.max_edges_found, res.subsets_checked) == (max_edges, checked)
+        assert res.extremal_witnesses
+        assert revalidate_witnesses(res)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_addable_after_kills_the_edge_that_completes_a_matching(self, s):
+        # sub is s-1 disjoint pairs of K_8; with i it leaves s disjoint edges,
+        # so a pair disjoint from all of them makes s+1 and must go
+        h = Hypergraph(8, 2, list(combinations(range(1, 9), 2)))
+        index = EdgeIndex(h.n, h.masks)
+        bit = {e: 1 << h.edges.index(e) for e in h.edges}
+        sub = sum(bit[(2 * t + 1, 2 * t + 2)] for t in range(s - 1))
+        i = h.edges.index((2 * s - 1, 2 * s))
+        far, near = bit[(2 * s + 1, 2 * s + 2)], bit[(2 * s, 2 * s + 1)]
+        assert _addable_after(index, s, sub, i, far | near) == near
+        assert _addable_after(index, s + 1, sub, i, far | near) == far | near
+
+    @settings(max_examples=200, deadline=None)
+    @given(_family_cases())
+    def test_addable_after_matches_its_definition(self, case):
+        h, s, sub, rnd = case
+        index = EdgeIndex(h.n, h.masks)
+        pool = [
+            j for j in range(h.e())
+            if not sub >> j & 1 and index.packing(sub | 1 << j, s + 1) is None
+        ]
+        for i in pool:
+            others = [j for j in pool if j != i and rnd.random() < 0.8]
+            want = sum(
+                1 << j for j in others
+                if index.packing(sub | 1 << i | 1 << j, s + 1) is None
+            )
+            assert _addable_after(index, s, sub, i, sum(1 << j for j in others)) == want
 
 
 class TestReportRendering:
