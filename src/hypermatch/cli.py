@@ -2,7 +2,9 @@
 round, verify.
 
 Exit codes: 0 success, 1 stage failure (round), 2 budget refusal or a
-usage error (including a parameter out of range), 3 bound mismatch
+usage error (including a parameter out of range, and a `solve` flag that
+does not apply to the quantity asked for: `--limit` outside `nu`/`tau`,
+`--exact-lp` outside `nustar`/`taustar`), 3 bound mismatch
 (verify), 4 input error (an input file that cannot be read or is not a
 valid `.hg` graph), 5 output error (an output file that cannot be written;
 `shift` and `round` check their output paths before computing).
@@ -176,9 +178,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    what = args.what
+    if args.limit is not None and what not in ("nu", "tau"):
+        return _usage_error(f"--limit applies to --what nu|tau, not {what}")
+    if args.exact_lp and what not in ("nustar", "taustar"):
+        return _usage_error(f"--exact-lp applies to --what nustar|taustar, not {what}")
     h = _load(args.infile)
     mode = "rational" if args.exact_lp else "float"
-    what = args.what
+    lp_path = None
     if what == "nu":
         value, witness = max_matching(h, limit=args.limit)
         cert = {"edges": [list(e) for e in witness.edges]}
@@ -190,15 +197,19 @@ def _cmd_solve(args) -> int:
         cert = {"vertices": sorted(wset)}
     elif what == "nustar":
         fa = fractional_matching(h, mode)
-        value = fa.value
+        value, lp_path = fa.value, fa.lp_path
         cert = {"weights": {" ".join(map(str, e)): to_jsonable(w) for e, w in fa.weights.items()}}
     elif what == "taustar":
         fa = fractional_cover(h, mode)
-        value = fa.value
+        value, lp_path = fa.value, fa.lp_path
         cert = {"weights": {str(v): to_jsonable(w) for v, w in fa.weights.items()}}
     else:
         raise AssertionError(what)
-    print(json.dumps({"what": what, "value": to_jsonable(value), "certificate": cert}, indent=2))
+    out = {"what": what, "value": to_jsonable(value)}
+    if lp_path is not None:
+        out["lp_path"] = lp_path
+    out["certificate"] = cert
+    print(json.dumps(out, indent=2))
     return 0
 
 

@@ -1,9 +1,12 @@
-"""Small dense linear programs, two ways.
+"""Linear programs, three ways.
 
 * exact mode: a two-phase primal simplex over Fractions with Bland's rule
   (terminates, no tolerance anywhere); meant for the desk-scale programs
   this package solves, not for large instances.
-* float mode: scipy's HiGHS via linprog, with residuals reported back.
+* float mode on dense rows: scipy's HiGHS via linprog, with residuals
+  reported back.
+* float mode on a sparse matrix: one HiGHS solve that hands back the row
+  duals too, so a caller can read both sides of a duality pair from it.
 """
 
 from __future__ import annotations
@@ -154,6 +157,17 @@ def simplex_rational(
     return OPTIMAL, x, value
 
 
+def _status(res) -> str:
+    """OPTIMAL, INFEASIBLE or UNBOUNDED from a linprog result; other failures raise."""
+    if res.status == 2:
+        return INFEASIBLE
+    if res.status == 3:
+        return UNBOUNDED
+    if not res.success:
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    return OPTIMAL
+
+
 def linprog_float(
     c,
     a_ub=None,
@@ -174,12 +188,9 @@ def linprog_float(
         bounds=bounds,
         method="highs",
     )
-    if res.status == 2:
-        return INFEASIBLE, None, None, None
-    if res.status == 3:
-        return UNBOUNDED, None, None, None
-    if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
+    status = _status(res)
+    if status != OPTIMAL:
+        return status, None, None, None
     x = res.x
     resid = 0.0
     if a_ub is not None and len(a_ub):
@@ -188,3 +199,16 @@ def linprog_float(
         resid = max(resid, float(np.max(np.abs(np.asarray(a_eq) @ x - np.asarray(b_eq)), initial=0.0)))
     value = float(cv @ x)
     return OPTIMAL, x, value, resid
+
+
+def linprog_sparse(c, a_ub, b_ub):
+    """HiGHS minimize c.x subject to a_ub @ x <= b_ub and x >= 0.
+
+    ``a_ub`` may be a ``scipy.sparse`` matrix. Returns (status, x, duals,
+    value); ``duals`` are the row marginals d(value)/d(b_ub), all <= 0.
+    """
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    status = _status(res)
+    if status != OPTIMAL:
+        return status, None, None, None
+    return OPTIMAL, res.x, res.ineqlin.marginals, float(res.fun)

@@ -3,17 +3,22 @@
 Exact values come from one edge-bitset search kernel (``EdgeIndex``, shared
 with ``verify``) run by iterative deepening; a pure enumeration oracle (no
 pruning at all) sits behind ``exhaustive=True`` and is the ground truth in
-tests. Fractional values come from LPs solved either over exact rationals or
-in floats (HiGHS).
+tests. The fractional matching and cover numbers come together from one
+sparse HiGHS solve of the cover LP; in rational mode its answer is rounded
+and checked exactly, and the rational simplex, behind ``oracle=True``, is
+both the fallback and the ground truth in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Mapping
+
+import numpy as np
+from scipy import sparse
 
 from . import lp
 from .core import BudgetExceeded, Edge, Hypergraph, edge_mask
@@ -69,6 +74,7 @@ class FractionalAssignment:
     value: Fraction | float
     mode: str = "rational"
     residual: float | None = None
+    lp_path: str | None = None  # for nu* and tau*: LP_HIGHS, LP_CERTIFIED or LP_SIMPLEX
 
     def weight(self, key):
         return self.weights.get(key, Fraction(0) if self.mode == "rational" else 0.0)
@@ -294,66 +300,151 @@ def max_independent_set(
 
 # -- fractional solvers -------------------------------------------------------
 
+# Which LP path produced a fractional result.
+LP_HIGHS = "highs"  # float mode: one HiGHS solve of the cover LP
+LP_CERTIFIED = "highs-certified"  # exact mode: that solve, rounded and checked exactly
+LP_SIMPLEX = "simplex"  # exact mode: the rational simplex, fallback and oracle
 
-def fractional_matching(h: Hypergraph, mode: str = "rational") -> FractionalAssignment:
-    """Optimal fractional matching; its value is the fractional matching number."""
+# Largest denominator HiGHS's floats are rounded to before the exact check.
+# The optima are vertices whose denominators divide a subdeterminant of the
+# incidence matrix, small at desk scale; a rounding that misses one fails the
+# check and the simplex runs instead.
+CERT_DENOMINATOR = 10**6
+
+
+def _negated_incidence(h: Hypergraph) -> sparse.csr_array:
+    """-A^T as CSR: one row per edge, -1 at each of its vertices."""
+    m, k = h.e(), h.k
+    cols = np.fromiter(chain.from_iterable(h.edges), dtype=np.int32, count=m * k) - 1
+    return sparse.csr_array(
+        (np.full(m * k, -1.0), cols, np.arange(0, m * k + 1, k)), shape=(m, h.n)
+    )
+
+
+def _highs_pair(
+    h: Hypergraph, mode: str
+) -> tuple[FractionalAssignment, FractionalAssignment] | None:
+    """An optimal fractional matching and cover from one HiGHS solve.
+
+    The solve is of the cover LP, min sum(y) subject to A^T y >= 1 and
+    y >= 0; its negated row duals are the matching weights. In rational mode
+    both sides are rounded to fractions and checked exactly: x >= 0, vertex
+    loads <= 1, 0 <= y <= 1, edge sums >= 1 and sum(x) == sum(y). Weak
+    duality then makes each an optimality certificate for the other; if the
+    check fails the result is None.
+    """
+    neg_at = _negated_incidence(h)
+    status, y, duals, tau = lp.linprog_sparse(np.ones(h.n), neg_at, np.full(h.e(), -1.0))
+    if status != lp.OPTIMAL:  # y = 1 is feasible and y >= 0 bounds the sum
+        raise RuntimeError(f"cover LP came back {status}")
+    x = -duals
+    if mode != "rational":
+        load = -(neg_at.T @ x)
+        resid_m = max(0.0, float(np.max(load, initial=1.0)) - 1.0, float(np.max(-x, initial=0.0)))
+        resid_c = max(0.0, float(np.max(neg_at @ y, initial=-1.0)) + 1.0)
+        weights_m = {e: float(xi) for e, xi in zip(h.edges, x) if xi > 1e-12}
+        weights_c = {v: float(yi) for v, yi in zip(h.vertices(), y)}
+        return (
+            FractionalAssignment("matching", weights_m, float(x.sum()), "float", resid_m, LP_HIGHS),
+            FractionalAssignment("cover", weights_c, tau, "float", resid_c, LP_HIGHS),
+        )
+    xq = [Fraction(xi).limit_denominator(CERT_DENOMINATOR) for xi in x.tolist()]
+    yq = [Fraction(yi).limit_denominator(CERT_DENOMINATOR) for yi in y.tolist()]
+    fm = FractionalAssignment(
+        "matching", {e: w for e, w in zip(h.edges, xq) if w}, sum(xq, Fraction(0)),
+        "rational", 0.0, LP_CERTIFIED,
+    )
+    fc = FractionalAssignment(
+        "cover", dict(zip(h.vertices(), yq)), sum(yq, Fraction(0)),
+        "rational", 0.0, LP_CERTIFIED,
+    )
+    try:
+        fm.validate(h)
+        fc.validate(h)
+    except ValueError:
+        return None
+    if fm.value != fc.value:
+        return None
+    return fm, fc
+
+
+def _pair(
+    h: Hypergraph, mode: str, oracle: bool
+) -> tuple[FractionalAssignment, FractionalAssignment] | None:
+    """The one-solve pair, or None when the rational simplex has to run."""
+    if oracle:
+        if mode != "rational":
+            raise ValueError("the simplex oracle is exact: use mode='rational'")
+        return None
+    return _highs_pair(h, mode)
+
+
+def _matching_simplex(h: Hypergraph) -> FractionalAssignment:
+    """The matching LP over the live vertices, by the rational simplex."""
     m = h.e()
     if m == 0:
-        zero = Fraction(0) if mode == "rational" else 0.0
-        return FractionalAssignment("matching", {}, zero, mode, 0.0)
+        return FractionalAssignment("matching", {}, Fraction(0), "rational", 0.0, LP_SIMPLEX)
     live = [v for v in h.vertices() if h.degree(v) > 0]
-    if mode == "rational":
-        rows = [[Fraction(int(v in e)) for e in h.edges] for v in live]
-        status, x, value = lp.simplex_rational(
-            [Fraction(1)] * m, rows, ["<="] * len(live), [Fraction(1)] * len(live),
-            maximize=True,
-        )
-        if status != lp.OPTIMAL:
-            raise RuntimeError(f"matching LP came back {status}")
-        weights = {e: xi for e, xi in zip(h.edges, x) if xi != 0}
-        return FractionalAssignment("matching", weights, value, "rational", 0.0)
-    rows = [[1.0 if v in e else 0.0 for e in h.edges] for v in live]
-    status, x, value, resid = lp.linprog_float(
-        [1.0] * m, a_ub=rows, b_ub=[1.0] * len(live), maximize=True
+    rows = [[Fraction(int(v in e)) for e in h.edges] for v in live]
+    status, x, value = lp.simplex_rational(
+        [Fraction(1)] * m, rows, ["<="] * len(live), [Fraction(1)] * len(live),
+        maximize=True,
     )
     if status != lp.OPTIMAL:
         raise RuntimeError(f"matching LP came back {status}")
-    weights = {e: float(xi) for e, xi in zip(h.edges, x) if xi > 1e-12}
-    return FractionalAssignment("matching", weights, value, "float", resid)
+    weights = {e: xi for e, xi in zip(h.edges, x) if xi != 0}
+    return FractionalAssignment("matching", weights, value, "rational", 0.0, LP_SIMPLEX)
 
 
-def fractional_cover(h: Hypergraph, mode: str = "rational") -> FractionalAssignment:
-    """Optimal fractional vertex cover; its value equals the matching LP optimum."""
+def _cover_simplex(h: Hypergraph) -> FractionalAssignment:
+    """The cover LP by the rational simplex, in the slack-basis substitution."""
     n, k = h.n, h.k
     if h.e() == 0:
-        zero = Fraction(0) if mode == "rational" else 0.0
-        weights = {v: zero for v in h.vertices()}
-        return FractionalAssignment("cover", weights, zero, mode, 0.0)
-    if mode == "rational":
-        # substitute w = 1 - u so the feasible start is the slack basis:
-        # min sum(w) == n - max sum(u) with sum_{v in e} u_v <= k-1, u <= 1
-        rows = [[Fraction(int(v in e)) for v in h.vertices()] for e in h.edges]
-        senses = ["<="] * h.e()
-        rhs = [Fraction(k - 1)] * h.e()
-        for v in h.vertices():
-            rows.append([Fraction(int(u == v)) for u in h.vertices()])
-            senses.append("<=")
-            rhs.append(Fraction(1))
-        status, u, value = lp.simplex_rational(
-            [Fraction(1)] * n, rows, senses, rhs, maximize=True
-        )
-        if status != lp.OPTIMAL:
-            raise RuntimeError(f"cover LP came back {status}")
-        weights = {v: Fraction(1) - ui for v, ui in zip(h.vertices(), u)}
-        return FractionalAssignment("cover", weights, Fraction(n) - value, "rational", 0.0)
-    rows = [[-1.0 if v in e else 0.0 for v in h.vertices()] for e in h.edges]
-    status, w, value, resid = lp.linprog_float(
-        [1.0] * n, a_ub=rows, b_ub=[-1.0] * h.e(), maximize=False
+        weights = {v: Fraction(0) for v in h.vertices()}
+        return FractionalAssignment("cover", weights, Fraction(0), "rational", 0.0, LP_SIMPLEX)
+    # substitute w = 1 - u so the feasible start is the slack basis:
+    # min sum(w) == n - max sum(u) with sum_{v in e} u_v <= k-1, u <= 1
+    rows = [[Fraction(int(v in e)) for v in h.vertices()] for e in h.edges]
+    senses = ["<="] * h.e()
+    rhs = [Fraction(k - 1)] * h.e()
+    for v in h.vertices():
+        rows.append([Fraction(int(u == v)) for u in h.vertices()])
+        senses.append("<=")
+        rhs.append(Fraction(1))
+    status, u, value = lp.simplex_rational(
+        [Fraction(1)] * n, rows, senses, rhs, maximize=True
     )
     if status != lp.OPTIMAL:
         raise RuntimeError(f"cover LP came back {status}")
-    weights = {v: float(wi) for v, wi in zip(h.vertices(), w)}
-    return FractionalAssignment("cover", weights, value, "float", resid)
+    weights = {v: Fraction(1) - ui for v, ui in zip(h.vertices(), u)}
+    return FractionalAssignment(
+        "cover", weights, Fraction(n) - value, "rational", 0.0, LP_SIMPLEX
+    )
+
+
+def fractional_matching(
+    h: Hypergraph, mode: str = "rational", oracle: bool = False
+) -> FractionalAssignment:
+    """Optimal fractional matching; its value is the fractional matching number.
+
+    Read off the one HiGHS solve of the cover LP; in rational mode, when the
+    exact check fails, and always with ``oracle=True``, the rational simplex
+    solves the matching LP instead. ``lp_path`` says which ran.
+    """
+    pair = _pair(h, mode, oracle)
+    return pair[0] if pair else _matching_simplex(h)
+
+
+def fractional_cover(
+    h: Hypergraph, mode: str = "rational", oracle: bool = False
+) -> FractionalAssignment:
+    """Optimal fractional vertex cover; its value equals the matching LP optimum.
+
+    The same solve as ``fractional_matching``, with the same fallback and
+    oracle.
+    """
+    pair = _pair(h, mode, oracle)
+    return pair[1] if pair else _cover_simplex(h)
 
 
 @dataclass
@@ -364,19 +455,26 @@ class DualityReport:
     mode: str
     matching: FractionalAssignment
     cover: FractionalAssignment
+    lp_path: str
 
 
-def check_lp_duality(h: Hypergraph, mode: str = "rational", tol: float = 1e-9) -> DualityReport:
-    """Solve both fractional programs independently and insist they agree."""
-    fm = fractional_matching(h, mode)
-    fc = fractional_cover(h, mode)
+def check_lp_duality(
+    h: Hypergraph, mode: str = "rational", tol: float = 1e-9, oracle: bool = False
+) -> DualityReport:
+    """Both fractional optima, and insist they agree.
+
+    They come from one solve (certified together in rational mode); on the
+    simplex path the two programs are solved independently.
+    """
+    pair = _pair(h, mode, oracle)
+    fm, fc = pair if pair else (_matching_simplex(h), _cover_simplex(h))
     gap = fc.value - fm.value
     bad = gap != 0 if mode == "rational" else abs(gap) > tol
     if bad:
         raise DualityError(
             f"fractional optima disagree: matching {fm.value} vs cover {fc.value}"
         )
-    return DualityReport(fm.value, fc.value, gap, mode, fm, fc)
+    return DualityReport(fm.value, fc.value, gap, mode, fm, fc, fm.lp_path)
 
 
 def fractional_perfect_matching(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypermatch import rounding, shifting
+from hypermatch import lp, rounding, shifting
 from hypermatch.cli import main
 from hypermatch.core import complete_graph, read_hg, write_hg
 from hypermatch.constructions import hilton_milner_family
@@ -147,6 +147,62 @@ def test_solve_accepts_zero_limit(tmp_path, capsys):
     code, out = run(capsys, "solve", "--what", "nu", "--in", str(tmp_path / "g.hg"), "--limit", "0")
     assert code == 0
     assert json.loads(out)["value"] == 0
+
+
+@pytest.mark.parametrize(
+    "what, flags, lp_path",
+    [
+        ("nustar", [], "highs"),
+        ("taustar", [], "highs"),
+        ("nustar", ["--exact-lp"], "highs-certified"),
+        ("taustar", ["--exact-lp"], "highs-certified"),
+    ],
+)
+def test_solve_reports_the_lp_path(tmp_path, capsys, what, flags, lp_path):
+    path = str(tmp_path / "k5.hg")
+    write_hg(complete_graph(5, 3), path)
+    code, out = run(capsys, "solve", "--what", what, "--in", path, *flags)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["what", "value", "lp_path", "certificate"]
+    assert payload["lp_path"] == lp_path
+
+
+def test_solve_reports_the_simplex_fallback(tmp_path, capsys, monkeypatch):
+    real = lp.linprog_sparse
+
+    def negated_duals(*args, **kwargs):
+        status, x, duals, value = real(*args, **kwargs)
+        return status, x, -duals, value
+
+    monkeypatch.setattr(lp, "linprog_sparse", negated_duals)
+    path = str(tmp_path / "k5.hg")
+    write_hg(complete_graph(5, 3), path)
+    for what in ("nustar", "taustar"):
+        code, out = run(capsys, "solve", "--what", what, "--in", path, "--exact-lp")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lp_path"] == "simplex"
+        assert payload["value"] == "5/3"
+
+
+@pytest.mark.parametrize(
+    "what, flag, why",
+    [
+        ("alpha", ["--limit", "2"], "--limit applies to --what nu|tau, not alpha"),
+        ("nustar", ["--limit", "2"], "--limit applies to --what nu|tau, not nustar"),
+        ("taustar", ["--limit", "0"], "--limit applies to --what nu|tau, not taustar"),
+        ("nu", ["--exact-lp"], "--exact-lp applies to --what nustar|taustar, not nu"),
+        ("tau", ["--exact-lp"], "--exact-lp applies to --what nustar|taustar, not tau"),
+        ("alpha", ["--exact-lp"], "--exact-lp applies to --what nustar|taustar, not alpha"),
+    ],
+)
+def test_solve_flag_that_does_not_apply_is_a_usage_error(tmp_path, capsys, what, flag, why):
+    (tmp_path / "g.hg").write_text("3 4 1\n1 2 3\n")
+    assert main(["solve", "--what", what, "--in", str(tmp_path / "g.hg"), *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {why}\n"
+    assert captured.out == ""
 
 
 def _graph_file(tmp_path) -> str:

@@ -5,7 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from hypermatch.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, linprog_float, simplex_rational
+import numpy as np
+from scipy import sparse
+
+from hypermatch.lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    linprog_float,
+    linprog_sparse,
+    simplex_rational,
+)
 
 
 def test_tiny_max():
@@ -112,3 +122,26 @@ def test_random_mixed_sense_lps_match_highs(seed):
         for row, sense, b in zip(rows, senses, rhs):
             lhs = sum(Fraction(a) * xi for a, xi in zip(row, x))
             assert lhs <= b if sense == "<=" else lhs >= b
+
+
+def test_sparse_solve_returns_row_duals():
+    # min y1 + 2 y2 st y1 + y2 >= 1, y2 >= 1/2 (as <= rows): y = (1/2, 1/2),
+    # value 3/2, row duals -1 and -1
+    a = sparse.csr_array(np.array([[-1.0, -1.0], [0.0, -1.0]]))
+    status, y, duals, value = linprog_sparse(np.array([1.0, 2.0]), a, np.array([-1.0, -0.5]))
+    assert status == OPTIMAL
+    assert np.allclose(y, [0.5, 0.5]) and abs(value - 1.5) < 1e-12
+    assert np.allclose(duals, [-1.0, -1.0])
+
+
+def test_sparse_solve_with_no_rows():
+    a = sparse.csr_array((0, 3))
+    status, y, duals, value = linprog_sparse(np.ones(3), a, np.zeros(0))
+    assert status == OPTIMAL and value == 0 and len(duals) == 0
+    assert np.array_equal(y, np.zeros(3))
+
+
+def test_sparse_solve_reports_infeasible():
+    # y1 <= -1 with y1 >= 0
+    a = sparse.csr_array(np.array([[1.0]]))
+    assert linprog_sparse(np.ones(1), a, np.array([-1.0]))[0] == INFEASIBLE

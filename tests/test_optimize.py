@@ -2,14 +2,20 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hypermatch import lp
 from hypermatch.constructions import (
     cover_family,
     hilton_milner_family,
     prefix_overlap_family,
 )
-from hypermatch.core import build, complete_graph
+from hypermatch.core import Hypergraph, build, complete_graph, random_hypergraph
 from hypermatch.optimize import (
+    LP_CERTIFIED,
+    LP_HIGHS,
+    LP_SIMPLEX,
     EdgeIndex,
     Matching,
     VertexCover,
@@ -25,6 +31,7 @@ from hypermatch.optimize import (
 )
 
 from conftest import seeded_graph
+from strategies import hypergraphs
 
 
 class TestMaxMatching:
@@ -155,6 +162,67 @@ class TestIndependence:
 
     def test_empty_graph(self):
         assert max_independent_set(build(6, 3, []))[0] == 6
+
+
+@given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=9, k=k)))
+@example(Hypergraph(6, 3, []))
+@example(Hypergraph(9, 3, [(1, 2, 3), (1, 4, 5)]))  # vertices 6..9 isolated
+@settings(max_examples=40, deadline=None)
+def test_certified_lp_matches_the_simplex_oracle(h):
+    rep = check_lp_duality(h, "rational")
+    assert rep.lp_path == LP_CERTIFIED
+    fm = fractional_matching(h, "rational")
+    fc = fractional_cover(h, "rational")
+    assert fm.lp_path == fc.lp_path == LP_CERTIFIED
+    assert fm.value == fc.value == rep.nu_star == rep.tau_star
+    assert fm.value == fractional_matching(h, "rational", oracle=True).value
+    assert fc.value == fractional_cover(h, "rational", oracle=True).value
+    for fa in (fm, fc, rep.matching, rep.cover):
+        fa.validate(h)
+        assert fa.value == sum(fa.weights.values())
+
+
+def _halved_duals(monkeypatch):
+    """Make the HiGHS solve return half its duals: still a feasible matching,
+    but not an optimal one, so only the equal-sums check can reject it."""
+    real = lp.linprog_sparse
+
+    def fake(*args, **kwargs):
+        status, x, duals, value = real(*args, **kwargs)
+        return status, x, duals / 2, value
+
+    monkeypatch.setattr(lp, "linprog_sparse", fake)
+
+
+class TestLPPaths:
+    def test_failed_certificate_falls_back_to_the_simplex(self, monkeypatch):
+        h = complete_graph(5, 3)
+        _halved_duals(monkeypatch)
+        fm = fractional_matching(h, "rational")
+        fc = fractional_cover(h, "rational")
+        rep = check_lp_duality(h, "rational")
+        assert fm.lp_path == fc.lp_path == rep.lp_path == LP_SIMPLEX
+        assert fm.value == fc.value == rep.nu_star == Fraction(5, 3)
+        fm.validate(h)
+        fc.validate(h)
+
+    def test_float_weightings_are_feasible_and_report_residuals(self):
+        h = random_hypergraph(30, 3, 0.2, 3)
+        rep = check_lp_duality(h, "float")
+        assert rep.lp_path == LP_HIGHS
+        exact = fractional_matching(h, "rational").value
+        for fa in (rep.matching, rep.cover):
+            assert fa.lp_path == LP_HIGHS
+            fa.validate(h, tol=1e-9)
+            assert fa.residual is not None and 0 <= fa.residual <= 1e-9
+            assert abs(fa.value - float(exact)) <= 1e-9
+
+    def test_oracle_runs_the_simplex(self):
+        h = complete_graph(5, 3)
+        assert fractional_matching(h, "rational", oracle=True).lp_path == LP_SIMPLEX
+        assert check_lp_duality(h, "rational", oracle=True).lp_path == LP_SIMPLEX
+        with pytest.raises(ValueError):
+            fractional_cover(h, "float", oracle=True)
 
 
 class TestFractional:
