@@ -5,8 +5,8 @@ with ``verify``) run by iterative deepening; a pure enumeration oracle (no
 pruning at all) sits behind ``exhaustive=True`` and is the ground truth in
 tests. The fractional matching and cover numbers come together from one
 sparse HiGHS solve of the cover LP; in rational mode its answer is rounded
-and checked exactly, and the rational simplex, behind ``oracle=True``, is
-both the fallback and the ground truth in tests.
+and checked exactly, and the rational simplex (``_matching_simplex``,
+``_cover_simplex``) is both the fallback and the ground truth in tests.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def max_independent_set(
 # Which LP path produced a fractional result.
 LP_HIGHS = "highs"  # float mode: one HiGHS solve of the cover LP
 LP_CERTIFIED = "highs-certified"  # exact mode: that solve, rounded and checked exactly
-LP_SIMPLEX = "simplex"  # exact mode: the rational simplex, fallback and oracle
+LP_SIMPLEX = "simplex"  # exact mode: the rational simplex fallback
 
 # Largest denominator HiGHS's floats are rounded to before the exact check.
 # The optima are vertices whose denominators divide a subdeterminant of the
@@ -368,17 +368,6 @@ def _highs_pair(
     return fm, fc
 
 
-def _pair(
-    h: Hypergraph, mode: str, oracle: bool
-) -> tuple[FractionalAssignment, FractionalAssignment] | None:
-    """The one-solve pair, or None when the rational simplex has to run."""
-    if oracle:
-        if mode != "rational":
-            raise ValueError("the simplex oracle is exact: use mode='rational'")
-        return None
-    return _highs_pair(h, mode)
-
-
 def _matching_simplex(h: Hypergraph) -> FractionalAssignment:
     """The matching LP over the live vertices, by the rational simplex."""
     m = h.e()
@@ -422,28 +411,23 @@ def _cover_simplex(h: Hypergraph) -> FractionalAssignment:
     )
 
 
-def fractional_matching(
-    h: Hypergraph, mode: str = "rational", oracle: bool = False
-) -> FractionalAssignment:
+def fractional_matching(h: Hypergraph, mode: str = "rational") -> FractionalAssignment:
     """Optimal fractional matching; its value is the fractional matching number.
 
     Read off the one HiGHS solve of the cover LP; in rational mode, when the
-    exact check fails, and always with ``oracle=True``, the rational simplex
-    solves the matching LP instead. ``lp_path`` says which ran.
+    exact check fails, the rational simplex solves the matching LP instead.
+    ``lp_path`` says which ran.
     """
-    pair = _pair(h, mode, oracle)
+    pair = _highs_pair(h, mode)
     return pair[0] if pair else _matching_simplex(h)
 
 
-def fractional_cover(
-    h: Hypergraph, mode: str = "rational", oracle: bool = False
-) -> FractionalAssignment:
+def fractional_cover(h: Hypergraph, mode: str = "rational") -> FractionalAssignment:
     """Optimal fractional vertex cover; its value equals the matching LP optimum.
 
-    The same solve as ``fractional_matching``, with the same fallback and
-    oracle.
+    The same solve as ``fractional_matching``, with the same fallback.
     """
-    pair = _pair(h, mode, oracle)
+    pair = _highs_pair(h, mode)
     return pair[1] if pair else _cover_simplex(h)
 
 
@@ -455,26 +439,31 @@ class DualityReport:
     mode: str
     matching: FractionalAssignment
     cover: FractionalAssignment
-    lp_path: str
 
 
 def check_lp_duality(
-    h: Hypergraph, mode: str = "rational", tol: float = 1e-9, oracle: bool = False
+    h: Hypergraph, mode: str = "rational", tol: float = 1e-9
 ) -> DualityReport:
     """Both fractional optima, and insist they agree.
 
     They come from one solve (certified together in rational mode); on the
-    simplex path the two programs are solved independently.
+    simplex fallback the two programs are solved independently. In float
+    mode both weightings must also be feasible within ``tol``, so equal
+    values are a duality certificate and not just the solver's own gap.
     """
-    pair = _pair(h, mode, oracle)
+    pair = _highs_pair(h, mode)
     fm, fc = pair if pair else (_matching_simplex(h), _cover_simplex(h))
     gap = fc.value - fm.value
-    bad = gap != 0 if mode == "rational" else abs(gap) > tol
+    if mode == "rational":
+        bad = gap != 0
+    else:
+        bad = abs(gap) > tol or fm.residual > tol or fc.residual > tol
     if bad:
         raise DualityError(
-            f"fractional optima disagree: matching {fm.value} vs cover {fc.value}"
+            f"fractional optima disagree or are infeasible: matching {fm.value} "
+            f"(residual {fm.residual}) vs cover {fc.value} (residual {fc.residual})"
         )
-    return DualityReport(fm.value, fc.value, gap, mode, fm, fc, fm.lp_path)
+    return DualityReport(fm.value, fc.value, gap, mode, fm, fc)
 
 
 def fractional_perfect_matching(

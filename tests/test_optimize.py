@@ -16,6 +16,7 @@ from hypermatch.optimize import (
     LP_CERTIFIED,
     LP_HIGHS,
     LP_SIMPLEX,
+    DualityError,
     EdgeIndex,
     Matching,
     VertexCover,
@@ -28,6 +29,8 @@ from hypermatch.optimize import (
     max_matching,
     min_vertex_cover,
     threshold_cover_graph,
+    _cover_simplex,
+    _matching_simplex,
 )
 
 from conftest import seeded_graph
@@ -170,13 +173,13 @@ class TestIndependence:
 @settings(max_examples=40, deadline=None)
 def test_certified_lp_matches_the_simplex_oracle(h):
     rep = check_lp_duality(h, "rational")
-    assert rep.lp_path == LP_CERTIFIED
+    assert rep.matching.lp_path == rep.cover.lp_path == LP_CERTIFIED
     fm = fractional_matching(h, "rational")
     fc = fractional_cover(h, "rational")
     assert fm.lp_path == fc.lp_path == LP_CERTIFIED
     assert fm.value == fc.value == rep.nu_star == rep.tau_star
-    assert fm.value == fractional_matching(h, "rational", oracle=True).value
-    assert fc.value == fractional_cover(h, "rational", oracle=True).value
+    assert fm.value == _matching_simplex(h).value
+    assert fc.value == _cover_simplex(h).value
     for fa in (fm, fc, rep.matching, rep.cover):
         fa.validate(h)
         assert fa.value == sum(fa.weights.values())
@@ -201,7 +204,7 @@ class TestLPPaths:
         fm = fractional_matching(h, "rational")
         fc = fractional_cover(h, "rational")
         rep = check_lp_duality(h, "rational")
-        assert fm.lp_path == fc.lp_path == rep.lp_path == LP_SIMPLEX
+        assert fm.lp_path == fc.lp_path == rep.matching.lp_path == LP_SIMPLEX
         assert fm.value == fc.value == rep.nu_star == Fraction(5, 3)
         fm.validate(h)
         fc.validate(h)
@@ -209,7 +212,6 @@ class TestLPPaths:
     def test_float_weightings_are_feasible_and_report_residuals(self):
         h = random_hypergraph(30, 3, 0.2, 3)
         rep = check_lp_duality(h, "float")
-        assert rep.lp_path == LP_HIGHS
         exact = fractional_matching(h, "rational").value
         for fa in (rep.matching, rep.cover):
             assert fa.lp_path == LP_HIGHS
@@ -217,12 +219,26 @@ class TestLPPaths:
             assert fa.residual is not None and 0 <= fa.residual <= 1e-9
             assert abs(fa.value - float(exact)) <= 1e-9
 
-    def test_oracle_runs_the_simplex(self):
+    def test_simplex_formulations_run_the_simplex(self):
         h = complete_graph(5, 3)
-        assert fractional_matching(h, "rational", oracle=True).lp_path == LP_SIMPLEX
-        assert check_lp_duality(h, "rational", oracle=True).lp_path == LP_SIMPLEX
-        with pytest.raises(ValueError):
-            fractional_cover(h, "float", oracle=True)
+        fm, fc = _matching_simplex(h), _cover_simplex(h)
+        assert fm.lp_path == fc.lp_path == LP_SIMPLEX
+        assert fm.value == fc.value == Fraction(5, 3)
+
+    def test_float_duality_rejects_an_infeasible_weighting(self, monkeypatch):
+        # both sides doubled: the sums still agree and the cover stays
+        # feasible, but every vertex load is 2, so only the matching's
+        # residual can reject the pair
+        h = complete_graph(5, 3)
+        real = lp.linprog_sparse
+
+        def fake(*args, **kwargs):
+            status, y, duals, value = real(*args, **kwargs)
+            return status, 2 * y, 2 * duals, 2 * value
+
+        monkeypatch.setattr(lp, "linprog_sparse", fake)
+        with pytest.raises(DualityError):
+            check_lp_duality(h, "float")
 
 
 class TestFractional:
