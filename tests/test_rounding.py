@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hypermatch.cli import to_jsonable
 from hypermatch.constructions import cover_family
 from hypermatch.core import Hypergraph, build, complete_graph, edge_mask, random_hypergraph
 from hypermatch.optimize import EdgeIndex, FractionalAssignment, max_matching
@@ -433,3 +434,79 @@ class TestPickGadget:
         assert (outcome, cand) == ("found", (1, 2, 3, 4))
         live = index.full & ~(1 << h.edges.index((1, 2, 3)))
         assert _pick_gadget_vertices(10, 4, set(), Counter(), index, live) == ("found", (1, 2, 4, 5))
+
+
+def _diag(r, t, n_aug, status, members, attempts, paths, nodes, load, rest=None):
+    uniform, integral, gadget, lp_rounds = paths
+    diag = {
+        "r": r, "t": t, "n_augmented": n_aug, "extract_status": status,
+        "extract_members": members, "extract_attempts": attempts,
+        "extract_paths": {"uniform": uniform, "integral": integral, "gadget": gadget, "lp": lp_rounds},
+        "extract_search_nodes": nodes, "max_pair_load": load,
+    }
+    if rest is not None:
+        total, sample_edges, max_pair, in_aug, in_input = rest
+        diag.update({
+            "mixed_total_weight": total, "sample_edges": sample_edges,
+            "sample_vertex_ok": True, "sample_max_pair_degree": max_pair,
+            "matching_in_augmented": in_aug, "matching_in_input": in_input,
+        })
+    return diag
+
+
+# Seeded pipeline reports, pinned in full so that a refactor of the rounding
+# stages cannot change what `round --report` writes. Between them they run
+# closed-form uniform, integral, gadget and LP-fallback rounds, a stalled
+# extraction with retries, failed matchings, an explicit r and both matchers.
+SEEDED_PIPELINE_REPORTS = [
+    (
+        complete_graph(12, 3), {"s": 3, "t": 9, "seed": 1},
+        "ok", [[1, 6, 8], [2, 11, 12], [3, 5, 10], [4, 7, 9]],
+        _diag(0, 9, 12, "complete", 9, 2, (5, 4, 0, 0), 20, 1.9090909090909092,
+              (18.000000000000018, 23, 3, 4, 4)),
+    ),
+    (
+        complete_graph(10, 3), {"s": 2, "t": 6, "seed": 2, "r": 3},
+        "failed at matching: best inside has size 2", [[3, 8, 10], [5, 6, 9]],
+        _diag(3, 6, 13, "complete", 6, 1, (5, 0, 1, 0), 4, 1.8333333333333326,
+              (12.999999999999963, 17, 3, 4, 2)),
+    ),
+    (
+        random_hypergraph(12, 3, 0.5, seed=1),
+        {"s": 1, "t": 6, "seed": 3, "r": 2, "matching_strategy": "nibble"},
+        "ok", [[2, 11, 12], [3, 9, 10]],
+        _diag(2, 6, 14, "complete", 6, 1, (0, 0, 2, 4), 7, 1.6666666666666665,
+              (13.999999999999998, 19, 2, 3, 2)),
+    ),
+    (
+        complete_graph(9, 3), {"s": 1, "t": 6, "seed": 4, "r": 1},
+        "failed at extract: infeasible at round 6", [],
+        _diag(1, 6, 10, "infeasible at round 6", 5, 6, (4, 0, 0, 1), 0, 1.7222222222222228),
+    ),
+    (
+        random_hypergraph(12, 3, 0.5, seed=1), {"s": 3, "seed": 5},
+        "failed at matching: best inside has size 2", [[1, 4, 10], [6, 7, 8]],
+        _diag(0, 2, 12, "complete", 2, 1, (0, 2, 0, 0), 10, 1.0, (4.0, 3, 1, 2, 2)),
+    ),
+    (
+        cover_family(12, 3, 2), {"s": 2, "t": 8, "seed": 0},
+        "failed at extract: infeasible at round 1", [],
+        _diag(0, 8, 12, "infeasible at round 1", 0, 6, (0, 0, 0, 0), 146, 0.0),
+    ),
+]
+
+
+@pytest.mark.parametrize("h, kwargs, status, edges, diag", SEEDED_PIPELINE_REPORTS)
+def test_seeded_pipeline_reports_are_pinned(h, kwargs, status, edges, diag):
+    got = to_jsonable(pipeline(h, **kwargs))
+    assert got == {
+        "status": status,
+        "success": status == "ok",
+        "matching": {"edges": edges},
+        "s": kwargs["s"],
+        "r": diag["r"],
+        "t": diag["t"],
+        "seed": kwargs["seed"],
+        "diagnostics": diag,
+    }
+    assert list(got["diagnostics"]) == list(diag)  # the report's key order too
