@@ -31,7 +31,7 @@ def main() -> None:
     args = ap.parse_args()
 
     h = complete_graph(args.n, 3)
-    fam = extract_fpm_family(h, args.t, mode="float")
+    fam = extract_fpm_family(h, args.t)
     print(f"extraction: {fam.status} ({len(fam.members)}/{args.t} members)")
     print(f"max pair load: {float(fam.max_pair_load()):.6f} (cap {fam.cap})")
     heavy = fam.heavy_pairs_by_vertex()

@@ -244,18 +244,22 @@ def _cmd_closeness(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
+    # k(s+1)-1 = 5 at k 3, s 1: below it the bound table has no row
+    if args.n is not None and args.n < 5:
+        return _usage_error(f"--n {args.n}: need n >= 5 for a bound row at s = 1")
     if args.table:
-        rows = stability.bound_table(args.n)
-        print(render_report(rows, "tsv"))
+        if args.n is None:
+            return _usage_error("--table needs --n")
+        print(render_report(stability.bound_table(args.n), "tsv"))
         return 0
     root = stability.crossover_root()
     closed = stability.crossover_root_closed_form()
-    overtake = stability.clique_overtakes_at(args.n) if args.n else None
     print(f"root\t{root:.12f}")
     print(f"closed_form\t{closed:.12f}")
     print(f"gap(5/18)\t{stability.crossover_gap(5 / 18):.9f}")
-    if overtake is not None:
-        print(f"clique_overtakes_at\t{overtake}")
+    if args.n is not None:
+        overtake = stability.clique_overtakes_at(args.n)
+        print(f"clique_overtakes_at\t{'none' if overtake is None else overtake}")
     return 0
 
 
@@ -265,6 +269,8 @@ def _cmd_round(args) -> int:
     # pipeline is a fault and must surface
     if h.k != 3:
         return _usage_error(f"round needs a 3-graph, {args.infile} has k={h.k}")
+    if args.s < 1:
+        return _usage_error(f"s={args.s} must be at least 1")
     if args.t is not None and args.t < 1:
         return _usage_error(f"--t {args.t}: need t >= 1 rounds")
     _probe_outputs(args.report)

@@ -467,44 +467,25 @@ def check_lp_duality(
 
 
 def fractional_perfect_matching(
-    h: Hypergraph,
-    mode: str = "float",
-    objective: Mapping[Edge, float] | None = None,
-    maximize_objective: bool = False,
+    h: Hypergraph, objective: Mapping[Edge, float] | None = None
 ) -> FractionalAssignment | None:
-    """A fractional matching with every vertex constraint tight, or None.
+    """A float fractional matching with every vertex constraint tight, or None.
 
-    An optional edge objective picks among the (many) solutions.
+    An optional edge objective, maximized, picks among the (many) solutions.
     """
-    m = h.e()
-    if m == 0 or h.n == 0:
+    if h.e() == 0 or h.n == 0:
         return None
-    k = h.k
-    if mode == "rational":
-        rows = [[Fraction(int(v in e)) for e in h.edges] for v in h.vertices()]
-        c = [Fraction(0)] * m
-        if objective:
-            c = [Fraction(objective.get(e, 0)) for e in h.edges]
-        status, x, _val = lp.simplex_rational(
-            c, rows, ["="] * h.n, [Fraction(1)] * h.n, maximize=maximize_objective
-        )
-        if status != lp.OPTIMAL:
-            return None
-        weights = {e: xi for e, xi in zip(h.edges, x) if xi != 0}
-        return FractionalAssignment(
-            "matching", weights, Fraction(h.n, k), "rational", 0.0
-        )
     rows = [[1.0 if v in e else 0.0 for e in h.edges] for v in h.vertices()]
-    c = [0.0] * m
+    c = [0.0] * h.e()
     if objective:
         c = [float(objective.get(e, 0.0)) for e in h.edges]
     status, x, _val, resid = lp.linprog_float(
-        c, a_eq=rows, b_eq=[1.0] * h.n, maximize=maximize_objective
+        c, a_eq=rows, b_eq=[1.0] * h.n, maximize=objective is not None
     )
     if status != lp.OPTIMAL:
         return None
     weights = {e: float(xi) for e, xi in zip(h.edges, x) if xi > 1e-12}
-    return FractionalAssignment("matching", weights, h.n / k, "float", resid)
+    return FractionalAssignment("matching", weights, h.n / h.k, "float", resid)
 
 
 # -- proof-procedure operations ----------------------------------------------

@@ -36,6 +36,10 @@ from .optimize import (
 
 _EPS = 1e-12
 ROUND_PATHS = ("uniform", "integral", "gadget", "lp")
+_ATTEMPTS = 6  # extraction attempts of the staged strategy
+_PAIR_THRESHOLD = 7.0  # a sampled pair degree at or above this is a large deviation
+_BITE_FRACTION = 0.1  # the nibble's per-round edge probability
+_ETA = 0.1  # the augmentation window's slack, as a fraction of n
 
 
 @dataclass
@@ -68,12 +72,11 @@ class FPMFamily:
     """
 
     members: list[FractionalAssignment]
-    pair_load: dict[tuple[int, int], Fraction | float]
+    pair_load: dict[tuple[int, int], float]
     cap: float
-    threshold: Fraction | float
+    threshold: float
     status: str
     rounds_requested: int
-    mode: str
     heavy_total: list[int] = field(default_factory=list)
     removed_total: list[int] = field(default_factory=list)
     rounds: list[RoundRecord] = field(default_factory=list)
@@ -92,12 +95,13 @@ class FPMFamily:
                 cnt[y] += 1
         return cnt
 
-    def max_pair_load(self):
-        return max(self.pair_load.values(), default=0)
+    def max_pair_load(self) -> float:
+        return max(self.pair_load.values(), default=0.0)
 
 
-def _uniform_round_budget(n: int, k: int, threshold) -> int:
-    # uniform weight 1/C(n-1,k-1) puts (k-1)/(n-1) on every pair per round
+def _uniform_round_budget(n: int, k: int, threshold: float) -> int:
+    # uniform weight 1/C(n-1,k-1) puts (k-1)/(n-1) on every pair per round;
+    # the comparison is exact, so the float threshold alone fixes the count
     inc = Fraction(k - 1, n - 1)
     u = 0
     while (u + 1) * inc < Fraction(threshold):
@@ -225,9 +229,8 @@ def _near_integral_round(
     live: int,
     dead: set,
     heavy_by_vertex: Counter,
-    rational: bool,
     rec: RoundRecord,
-) -> dict[Edge, Fraction | float] | None:
+) -> dict[Edge, float] | None:
     """An integral matching on most vertices plus uniform 4-blocks on the rest.
 
     For 3 | n this is a plain perfect matching. Otherwise one (n % 3 == 1) or
@@ -243,9 +246,8 @@ def _near_integral_round(
     blocks = [4] * rem
     if (n - 4 * rem) // 3 + rem < 4 and rem:
         return None  # too few blocks for a feasible follow-up round
-    weights: dict[Edge, Fraction | float] = {}
+    weights: dict[Edge, float] = {}
     gmask = 0
-    gw = Fraction(1, 3) if rational else 1.0 / 3.0
     for g in blocks:
         rec.gadget, gadget = _pick_gadget_vertices(
             n, g, dead, heavy_by_vertex, index, live, banned_mask=gmask
@@ -254,13 +256,12 @@ def _near_integral_round(
             return None
         gmask |= edge_mask(gadget)
         for tr in combinations(gadget, 3):
-            weights[tuple(sorted(tr))] = gw
+            weights[tuple(sorted(tr))] = 1.0 / 3.0
     rec.matching, pm, rec.nodes = _find_perfect_matching(index, live, n, 3, gmask)
     if pm is None:
         return None
-    one = Fraction(1) if rational else 1.0
     for i in pm:
-        weights[edges[i]] = one
+        weights[edges[i]] = 1.0
     rec.path = "gadget" if blocks else "integral"
     return weights
 
@@ -269,10 +270,8 @@ def extract_fpm_family(
     h: Hypergraph,
     t: int,
     cap: float = 2.0,
-    mode: str = "float",
     strategy: str = "staged",
     seed: int = 0,
-    attempts: int = 6,
 ) -> FPMFamily:
     """Pull up to t fractional perfect matchings with all pair loads below cap.
 
@@ -280,7 +279,7 @@ def extract_fpm_family(
     edge containing them before the next round. ``staged`` plays uniform
     weights while the graph is still complete, then near-integral matchings,
     then a load-focused LP; ``lp`` solves a bare feasibility LP every round.
-    A failed staged run is retried, up to ``attempts`` times, each retry
+    A failed staged run is retried, up to six attempts in all, each retry
     searching the edges in its own order shuffled from the seed.
     """
     if t < 1:
@@ -288,17 +287,17 @@ def extract_fpm_family(
     if strategy not in ("staged", "lp"):
         raise ValueError(f"unknown strategy {strategy!r}")
     best: FPMFamily | None = None
-    tries = attempts if strategy == "staged" else 1
-    for attempt in range(max(1, tries)):
+    tries = _ATTEMPTS if strategy == "staged" else 1
+    for attempt in range(tries):
         rng = None if attempt == 0 else random.Random(f"{seed}:{attempt}")
-        fam = _extract_once(h, t, cap, mode, strategy, rng)
+        fam = _extract_once(h, t, cap, strategy, rng)
         fam.attempts = attempt + 1
         if fam.complete:
             return fam
         if best is None or len(fam.members) > len(best.members):
             best = fam
     assert best is not None
-    best.attempts = max(1, tries)
+    best.attempts = tries
     return best
 
 
@@ -306,20 +305,16 @@ def _extract_once(
     h: Hypergraph,
     t: int,
     cap: float,
-    mode: str,
     strategy: str,
     rng: random.Random | None,
 ) -> FPMFamily:
-    rational = mode == "rational"
-    threshold = Fraction(cap) / 2 if rational else cap / 2.0
-    zero = Fraction(0) if rational else 0.0
-    value = Fraction(h.n, h.k) if rational else h.n / h.k
-
     n, k = h.n, h.k
+    threshold = cap / 2.0
+    value = n / k
     edges, masks = h.edges, h.masks
     index: EdgeIndex | None = None  # built on the first round that needs it
     live = (1 << len(edges)) - 1  # surviving edges, one bit per edge
-    pair_load: dict[tuple[int, int], Fraction | float] = {}
+    pair_load: dict[tuple[int, int], float] = {}
     dead: set[tuple[int, int]] = set()
     heavy_by_vertex: Counter = Counter()
     members: list[FractionalAssignment] = []
@@ -336,15 +331,15 @@ def _extract_once(
         # gets the same C(n-2, k-2) additions of w per round, in the same
         # order as a per-edge sum would give them, so one scalar chain is
         # every pair's load, bit for bit.
-        w = Fraction(1, comb(n - 1, k - 1)) if rational else 1.0 / comb(n - 1, k - 1)
+        w = 1.0 / comb(n - 1, k - 1)
         uniform = {e: w for e in edges}
-        load = zero
+        load = 0.0
         for _ in range(u_planned):
             for _ in range(comb(n - 2, k - 2)):
                 load += w
                 if load >= cap + 1e-9:
                     raise AssertionError(f"every pair reached load {load} >= cap {cap}")
-            members.append(FractionalAssignment("matching", uniform, value, mode))
+            members.append(FractionalAssignment("matching", uniform, value, "float"))
             rounds.append(RoundRecord("uniform"))
             if load >= threshold - _EPS:  # every pair dies at once
                 dead.update(combinations(range(1, n + 1), 2))
@@ -370,39 +365,31 @@ def _extract_once(
             index = EdgeIndex(n, masks)
         rec = RoundRecord("lp")  # a search that succeeds names its own path
         rounds.append(rec)
-        weights: dict[Edge, Fraction | float] | None = None
+        weights: dict[Edge, float] | None = None
         if strategy == "staged" and k == 3:
-            weights = _near_integral_round(
-                n, index, edges, live, dead, heavy_by_vertex, rational, rec
-            )
+            weights = _near_integral_round(n, index, edges, live, dead, heavy_by_vertex, rec)
         if weights is None:
             sub_edges = [edges[i] for i in _bits(live)]
             sub = Hypergraph(n, k, sub_edges)
             objective = None
             if strategy == "staged" and pair_load:
                 objective = {
-                    e: sum(
-                        (pair_load.get(p, zero) for p in combinations(e, 2)),
-                        zero,
-                    )
+                    e: sum((pair_load.get(p, 0.0) for p in combinations(e, 2)), 0.0)
                     for e in sub_edges
                 }
-            fpm = fractional_perfect_matching(
-                sub, mode=mode, objective=objective,
-                maximize_objective=objective is not None,
-            )
+            fpm = fractional_perfect_matching(sub, objective=objective)
             if fpm is None:
                 status = f"infeasible at round {rnd}"
                 break
             weights = dict(fpm.weights)
 
-        members.append(FractionalAssignment("matching", weights, value, mode))
+        members.append(FractionalAssignment("matching", weights, value, "float"))
         newly = []
         for e, w in weights.items():
             if not w:
                 continue
             for p in combinations(e, 2):
-                load = pair_load.get(p, zero) + w
+                load = pair_load.get(p, 0.0) + w
                 pair_load[p] = load
                 if load >= cap + 1e-9:
                     raise AssertionError(f"pair {p} reached load {load} >= cap {cap}")
@@ -426,7 +413,6 @@ def _extract_once(
         threshold=threshold,
         status=status,
         rounds_requested=t,
-        mode=mode,
         heavy_total=heavy_total,
         removed_total=removed_total,
         rounds=rounds,
@@ -437,22 +423,19 @@ def mix_and_halve(family: FPMFamily) -> FractionalAssignment:
     """Half the sum of the family: an edge probability with vertex sums t/2."""
     if not family.members:
         raise ValueError("cannot mix an empty family")
-    rational = family.mode == "rational"
-    half = Fraction(1, 2) if rational else 0.5
-    zero = Fraction(0) if rational else 0.0
-    mixed: dict[Edge, Fraction | float] = {}
+    mixed: dict[Edge, float] = {}
     for member in family.members:
         for e, w in member.weights.items():
-            mixed[e] = mixed.get(e, zero) + w
-    out: dict[Edge, Fraction | float] = {}
+            mixed[e] = mixed.get(e, 0.0) + w
+    out: dict[Edge, float] = {}
     for e, w in mixed.items():
-        p = w * half
+        p = w * 0.5
         if p < -1e-9 or p > 1 + 1e-9:
             raise AssertionError(f"mixed weight {p} on {e} escapes [0, 1]")
         if p:
             out[e] = p
-    total = sum(out.values(), zero)
-    return FractionalAssignment("sampling", out, total, family.mode)
+    total = sum(out.values(), 0.0)
+    return FractionalAssignment("sampling", out, total, "float")
 
 
 @dataclass
@@ -479,7 +462,6 @@ def sample_binomial_subgraph(
     f: FractionalAssignment,
     seed: int,
     alpha: float = 1.0,
-    pair_threshold: float = 7.0,
 ) -> SampleReport:
     """Keep each edge independently with probability f(e), fixed by the seed.
 
@@ -530,9 +512,9 @@ def sample_binomial_subgraph(
         vertex_violation_budget=budget,
         max_pair_degree=max_pair,
         max_expected_pair_degree=max_expected_pair,
-        pair_threshold=pair_threshold,
+        pair_threshold=_PAIR_THRESHOLD,
         vertex_ok=violations <= budget,
-        pair_ok=max_pair < pair_threshold,
+        pair_ok=max_pair < _PAIR_THRESHOLD,
     )
 
 
@@ -559,13 +541,11 @@ def near_perfect_matching(
     h: Hypergraph,
     strategy: str = "greedy",
     seed: int = 0,
-    bite_fraction: float = 0.1,
-    max_rounds: int | None = None,
-    leave_fraction: float = 0.0,
 ) -> Matching:
     """A large matching: min-conflict greedy, or random bites plus cleanup.
 
-    Stops early once uncovered vertices drop to leave_fraction * n. No
+    The nibble runs ceil(10 ln n) rounds, each offering every live edge with
+    probability 0.1. Either strategy stops once every vertex is covered. No
     near-perfectness is promised; the caller inspects the size.
     """
     edges = list(h.edges)
@@ -573,7 +553,6 @@ def near_perfect_matching(
     alive = list(range(len(edges)))
     chosen: list[int] = []
     covered = 0
-    stop_at = h.n - leave_fraction * h.n
 
     def take(i: int) -> None:
         nonlocal covered, alive
@@ -583,7 +562,7 @@ def near_perfect_matching(
         alive = [j for j in alive if masks[j] & mi == 0]
 
     if strategy == "greedy":
-        while alive and covered.bit_count() < stop_at:
+        while alive and covered.bit_count() < h.n:
             deg = _subset_degree_tables(edges, alive, h.k)
             best_i = None
             best_kill = None
@@ -594,11 +573,10 @@ def near_perfect_matching(
             take(best_i)
     elif strategy == "nibble":
         rng = random.Random(seed)
-        rounds = max_rounds or math.ceil(10 * math.log(max(h.n, 2)))
-        for _ in range(rounds):
-            if not alive or covered.bit_count() >= stop_at:
+        for _ in range(math.ceil(10 * math.log(max(h.n, 2)))):
+            if not alive or covered.bit_count() >= h.n:
                 break
-            bite = [i for i in alive if rng.random() < bite_fraction]
+            bite = [i for i in alive if rng.random() < _BITE_FRACTION]
             rng.shuffle(bite)  # first-come in random order settles conflicts
             for i in bite:
                 if masks[i] & covered == 0:
@@ -615,15 +593,15 @@ def near_perfect_matching(
 # -- end-to-end ---------------------------------------------------------------
 
 
-def choose_augmentation(n: int, s: int, eta: float = 0.1) -> int:
+def choose_augmentation(n: int, s: int) -> int:
     """Pick r: universal vertices added so n+r is divisible by 3.
 
-    Prefers 2r inside [n-3s-2*eta*n, n-3s-eta*n]; when that window holds no
-    aligned integer, falls back to the smallest aligned r that still leaves
-    room for s+r+1 disjoint triples on n+r vertices.
+    Prefers 2r inside [n-3s-2*eta*n, n-3s-eta*n] with eta = 0.1; when that
+    window holds no aligned integer, falls back to the smallest aligned r
+    that still leaves room for s+r+1 disjoint triples on n+r vertices.
     """
-    lo = n - 3 * s - 2 * eta * n
-    hi = n - 3 * s - eta * n
+    lo = n - 3 * s - 2 * _ETA * n
+    hi = n - 3 * s - _ETA * n
     for r in range(0, 2 * n + 1):
         if (n + r) % 3 == 0 and lo <= 2 * r <= hi:
             return r
@@ -650,13 +628,8 @@ def pipeline(
     s: int,
     t: int | None = None,
     seed: int = 0,
-    eta: float = 0.1,
     r: int | None = None,
-    cap: float = 2.0,
-    mode: str = "float",
-    extract_strategy: str = "staged",
     matching_strategy: str = "greedy",
-    bite_fraction: float = 0.1,
 ) -> PipelineResult:
     """Augment, extract, mix, sample, match; keep the part inside the input.
 
@@ -665,27 +638,27 @@ def pipeline(
     if h.k != 3:
         raise ValueError("the rounding pipeline is for 3-graphs")
     if r is None:
-        r = choose_augmentation(h.n, s, eta)
+        r = choose_augmentation(h.n, s)
     hr = augment_universal(h, r)
     if t is None:
         t = max(2, round(hr.n**0.2))
     diag: dict = {"r": r, "t": t, "n_augmented": hr.n}
 
-    fam = extract_fpm_family(hr, t, cap=cap, mode=mode, strategy=extract_strategy)
+    fam = extract_fpm_family(hr, t)
     diag["extract_status"] = fam.status
     diag["extract_members"] = len(fam.members)
     diag["extract_attempts"] = fam.attempts
     made = Counter(rec.path for rec in fam.rounds[: len(fam.members)])
     diag["extract_paths"] = {path: made[path] for path in ROUND_PATHS}
     diag["extract_search_nodes"] = sum(rec.nodes for rec in fam.rounds)
-    diag["max_pair_load"] = float(fam.max_pair_load())
+    diag["max_pair_load"] = fam.max_pair_load()
     if not fam.complete:
         return PipelineResult(
             f"failed at extract: {fam.status}", False, Matching(()), s, r, t, seed, diag
         )
 
     mixed = mix_and_halve(fam)
-    diag["mixed_total_weight"] = float(mixed.value)
+    diag["mixed_total_weight"] = mixed.value
 
     report = sample_binomial_subgraph(hr, mixed, seed)
     diag["sample_edges"] = report.sampled.e()
@@ -693,12 +666,7 @@ def pipeline(
     diag["sample_max_pair_degree"] = report.max_pair_degree
 
     matching_seed = seed * 1_000_003 + 1
-    m_aug = near_perfect_matching(
-        report.sampled,
-        strategy=matching_strategy,
-        seed=matching_seed,
-        bite_fraction=bite_fraction,
-    )
+    m_aug = near_perfect_matching(report.sampled, matching_strategy, seed=matching_seed)
     diag["matching_in_augmented"] = m_aug.size
     inside = tuple(e for e in m_aug.edges if e[-1] <= h.n)
     matching = Matching(inside)

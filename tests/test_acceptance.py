@@ -244,7 +244,7 @@ def test_criterion_8_rounding_properties():
     for n in range(9, 31):
         h = complete_graph(n, 3)
         for t in range(2, 11):
-            fam = extract_fpm_family(h, t, mode="float")
+            fam = extract_fpm_family(h, t)
             _family_invariants(fam, n, t)
             if t > n - 2:
                 # t*n pair-weight units over C(n,2) pairs force a pair to 2
@@ -265,7 +265,7 @@ def test_criterion_8_rounding_properties():
 
     # Monte-Carlo at the n=30, t=20 configuration
     h = complete_graph(30, 3)
-    fam = extract_fpm_family(h, 20, mode="float")
+    fam = extract_fpm_family(h, 20)
     assert fam.complete
     _family_invariants(fam, 30, 20)
     mixed = mix_and_halve(fam)
@@ -306,7 +306,7 @@ def test_criterion_8_full_grid_as_stated():
     for n in range(9, 31):
         h = complete_graph(n, 3)
         for t in range(2, 11):
-            fam = extract_fpm_family(h, t, mode="float")
+            fam = extract_fpm_family(h, t)
             assert fam.complete, f"(n={n}, t={t}): {fam.status}"
 
 

@@ -80,6 +80,10 @@ def test_crossover(capsys):
     assert code == 0
     assert len(out.strip().split("\n")) == 6  # s = 1..6
 
+    code, out = run(capsys, "crossover", "--n", "6")  # the clique never overtakes
+    assert code == 0
+    assert out.strip().split("\n")[-1] == "clique_overtakes_at\tnone"
+
 
 def test_round_success_and_failure(tmp_path, capsys):
     # complete graph: pipeline finds a perfect matching at a good seed
@@ -276,6 +280,11 @@ def test_gen_unwritable_output_is_an_output_error(tmp_path, capsys):
         (["round", "--s", "1", "--t", "0"], "--t 0: need t >= 1 rounds"),
         (["verify", "--n", "5", "--k", "3", "--s", "0"], "s=0 must be at least 1"),
         (["verify", "--n", "5", "--k", "3", "--s", "0", "--pruned"], "s=0 must be at least 1"),
+        # any matching has size > -3: a run would report a vacuous success
+        (["round", "--s", "-3", "--t", "9", "--seed", "1"], "s=-3 must be at least 1"),
+        (["crossover", "--table"], "--table needs --n"),
+        (["crossover", "--n", "-5", "--table"], "--n -5: need n >= 5 for a bound row at s = 1"),
+        (["crossover", "--n", "-4"], "--n -4: need n >= 5 for a bound row at s = 1"),
     ],
 )
 def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, why):
@@ -284,7 +293,9 @@ def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, why):
         write_hg(complete_graph(8, 3), path)
         argv = [argv[0], "--in", path, *argv[1:]]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"usage error: {why}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {why}\n"
+    assert captured.out == ""
 
 
 def test_round_on_a_graph_that_is_not_3_uniform_is_a_usage_error(tmp_path, capsys):
