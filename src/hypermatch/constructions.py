@@ -114,13 +114,11 @@ def augment_universal(h: Hypergraph, r: int) -> Hypergraph:
         raise ValueError(f"r={r} must be nonnegative")
     if r == 0:
         return h
-    n2 = h.n + r
-    edges = list(h.edges)
-    new = set(range(h.n + 1, n2 + 1))
-    for e in combinations(range(1, n2 + 1), h.k):
-        if new.intersection(e):
-            edges.append(e)
-    return Hypergraph(n2, h.k, edges)
+    n, have = h.n, h.edge_set
+    # combinations() yields canonical k-sets in lex order; an edge of h stays
+    # inside 1..n, and a k-set reaching past n meets a universal vertex
+    edges = [e for e in combinations(range(1, n + r + 1), h.k) if e[-1] > n or e in have]
+    return Hypergraph.from_canonical(n + r, h.k, edges)
 
 
 # -- closed-form counts ------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from operator import lt
 from typing import Iterable
 
 Edge = tuple[int, ...]
@@ -37,22 +38,49 @@ def _canonical_edge(e: Iterable[int], k: int, n: int) -> Edge:
     return t
 
 
+def _check_shape(n: int, k: int) -> None:
+    if k < 2:
+        raise ValueError(f"uniformity k={k} must be at least 2")
+    if k > n:
+        raise ValueError(f"uniformity k={k} exceeds vertex count n={n}")
+
+
 class Hypergraph:
-    """A k-uniform hypergraph on [n] with canonical, deduplicated edges."""
+    """A k-uniform hypergraph on [n] with canonical, deduplicated edges.
+
+    The constructor checks every edge; ``from_canonical`` trusts its caller.
+    """
 
     __slots__ = ("n", "k", "edges", "masks", "edge_set")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]] = ()):
-        if k < 2:
-            raise ValueError(f"uniformity k={k} must be at least 2")
-        if k > n:
-            raise ValueError(f"uniformity k={k} exceeds vertex count n={n}")
-        canon = sorted({_canonical_edge(e, k, n) for e in edges})
+        _check_shape(n, k)
+        self._fill(n, k, sorted({_canonical_edge(e, k, n) for e in edges}))
+
+    @classmethod
+    def from_canonical(cls, n: int, k: int, edges: Iterable[Edge]) -> "Hypergraph":
+        """A hypergraph from edges that are already canonical, unchecked.
+
+        Precondition: every edge is an ascending k-tuple inside 1..n, no edge
+        repeats, and the edges come in lexicographic order. Only k and n are
+        checked; a list that breaks the precondition gives a broken graph.
+        """
+        _check_shape(n, k)
+        h = cls.__new__(cls)
+        h._fill(n, k, edges)
+        return h
+
+    def _fill(self, n: int, k: int, canon: Iterable[Edge]) -> None:
+        bit = [0] + [1 << i for i in range(n)]  # bit[v] is vertex v's mask bit
         self.n = n
         self.k = k
         self.edges: tuple[Edge, ...] = tuple(canon)
-        self.masks: tuple[int, ...] = tuple(edge_mask(e) for e in canon)
-        self.edge_set: frozenset[Edge] = frozenset(canon)
+        if k == 3:  # unpacked: the paper's case, and the one the pipeline builds
+            masks = (bit[a] | bit[b] | bit[c] for a, b, c in self.edges)
+        else:  # an edge's vertices are distinct, so the sum of their bits is their union
+            masks = (sum(map(bit.__getitem__, e)) for e in self.edges)
+        self.masks: tuple[int, ...] = tuple(masks)
+        self.edge_set: frozenset[Edge] = frozenset(self.edges)
 
     # -- basic queries ----------------------------------------------------
 
@@ -183,13 +211,22 @@ def _bad_edge_line(path: str, lineno: int, line: str, why: str) -> ValueError:
     return ValueError(f"{path}:{lineno}: edge line {line!r} {why}")
 
 
+def _plain_decimal(line: str) -> bool:
+    """Whether every int() the line's tokens pass is plain ASCII decimal.
+
+    int() alone also takes '1_0', '+1' and non-ASCII digits; a leading '-'
+    stays allowed here and the range check rejects it.
+    """
+    return line.isascii() and "_" not in line and "+" not in line
+
+
 def read_hg(path: str) -> Hypergraph:
     """Parse a `.hg` file; malformed input raises ValueError naming path and line."""
     with open(path) as fh:
         lines = [
-            (lineno, ln.strip())
+            (lineno, text)
             for lineno, ln in enumerate(fh, 1)
-            if ln.strip() and not ln.lstrip().startswith("#")
+            if (text := ln.strip()) and text[0] != "#"
         ]
     if not lines:
         raise ValueError(f"{path}: no header line")
@@ -198,7 +235,9 @@ def read_hg(path: str) -> Hypergraph:
     if len(header) != 3:
         raise ValueError(f"{path}:{head_no}: header must be 'k n m', got {head!r}")
     try:
-        k, n, m = (int(x) for x in header)
+        if not _plain_decimal(head):
+            raise ValueError(head)
+        k, n, m = map(int, header)
     except ValueError as exc:
         raise ValueError(f"{path}:{head_no}: non-integer header {head!r}") from exc
     body = lines[1:]
@@ -210,16 +249,21 @@ def read_hg(path: str) -> Hypergraph:
         if len(parts) != k:
             raise _bad_edge_line(path, lineno, ln, f"does not have {k} ids")
         try:
-            ids = [int(x) for x in parts]
+            if not _plain_decimal(ln):
+                raise ValueError(ln)
+            ids = tuple(map(int, parts))
         except ValueError as exc:
             raise _bad_edge_line(path, lineno, ln, "has a non-integer vertex id") from exc
-        if any(b <= a for a, b in zip(ids, ids[1:])):
+        if not all(map(lt, ids, ids[1:])):
             raise _bad_edge_line(path, lineno, ln, "is not strictly ascending")
         if ids[0] < 1 or ids[-1] > n:
             raise _bad_edge_line(path, lineno, ln, f"leaves 1..{n}")
-        edges.append(tuple(ids))
+        edges.append(ids)
+    if not all(map(lt, edges, edges[1:])):
+        edges = sorted(set(edges))  # duplicate lines collapse; m counts lines
     try:
-        return Hypergraph(n, k, edges)
+        # every line was checked above: k ascending ids inside 1..n, now in lex order
+        return Hypergraph.from_canonical(n, k, edges)
     except ValueError as exc:
         raise ValueError(f"{path}:{head_no}: {exc}") from exc
 

@@ -118,6 +118,7 @@ class FractionalAssignment:
 class EdgeIndex:
     """Edge bitsets over a fixed edge list: bit i of a set stands for edge i.
 
+    The edges are vertex tuples, kept as ``verts``.
     ``inc[v]`` holds the edges through vertex v and ``disj[i]`` the edges
     disjoint from edge i (built by the first ``disjoint_rows`` or ``packing``
     call). ``packing`` and ``cover`` answer the two questions of the paper's
@@ -126,9 +127,9 @@ class EdgeIndex:
 
     __slots__ = ("verts", "full", "inc", "disj")
 
-    def __init__(self, n: int, masks):
-        self.verts = [_vertices(mk) for mk in masks]
-        self.full = (1 << len(masks)) - 1
+    def __init__(self, n: int, edges):
+        self.verts = tuple(edges)
+        self.full = (1 << len(self.verts)) - 1
         self.inc = inc = [0] * (n + 1)
         for i, vs in enumerate(self.verts):
             for v in vs:
@@ -188,16 +189,6 @@ class EdgeIndex:
         return None
 
 
-def _vertices(mk: int) -> tuple[int, ...]:
-    """The vertices of a vertex bitmask, ascending."""
-    out = []
-    while mk:
-        low = mk & -mk
-        out.append(low.bit_length())
-        mk ^= low
-    return tuple(out)
-
-
 def _greedy_matching(masks) -> list[int]:
     """A maximal matching: each edge in turn if it avoids those taken."""
     used = 0
@@ -224,7 +215,7 @@ def max_matching(
         cap = min(cap, limit)
     best = _greedy_matching(h.masks)[:cap]
     if len(best) < cap:
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         while len(best) < cap:
             got = index.packing(index.full, len(best) + 1)
             if got is None:
@@ -263,7 +254,7 @@ def min_vertex_cover(
     if exhaustive:
         return _cover_oracle(h, limit)
     cap = h.n if limit is None else limit
-    index = EdgeIndex(h.n, h.masks)
+    index = EdgeIndex(h.n, h.edges)
     # a matching needs one cover vertex per edge, so its size bounds tau below
     for budget in range(len(_greedy_matching(h.masks)), cap + 1):
         got = index.cover(index.full, budget)

@@ -22,7 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .constructions import augment_universal
@@ -271,7 +271,6 @@ def extract_fpm_family(
     t: int,
     cap: float = 2.0,
     strategy: str = "staged",
-    seed: int = 0,
 ) -> FPMFamily:
     """Pull up to t fractional perfect matchings with all pair loads below cap.
 
@@ -280,7 +279,8 @@ def extract_fpm_family(
     weights while the graph is still complete, then near-integral matchings,
     then a load-focused LP; ``lp`` solves a bare feasibility LP every round.
     A failed staged run is retried, up to six attempts in all, each retry
-    searching the edges in its own order shuffled from the seed.
+    searching the edges in its own fixed shuffled order. The orders do not
+    depend on the pipeline's seed, which reaches only sampling and matching.
     """
     if t < 1:
         raise ValueError("need t >= 1 rounds")
@@ -289,7 +289,7 @@ def extract_fpm_family(
     best: FPMFamily | None = None
     tries = _ATTEMPTS if strategy == "staged" else 1
     for attempt in range(tries):
-        rng = None if attempt == 0 else random.Random(f"{seed}:{attempt}")
+        rng = None if attempt == 0 else random.Random(f"0:{attempt}")
         fam = _extract_once(h, t, cap, strategy, rng)
         fam.attempts = attempt + 1
         if fam.complete:
@@ -311,7 +311,7 @@ def _extract_once(
     n, k = h.n, h.k
     threshold = cap / 2.0
     value = n / k
-    edges, masks = h.edges, h.masks
+    edges = h.edges
     index: EdgeIndex | None = None  # built on the first round that needs it
     live = (1 << len(edges)) - 1  # surviving edges, one bit per edge
     pair_load: dict[tuple[int, int], float] = {}
@@ -361,8 +361,7 @@ def _extract_once(
                 order = list(range(len(edges)))
                 rng.shuffle(order)
                 edges = [edges[i] for i in order]
-                masks = [masks[i] for i in order]
-            index = EdgeIndex(n, masks)
+            index = EdgeIndex(n, edges)
         rec = RoundRecord("lp")  # a search that succeeds names its own path
         rounds.append(rec)
         weights: dict[Edge, float] | None = None
@@ -423,8 +422,23 @@ def mix_and_halve(family: FPMFamily) -> FractionalAssignment:
     """Half the sum of the family: an edge probability with vertex sums t/2."""
     if not family.members:
         raise ValueError("cannot mix an empty family")
-    mixed: dict[Edge, float] = {}
-    for member in family.members:
+    members = family.members
+    shared = members[0].weights
+    u = 1
+    while u < len(members) and members[u].weights is shared:
+        u += 1
+    # The leading members share one weights dict (the uniform rounds append
+    # the same one), so every edge's sum over them is the chain 0.0 + w + ...
+    # + w of u terms: one chain per distinct weight gives each edge's sum
+    # bit for bit, in the dict's own key order.
+    chains: dict[float, float] = {}
+    for w in set(shared.values()):
+        total = 0.0
+        for _ in range(u):
+            total += w
+        chains[w] = total
+    mixed: dict[Edge, float] = {e: chains[w] for e, w in shared.items()}
+    for member in members[u:]:
         for e, w in member.weights.items():
             mixed[e] = mixed.get(e, 0.0) + w
     out: dict[Edge, float] = {}
@@ -476,7 +490,7 @@ def sample_binomial_subgraph(
             raise ValueError(f"probability {w} on {e} outside [0, 1]")
     rng = random.Random(seed)
     kept = [e for e in h.edges if rng.random() < float(f.weights.get(e, 0.0))]
-    sampled = Hypergraph(h.n, h.k, kept)
+    sampled = Hypergraph.from_canonical(h.n, h.k, kept)  # kept is a subsequence of h.edges
 
     expected = {v: 0.0 for v in h.vertices()}
     pair_expected: dict[tuple[int, int], float] = {}
@@ -486,7 +500,8 @@ def sample_binomial_subgraph(
             expected[v] += wf
         for p in combinations(e, 2):
             pair_expected[p] = pair_expected.get(p, 0.0) + wf
-    realized = {v: sampled.degree(v) for v in h.vertices()}
+    counts = Counter(chain.from_iterable(kept))
+    realized = {v: counts[v] for v in h.vertices()}
     deviations = {v: realized[v] - expected[v] for v in h.vertices()}
 
     violations = 0

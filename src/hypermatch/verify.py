@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .constructions import bound_report
-from .core import BudgetExceeded, Hypergraph, edge_mask
+from .core import BudgetExceeded, Hypergraph
 from .optimize import EdgeIndex, max_matching, min_vertex_cover
 
 EXHAUSTIVE_EDGE_GUARD = 24
@@ -49,7 +49,7 @@ class _Searcher:
         self.constraint = constraint
         self.edges = list(combinations(range(1, n + 1), k))
         self.m = len(self.edges)
-        self.index = EdgeIndex(n, [edge_mask(e) for e in self.edges])
+        self.index = EdgeIndex(n, self.edges)
 
     def satisfies(self, sub: int) -> bool:
         if self.index.packing(sub, self.s + 1) is not None:

@@ -2,6 +2,8 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermatch.constructions import (
     PartitionSpec,
@@ -16,7 +18,7 @@ from hypermatch.constructions import (
     prefix_overlap_count,
     prefix_overlap_family,
 )
-from hypermatch.core import build, complete_graph, random_hypergraph
+from hypermatch.core import Hypergraph, build, complete_graph, random_hypergraph
 from hypermatch.optimize import max_matching, min_vertex_cover
 
 
@@ -177,6 +179,21 @@ class TestAugment:
             inside = [e for e in witness.edges if e[-1] <= 9]
             assert len(inside) >= s + 1
             assert max_matching(base)[0] >= s + 1
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_the_checked_constructor(self, data):
+        k = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(k, 7))
+        pool = list(combinations(range(1, n + 1), k))
+        base = Hypergraph(n, k, data.draw(st.lists(st.sampled_from(pool), max_size=len(pool))))
+        r = data.draw(st.integers(0, 3))
+        new = [e for e in combinations(range(1, n + r + 1), k) if e[-1] > n]
+        expect = Hypergraph(n + r, k, list(base.edges) + new)
+        got = augment_universal(base, r)
+        assert got == expect
+        assert got.masks == expect.masks and got.edge_set == expect.edge_set
 
 
 class TestBoundReport:

@@ -1,15 +1,18 @@
 import json
 import math
+import random
 import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypermatch.core import (
+    Hypergraph,
     build,
     complete_graph,
+    edge_mask,
     from_json_dict,
     random_hypergraph,
     read_hg,
@@ -216,6 +219,30 @@ class TestFiles:
         assert str(exc.value).startswith(f"{path}:3: edge line")
         assert "non-integer vertex id" in str(exc.value)
 
+    @pytest.mark.parametrize("body", ["1 2 1_0\n", "+1 2 3\n", "1 3 \u0664\n", "1 2 \uff13\n"])
+    def test_non_plain_decimal_id_names_path_and_line(self, tmp_path, body):
+        # int() would read these as 10, 1, 4 and 3
+        path = tmp_path / "g.hg"
+        path.write_text("# comment\n3 10 1\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_hg(str(path))
+        assert str(exc.value).startswith(f"{path}:3: edge line")
+        assert "non-integer vertex id" in str(exc.value)
+
+    @pytest.mark.parametrize("head", ["3 1_0 0", "+3 10 0", "3 10 \u0660", "3 \u0661\u0660 0"])
+    def test_non_plain_decimal_header_names_path_and_line(self, tmp_path, head):
+        path = tmp_path / "g.hg"
+        path.write_text(f"# comment\n{head}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="non-integer header") as exc:
+            read_hg(str(path))
+        assert str(exc.value).startswith(f"{path}:2: ")
+
+    def test_negative_id_rejected_by_the_range_check(self, tmp_path):
+        path = tmp_path / "g.hg"
+        path.write_text("3 4 1\n-1 2 3\n")
+        with pytest.raises(ValueError, match="leaves 1..4"):
+            read_hg(str(path))
+
     def test_impossible_header_names_path_and_line(self, tmp_path):
         path = tmp_path / "g.hg"
         path.write_text("# comment\n4 3 0\n")
@@ -343,3 +370,43 @@ def test_read_hg_rejects_only_with_path_and_line(tmp_path_factory, lines):
     else:
         write_hg(h, str(path))
         assert read_hg(str(path)) == h
+
+
+@st.composite
+def _canonical_lists(draw, max_n: int = 8):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, max_n))
+    pool = list(combinations(range(1, n + 1), k))
+    return n, k, draw(st.lists(st.sampled_from(pool), max_size=len(pool)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_canonical_lists())
+def test_from_canonical_equals_the_checked_constructor(case):
+    n, k, lines = case
+    canon = sorted(set(lines))
+    h = Hypergraph.from_canonical(n, k, canon)
+    assert h == Hypergraph(n, k, lines)
+    assert h.masks == tuple(edge_mask(e) for e in h.edges)
+    assert h.edge_set == frozenset(canon)
+
+
+def test_from_canonical_keeps_the_shape_checks():
+    with pytest.raises(ValueError, match="at least 2"):
+        Hypergraph.from_canonical(3, 1, [])
+    with pytest.raises(ValueError, match="exceeds vertex count"):
+        Hypergraph.from_canonical(3, 4, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_canonical_lists(), st.randoms(use_true_random=False))
+@example((5, 3, [(2, 3, 4), (1, 2, 3), (1, 4, 5)]), random.Random(0))
+def test_read_hg_of_shuffled_duplicated_lines_equals_the_checked_constructor(
+    tmp_path_factory, case, rnd
+):
+    n, k, lines = case
+    lines = lines + lines[: len(lines) // 2]  # a repeated line collapses
+    rnd.shuffle(lines)
+    path = tmp_path_factory.mktemp("hg") / "g.hg"
+    path.write_text(f"{k} {n} {len(lines)}\n" + "".join(" ".join(map(str, e)) + "\n" for e in lines))
+    assert read_hg(str(path)) == Hypergraph(n, k, lines)

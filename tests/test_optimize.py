@@ -125,7 +125,7 @@ class TestEdgeIndex:
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_match_their_definitions(self, seed):
         h = seeded_graph(seed, n_lo=4, n_hi=9)
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         assert index.disj is None and index.packing(0, 1) is None  # builds disj
         for v in h.vertices():
             bit = 1 << (v - 1)
@@ -137,7 +137,7 @@ class TestEdgeIndex:
     @pytest.mark.parametrize("seed", range(10))
     def test_witnesses_on_subsets(self, seed):
         h = seeded_graph(seed, n_lo=4, n_hi=8)
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         sub = sum(1 << i for i in range(0, h.e(), 2))  # every other edge
         g = build(h.n, h.k, [e for i, e in enumerate(h.edges) if sub >> i & 1])
         nu = max_matching(g, exhaustive=True)[0]

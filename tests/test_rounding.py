@@ -93,6 +93,21 @@ class TestMix:
         assert all(abs(s - 1.5) < 1e-9 for s in sums.values())
         assert all(0 <= w <= 1 for w in mixed.weights.values())
 
+    @pytest.mark.parametrize("n, t, shared", [(12, 9, 5), (15, 9, 6), (12, 4, 4), (9, 3, 3)])
+    def test_shared_members_sum_like_each_member_in_turn(self, n, t, shared):
+        fam = extract_fpm_family(complete_graph(n, 3), t)
+        first = fam.members[0].weights
+        assert sum(m.weights is first for m in fam.members) == shared
+        ref: dict = {}
+        for member in fam.members:  # the per-member sum, one addition per member and edge
+            for e, w in member.weights.items():
+                ref[e] = ref.get(e, 0.0) + w
+        ref = {e: w * 0.5 for e, w in ref.items() if w * 0.5}
+        mixed = mix_and_halve(fam)
+        assert list(mixed.weights) == list(ref)
+        assert [w.hex() for w in mixed.weights.values()] == [w.hex() for w in ref.values()]
+        assert mixed.value.hex() == sum(ref.values(), 0.0).hex()
+
     def test_empty_family_rejected(self):
         fam = extract_fpm_family(build(7, 3, [(1, 2, 3), (4, 5, 6)]), 1)
         with pytest.raises(ValueError):
@@ -131,6 +146,16 @@ class TestSample:
         rep = sample_binomial_subgraph(h, mixed, seed=0)
         assert all(abs(ed - t / 2) < 1e-9 for ed in rep.expected_degrees.values())
         assert rep.sampled.edge_set <= h.edge_set
+
+    @given(hypergraphs(min_n=4, max_n=9), st.integers(0, 2**16))
+    def test_sample_equals_the_checked_constructor_and_its_degrees(self, h, seed):
+        weights = {e: ((i * 7) % 5) / 4 for i, e in enumerate(h.edges)}
+        fa = FractionalAssignment("sampling", weights, sum(weights.values()), "float")
+        rep = sample_binomial_subgraph(h, fa, seed)
+        assert rep.sampled == Hypergraph(h.n, h.k, rep.sampled.edges)
+        assert rep.sampled.masks == tuple(edge_mask(e) for e in rep.sampled.edges)
+        assert rep.realized_degrees == {v: rep.sampled.degree(v) for v in h.vertices()}
+        assert list(rep.realized_degrees) == list(h.vertices())
 
     def test_non_canonical_weight_key_rejected(self):
         # (2, 1, 3) names edge (1, 2, 3) but is not stored that way, so the
@@ -234,7 +259,7 @@ class TestPipeline:
 class TestFindPerfectMatching:
     def test_covers_exactly_the_complement(self):
         h = complete_graph(10, 3)
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         covered0 = edge_mask((2, 5, 9, 10))  # six vertices left: two edges
         outcome, pm, _ = _find_perfect_matching(index, index.full, h.n, 3, covered0)
         assert outcome == "found"
@@ -246,7 +271,7 @@ class TestFindPerfectMatching:
 
     def test_none_when_the_rest_is_not_divisible_by_k(self):
         h = complete_graph(10, 3)
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         covered0 = edge_mask((2, 5, 9))  # seven vertices left
         assert _find_perfect_matching(index, index.full, h.n, 3, covered0) == ("none", None, 0)
 
@@ -254,7 +279,7 @@ class TestFindPerfectMatching:
     def test_matches_the_exhaustive_oracle_on_small_graphs(self, h, data):
         # a perfect matching of the live edges avoiding covered0 exists iff
         # the oracle finds (n - |covered0|) / 3 disjoint such edges
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         live = data.draw(st.one_of(st.just(index.full), st.integers(0, index.full)))
         if data.draw(st.booleans()):
             covered0 = data.draw(st.integers(0, (1 << h.n) - 1))
@@ -281,11 +306,11 @@ class TestFindPerfectMatching:
 
     def test_tiny_budget_is_budget_not_none(self):
         h = complete_graph(12, 3)
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         assert _find_perfect_matching(index, index.full, h.n, 3, budget=2) == ("budget", None, 2)
         # an isolated vertex is a proof of none at the root, inside any budget
         h = build(9, 3, [e for e in complete_graph(9, 3).edges if 9 not in e])
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         assert _find_perfect_matching(index, index.full, h.n, 3, budget=1) == ("none", None, 1)
 
 
@@ -346,7 +371,7 @@ class TestExtractionIndex:
 
     @given(hypergraphs(max_n=9), st.data())
     def test_dead_pair_kill_matches_the_per_edge_definition(self, h, data):
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         live = data.draw(st.integers(0, index.full))
         pool = list(combinations(range(1, h.n + 1), 2))
         pairs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
@@ -402,19 +427,19 @@ class TestExtractionIndex:
 class TestPickGadget:
     def test_none_when_every_candidate_fails(self):
         h = complete_graph(20, 3)
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         dead = set(combinations(range(1, 21), 2))  # C(20, 4) = 4845 candidates
         assert _pick_gadget_vertices(20, 4, dead, Counter(), index, index.full) == ("none", None)
 
     def test_budget_after_five_thousand_candidates(self):
         h = complete_graph(21, 3)
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         dead = set(combinations(range(1, 22), 2))  # C(21, 4) = 5985 candidates
         assert _pick_gadget_vertices(21, 4, dead, Counter(), index, index.full) == ("budget", None)
 
     def test_found_needs_live_triples(self):
         h = complete_graph(10, 3)
-        index = EdgeIndex(h.n, h.masks)
+        index = EdgeIndex(h.n, h.edges)
         outcome, cand = _pick_gadget_vertices(10, 4, set(), Counter(), index, index.full)
         assert (outcome, cand) == ("found", (1, 2, 3, 4))
         live = index.full & ~(1 << h.edges.index((1, 2, 3)))
