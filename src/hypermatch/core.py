@@ -9,7 +9,7 @@ exact for any n.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from operator import lt
 from typing import Iterable
 
@@ -71,15 +71,17 @@ class Hypergraph:
         return h
 
     def _fill(self, n: int, k: int, canon: Iterable[Edge]) -> None:
-        bit = [0] + [1 << i for i in range(n)]  # bit[v] is vertex v's mask bit
         self.n = n
         self.k = k
         self.edges: tuple[Edge, ...] = tuple(canon)
-        if k == 3:  # unpacked: the paper's case, and the one the pipeline builds
-            masks = (bit[a] | bit[b] | bit[c] for a, b, c in self.edges)
-        else:  # an edge's vertices are distinct, so the sum of their bits is their union
-            masks = (sum(map(bit.__getitem__, e)) for e in self.edges)
-        self.masks: tuple[int, ...] = tuple(masks)
+        if k == 3:
+            # bit[v] is vertex v's mask bit, for the vertices in use only, so
+            # the table is never larger than the masks themselves
+            bit = {v: 1 << (v - 1) for v in set(chain.from_iterable(self.edges))}
+            masks = tuple(bit[a] | bit[b] | bit[c] for a, b, c in self.edges)
+        else:
+            masks = tuple(map(edge_mask, self.edges))
+        self.masks: tuple[int, ...] = masks
         self.edge_set: frozenset[Edge] = frozenset(self.edges)
 
     # -- basic queries ----------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -396,6 +397,26 @@ def test_from_canonical_keeps_the_shape_checks():
         Hypergraph.from_canonical(3, 1, [])
     with pytest.raises(ValueError, match="exceeds vertex count"):
         Hypergraph.from_canonical(3, 4, [])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("high", [False, True])
+def test_sparse_graph_on_many_vertices_costs_only_its_masks(tmp_path, k, high):
+    # a mask table over all of 1..n would hold about n²/2 bits, 25 MB here
+    n = 20_000
+    e = tuple(range(n - k + 1, n + 1)) if high else tuple(range(1, k + 1))
+    path = tmp_path / "g.hg"
+    path.write_text(f"{k} {n} 1\n" + " ".join(map(str, e)) + "\n")
+    tracemalloc.start()
+    try:
+        h = read_hg(str(path))
+        empty = Hypergraph(n, k, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.edges == (e,) and h.masks == (edge_mask(e),)
+    assert empty.n == n and empty.masks == ()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=60, deadline=None)
