@@ -130,10 +130,16 @@ class EdgeIndex:
     def __init__(self, n: int, edges):
         self.verts = tuple(edges)
         self.full = (1 << len(self.verts)) - 1
-        self.inc = inc = [0] * (n + 1)
+        # one byte row per vertex in use, set bit by bit and converted once:
+        # OR-ing 1 << i into an int copies the whole row at every edge
+        rows: list[bytearray | None] = [None] * (n + 1)
+        for v in set(chain.from_iterable(self.verts)):
+            rows[v] = bytearray((len(self.verts) + 7) // 8)
         for i, vs in enumerate(self.verts):
+            byte, bit = i >> 3, 1 << (i & 7)
             for v in vs:
-                inc[v] |= 1 << i
+                rows[v][byte] |= bit
+        self.inc = [0 if row is None else int.from_bytes(row, "little") for row in rows]
         # m^2 bits in all, so left to the first search that needs them
         self.disj: list[int] | None = None
 

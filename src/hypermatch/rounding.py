@@ -36,7 +36,8 @@ from .optimize import (
 
 _EPS = 1e-12
 ROUND_PATHS = ("uniform", "integral", "gadget", "lp")
-_ATTEMPTS = 6  # extraction attempts of the staged strategy
+_ATTEMPTS = 6  # extraction attempts
+_CAP = 2.0  # every accumulated pair weight stays strictly below this
 _PAIR_THRESHOLD = 7.0  # a sampled pair degree at or above this is a large deviation
 _BITE_FRACTION = 0.1  # the nibble's per-round edge probability
 _ETA = 0.1  # the augmentation window's slack, as a fraction of n
@@ -266,50 +267,36 @@ def _near_integral_round(
     return weights
 
 
-def extract_fpm_family(
-    h: Hypergraph,
-    t: int,
-    cap: float = 2.0,
-    strategy: str = "staged",
-) -> FPMFamily:
-    """Pull up to t fractional perfect matchings with all pair loads below cap.
+def extract_fpm_family(h: Hypergraph, t: int) -> FPMFamily:
+    """Pull up to t fractional perfect matchings with all pair loads below 2.
 
-    Each round solves on the surviving graph; pairs reaching cap/2 kill every
-    edge containing them before the next round. ``staged`` plays uniform
+    Each round solves on the surviving graph; pairs reaching load 1 kill
+    every edge containing them before the next round. Rounds play uniform
     weights while the graph is still complete, then near-integral matchings,
-    then a load-focused LP; ``lp`` solves a bare feasibility LP every round.
-    A failed staged run is retried, up to six attempts in all, each retry
-    searching the edges in its own fixed shuffled order. The orders do not
-    depend on the pipeline's seed, which reaches only sampling and matching.
+    then a load-focused LP. A failed run is retried, up to six attempts in
+    all, each retry searching the edges in its own fixed shuffled order. The
+    orders do not depend on the pipeline's seed, which reaches only sampling
+    and matching.
     """
     if t < 1:
         raise ValueError("need t >= 1 rounds")
-    if strategy not in ("staged", "lp"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     best: FPMFamily | None = None
-    tries = _ATTEMPTS if strategy == "staged" else 1
-    for attempt in range(tries):
+    for attempt in range(_ATTEMPTS):
         rng = None if attempt == 0 else random.Random(f"0:{attempt}")
-        fam = _extract_once(h, t, cap, strategy, rng)
+        fam = _extract_once(h, t, rng)
         fam.attempts = attempt + 1
         if fam.complete:
             return fam
         if best is None or len(fam.members) > len(best.members):
             best = fam
     assert best is not None
-    best.attempts = tries
+    best.attempts = _ATTEMPTS
     return best
 
 
-def _extract_once(
-    h: Hypergraph,
-    t: int,
-    cap: float,
-    strategy: str,
-    rng: random.Random | None,
-) -> FPMFamily:
+def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily:
     n, k = h.n, h.k
-    threshold = cap / 2.0
+    threshold = _CAP / 2.0
     value = n / k
     edges = h.edges
     index: EdgeIndex | None = None  # built on the first round that needs it
@@ -324,32 +311,26 @@ def _extract_once(
     status = "complete"
 
     u_planned = 0
-    if strategy == "staged" and h.e() == comb(n, k):
+    if h.e() == comb(n, k):
         u_planned = min(t, _uniform_round_budget(n, k, threshold))
     if u_planned:
         # Uniform rounds on the complete graph in closed form: every pair
         # gets the same C(n-2, k-2) additions of w per round, in the same
         # order as a per-edge sum would give them, so one scalar chain is
-        # every pair's load, bit for bit.
+        # every pair's load, bit for bit. The exact load after the planned
+        # rounds is at most 1 - 1/(n-1), so no pair reaches the threshold.
         w = 1.0 / comb(n - 1, k - 1)
         uniform = {e: w for e in edges}
         load = 0.0
         for _ in range(u_planned):
             for _ in range(comb(n - 2, k - 2)):
                 load += w
-                if load >= cap + 1e-9:
-                    raise AssertionError(f"every pair reached load {load} >= cap {cap}")
+            if load >= threshold - _EPS:
+                raise AssertionError(f"uniform rounds put load {load} on every pair")
             members.append(FractionalAssignment("matching", uniform, value, "float"))
             rounds.append(RoundRecord("uniform"))
-            if load >= threshold - _EPS:  # every pair dies at once
-                dead.update(combinations(range(1, n + 1), 2))
-                for v in range(1, n + 1):
-                    heavy_by_vertex[v] += n - 1
-                live = 0
-            heavy_total.append(len(dead))
-            removed_total.append(len(edges) if dead else 0)
-            if dead:
-                break
+            heavy_total.append(0)
+            removed_total.append(0)
         pair_load = dict.fromkeys(combinations(range(1, n + 1), 2), load)
 
     for rnd in range(len(members) + 1, t + 1):
@@ -365,13 +346,13 @@ def _extract_once(
         rec = RoundRecord("lp")  # a search that succeeds names its own path
         rounds.append(rec)
         weights: dict[Edge, float] | None = None
-        if strategy == "staged" and k == 3:
+        if k == 3:
             weights = _near_integral_round(n, index, edges, live, dead, heavy_by_vertex, rec)
         if weights is None:
             sub_edges = [edges[i] for i in _bits(live)]
             sub = Hypergraph(n, k, sub_edges)
             objective = None
-            if strategy == "staged" and pair_load:
+            if pair_load:
                 objective = {
                     e: sum((pair_load.get(p, 0.0) for p in combinations(e, 2)), 0.0)
                     for e in sub_edges
@@ -390,8 +371,8 @@ def _extract_once(
             for p in combinations(e, 2):
                 load = pair_load.get(p, 0.0) + w
                 pair_load[p] = load
-                if load >= cap + 1e-9:
-                    raise AssertionError(f"pair {p} reached load {load} >= cap {cap}")
+                if load >= _CAP + 1e-9:
+                    raise AssertionError(f"pair {p} reached load {load} >= cap {_CAP}")
                 if load >= threshold - _EPS and p not in dead:
                     dead.add(p)
                     newly.append(p)
@@ -408,7 +389,7 @@ def _extract_once(
     return FPMFamily(
         members=members,
         pair_load=pair_load,
-        cap=cap,
+        cap=_CAP,
         threshold=threshold,
         status=status,
         rounds_requested=t,
@@ -533,25 +514,6 @@ def sample_binomial_subgraph(
     )
 
 
-def _subset_degree_tables(edges: list[Edge], alive: list[int], k: int) -> Counter:
-    deg: Counter = Counter()
-    for i in alive:
-        e = edges[i]
-        for r in range(1, k + 1):
-            for tup in combinations(e, r):
-                deg[tup] += 1
-    return deg
-
-
-def _kill_count(e: Edge, deg: Counter, k: int) -> int:
-    # inclusion-exclusion: edges meeting e = sum over nonempty T subset of e
-    total = 0
-    for r in range(1, k + 1):
-        sign = 1 if r % 2 == 1 else -1
-        total += sign * sum(deg[tup] for tup in combinations(e, r))
-    return total
-
-
 def near_perfect_matching(
     h: Hypergraph,
     strategy: str = "greedy",
@@ -559,50 +521,48 @@ def near_perfect_matching(
 ) -> Matching:
     """A large matching: min-conflict greedy, or random bites plus cleanup.
 
-    The nibble runs ceil(10 ln n) rounds, each offering every live edge with
-    probability 0.1. Either strategy stops once every vertex is covered. No
+    Greedy takes the first live edge that meets the fewest live edges. The
+    nibble runs ceil(10 ln n) rounds, each offering every live edge with
+    probability 0.1. Either strategy stops once no edge is live. No
     near-perfectness is promised; the caller inspects the size.
     """
-    edges = list(h.edges)
-    masks = list(h.masks)
-    alive = list(range(len(edges)))
+    index = EdgeIndex(h.n, h.edges)
+    inc = index.inc
+    live = index.full  # the edges disjoint from every chosen one
     chosen: list[int] = []
-    covered = 0
+
+    def meets(i: int) -> int:
+        """The edges sharing a vertex with edge i, i itself included."""
+        row = 0
+        for v in index.verts[i]:
+            row |= inc[v]
+        return row
 
     def take(i: int) -> None:
-        nonlocal covered, alive
+        nonlocal live
         chosen.append(i)
-        covered |= masks[i]
-        mi = masks[i]
-        alive = [j for j in alive if masks[j] & mi == 0]
+        live &= ~meets(i)
 
     if strategy == "greedy":
-        while alive and covered.bit_count() < h.n:
-            deg = _subset_degree_tables(edges, alive, h.k)
-            best_i = None
-            best_kill = None
-            for i in alive:
-                kill = _kill_count(edges[i], deg, h.k)
-                if best_kill is None or kill < best_kill:
-                    best_i, best_kill = i, kill
-            take(best_i)
+        while live:
+            take(min(_bits(live), key=lambda i: (live & meets(i)).bit_count()))
     elif strategy == "nibble":
         rng = random.Random(seed)
         for _ in range(math.ceil(10 * math.log(max(h.n, 2)))):
-            if not alive or covered.bit_count() >= h.n:
+            if not live:
                 break
-            bite = [i for i in alive if rng.random() < _BITE_FRACTION]
+            bite = [i for i in _bits(live) if rng.random() < _BITE_FRACTION]
             rng.shuffle(bite)  # first-come in random order settles conflicts
             for i in bite:
-                if masks[i] & covered == 0:
+                if live >> i & 1:
                     take(i)
-        for i in list(alive):  # lex-first cleanup pass
-            if masks[i] & covered == 0:
+        for i in _bits(live):  # lex-first cleanup pass
+            if live >> i & 1:
                 take(i)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    return Matching(tuple(sorted(edges[i] for i in chosen)))
+    return Matching(tuple(sorted(index.verts[i] for i in chosen)))
 
 
 # -- end-to-end ---------------------------------------------------------------

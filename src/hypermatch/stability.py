@@ -16,6 +16,7 @@ positive for small x, with a single root (sqrt(321) - 3)/52 in (0, 1/3).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -73,26 +74,40 @@ def _clique_missing(h: Hypergraph, uset: frozenset[int]) -> int:
     return clique_count(h.k, s) - inside
 
 
+def _closest(
+    h: Hypergraph,
+    target: str,
+    size: int,
+    missing: Callable[[Hypergraph, frozenset[int]], int],
+    search: str,
+) -> ClosenessReport:
+    """The placement of a size-set with the fewest target edges missing.
+
+    ``missing(h, placement)`` counts the target edges absent from h. The
+    heuristic takes the highest-degree vertices; the exhaustive search tries
+    every placement and keeps the first of the fewest.
+    """
+    if search == "heuristic":
+        best = _top_degree_vertices(h, size)
+        miss = missing(h, frozenset(best))
+    elif search != "exhaustive":
+        raise ValueError(f"unknown search mode {search!r}")
+    elif h.n > EXHAUSTIVE_GUARD_N:
+        raise BudgetExceeded(f"exhaustive closeness capped at n={EXHAUSTIVE_GUARD_N}")
+    else:
+        # combinations() runs in lex order, so a tie on the count goes to the
+        # smaller placement, which is the one met first
+        miss, best = min(
+            (missing(h, frozenset(p)), p) for p in combinations(range(1, h.n + 1), size)
+        )
+    return ClosenessReport(target, best, miss, miss / h.n**h.k, search == "exhaustive", h.n)
+
+
 def closeness_to_cover(h: Hypergraph, s: int, search: str = "heuristic") -> ClosenessReport:
     """Fewest cover-family edges missing over placements of the s-set W."""
     if not 0 <= s <= h.n:
         raise ValueError(f"s={s} outside 0..{h.n}")
-    if search == "heuristic":
-        w = _top_degree_vertices(h, s)
-        miss = _cover_missing(h, frozenset(w))
-        return ClosenessReport("cover", w, miss, miss / h.n**h.k, False, h.n)
-    if search != "exhaustive":
-        raise ValueError(f"unknown search mode {search!r}")
-    if h.n > EXHAUSTIVE_GUARD_N:
-        raise BudgetExceeded(f"exhaustive closeness capped at n={EXHAUSTIVE_GUARD_N}")
-    best_w: tuple[int, ...] | None = None
-    best = None
-    for w in combinations(range(1, h.n + 1), s):
-        miss = _cover_missing(h, frozenset(w))
-        if best is None or miss < best:
-            best, best_w = miss, w
-    assert best is not None and best_w is not None
-    return ClosenessReport("cover", best_w, best, best / h.n**h.k, True, h.n)
+    return _closest(h, "cover", s, _cover_missing, search)
 
 
 def closeness_to_clique(h: Hypergraph, s: int, search: str = "heuristic") -> ClosenessReport:
@@ -100,22 +115,7 @@ def closeness_to_clique(h: Hypergraph, s: int, search: str = "heuristic") -> Clo
     size = h.k * (s + 1) - 1
     if size > h.n:
         raise ValueError(f"clique core k(s+1)-1 = {size} exceeds n={h.n}")
-    if search == "heuristic":
-        u = _top_degree_vertices(h, size)
-        miss = _clique_missing(h, frozenset(u))
-        return ClosenessReport("clique", u, miss, miss / h.n**h.k, False, h.n)
-    if search != "exhaustive":
-        raise ValueError(f"unknown search mode {search!r}")
-    if h.n > EXHAUSTIVE_GUARD_N:
-        raise BudgetExceeded(f"exhaustive closeness capped at n={EXHAUSTIVE_GUARD_N}")
-    best_u: tuple[int, ...] | None = None
-    best = None
-    for u in combinations(range(1, h.n + 1), size):
-        miss = _clique_missing(h, frozenset(u))
-        if best is None or miss < best:
-            best, best_u = miss, u
-    assert best is not None and best_u is not None
-    return ClosenessReport("clique", best_u, best, best / h.n**h.k, True, h.n)
+    return _closest(h, "clique", size, _clique_missing, search)
 
 
 def goodness_partition(h: Hypergraph, target: Hypergraph, theta: float) -> GoodnessReport:

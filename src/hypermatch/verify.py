@@ -5,7 +5,8 @@ requested matching/cover constraint, then compares against the closed-form
 bounds. The default path enumerates all 2^C(n,k) edge subsets from the
 densest down and is the ground-truth oracle; the pruned path walks maximal
 constraint-satisfying families instead (the maximum is attained at one)
-and skips repeat cover checks via degree/pair-degree signatures.
+and asks the edge-bitset kernel's cover search of every maximal family of
+the best size.
 """
 
 from __future__ import annotations
@@ -92,22 +93,28 @@ def verify_extremal(
             raise BudgetExceeded(
                 f"exhaustive search refuses C(n,k)={searcher.m} > {EXHAUSTIVE_EDGE_GUARD} edges"
             )
-        result = _search_exhaustive(searcher, witness_cap, deadline)
+        search = _search_exhaustive
     elif method == "pruned":
-        result = _search_maximal(searcher, witness_cap, deadline)
+        search = _search_maximal
     else:
         raise ValueError(f"unknown method {method!r}")
-    result.method = method
+    max_edges, subs, checked, status = search(searcher, witness_cap, deadline)
     bound = _bound_target(n, k, s, constraint)
-    result.bound_value = bound
-    if bound is not None and result.max_edges_found is not None:
-        result.matches_bound = result.max_edges_found == bound
-    return result
+    return VerifyResult(
+        n, k, s, constraint, max_edges, [searcher.to_graph(sub) for sub in subs],
+        None if bound is None or max_edges is None else max_edges == bound,
+        bound, method, checked, status,
+    )
+
+
+# Both searches return (max_edges, witness subsets, subsets checked, status);
+# max_edges is None when no family qualifies or the budget ran out.
+_Found = tuple[int | None, list[int], int, str]
 
 
 def _search_exhaustive(
     searcher: _Searcher, witness_cap: int, deadline: float | None
-) -> VerifyResult:
+) -> _Found:
     m = searcher.m
     checked = 0
     for size in range(m, -1, -1):
@@ -115,11 +122,7 @@ def _search_exhaustive(
         for combo in combinations(range(m), size):
             checked += 1
             if deadline is not None and checked % 4096 == 0 and time.monotonic() > deadline:
-                return VerifyResult(
-                    searcher.n, searcher.k, searcher.s, searcher.constraint,
-                    None, [], None, None, "exhaustive", checked,
-                    f"budget refusal: stopped inside size {size} of {m}",
-                )
+                return None, [], checked, f"budget refusal: stopped inside size {size} of {m}"
             sub = 0
             for i in combo:
                 sub |= 1 << i
@@ -128,27 +131,8 @@ def _search_exhaustive(
                 if len(hits) >= witness_cap:
                     break
         if hits:
-            return VerifyResult(
-                searcher.n, searcher.k, searcher.s, searcher.constraint,
-                size, [searcher.to_graph(sub) for sub in hits],
-                None, None, "exhaustive", checked,
-            )
-    return VerifyResult(
-        searcher.n, searcher.k, searcher.s, searcher.constraint,
-        None, [], None, None, "exhaustive", checked,
-    )
-
-
-def _signature(searcher: _Searcher, sub: int) -> tuple:
-    degs = sorted(
-        (searcher.index.inc[v] & sub).bit_count() for v in range(1, searcher.n + 1)
-    )
-    pair_degs: dict[tuple[int, int], int] = {}
-    for i in range(searcher.m):
-        if sub >> i & 1:
-            for p in combinations(searcher.edges[i], 2):
-                pair_degs[p] = pair_degs.get(p, 0) + 1
-    return tuple(degs), tuple(sorted(pair_degs.values()))
+            return size, hits, checked, "complete"
+    return None, [], checked, "complete"
 
 
 def _addable_after(index: EdgeIndex, s: int, sub: int, i: int, pool: int) -> int:
@@ -185,7 +169,7 @@ def _addable_after(index: EdgeIndex, s: int, sub: int, i: int, pool: int) -> int
 
 def _search_maximal(
     searcher: _Searcher, witness_cap: int, deadline: float | None
-) -> VerifyResult:
+) -> _Found:
     """Walk maximal constraint-satisfying families.
 
     The edge-count maximum under a matching ceiling plus a cover floor is
@@ -196,13 +180,13 @@ def _search_maximal(
     search keeps two invariants: the family `sub` has nu <= s, and every
     edge in `cand` or `banned` can be added to `sub` keeping nu <= s. So
     adding an edge filters both sets with `_addable_after` alone, and a
-    leaf (`cand` empty) is maximal exactly when `banned` is empty.
+    leaf (`cand` empty) is maximal exactly when `banned` is empty. Every
+    leaf is a different family, so the witnesses are distinct.
     """
     index = searcher.index
     s = searcher.s
     best_size = -1
     best_subs: list[int] = []
-    passed_sigs: set[tuple] = set()
     checked = 0
 
     def visit_maximal(sub: int, size: int) -> None:
@@ -210,15 +194,8 @@ def _search_maximal(
         checked += 1
         if size < best_size:
             return
-        if searcher.constraint == NU_LE_S_TAU_GT_S:
-            sig = _signature(searcher, sub)
-            if sig in passed_sigs:
-                # an explicitly-checked family with this signature (hence this
-                # exact size) already registered; skipping cannot lower the max
-                return
-            if index.cover(sub, s) is not None:
-                return
-            passed_sigs.add(sig)
+        if searcher.constraint == NU_LE_S_TAU_GT_S and index.cover(sub, s) is not None:
+            return
         if size > best_size:
             best_size = size
             best_subs = [sub]
@@ -243,20 +220,10 @@ def _search_maximal(
     try:
         expand(0, 0, index.full, 0)
     except BudgetExceeded:
-        return VerifyResult(
-            searcher.n, searcher.k, searcher.s, searcher.constraint,
-            None, [], None, None, "pruned", checked, "budget refusal",
-        )
+        return None, [], checked, "budget refusal"
     if best_size < 0:
-        return VerifyResult(
-            searcher.n, searcher.k, searcher.s, searcher.constraint,
-            None, [], None, None, "pruned", checked,
-        )
-    return VerifyResult(
-        searcher.n, searcher.k, searcher.s, searcher.constraint,
-        best_size, [searcher.to_graph(sub) for sub in best_subs[:witness_cap]],
-        None, None, "pruned", checked,
-    )
+        return None, [], checked, "complete"
+    return best_size, best_subs[:witness_cap], checked, "complete"
 
 
 def revalidate_witnesses(result: VerifyResult) -> bool:

@@ -124,15 +124,17 @@ class TestMinVertexCover:
 class TestEdgeIndex:
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_match_their_definitions(self, seed):
-        h = seeded_graph(seed, n_lo=4, n_hi=9)
-        index = EdgeIndex(h.n, h.edges)
-        assert index.disj is None and index.packing(0, 1) is None  # builds disj
-        for v in h.vertices():
-            bit = 1 << (v - 1)
-            assert index.inc[v] == sum(1 << i for i, m in enumerate(h.masks) if m & bit)
-        for i, mi in enumerate(h.masks):
-            want = sum(1 << j for j, mj in enumerate(h.masks) if mi & mj == 0)
-            assert index.disj[i] == want
+        for k in (2, 3, 4):
+            h = seeded_graph(seed, n_lo=4, n_hi=9, k=k)
+            index = EdgeIndex(h.n, h.edges)
+            assert index.disj is None and index.packing(0, 1) is None  # builds disj
+            assert len(index.inc) == h.n + 1 and index.inc[0] == 0
+            for v in h.vertices():
+                bit = 1 << (v - 1)
+                assert index.inc[v] == sum(1 << i for i, m in enumerate(h.masks) if m & bit)
+            for i, mi in enumerate(h.masks):
+                want = sum(1 << j for j, mj in enumerate(h.masks) if mi & mj == 0)
+                assert index.disj[i] == want
 
     @pytest.mark.parametrize("seed", range(10))
     def test_witnesses_on_subsets(self, seed):

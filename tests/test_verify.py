@@ -17,15 +17,16 @@ from hypermatch.verify import (
     verify_extremal,
 )
 
-# (max_edges_found, subsets_checked) of the pruned search, pinned: a faster
-# addability test must leave the search tree, and so the output, as it is.
+# (max_edges_found, subsets_checked, witnesses) of the pruned search, pinned:
+# a faster addability test must leave the search tree, and so the output, as
+# it is. Every row has at least witness_cap = 4 extremal families.
 PINNED_TREES = [
-    (6, 3, 1, NU_LE_S_TAU_GT_S, 10, 1024),
-    (7, 3, 1, NU_LE_S_TAU_GT_S, 13, 182),
-    (7, 2, 2, NU_LE_S_TAU_GT_S, 10, 62),
-    (8, 2, 2, NU_LE_S_TAU_GT_S, 10, 364),
-    (8, 3, 1, NU_LE_S, 21, 8),
-    (8, 3, 1, NU_LE_S_TAU_GT_S, 16, 344),
+    (6, 3, 1, NU_LE_S_TAU_GT_S, 10, 1024, 4),
+    (7, 3, 1, NU_LE_S_TAU_GT_S, 13, 182, 4),
+    (7, 2, 2, NU_LE_S_TAU_GT_S, 10, 62, 4),
+    (8, 2, 2, NU_LE_S_TAU_GT_S, 10, 364, 4),
+    (8, 3, 1, NU_LE_S, 21, 8, 4),
+    (8, 3, 1, NU_LE_S_TAU_GT_S, 16, 344, 4),
 ]
 
 
@@ -128,11 +129,17 @@ class TestVerifyExtremal:
 
 
 class TestPrunedSearch:
-    @pytest.mark.parametrize("n,k,s,constraint,max_edges,checked", PINNED_TREES)
-    def test_search_tree_is_pinned(self, n, k, s, constraint, max_edges, checked):
+    @pytest.mark.parametrize(
+        "n,k,s,constraint,max_edges,checked,witnesses",
+        PINNED_TREES,
+        ids=["-".join(map(str, row[:-1])) for row in PINNED_TREES],  # ids as before the count
+    )
+    def test_search_tree_is_pinned(self, n, k, s, constraint, max_edges, checked, witnesses):
         res = verify_extremal(n, k, s, constraint, method="pruned")
         assert (res.max_edges_found, res.subsets_checked) == (max_edges, checked)
-        assert res.extremal_witnesses
+        assert len(res.extremal_witnesses) == witnesses
+        assert len({w.edge_set for w in res.extremal_witnesses}) == witnesses  # distinct
+        assert all(w.e() == max_edges for w in res.extremal_witnesses)
         assert revalidate_witnesses(res)
 
     @pytest.mark.parametrize("s", [1, 2, 3])
