@@ -47,8 +47,6 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in sorted(obj)]
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        return obj
     return obj
 
 

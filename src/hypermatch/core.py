@@ -1,15 +1,15 @@
 """Immutable k-uniform hypergraphs on the vertex set {1, ..., n}.
 
-Edges are ascending k-tuples kept in lexicographic order. Every edge also
-carries a vertex bitmask (bit v-1 for vertex v) so disjointness and
-containment tests are single integer operations; Python integers keep this
-exact for any n.
+Edges are ascending k-tuples kept in lexicographic order; the edge list is
+the whole representation. ``edge_mask`` turns an edge into a vertex bitmask
+(bit v-1 for vertex v) for the few routines that test disjointness and
+containment as integer operations; Python integers keep this exact for any n.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations
+from itertools import combinations
 from operator import lt
 from typing import Iterable
 
@@ -51,7 +51,7 @@ class Hypergraph:
     The constructor checks every edge; ``from_canonical`` trusts its caller.
     """
 
-    __slots__ = ("n", "k", "edges", "masks", "edge_set")
+    __slots__ = ("n", "k", "edges", "edge_set")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]] = ()):
         _check_shape(n, k)
@@ -74,14 +74,6 @@ class Hypergraph:
         self.n = n
         self.k = k
         self.edges: tuple[Edge, ...] = tuple(canon)
-        if k == 3:
-            # bit[v] is vertex v's mask bit, for the vertices in use only, so
-            # the table is never larger than the masks themselves
-            bit = {v: 1 << (v - 1) for v in set(chain.from_iterable(self.edges))}
-            masks = tuple(bit[a] | bit[b] | bit[c] for a, b, c in self.edges)
-        else:
-            masks = tuple(map(edge_mask, self.edges))
-        self.masks: tuple[int, ...] = masks
         self.edge_set: frozenset[Edge] = frozenset(self.edges)
 
     # -- basic queries ----------------------------------------------------
@@ -114,8 +106,7 @@ class Hypergraph:
         """Number of edges containing vertex v."""
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} outside 1..{self.n}")
-        bit = 1 << (v - 1)
-        return sum(1 for m in self.masks if m & bit)
+        return sum(1 for e in self.edges if v in e)
 
     def set_degree(self, t: Iterable[int]) -> int:
         """Number of edges containing every vertex of t (t may be empty)."""
@@ -125,8 +116,7 @@ class Hypergraph:
         for v in ts:
             if not 1 <= v <= self.n:
                 raise ValueError(f"vertex {v} outside 1..{self.n}")
-        tm = edge_mask(ts)
-        return sum(1 for m in self.masks if m & tm == tm)
+        return sum(1 for e in self.edges if ts.issubset(e))
 
     def max_set_degree(self, l: int) -> int:
         """Maximum degree over all l-subsets of vertices."""

@@ -195,13 +195,13 @@ class EdgeIndex:
         return None
 
 
-def _greedy_matching(masks) -> list[int]:
+def _greedy_matching(edges: Iterable[Edge]) -> list[int]:
     """A maximal matching: each edge in turn if it avoids those taken."""
-    used = 0
+    used: set[int] = set()
     sel = []
-    for i, mk in enumerate(masks):
-        if mk & used == 0:
-            used |= mk
+    for i, e in enumerate(edges):
+        if used.isdisjoint(e):
+            used.update(e)
             sel.append(i)
     return sel
 
@@ -219,7 +219,7 @@ def max_matching(
     cap = h.n // h.k
     if limit is not None:
         cap = min(cap, limit)
-    best = _greedy_matching(h.masks)[:cap]
+    best = _greedy_matching(h.edges)[:cap]
     if len(best) < cap:
         index = EdgeIndex(h.n, h.edges)
         while len(best) < cap:
@@ -231,7 +231,7 @@ def max_matching(
 
 
 def _matching_oracle(h: Hypergraph, limit: int | None) -> tuple[int, Matching]:
-    masks = h.masks
+    masks = list(map(edge_mask, h.edges))
     cap = h.n // h.k
     if limit is not None:
         cap = min(cap, limit)
@@ -262,7 +262,7 @@ def min_vertex_cover(
     cap = h.n if limit is None else limit
     index = EdgeIndex(h.n, h.edges)
     # a matching needs one cover vertex per edge, so its size bounds tau below
-    for budget in range(len(_greedy_matching(h.masks)), cap + 1):
+    for budget in range(len(_greedy_matching(h.edges)), cap + 1):
         got = index.cover(index.full, budget)
         if got is not None:
             return len(got), VertexCover(frozenset(got))
@@ -273,6 +273,7 @@ def _cover_oracle(h: Hypergraph, limit: int | None) -> tuple[int, VertexCover | 
     if not h.edges:
         return 0, VertexCover(frozenset())
     cap = h.n if limit is None else min(limit, h.n)
+    masks = list(map(edge_mask, h.edges))
     scanned = 0
     for size in range(0, cap + 1):
         scanned += comb(h.n, size)
@@ -280,7 +281,7 @@ def _cover_oracle(h: Hypergraph, limit: int | None) -> tuple[int, VertexCover | 
             raise BudgetExceeded(f"oracle would scan {scanned} vertex subsets")
         for combo in combinations(range(1, h.n + 1), size):
             cm = edge_mask(combo)
-            if all(m & cm for m in h.masks):
+            if all(m & cm for m in masks):
                 return size, VertexCover(frozenset(combo))
     return cap + 1, None
 
@@ -370,7 +371,7 @@ def _matching_simplex(h: Hypergraph) -> FractionalAssignment:
     m = h.e()
     if m == 0:
         return FractionalAssignment("matching", {}, Fraction(0), "rational", 0.0, LP_SIMPLEX)
-    live = [v for v in h.vertices() if h.degree(v) > 0]
+    live = sorted(set(chain.from_iterable(h.edges)))
     rows = [[Fraction(int(v in e)) for e in h.edges] for v in live]
     status, x, value = lp.simplex_rational(
         [Fraction(1)] * m, rows, ["<="] * len(live), [Fraction(1)] * len(live),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import Edge, Hypergraph
+from .core import Edge, Hypergraph, edge_mask
 
 
 @dataclass
@@ -76,7 +76,7 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
     unconditional; the running total is checked against the output.
     """
     trace = ShiftTrace()
-    masks = set(h.masks)
+    masks = set(map(edge_mask, h.edges))
     potential = _label_sum(h)
     while True:
         trace.rounds += 1
@@ -103,7 +103,7 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
 
 def is_stable(h: Hypergraph) -> bool:
     """True iff every (i, j)-shift is the identity."""
-    masks = set(h.masks)
+    masks = set(map(edge_mask, h.edges))
     for m in masks:
         rest = m
         while rest:

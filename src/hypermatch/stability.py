@@ -16,9 +16,10 @@ positive for small x, with a single root (sqrt(321) - 3)/52 in (0, 1/3).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .constructions import PartitionSpec, clique_count, cover_count, hm_count
 from .core import BudgetExceeded, Hypergraph
@@ -59,7 +60,8 @@ def missing_edges(h: Hypergraph, target: Hypergraph) -> int:
 
 
 def _top_degree_vertices(h: Hypergraph, count: int) -> tuple[int, ...]:
-    ranked = sorted(h.vertices(), key=lambda v: (-h.degree(v), v))
+    deg = Counter(chain.from_iterable(h.edges))
+    ranked = sorted(h.vertices(), key=lambda v: (-deg[v], v))
     return tuple(sorted(ranked[:count]))
 
 

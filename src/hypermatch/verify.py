@@ -20,6 +20,7 @@ from .core import BudgetExceeded, Hypergraph
 from .optimize import EdgeIndex, max_matching, min_vertex_cover
 
 EXHAUSTIVE_EDGE_GUARD = 24
+WITNESS_CAP = 4  # extremal families reported per call
 
 NU_LE_S = "nu_le_s"
 NU_LE_S_TAU_GT_S = "nu_le_s_and_tau_gt_s"
@@ -80,7 +81,6 @@ def verify_extremal(
     s: int,
     constraint: str = NU_LE_S_TAU_GT_S,
     method: str = "exhaustive",
-    witness_cap: int = 4,
     budget_ms: float | None = None,
 ) -> VerifyResult:
     """Maximize e(H) under the constraint and compare to the bounds."""
@@ -98,7 +98,7 @@ def verify_extremal(
         search = _search_maximal
     else:
         raise ValueError(f"unknown method {method!r}")
-    max_edges, subs, checked, status = search(searcher, witness_cap, deadline)
+    max_edges, subs, checked, status = search(searcher, deadline)
     bound = _bound_target(n, k, s, constraint)
     return VerifyResult(
         n, k, s, constraint, max_edges, [searcher.to_graph(sub) for sub in subs],
@@ -112,9 +112,7 @@ def verify_extremal(
 _Found = tuple[int | None, list[int], int, str]
 
 
-def _search_exhaustive(
-    searcher: _Searcher, witness_cap: int, deadline: float | None
-) -> _Found:
+def _search_exhaustive(searcher: _Searcher, deadline: float | None) -> _Found:
     m = searcher.m
     checked = 0
     for size in range(m, -1, -1):
@@ -128,7 +126,7 @@ def _search_exhaustive(
                 sub |= 1 << i
             if searcher.satisfies(sub):
                 hits.append(sub)
-                if len(hits) >= witness_cap:
+                if len(hits) >= WITNESS_CAP:
                     break
         if hits:
             return size, hits, checked, "complete"
@@ -167,9 +165,7 @@ def _addable_after(index: EdgeIndex, s: int, sub: int, i: int, pool: int) -> int
     return keep
 
 
-def _search_maximal(
-    searcher: _Searcher, witness_cap: int, deadline: float | None
-) -> _Found:
+def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
     """Walk maximal constraint-satisfying families.
 
     The edge-count maximum under a matching ceiling plus a cover floor is
@@ -199,7 +195,7 @@ def _search_maximal(
         if size > best_size:
             best_size = size
             best_subs = [sub]
-        elif len(best_subs) < witness_cap:
+        elif len(best_subs) < WITNESS_CAP:
             best_subs.append(sub)
 
     def expand(sub: int, size: int, cand: int, banned: int) -> None:
@@ -223,7 +219,7 @@ def _search_maximal(
         return None, [], checked, "budget refusal"
     if best_size < 0:
         return None, [], checked, "complete"
-    return best_size, best_subs[:witness_cap], checked, "complete"
+    return best_size, best_subs, checked, "complete"
 
 
 def revalidate_witnesses(result: VerifyResult) -> bool:

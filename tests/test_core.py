@@ -13,7 +13,6 @@ from hypermatch.core import (
     Hypergraph,
     build,
     complete_graph,
-    edge_mask,
     from_json_dict,
     random_hypergraph,
     read_hg,
@@ -388,7 +387,6 @@ def test_from_canonical_equals_the_checked_constructor(case):
     canon = sorted(set(lines))
     h = Hypergraph.from_canonical(n, k, canon)
     assert h == Hypergraph(n, k, lines)
-    assert h.masks == tuple(edge_mask(e) for e in h.edges)
     assert h.edge_set == frozenset(canon)
 
 
@@ -414,8 +412,8 @@ def test_sparse_graph_on_many_vertices_costs_only_its_masks(tmp_path, k, high):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.edges == (e,) and h.masks == (edge_mask(e),)
-    assert empty.n == n and empty.masks == ()
+    assert h.edges == (e,)
+    assert empty.n == n and empty.edges == ()
     assert peak < 1 << 20
 
 

@@ -11,7 +11,7 @@ from hypermatch.constructions import (
     hilton_milner_family,
     prefix_overlap_family,
 )
-from hypermatch.core import Hypergraph, build, complete_graph, random_hypergraph
+from hypermatch.core import Hypergraph, build, complete_graph, edge_mask, random_hypergraph
 from hypermatch.optimize import (
     LP_CERTIFIED,
     LP_HIGHS,
@@ -129,11 +129,12 @@ class TestEdgeIndex:
             index = EdgeIndex(h.n, h.edges)
             assert index.disj is None and index.packing(0, 1) is None  # builds disj
             assert len(index.inc) == h.n + 1 and index.inc[0] == 0
+            masks = [edge_mask(e) for e in h.edges]
             for v in h.vertices():
                 bit = 1 << (v - 1)
-                assert index.inc[v] == sum(1 << i for i, m in enumerate(h.masks) if m & bit)
-            for i, mi in enumerate(h.masks):
-                want = sum(1 << j for j, mj in enumerate(h.masks) if mi & mj == 0)
+                assert index.inc[v] == sum(1 << i for i, m in enumerate(masks) if m & bit)
+            for i, mi in enumerate(masks):
+                want = sum(1 << j for j, mj in enumerate(masks) if mi & mj == 0)
                 assert index.disj[i] == want
 
     @pytest.mark.parametrize("seed", range(10))

@@ -150,7 +150,6 @@ class TestSample:
         fa = FractionalAssignment("sampling", weights, sum(weights.values()), "float")
         rep = sample_binomial_subgraph(h, fa, seed)
         assert rep.sampled == Hypergraph(h.n, h.k, rep.sampled.edges)
-        assert rep.sampled.masks == tuple(edge_mask(e) for e in rep.sampled.edges)
         assert rep.realized_degrees == {v: rep.sampled.degree(v) for v in h.vertices()}
         assert list(rep.realized_degrees) == list(h.vertices())
 
@@ -302,8 +301,9 @@ class TestFindPerfectMatching:
         assert outcome == "found"
         used = 0
         for i in pm:
-            assert h.masks[i] & (used | covered0) == 0
-            used |= h.masks[i]
+            m = edge_mask(h.edges[i])
+            assert m & (used | covered0) == 0
+            used |= m
         assert used == ((1 << h.n) - 1) & ~covered0
 
     def test_none_when_the_rest_is_not_divisible_by_k(self):
@@ -326,8 +326,8 @@ class TestFindPerfectMatching:
         outcome, pm, _ = _find_perfect_matching(index, live, h.n, 3, covered0)
         usable = [
             e
-            for i, (e, m) in enumerate(zip(h.edges, h.masks))
-            if live >> i & 1 and m & covered0 == 0
+            for i, e in enumerate(h.edges)
+            if live >> i & 1 and edge_mask(e) & covered0 == 0
         ]
         rest = h.n - covered0.bit_count()
         exists = rest % 3 == 0 and (
@@ -337,8 +337,9 @@ class TestFindPerfectMatching:
         if exists:
             used = covered0
             for i in pm:
-                assert live >> i & 1 and h.masks[i] & used == 0
-                used |= h.masks[i]
+                m = edge_mask(h.edges[i])
+                assert live >> i & 1 and m & used == 0
+                used |= m
             assert used == (1 << h.n) - 1
 
     def test_tiny_budget_is_budget_not_none(self):

@@ -77,6 +77,11 @@ class TestClosenessCover:
         assert exact.missing_edges == 10  # oracle value from the set difference
         assert heur.missing_edges >= exact.missing_edges
         assert exact.exhaustive and not heur.exhaustive
+        # 3, 5, 6, 7 tie at degree 2, 8 has degree 1 and 1, 2, 4 are isolated:
+        # placements rank by (-degree, label), so each tie goes low first
+        tied = build(8, 3, [(3, 5, 7), (3, 6, 8), (5, 6, 7)])
+        assert closeness_to_cover(tied, 2, "heuristic").partition == (3, 5)
+        assert closeness_to_cover(tied, 6, "heuristic").partition == (1, 3, 5, 6, 7, 8)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_heuristic_never_beats_exhaustive(self, seed):

@@ -19,7 +19,7 @@ from hypermatch.verify import (
 
 # (max_edges_found, subsets_checked, witnesses) of the pruned search, pinned:
 # a faster addability test must leave the search tree, and so the output, as
-# it is. Every row has at least witness_cap = 4 extremal families.
+# it is. Every row has at least WITNESS_CAP = 4 extremal families.
 PINNED_TREES = [
     (6, 3, 1, NU_LE_S_TAU_GT_S, 10, 1024, 4),
     (7, 3, 1, NU_LE_S_TAU_GT_S, 13, 182, 4),
@@ -84,6 +84,7 @@ class TestVerifyExtremal:
         a = verify_extremal(n, k, s, constraint)
         b = verify_extremal(n, k, s, constraint, method="pruned")
         assert a.max_edges_found == b.max_edges_found
+        assert len(a.extremal_witnesses) == len(b.extremal_witnesses)
 
     def test_pruned_agrees_at_twenty_edges(self):
         a = verify_extremal(6, 3, 1, NU_LE_S_TAU_GT_S)
