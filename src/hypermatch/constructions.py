@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .core import Hypergraph
+from .core import Hypergraph, _check_shape
 
 
 def _check_range(n: int, k: int, s: int) -> None:
@@ -161,6 +161,7 @@ class BoundReport:
 
 
 def bound_report(n: int, k: int, s: int) -> BoundReport:
+    _check_shape(n, k)
     if s < 1:
         raise ValueError(f"s={s} must be at least 1")
     if n < k * s + k - 1:

@@ -103,11 +103,6 @@ class FractionalAssignment:
                 tot = sum(self.weights.get(v, 0) for v in e)
                 if tot < 1 - slack:
                     raise ValueError(f"edge {e} has cover weight {tot} < 1")
-        elif self.kind == "sampling":
-            # per-edge probabilities; only the [0, 1] bounds above apply
-            for key in self.weights:
-                if key not in h:
-                    raise ValueError(f"weighted edge {key} not in the graph")
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
 

@@ -11,6 +11,9 @@ The stages, in order:
 4. pull a large integral matching out of the sample (greedy min-conflict or
    a semi-random nibble).
 
+Every edge weighting (a member of the family, the mixed probability) is a
+float64 vector indexed like ``h.edges`` of the graph being rounded.
+
 Round-by-round feasibility is an empirical matter at desk scale: when a
 stage stalls, the family or pipeline reports it rather than masking it.
 """
@@ -25,14 +28,11 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 
+import numpy as np
+
 from .constructions import augment_universal
-from .core import Edge, Hypergraph, edge_mask
-from .optimize import (
-    EdgeIndex,
-    FractionalAssignment,
-    Matching,
-    fractional_perfect_matching,
-)
+from .core import Hypergraph, edge_mask
+from .optimize import EdgeIndex, Matching, fractional_perfect_matching
 
 _EPS = 1e-12
 ROUND_PATHS = ("uniform", "integral", "gadget", "lp")
@@ -66,13 +66,15 @@ class RoundRecord:
 class FPMFamily:
     """Fractional perfect matchings with capped accumulated pair weight.
 
-    ``rounds`` holds one record per member, plus one for the round that
-    stalled, if any: there the searches found nothing and the LP proved the
-    surviving graph infeasible. A round that starts with no surviving edge
-    gets no record. ``attempts`` counts the extraction attempts run.
+    Each member is a weight vector indexed like ``h.edges``; the uniform
+    rounds share one read-only vector. ``rounds`` holds one record per
+    member, plus one for the round that stalled, if any: there the searches
+    found nothing and the LP proved the surviving graph infeasible. A round
+    that starts with no surviving edge gets no record. ``attempts`` counts
+    the extraction attempts run.
     """
 
-    members: list[FractionalAssignment]
+    members: list[np.ndarray]
     pair_load: dict[tuple[int, int], float]
     cap: float
     threshold: float
@@ -226,12 +228,12 @@ def _pick_gadget_vertices(
 def _near_integral_round(
     n: int,
     index: EdgeIndex,
-    edges: list[Edge],
+    perm: list[int],
     live: int,
     dead: set,
     heavy_by_vertex: Counter,
     rec: RoundRecord,
-) -> dict[Edge, float] | None:
+) -> np.ndarray | None:
     """An integral matching on most vertices plus uniform 4-blocks on the rest.
 
     For 3 | n this is a plain perfect matching. Otherwise one (n % 3 == 1) or
@@ -241,13 +243,15 @@ def _near_integral_round(
     and block profiles (3,...,3,4) and (3,...,3,4,4) keep that system solvable
     while (3,...,3,5) does not. With fewer than four blocks total no profile
     with unequal sizes works, so small non-divisible n get no gadget at all.
-    The search outcomes go into ``rec``.
+    The search outcomes go into ``rec``. Edge i of the index is edge
+    ``perm[i]`` of the member vector.
     """
     rem = n % 3
     blocks = [4] * rem
     if (n - 4 * rem) // 3 + rem < 4 and rem:
         return None  # too few blocks for a feasible follow-up round
-    weights: dict[Edge, float] = {}
+    inc = index.inc
+    weights = np.zeros(len(perm))
     gmask = 0
     for g in blocks:
         rec.gadget, gadget = _pick_gadget_vertices(
@@ -256,13 +260,12 @@ def _near_integral_round(
         if gadget is None:
             return None
         gmask |= edge_mask(gadget)
-        for tr in combinations(gadget, 3):
-            weights[tuple(sorted(tr))] = 1.0 / 3.0
+        for a, b, c in combinations(gadget, 3):  # the one edge through a, b and c
+            weights[perm[(inc[a] & inc[b] & inc[c]).bit_length() - 1]] = 1.0 / 3.0
     rec.matching, pm, rec.nodes = _find_perfect_matching(index, live, n, 3, gmask)
     if pm is None:
         return None
-    for i in pm:
-        weights[edges[i]] = 1.0
+    weights[[perm[i] for i in pm]] = 1.0
     rec.path = "gadget" if blocks else "integral"
     return weights
 
@@ -297,21 +300,22 @@ def extract_fpm_family(h: Hypergraph, t: int) -> FPMFamily:
 def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily:
     n, k = h.n, h.k
     threshold = _CAP / 2.0
-    value = n / k
     edges = h.edges
+    m = len(edges)
     index: EdgeIndex | None = None  # built on the first round that needs it
-    live = (1 << len(edges)) - 1  # surviving edges, one bit per edge
+    perm: list[int] = []  # edge i of the index is edges[perm[i]]
+    live = (1 << m) - 1  # surviving edges, one bit per index edge
     pair_load: dict[tuple[int, int], float] = {}
     dead: set[tuple[int, int]] = set()
     heavy_by_vertex: Counter = Counter()
-    members: list[FractionalAssignment] = []
+    members: list[np.ndarray] = []
     rounds: list[RoundRecord] = []
     heavy_total: list[int] = []
     removed_total: list[int] = []
     status = "complete"
 
     u_planned = 0
-    if h.e() == comb(n, k):
+    if m == comb(n, k):
         u_planned = min(t, _uniform_round_budget(n, k, threshold))
     if u_planned:
         # Uniform rounds on the complete graph in closed form: every pair
@@ -320,14 +324,15 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         # every pair's load, bit for bit. The exact load after the planned
         # rounds is at most 1 - 1/(n-1), so no pair reaches the threshold.
         w = 1.0 / comb(n - 1, k - 1)
-        uniform = {e: w for e in edges}
+        uniform = np.full(m, w)
+        uniform.flags.writeable = False  # one vector, shared by every uniform member
         load = 0.0
         for _ in range(u_planned):
             for _ in range(comb(n - 2, k - 2)):
                 load += w
             if load >= threshold - _EPS:
                 raise AssertionError(f"uniform rounds put load {load} on every pair")
-            members.append(FractionalAssignment("matching", uniform, value, "float"))
+            members.append(uniform)
             rounds.append(RoundRecord("uniform"))
             heavy_total.append(0)
             removed_total.append(0)
@@ -338,37 +343,36 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
             status = f"infeasible at round {rnd}"
             break
         if index is None:
+            perm = list(range(m))
             if rng is not None:  # a retry searches the edges in its own order
-                order = list(range(len(edges)))
-                rng.shuffle(order)
-                edges = [edges[i] for i in order]
-            index = EdgeIndex(n, edges)
+                rng.shuffle(perm)
+            index = EdgeIndex(n, edges if rng is None else [edges[i] for i in perm])
         rec = RoundRecord("lp")  # a search that succeeds names its own path
         rounds.append(rec)
-        weights: dict[Edge, float] | None = None
+        weights: np.ndarray | None = None
         if k == 3:
-            weights = _near_integral_round(n, index, edges, live, dead, heavy_by_vertex, rec)
+            weights = _near_integral_round(n, index, perm, live, dead, heavy_by_vertex, rec)
         if weights is None:
-            sub_edges = [edges[i] for i in _bits(live)]
-            sub = Hypergraph(n, k, sub_edges)
+            pos = sorted(perm[i] for i in _bits(live))
+            sub = Hypergraph.from_canonical(n, k, [edges[j] for j in pos])
             objective = None
             if pair_load:
                 objective = {
                     e: sum((pair_load.get(p, 0.0) for p in combinations(e, 2)), 0.0)
-                    for e in sub_edges
+                    for e in sub.edges
                 }
             fpm = fractional_perfect_matching(sub, objective=objective)
             if fpm is None:
                 status = f"infeasible at round {rnd}"
                 break
-            weights = dict(fpm.weights)
+            weights = np.zeros(m)
+            weights[pos] = [fpm.weight(e) for e in sub.edges]
 
-        members.append(FractionalAssignment("matching", weights, value, "float"))
+        members.append(weights)
         newly = []
-        for e, w in weights.items():
-            if not w:
-                continue
-            for p in combinations(e, 2):
+        nz = np.flatnonzero(weights).tolist()
+        for j, w in zip(nz, weights[nz].tolist()):
+            for p in combinations(edges[j], 2):
                 load = pair_load.get(p, 0.0) + w
                 pair_load[p] = load
                 if load >= _CAP + 1e-9:
@@ -399,38 +403,22 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
     )
 
 
-def mix_and_halve(family: FPMFamily) -> FractionalAssignment:
-    """Half the sum of the family: an edge probability with vertex sums t/2."""
+def mix_and_halve(family: FPMFamily) -> np.ndarray:
+    """Half the sum of the family: an edge probability with vertex sums t/2.
+
+    The members are added in member order, one edge at a time, so each
+    entry is the same chain of float additions a per-edge sum would make.
+    """
     if not family.members:
         raise ValueError("cannot mix an empty family")
-    members = family.members
-    shared = members[0].weights
-    u = 1
-    while u < len(members) and members[u].weights is shared:
-        u += 1
-    # The leading members share one weights dict (the uniform rounds append
-    # the same one), so every edge's sum over them is the chain 0.0 + w + ...
-    # + w of u terms: one chain per distinct weight gives each edge's sum
-    # bit for bit, in the dict's own key order.
-    chains: dict[float, float] = {}
-    for w in set(shared.values()):
-        total = 0.0
-        for _ in range(u):
-            total += w
-        chains[w] = total
-    mixed: dict[Edge, float] = {e: chains[w] for e, w in shared.items()}
-    for member in members[u:]:
-        for e, w in member.weights.items():
-            mixed[e] = mixed.get(e, 0.0) + w
-    out: dict[Edge, float] = {}
-    for e, w in mixed.items():
-        p = w * 0.5
-        if p < -1e-9 or p > 1 + 1e-9:
-            raise AssertionError(f"mixed weight {p} on {e} escapes [0, 1]")
-        if p:
-            out[e] = p
-    total = sum(out.values(), 0.0)
-    return FractionalAssignment("sampling", out, total, "float")
+    total = np.zeros(len(family.members[0]))
+    for member in family.members:
+        total += member
+    p = total * 0.5
+    bad = np.flatnonzero(~((p >= -1e-9) & (p <= 1 + 1e-9)))  # NaN too
+    if bad.size:
+        raise AssertionError(f"mixed weight {p[bad[0]]} on edge {bad[0]} escapes [0, 1]")
+    return p
 
 
 @dataclass
@@ -454,33 +442,40 @@ class SampleReport:
 
 def sample_binomial_subgraph(
     h: Hypergraph,
-    f: FractionalAssignment,
+    p: np.ndarray,
     seed: int,
     alpha: float = 1.0,
 ) -> SampleReport:
-    """Keep each edge independently with probability f(e), fixed by the seed.
+    """Keep edge i independently with probability p[i], fixed by the seed.
 
-    The report compares every realized degree against the small-deviation
-    window |d - E| < alpha * E (violation budget 2 exp(-alpha^2 E / 3) per
-    vertex) and the largest pair degree against the large-deviation cutoff.
+    ``p`` is indexed like ``h.edges``. The report compares every realized
+    degree against the small-deviation window |d - E| < alpha * E (violation
+    budget 2 exp(-alpha^2 E / 3) per vertex) and the largest pair degree
+    against the large-deviation cutoff. Expected degrees and pair sums add
+    the nonzero probabilities in edge order.
     """
-    for e, w in f.weights.items():
-        if e not in h.edge_set:  # sampling reads the weights by stored edge
-            raise ValueError(f"weighted edge {e} is not an edge of the graph as stored")
-        if w < -1e-9 or w > 1 + 1e-9:
-            raise ValueError(f"probability {w} on {e} outside [0, 1]")
+    p = np.asarray(p, dtype=np.float64)
+    n, k, m = h.n, h.k, h.e()
+    if p.shape != (m,):
+        raise ValueError(f"probabilities have shape {p.shape}, the graph has {m} edges")
+    bad = np.flatnonzero(~((p >= -1e-9) & (p <= 1 + 1e-9)))  # NaN too
+    if bad.size:
+        raise ValueError(f"probability {p[bad[0]]} on {h.edges[bad[0]]} outside [0, 1]")
     rng = random.Random(seed)
-    kept = [e for e in h.edges if rng.random() < float(f.weights.get(e, 0.0))]
-    sampled = Hypergraph.from_canonical(h.n, h.k, kept)  # kept is a subsequence of h.edges
+    kept = [e for e, q in zip(h.edges, p.tolist()) if rng.random() < q]
+    sampled = Hypergraph.from_canonical(n, k, kept)  # kept is a subsequence of h.edges
 
-    expected = {v: 0.0 for v in h.vertices()}
-    pair_expected: dict[tuple[int, int], float] = {}
-    for e, w in f.weights.items():
-        wf = float(w)
-        for v in e:
-            expected[v] += wf
-        for p in combinations(e, 2):
-            pair_expected[p] = pair_expected.get(p, 0.0) + wf
+    nz = np.flatnonzero(p)
+    w = p[nz]
+    verts = np.fromiter(
+        chain.from_iterable(map(h.edges.__getitem__, nz.tolist())), np.intp, len(nz) * k
+    ).reshape(len(nz), k)
+    # astype: with no weighted edge bincount returns integer zeros
+    expected_arr = np.bincount(verts.ravel(), np.repeat(w, k), minlength=n + 1).astype(float)
+    expected = dict(zip(h.vertices(), expected_arr[1:].tolist()))
+    cols = list(combinations(range(k), 2))
+    pairs = np.stack([verts[:, a] * (n + 1) + verts[:, b] for a, b in cols], axis=1).ravel()
+    pair_expected = np.bincount(pairs, np.repeat(w, len(cols)), minlength=(n + 1) ** 2)
     counts = Counter(chain.from_iterable(kept))
     realized = {v: counts[v] for v in h.vertices()}
     deviations = {v: realized[v] - expected[v] for v in h.vertices()}
@@ -496,7 +491,7 @@ def sample_binomial_subgraph(
             violations += 1
 
     max_pair = sampled.max_set_degree(2) if sampled.e() else 0
-    max_expected_pair = max(pair_expected.values(), default=0.0)
+    max_expected_pair = float(pair_expected[pairs].max()) if pairs.size else 0.0
     return SampleReport(
         sampled=sampled,
         seed=seed,
@@ -632,10 +627,10 @@ def pipeline(
             f"failed at extract: {fam.status}", False, Matching(()), s, r, t, seed, diag
         )
 
-    mixed = mix_and_halve(fam)
-    diag["mixed_total_weight"] = mixed.value
+    p = mix_and_halve(fam)
+    diag["mixed_total_weight"] = sum(p.tolist(), 0.0)
 
-    report = sample_binomial_subgraph(hr, mixed, seed)
+    report = sample_binomial_subgraph(hr, p, seed)
     diag["sample_edges"] = report.sampled.e()
     diag["sample_vertex_ok"] = report.vertex_ok
     diag["sample_max_pair_degree"] = report.max_pair_degree

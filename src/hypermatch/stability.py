@@ -114,6 +114,8 @@ def closeness_to_cover(h: Hypergraph, s: int, search: str = "heuristic") -> Clos
 
 def closeness_to_clique(h: Hypergraph, s: int, search: str = "heuristic") -> ClosenessReport:
     """Fewest clique-family edges missing over placements of the core set U."""
+    if s < 0:
+        raise ValueError(f"s={s} must be at least 0")
     size = h.k * (s + 1) - 1
     if size > h.n:
         raise ValueError(f"clique core k(s+1)-1 = {size} exceeds n={h.n}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .constructions import bound_report
-from .core import BudgetExceeded, Hypergraph
+from .core import BudgetExceeded, Hypergraph, _check_shape
 from .optimize import EdgeIndex, max_matching, min_vertex_cover
 
 EXHAUSTIVE_EDGE_GUARD = 24
@@ -84,6 +84,7 @@ def verify_extremal(
     budget_ms: float | None = None,
 ) -> VerifyResult:
     """Maximize e(H) under the constraint and compare to the bounds."""
+    _check_shape(n, k)
     if s < 1:
         raise ValueError(f"s={s} must be at least 1")
     searcher = _Searcher(n, k, s, constraint)

@@ -254,7 +254,7 @@ def test_criterion_8_rounding_properties():
                 complete_cells += 1
                 mixed = mix_and_halve(fam)
                 sums = {v: 0.0 for v in h.vertices()}
-                for e, w in mixed.weights.items():
+                for e, w in zip(h.edges, mixed.tolist()):
                     for v in e:
                         sums[v] += w
                 assert all(abs(s - t / 2) < 1e-9 for s in sums.values())

@@ -285,6 +285,11 @@ def test_gen_unwritable_output_is_an_output_error(tmp_path, capsys):
         (["crossover", "--table"], "--table needs --n"),
         (["crossover", "--n", "-5", "--table"], "--n -5: need n >= 5 for a bound row at s = 1"),
         (["crossover", "--n", "-4"], "--n -4: need n >= 5 for a bound row at s = 1"),
+        (["closeness", "--target", "clique", "--s", "-1"], "s=-1 must be at least 0"),
+        (["closeness", "--target", "clique", "--s", "-1", "--exhaustive"], "s=-1 must be at least 0"),
+        (["bounds", "--n", "10", "--k", "1", "--s", "2"], "uniformity k=1 must be at least 2"),
+        (["verify", "--n", "3", "--k", "5", "--s", "1"], "uniformity k=5 exceeds vertex count n=3"),
+        (["verify", "--n", "6", "--k", "1", "--s", "1", "--pruned"], "uniformity k=1 must be at least 2"),
     ],
 )
 def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, why):

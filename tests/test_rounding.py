@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypermatch.cli import to_jsonable
 from hypermatch.constructions import cover_family
 from hypermatch.core import Hypergraph, build, complete_graph, edge_mask, random_hypergraph
-from hypermatch.optimize import EdgeIndex, FractionalAssignment, max_matching
+from hypermatch.optimize import EdgeIndex, max_matching
 from hypermatch.rounding import (
     ROUND_PATHS,
     _find_perfect_matching,
@@ -29,8 +30,9 @@ from strategies import hypergraphs
 
 
 def vertex_sums(h, weights):
+    """Each vertex's sum of a weight vector indexed like h.edges."""
     sums = {v: 0 for v in h.vertices()}
-    for e, w in weights.items():
+    for e, w in zip(h.edges, weights.tolist()):
         for v in e:
             sums[v] += w
     return sums
@@ -42,7 +44,7 @@ class TestExtract:
         assert fam.complete and len(fam.members) == 1
         # one tight matching round: no pair can carry more than one unit
         assert fam.max_pair_load() <= 1 + 1e-12
-        sums = vertex_sums(complete_graph(6, 3), fam.members[0].weights)
+        sums = vertex_sums(complete_graph(6, 3), fam.members[0])
         assert all(abs(s - 1) < 1e-12 for s in sums.values())
 
     def test_isolated_vertex_infeasible(self):
@@ -56,7 +58,7 @@ class TestExtract:
         fam = extract_fpm_family(h, 5)
         assert fam.complete
         for member in fam.members:
-            sums = vertex_sums(h, member.weights)
+            sums = vertex_sums(h, member)
             assert all(abs(s - 1) < 1e-9 for s in sums.values())
 
     def test_removal_bookkeeping(self):
@@ -86,24 +88,26 @@ class TestMix:
     def test_three_members_float(self):
         fam = extract_fpm_family(complete_graph(9, 3), 3)
         mixed = mix_and_halve(fam)
-        sums = vertex_sums(complete_graph(9, 3), mixed.weights)
+        sums = vertex_sums(complete_graph(9, 3), mixed)
         assert all(abs(s - 1.5) < 1e-9 for s in sums.values())
-        assert all(0 <= w <= 1 for w in mixed.weights.values())
+        assert all(0 <= w <= 1 for w in mixed.tolist())
 
     @pytest.mark.parametrize("n, t, shared", [(12, 9, 5), (15, 9, 6), (12, 4, 4), (9, 3, 3)])
     def test_shared_members_sum_like_each_member_in_turn(self, n, t, shared):
-        fam = extract_fpm_family(complete_graph(n, 3), t)
-        first = fam.members[0].weights
-        assert sum(m.weights is first for m in fam.members) == shared
-        ref: dict = {}
+        h = complete_graph(n, 3)
+        fam = extract_fpm_family(h, t)
+        first = fam.members[0]
+        assert sum(m is first for m in fam.members) == shared
+        with pytest.raises(ValueError):  # the shared uniform vector is read-only
+            first[0] = 0.0
+        ref = [0.0] * h.e()
         for member in fam.members:  # the per-member sum, one addition per member and edge
-            for e, w in member.weights.items():
-                ref[e] = ref.get(e, 0.0) + w
-        ref = {e: w * 0.5 for e, w in ref.items() if w * 0.5}
+            for i, w in enumerate(member.tolist()):
+                ref[i] += w
+        ref = [w * 0.5 for w in ref]
         mixed = mix_and_halve(fam)
-        assert list(mixed.weights) == list(ref)
-        assert [w.hex() for w in mixed.weights.values()] == [w.hex() for w in ref.values()]
-        assert mixed.value.hex() == sum(ref.values(), 0.0).hex()
+        assert mixed.shape == (h.e(),)
+        assert [w.hex() for w in mixed.tolist()] == [w.hex() for w in ref]
 
     def test_empty_family_rejected(self):
         fam = extract_fpm_family(build(7, 3, [(1, 2, 3), (4, 5, 6)]), 1)
@@ -111,20 +115,65 @@ class TestMix:
             mix_and_halve(fam)
 
 
+def _sample_reference(h, p, seed, alpha):
+    """The sampler from its definition: one pass over the edges in order."""
+    rng = random.Random(seed)
+    kept = [e for e, q in zip(h.edges, p) if rng.random() < q]
+    expected = {v: 0.0 for v in h.vertices()}
+    pair_sums: dict = {}
+    for e, w in zip(h.edges, p):
+        if w:
+            for v in e:
+                expected[v] += w
+            for pair in combinations(e, 2):
+                pair_sums[pair] = pair_sums.get(pair, 0.0) + w
+    violations, budget = 0, 0.0
+    for v in h.vertices():
+        if expected[v] > 0:
+            budget += 2 * math.exp(-(alpha**2) * expected[v] / 3)
+            realized = sum(v in e for e in kept)
+            violations += abs(realized - expected[v]) >= alpha * expected[v]
+    return kept, expected, max(pair_sums.values(), default=0.0), violations, budget
+
+
+@st.composite
+def _edge_probabilities(draw, m):
+    unit = st.floats(0, 1)
+    kind = draw(st.sampled_from(["zero", "one", "sparse", "any"]))
+    if kind == "zero":
+        return [0.0] * m
+    if kind == "one":
+        return [1.0] * m
+    entry = st.one_of(st.just(0.0), unit) if kind == "sparse" else unit
+    return draw(st.lists(entry, min_size=m, max_size=m))
+
+
 class TestSample:
+    @settings(deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=10, k=k)), st.data())
+    def test_equals_the_per_edge_reference(self, h, data):
+        p = data.draw(_edge_probabilities(h.e()))
+        seed = data.draw(st.integers(0, 2**32))
+        alpha = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+        rep = sample_binomial_subgraph(h, np.array(p), seed, alpha=alpha)
+        kept, expected, max_pair, violations, budget = _sample_reference(h, p, seed, alpha)
+        assert rep.sampled.edges == tuple(kept)
+        assert list(rep.expected_degrees) == list(expected)
+        assert [x.hex() for x in rep.expected_degrees.values()] == [
+            x.hex() for x in expected.values()
+        ]
+        assert rep.max_expected_pair_degree.hex() == max_pair.hex()
+        assert rep.vertex_violations == violations
+        assert rep.vertex_violation_budget.hex() == budget.hex()
+
     def test_zero_probability(self):
         h = complete_graph(6, 3)
-        zeroed = FractionalAssignment("sampling", {e: 0.0 for e in h.edges}, 0.0, "float")
-        rep = sample_binomial_subgraph(h, zeroed, seed=3)
+        rep = sample_binomial_subgraph(h, np.zeros(h.e()), seed=3)
         assert rep.sampled.e() == 0
 
     def test_unit_probability_keeps_everything(self):
         h = complete_graph(6, 3)
-        ones = {"weights": {e: 1.0 for e in h.edges}}
-        from hypermatch.optimize import FractionalAssignment
-
-        fa = FractionalAssignment("sampling", ones["weights"], float(h.e()), "float")
-        rep = sample_binomial_subgraph(h, fa, seed=9)
+        rep = sample_binomial_subgraph(h, np.ones(h.e()), seed=9)
         assert rep.sampled == h
 
     def test_deterministic_per_seed(self):
@@ -146,28 +195,30 @@ class TestSample:
 
     @given(hypergraphs(min_n=4, max_n=9), st.integers(0, 2**16))
     def test_sample_equals_the_checked_constructor_and_its_degrees(self, h, seed):
-        weights = {e: ((i * 7) % 5) / 4 for i, e in enumerate(h.edges)}
-        fa = FractionalAssignment("sampling", weights, sum(weights.values()), "float")
-        rep = sample_binomial_subgraph(h, fa, seed)
+        p = np.array([((i * 7) % 5) / 4 for i in range(h.e())])
+        rep = sample_binomial_subgraph(h, p, seed)
         assert rep.sampled == Hypergraph(h.n, h.k, rep.sampled.edges)
         assert rep.realized_degrees == {v: rep.sampled.degree(v) for v in h.vertices()}
         assert list(rep.realized_degrees) == list(h.vertices())
 
-    def test_non_canonical_weight_key_rejected(self):
-        # (2, 1, 3) names edge (1, 2, 3) but is not stored that way, so the
-        # sampler would count it in the expected degrees and never sample it
-        h = build(3, 3, [(1, 2, 3)])
-        fa = FractionalAssignment("sampling", {(2, 1, 3): 1.0}, 1.0, "float")
-        with pytest.raises(ValueError, match="not an edge of the graph as stored"):
-            sample_binomial_subgraph(h, fa, seed=0)
+    @pytest.mark.parametrize(
+        "shape", [(19,), (21,), (20, 1), (1, 20)], ids=["short", "long", "column", "row"]
+    )
+    def test_probabilities_not_one_per_edge_rejected(self, shape):
+        # a vector of the wrong length, or a 2-D one, cannot be read by edge
+        h = complete_graph(6, 3)
+        with pytest.raises(ValueError, match="the graph has 20 edges"):
+            sample_binomial_subgraph(h, np.full(shape, 0.5), seed=0)
 
     def test_out_of_range_probability_rejected(self):
         h = complete_graph(6, 3)
-        from hypermatch.optimize import FractionalAssignment
-
-        bad = FractionalAssignment("sampling", {h.edges[0]: 1.5}, 1.5, "float")
-        with pytest.raises(ValueError):
-            sample_binomial_subgraph(h, bad, seed=0)
+        # NaN fails every comparison, so a check for "below 0 or above 1"
+        # would let it through into the expected degrees
+        for value, shown in ((1.5, "1.5"), (np.nan, "nan")):
+            bad = np.zeros(h.e())
+            bad[3] = value
+            with pytest.raises(ValueError, match=rf"probability {shown} on \(1, 2, 6\)"):
+                sample_binomial_subgraph(h, bad, seed=0)
 
 
 def _reference_matching(h, strategy, seed):
@@ -383,7 +434,7 @@ class TestExtractionIndex:
         assert fam.heavy_total == heavy_total
         assert fam.removed_total == removed_total
         for member in fam.members:
-            assert member.weights == {e: w for e in h.edges}
+            assert member.tolist() == [w] * h.e()
 
     def test_closed_form_loads_match_the_formula(self):
         # u rounds of weight 1/C(n-1,2) put u(n-2)/C(n-1,2) on every pair
@@ -511,7 +562,7 @@ SEEDED_PIPELINE_REPORTS = [
         {"s": 1, "t": 6, "seed": 3, "r": 2, "matching_strategy": "nibble"},
         "ok", [[2, 11, 12], [3, 9, 10]],
         _diag(2, 6, 14, "complete", 6, 1, (0, 0, 2, 4), 7, 1.6666666666666665,
-              (13.999999999999998, 19, 2, 3, 2)),
+              (13.999999999999996, 19, 2, 3, 2)),
     ),
     (
         complete_graph(9, 3), {"s": 1, "t": 6, "seed": 4, "r": 1},
