@@ -2,9 +2,9 @@
 round, verify.
 
 Exit codes: 0 success, 1 stage failure (round), 2 budget refusal or a
-usage error (including a parameter out of range, and a `solve` flag that
-does not apply to the quantity asked for: `--limit` outside `nu`/`tau`,
-`--exact-lp` outside `nustar`/`taustar`), 3 bound mismatch
+usage error (including a parameter out of range, and a flag that does
+not apply: `solve --limit` outside `nu`/`tau`, `solve --exact-lp` outside
+`nustar`/`taustar`, `gen --i` outside `--family a`), 3 bound mismatch
 (verify), 4 input error (an input file that cannot be read or is not a
 valid `.hg` graph), 5 output error (an output file that cannot be written;
 `shift` and `round` check their output paths before computing).
@@ -143,8 +143,9 @@ def _nonnegative_int(text: str) -> int:
 def _cmd_gen(args) -> int:
     fam = args.family
     if fam == "a" and args.i is None:
-        print("--i is required for the a family", file=sys.stderr)
-        return 2
+        return _usage_error("--i is required for the a family")
+    if fam != "a" and args.i is not None:
+        return _usage_error(f"--i applies to --family a, not {fam}")
     try:
         if fam == "cover":
             h = constructions.cover_family(args.n, args.k, args.s)

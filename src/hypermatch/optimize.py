@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -460,18 +460,21 @@ def check_lp_duality(
 
 
 def fractional_perfect_matching(
-    h: Hypergraph, objective: Mapping[Edge, float] | None = None
+    h: Hypergraph, objective: np.ndarray | None = None
 ) -> FractionalAssignment | None:
     """A float fractional matching with every vertex constraint tight, or None.
 
-    An optional edge objective, maximized, picks among the (many) solutions.
+    An optional objective, a vector indexed like ``h.edges``, is maximized
+    to pick among the (many) solutions.
     """
+    c = np.zeros(h.e())
+    if objective is not None:
+        c = np.asarray(objective, dtype=np.float64)
+        if c.shape != (h.e(),):
+            raise ValueError(f"objective has shape {c.shape}, the graph has {h.e()} edges")
     if h.e() == 0 or h.n == 0:
         return None
     rows = [[1.0 if v in e else 0.0 for e in h.edges] for v in h.vertices()]
-    c = [0.0] * h.e()
-    if objective:
-        c = [float(objective.get(e, 0.0)) for e in h.edges]
     status, x, _val, resid = lp.linprog_float(
         c, a_eq=rows, b_eq=[1.0] * h.n, maximize=objective is not None
     )

@@ -12,7 +12,9 @@ The stages, in order:
    a semi-random nibble).
 
 Every edge weighting (a member of the family, the mixed probability) is a
-float64 vector indexed like ``h.edges`` of the graph being rounded.
+float64 vector indexed like ``h.edges`` of the graph being rounded, and the
+extraction's accumulated pair weight is one symmetric float64 matrix indexed
+by vertex label; its dead pairs and per-vertex heavy counts are read from it.
 
 Round-by-round feasibility is an empirical matter at desk scale: when a
 stage stalls, the family or pipeline reports it rather than masking it.
@@ -67,7 +69,10 @@ class FPMFamily:
     """Fractional perfect matchings with capped accumulated pair weight.
 
     Each member is a weight vector indexed like ``h.edges``; the uniform
-    rounds share one read-only vector. ``rounds`` holds one record per
+    rounds share one read-only vector. ``pair_load[x, y]`` is the weight the
+    members put on the vertex pair {x, y}: an (n+1)x(n+1) symmetric matrix
+    whose row and column 0 are unused and whose diagonal is 0. A pair is
+    dead once its load reaches ``threshold``. ``rounds`` holds one record per
     member, plus one for the round that stalled, if any: there the searches
     found nothing and the LP proved the surviving graph infeasible. A round
     that starts with no surviving edge gets no record. ``attempts`` counts
@@ -75,7 +80,7 @@ class FPMFamily:
     """
 
     members: list[np.ndarray]
-    pair_load: dict[tuple[int, int], float]
+    pair_load: np.ndarray
     cap: float
     threshold: float
     status: str
@@ -89,17 +94,13 @@ class FPMFamily:
     def complete(self) -> bool:
         return self.status == "complete"
 
-    def heavy_pairs_by_vertex(self) -> Counter:
+    def heavy_pairs_by_vertex(self) -> dict[int, int]:
         """How many threshold-crossing pairs each vertex belongs to."""
-        cnt: Counter = Counter()
-        for (x, y), load in self.pair_load.items():
-            if load >= self.threshold - _EPS:
-                cnt[x] += 1
-                cnt[y] += 1
-        return cnt
+        counts = (self.pair_load >= self.threshold - _EPS).sum(axis=1).tolist()
+        return dict(enumerate(counts[1:], start=1))
 
     def max_pair_load(self) -> float:
-        return max(self.pair_load.values(), default=0.0)
+        return float(self.pair_load.max())
 
 
 def _uniform_round_budget(n: int, k: int, threshold: float) -> int:
@@ -115,6 +116,11 @@ def _uniform_round_budget(n: int, k: int, threshold: float) -> int:
 def _bits(x: int) -> list[int]:
     """The set bits of x, ascending."""
     return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+
+
+def _vertex_array(edges: list, k: int) -> np.ndarray:
+    """The vertices of the given k-edges, one row per edge."""
+    return np.fromiter(chain.from_iterable(edges), np.intp, len(edges) * k).reshape(len(edges), k)
 
 
 def _without_pairs(inc: list[int], live: int, pairs) -> int:
@@ -196,20 +202,22 @@ def _find_perfect_matching(
 def _pick_gadget_vertices(
     n: int,
     g: int,
-    dead: set,
-    heavy_by_vertex: Counter,
+    dead: np.ndarray,
     index: EdgeIndex,
     live: int,
     banned_mask: int = 0,
 ) -> tuple[str, tuple[int, ...] | None]:
-    """A g-set whose C(g,3) triples are all live, biased to calm vertices.
+    """A g-set with no dead pair whose C(g,3) triples are all live.
 
-    Returns ("found", the set), ("none", None) once every candidate failed,
-    or ("budget", None) after 5000 candidates.
+    ``dead`` is a boolean matrix by vertex label. Candidates are tried with
+    the vertices in fewest dead pairs first. Returns ("found", the set),
+    ("none", None) once every candidate failed, or ("budget", None) after
+    5000 candidates.
     """
+    heavy = dead.sum(axis=1).tolist()
     ranked = [
         v
-        for v in sorted(range(1, n + 1), key=lambda u: (heavy_by_vertex[u], u))
+        for v in sorted(range(1, n + 1), key=lambda u: (heavy[u], u))
         if not banned_mask & (1 << (v - 1))
     ]
     inc = index.inc
@@ -218,7 +226,7 @@ def _pick_gadget_vertices(
         tried += 1
         if tried > 5000:
             return "budget", None
-        if any(tuple(sorted(p)) in dead for p in combinations(cand, 2)):
+        if any(dead[a, b] for a, b in combinations(cand, 2)):
             continue
         if all(inc[a] & inc[b] & inc[c] & live for a, b, c in combinations(cand, 3)):
             return "found", cand
@@ -230,8 +238,7 @@ def _near_integral_round(
     index: EdgeIndex,
     perm: list[int],
     live: int,
-    dead: set,
-    heavy_by_vertex: Counter,
+    dead: np.ndarray,
     rec: RoundRecord,
 ) -> np.ndarray | None:
     """An integral matching on most vertices plus uniform 4-blocks on the rest.
@@ -254,9 +261,7 @@ def _near_integral_round(
     weights = np.zeros(len(perm))
     gmask = 0
     for g in blocks:
-        rec.gadget, gadget = _pick_gadget_vertices(
-            n, g, dead, heavy_by_vertex, index, live, banned_mask=gmask
-        )
+        rec.gadget, gadget = _pick_gadget_vertices(n, g, dead, index, live, banned_mask=gmask)
         if gadget is None:
             return None
         gmask |= edge_mask(gadget)
@@ -305,9 +310,11 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
     index: EdgeIndex | None = None  # built on the first round that needs it
     perm: list[int] = []  # edge i of the index is edges[perm[i]]
     live = (1 << m) - 1  # surviving edges, one bit per index edge
-    pair_load: dict[tuple[int, int], float] = {}
-    dead: set[tuple[int, int]] = set()
-    heavy_by_vertex: Counter = Counter()
+    pair_load = np.zeros((n + 1, n + 1))  # by vertex label; row and column 0 unused
+    dead = np.zeros((n + 1, n + 1), dtype=bool)
+    upper = np.triu(np.ones((n + 1, n + 1), dtype=bool), 1)  # each pair once
+    cols = list(combinations(range(k), 2))  # an edge's vertex pairs, by position
+    first, second = [a for a, _ in cols], [b for _, b in cols]
     members: list[np.ndarray] = []
     rounds: list[RoundRecord] = []
     heavy_total: list[int] = []
@@ -336,7 +343,8 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
             rounds.append(RoundRecord("uniform"))
             heavy_total.append(0)
             removed_total.append(0)
-        pair_load = dict.fromkeys(combinations(range(1, n + 1), 2), load)
+        pair_load[1:, 1:] = load
+        np.fill_diagonal(pair_load, 0.0)
 
     for rnd in range(len(members) + 1, t + 1):
         if not live:
@@ -351,16 +359,14 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         rounds.append(rec)
         weights: np.ndarray | None = None
         if k == 3:
-            weights = _near_integral_round(n, index, perm, live, dead, heavy_by_vertex, rec)
+            weights = _near_integral_round(n, index, perm, live, dead, rec)
         if weights is None:
             pos = sorted(perm[i] for i in _bits(live))
             sub = Hypergraph.from_canonical(n, k, [edges[j] for j in pos])
             objective = None
-            if pair_load:
-                objective = {
-                    e: sum((pair_load.get(p, 0.0) for p in combinations(e, 2)), 0.0)
-                    for e in sub.edges
-                }
+            if pair_load.any():  # each edge's objective is the load on its pairs
+                v = _vertex_array(sub.edges, k)
+                objective = sum(pair_load[v[:, a], v[:, b]] for a, b in cols)
             fpm = fractional_perfect_matching(sub, objective=objective)
             if fpm is None:
                 status = f"infeasible at round {rnd}"
@@ -369,23 +375,22 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
             weights[pos] = [fpm.weight(e) for e in sub.edges]
 
         members.append(weights)
-        newly = []
-        nz = np.flatnonzero(weights).tolist()
-        for j, w in zip(nz, weights[nz].tolist()):
-            for p in combinations(edges[j], 2):
-                load = pair_load.get(p, 0.0) + w
-                pair_load[p] = load
-                if load >= _CAP + 1e-9:
-                    raise AssertionError(f"pair {p} reached load {load} >= cap {_CAP}")
-                if load >= threshold - _EPS and p not in dead:
-                    dead.add(p)
-                    newly.append(p)
+        # np.add.at adds one entry at a time, and the pairs are laid out edge
+        # by edge, so every load is the chain of additions a per-edge loop
+        # would make, in edge order
+        nz = np.flatnonzero(weights)
+        v = _vertex_array([edges[j] for j in nz.tolist()], k)
+        x, y = v[:, first].ravel(), v[:, second].ravel()
+        w = np.repeat(weights[nz], len(cols))
+        np.add.at(pair_load, (x, y), w)
+        np.add.at(pair_load, (y, x), w)
+        if pair_load.max() >= _CAP + 1e-9:
+            a, b = map(int, np.unravel_index(pair_load.argmax(), pair_load.shape))
+            raise AssertionError(f"pair ({a}, {b}) reached load {pair_load[a, b]} >= cap {_CAP}")
+        was, dead = dead, pair_load >= threshold - _EPS
         before = live.bit_count()
-        for x, y in newly:
-            heavy_by_vertex[x] += 1
-            heavy_by_vertex[y] += 1
-        live = _without_pairs(index.inc, live, newly)
-        heavy_total.append(len(dead))
+        live = _without_pairs(index.inc, live, np.argwhere(dead & ~was & upper).tolist())
+        heavy_total.append(int(np.count_nonzero(dead)) // 2)
         removed_total.append(
             (removed_total[-1] if removed_total else 0) + before - live.bit_count()
         )
@@ -467,9 +472,7 @@ def sample_binomial_subgraph(
 
     nz = np.flatnonzero(p)
     w = p[nz]
-    verts = np.fromiter(
-        chain.from_iterable(map(h.edges.__getitem__, nz.tolist())), np.intp, len(nz) * k
-    ).reshape(len(nz), k)
+    verts = _vertex_array([h.edges[i] for i in nz.tolist()], k)
     # astype: with no weighted edge bincount returns integer zeros
     expected_arr = np.bincount(verts.ravel(), np.repeat(w, k), minlength=n + 1).astype(float)
     expected = dict(zip(h.vertices(), expected_arr[1:].tolist()))

@@ -11,6 +11,7 @@ the best size.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -87,6 +88,9 @@ def verify_extremal(
     _check_shape(n, k)
     if s < 1:
         raise ValueError(f"s={s} must be at least 1")
+    # NaN would never trip the deadline, and a negative budget is no budget
+    if budget_ms is not None and not (math.isfinite(budget_ms) and budget_ms >= 0):
+        raise ValueError(f"budget_ms={budget_ms} must be a finite number >= 0")
     searcher = _Searcher(n, k, s, constraint)
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     if method == "exhaustive":

@@ -37,6 +37,21 @@ def test_gen_requires_i_for_overlap_family(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "family, i, why",
+    [
+        ("a", [], "--i is required for the a family"),
+        ("cover", ["--i", "2"], "--i applies to --family a, not cover"),
+        ("hm", ["--i", "1"], "--i applies to --family a, not hm"),
+    ],
+)
+def test_gen_i_outside_its_family_is_a_usage_error(capsys, family, i, why):
+    assert main(["gen", "--family", family, "--n", "6", "--k", "3", "--s", "1", *i]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {why}\n"
+    assert captured.out == ""
+
+
 def test_bounds_tsv(capsys):
     code, out = run(capsys, "bounds", "--n", "10", "--k", "3", "--s", "2")
     assert code == 0
@@ -290,6 +305,13 @@ def test_gen_unwritable_output_is_an_output_error(tmp_path, capsys):
         (["bounds", "--n", "10", "--k", "1", "--s", "2"], "uniformity k=1 must be at least 2"),
         (["verify", "--n", "3", "--k", "5", "--s", "1"], "uniformity k=5 exceeds vertex count n=3"),
         (["verify", "--n", "6", "--k", "1", "--s", "1", "--pruned"], "uniformity k=1 must be at least 2"),
+        # a NaN budget never trips the deadline: the search would run unbounded
+        (["verify", "--n", "6", "--k", "3", "--s", "1", "--budget-ms", "nan"],
+         "budget_ms=nan must be a finite number >= 0"),
+        (["verify", "--n", "6", "--k", "3", "--s", "1", "--pruned", "--budget-ms", "inf"],
+         "budget_ms=inf must be a finite number >= 0"),
+        (["verify", "--n", "6", "--k", "3", "--s", "1", "--budget-ms", "-5"],
+         "budget_ms=-5.0 must be a finite number >= 0"),
     ],
 )
 def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, why):

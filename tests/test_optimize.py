@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -326,6 +327,19 @@ class TestFractionalPerfectMatching:
         fa = fractional_perfect_matching(h)
         assert fa is not None and abs(fa.value - 4 / 3) < 1e-12
         fa.validate(h)
+
+    def test_objective_vector_picks_the_weighted_edges(self):
+        h = complete_graph(6, 3)
+        objective = np.zeros(h.e())
+        objective[[h.edges.index((1, 2, 3)), h.edges.index((4, 5, 6))]] = 1.0
+        fa = fractional_perfect_matching(h, objective=objective)
+        assert set(fa.weights) == {(1, 2, 3), (4, 5, 6)}
+        assert all(abs(w - 1) < 1e-9 for w in fa.weights.values())
+
+    @pytest.mark.parametrize("size", [0, 19, 21])
+    def test_objective_of_the_wrong_length_is_refused(self, size):
+        with pytest.raises(ValueError, match="objective has shape"):
+            fractional_perfect_matching(complete_graph(6, 3), objective=np.zeros(size))
 
 
 class TestRainbowMatching:

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermatch.cli import to_jsonable
-from hypermatch.constructions import cover_family
+from hypermatch.constructions import augment_universal, cover_family
 from hypermatch.core import Hypergraph, build, complete_graph, edge_mask, random_hypergraph
 from hypermatch.optimize import EdgeIndex, max_matching
 from hypermatch.rounding import (
@@ -430,7 +430,8 @@ class TestExtractionIndex:
         fam = extract_fpm_family(h, u)
         w, load, heavy_total, removed_total = _per_edge_uniform(h, u)
         assert fam.complete and [r.path for r in fam.rounds] == ["uniform"] * u
-        assert fam.pair_load == load  # float ==, not approximately
+        pairs = list(combinations(range(1, n + 1), 2))
+        assert {p: float(fam.pair_load[p]) for p in pairs} == load  # float ==, not approximately
         assert fam.heavy_total == heavy_total
         assert fam.removed_total == removed_total
         for member in fam.members:
@@ -442,8 +443,9 @@ class TestExtractionIndex:
             u = _uniform_round_budget(n, 3, 1.0)
             fam = extract_fpm_family(complete_graph(n, 3), u)
             want = u * (n - 2) / comb(n - 1, 2)
-            assert len(set(fam.pair_load.values())) == 1
-            assert all(abs(load - want) < 1e-12 for load in fam.pair_load.values())
+            loads = [fam.pair_load[p] for p in combinations(range(1, n + 1), 2)]
+            assert len(set(loads)) == 1
+            assert all(abs(load - want) < 1e-12 for load in loads)
 
     @given(hypergraphs(max_n=9), st.data())
     def test_dead_pair_kill_matches_the_per_edge_definition(self, h, data):
@@ -469,7 +471,8 @@ class TestExtractionIndex:
     )
     def test_survivors_are_the_edges_without_a_dead_pair(self, h, t):
         fam = extract_fpm_family(h, t)
-        dead = {p for p, x in fam.pair_load.items() if x >= fam.threshold - 1e-12}
+        pairs = combinations(range(1, h.n + 1), 2)
+        dead = {p for p in pairs if fam.pair_load[p] >= fam.threshold - 1e-12}
         survivors = [e for e in h.edges if not any(p in dead for p in combinations(e, 2))]
         assert fam.heavy_total[-1] == len(dead)
         assert h.e() - fam.removed_total[-1] == len(survivors)
@@ -504,22 +507,23 @@ class TestPickGadget:
     def test_none_when_every_candidate_fails(self):
         h = complete_graph(20, 3)
         index = EdgeIndex(h.n, h.edges)
-        dead = set(combinations(range(1, 21), 2))  # C(20, 4) = 4845 candidates
-        assert _pick_gadget_vertices(20, 4, dead, Counter(), index, index.full) == ("none", None)
+        dead = ~np.eye(21, dtype=bool)  # every pair: C(20, 4) = 4845 candidates
+        assert _pick_gadget_vertices(20, 4, dead, index, index.full) == ("none", None)
 
     def test_budget_after_five_thousand_candidates(self):
         h = complete_graph(21, 3)
         index = EdgeIndex(h.n, h.edges)
-        dead = set(combinations(range(1, 22), 2))  # C(21, 4) = 5985 candidates
-        assert _pick_gadget_vertices(21, 4, dead, Counter(), index, index.full) == ("budget", None)
+        dead = ~np.eye(22, dtype=bool)  # every pair: C(21, 4) = 5985 candidates
+        assert _pick_gadget_vertices(21, 4, dead, index, index.full) == ("budget", None)
 
     def test_found_needs_live_triples(self):
         h = complete_graph(10, 3)
         index = EdgeIndex(h.n, h.edges)
-        outcome, cand = _pick_gadget_vertices(10, 4, set(), Counter(), index, index.full)
+        dead = np.zeros((11, 11), dtype=bool)
+        outcome, cand = _pick_gadget_vertices(10, 4, dead, index, index.full)
         assert (outcome, cand) == ("found", (1, 2, 3, 4))
         live = index.full & ~(1 << h.edges.index((1, 2, 3)))
-        assert _pick_gadget_vertices(10, 4, set(), Counter(), index, live) == ("found", (1, 2, 4, 5))
+        assert _pick_gadget_vertices(10, 4, dead, index, live) == ("found", (1, 2, 4, 5))
 
 
 def _diag(r, t, n_aug, status, members, attempts, paths, nodes, load, rest=None):
@@ -596,3 +600,50 @@ def test_seeded_pipeline_reports_are_pinned(h, kwargs, status, edges, diag):
         "diagnostics": diag,
     }
     assert list(got["diagnostics"]) == list(diag)  # the report's key order too
+
+
+def _per_edge_loads(h, members):
+    """The reference pair loads: every member's weights added pair by pair,
+    member by member and edge by edge, into a plain dict."""
+    load: dict = {}
+    for member in members:
+        for e, w in zip(h.edges, member.tolist()):
+            if w:
+                for p in combinations(e, 2):
+                    load[p] = load.get(p, 0.0) + w
+    return load
+
+
+# The extractions behind the seeded reports (on the augmented graph) and one
+# near-complete graph: between them they run uniform, integral, gadget and LP
+# rounds, retries and a stall before the first member.
+EXTRACTION_CASES = [
+    (augment_universal(h, diag["r"]), diag["t"]) for h, _, _, _, diag in SEEDED_PIPELINE_REPORTS
+] + [(build(13, 3, complete_graph(13, 3).edges[1:]), 7)]
+
+
+@pytest.mark.parametrize(
+    "h, t", EXTRACTION_CASES, ids=[f"seeded-{i}" for i in range(6)] + ["near-complete-13"]
+)
+def test_pair_loads_equal_per_edge_sums_on_every_round_path(h, t):
+    fam = extract_fpm_family(h, t)
+    load = _per_edge_loads(h, fam.members)
+    pairs = list(combinations(range(1, h.n + 1), 2))
+    assert [float(fam.pair_load[p]).hex() for p in pairs] == [load.get(p, 0.0).hex() for p in pairs]
+    assert (fam.pair_load == fam.pair_load.T).all()
+    assert not fam.pair_load[0].any() and not fam.pair_load.diagonal().any()
+    dead = [p for p in pairs if load.get(p, 0.0) >= fam.threshold - 1e-12]
+    if fam.members:
+        assert fam.heavy_total[-1] == len(dead)
+    else:
+        assert dead == [] and fam.heavy_total == []
+    per_vertex = Counter(chain.from_iterable(dead))
+    assert fam.heavy_pairs_by_vertex() == {v: per_vertex[v] for v in h.vertices()}
+    assert fam.max_pair_load() == max(load.values(), default=0.0)
+
+
+def test_extraction_cases_run_every_round_path():
+    fams = [extract_fpm_family(h, t) for h, t in EXTRACTION_CASES]
+    made = Counter(rec.path for fam in fams for rec in fam.rounds[: len(fam.members)])
+    assert all(made[path] for path in ROUND_PATHS)
+    assert any(fam.attempts > 1 for fam in fams)
