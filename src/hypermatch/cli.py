@@ -197,11 +197,12 @@ def _cmd_solve(args) -> int:
     elif what == "nustar":
         fa = fractional_matching(h, mode)
         value, lp_path = fa.value, fa.lp_path
-        cert = {"weights": {" ".join(map(str, e)): to_jsonable(w) for e, w in fa.weights.items()}}
+        weights = zip(h.edges, fa.weights)
+        cert = {"weights": {" ".join(map(str, e)): to_jsonable(w) for e, w in weights if w}}
     elif what == "taustar":
         fa = fractional_cover(h, mode)
         value, lp_path = fa.value, fa.lp_path
-        cert = {"weights": {str(v): to_jsonable(w) for v, w in fa.weights.items()}}
+        cert = {"weights": {str(v): to_jsonable(w) for v, w in zip(h.vertices(), fa.weights)}}
     else:
         raise AssertionError(what)
     out = {"what": what, "value": to_jsonable(value)}

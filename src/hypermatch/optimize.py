@@ -67,44 +67,47 @@ class VertexCover:
 
 @dataclass
 class FractionalAssignment:
-    """Weights on edges (kind='matching') or vertices (kind='cover')."""
+    """Weights on edges (kind='matching') or vertices (kind='cover').
+
+    ``weights`` is one vector, indexed like ``h.edges`` for a matching and
+    like ``h.vertices()`` for a cover: a float64 array in float mode, a list
+    of ``Fraction`` in rational mode.
+    """
 
     kind: str
-    weights: dict
+    weights: np.ndarray | list[Fraction]
     value: Fraction | float
     mode: str = "rational"
     residual: float | None = None
     lp_path: str | None = None  # for nu* and tau*: LP_HIGHS, LP_CERTIFIED or LP_SIMPLEX
 
-    def weight(self, key):
-        return self.weights.get(key, Fraction(0) if self.mode == "rational" else 0.0)
-
     def validate(self, h: Hypergraph, tol: float = 1e-9) -> None:
         slack = 0 if self.mode == "rational" else tol
-        for key, w in self.weights.items():
+        if self.kind == "matching":
+            keys, what = h.edges, "edges"
+        elif self.kind == "cover":
+            keys, what = h.vertices(), "vertices"
+        else:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if len(self.weights) != len(keys):
+            raise ValueError(f"{len(self.weights)} weights for {len(keys)} {what}")
+        for key, w in zip(keys, self.weights):
             if w < -slack or w > 1 + slack:
                 raise ValueError(f"weight {w} on {key} outside [0, 1]")
         if self.kind == "matching":
-            for key in self.weights:
-                if key not in h:
-                    raise ValueError(f"weighted edge {key} not in the graph")
-            load = {v: 0 for v in h.vertices()}
-            for e, w in self.weights.items():
-                for v in e:
-                    load[v] += w
-            for v, tot in load.items():
-                if tot > 1 + slack:
-                    raise ValueError(f"vertex {v} carries weight {tot} > 1")
-        elif self.kind == "cover":
-            for key in self.weights:
-                if not 1 <= key <= h.n:
-                    raise ValueError(f"weighted vertex {key} outside 1..{h.n}")
+            load = [0] * (h.n + 1)
+            for e, w in zip(h.edges, self.weights):
+                if w:
+                    for v in e:
+                        load[v] += w
+            for v in h.vertices():
+                if load[v] > 1 + slack:
+                    raise ValueError(f"vertex {v} carries weight {load[v]} > 1")
+        else:
             for e in h.edges:
-                tot = sum(self.weights.get(v, 0) for v in e)
+                tot = sum(self.weights[v - 1] for v in e)
                 if tot < 1 - slack:
                     raise ValueError(f"edge {e} has cover weight {tot} < 1")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
 
 
 # -- exact matching and cover: one edge-bitset kernel ------------------------
@@ -138,19 +141,17 @@ class EdgeIndex:
         # m^2 bits in all, so left to the first search that needs them
         self.disj: list[int] | None = None
 
-    def disjoint_rows(self) -> list[int]:
-        """``disj``, built on first use.
+    def meets(self, i: int) -> int:
+        """The edges sharing a vertex with edge i, i itself included."""
+        row = 0
+        for v in self.verts[i]:
+            row |= self.inc[v]
+        return row
 
-        Row i is ``full & ~(inc[a] | inc[b] | ...)`` over edge i's vertices.
-        """
+    def disjoint_rows(self) -> list[int]:
+        """``disj``, built on first use: row i is ``full & ~meets(i)``."""
         if self.disj is None:
-            rows = []
-            for vs in self.verts:
-                hit = 0
-                for v in vs:
-                    hit |= self.inc[v]
-                rows.append(self.full & ~hit)
-            self.disj = rows
+            self.disj = [self.full & ~self.meets(i) for i in range(len(self.verts))]
         return self.disj
 
     def packing(self, sub: int, need: int) -> list[int] | None:
@@ -314,6 +315,11 @@ def _negated_incidence(h: Hypergraph) -> sparse.csr_array:
     )
 
 
+def _floored(x: np.ndarray) -> np.ndarray:
+    """Float matching weights with the solver's noise, entries <= 1e-12, set to 0."""
+    return np.where(x > 1e-12, x, 0.0)
+
+
 def _highs_pair(
     h: Hypergraph, mode: str
 ) -> tuple[FractionalAssignment, FractionalAssignment] | None:
@@ -324,33 +330,29 @@ def _highs_pair(
     both sides are rounded to fractions and checked exactly: x >= 0, vertex
     loads <= 1, 0 <= y <= 1, edge sums >= 1 and sum(x) == sum(y). Weak
     duality then makes each an optimality certificate for the other; if the
-    check fails the result is None.
+    check fails the result is None. A mode other than "rational" or "float"
+    raises ``ValueError``.
     """
+    if mode not in ("rational", "float"):
+        raise ValueError(f"unknown LP mode {mode!r}: use 'rational' or 'float'")
     neg_at = _negated_incidence(h)
     status, y, duals, tau = lp.linprog_sparse(np.ones(h.n), neg_at, np.full(h.e(), -1.0))
     if status != lp.OPTIMAL:  # y = 1 is feasible and y >= 0 bounds the sum
         raise RuntimeError(f"cover LP came back {status}")
     x = -duals
-    if mode != "rational":
+    if mode == "float":
         load = -(neg_at.T @ x)
         resid_m = max(0.0, float(np.max(load, initial=1.0)) - 1.0, float(np.max(-x, initial=0.0)))
         resid_c = max(0.0, float(np.max(neg_at @ y, initial=-1.0)) + 1.0)
-        weights_m = {e: float(xi) for e, xi in zip(h.edges, x) if xi > 1e-12}
-        weights_c = {v: float(yi) for v, yi in zip(h.vertices(), y)}
         return (
-            FractionalAssignment("matching", weights_m, float(x.sum()), "float", resid_m, LP_HIGHS),
-            FractionalAssignment("cover", weights_c, tau, "float", resid_c, LP_HIGHS),
+            FractionalAssignment("matching", _floored(x), float(x.sum()), "float", resid_m, LP_HIGHS),
+            FractionalAssignment("cover", y, tau, "float", resid_c, LP_HIGHS),
         )
     xq = [Fraction(xi).limit_denominator(CERT_DENOMINATOR) for xi in x.tolist()]
     yq = [Fraction(yi).limit_denominator(CERT_DENOMINATOR) for yi in y.tolist()]
-    fm = FractionalAssignment(
-        "matching", {e: w for e, w in zip(h.edges, xq) if w}, sum(xq, Fraction(0)),
-        "rational", 0.0, LP_CERTIFIED,
-    )
-    fc = FractionalAssignment(
-        "cover", dict(zip(h.vertices(), yq)), sum(yq, Fraction(0)),
-        "rational", 0.0, LP_CERTIFIED,
-    )
+    zero = Fraction(0)
+    fm = FractionalAssignment("matching", xq, sum(xq, zero), "rational", 0.0, LP_CERTIFIED)
+    fc = FractionalAssignment("cover", yq, sum(yq, zero), "rational", 0.0, LP_CERTIFIED)
     try:
         fm.validate(h)
         fc.validate(h)
@@ -365,7 +367,7 @@ def _matching_simplex(h: Hypergraph) -> FractionalAssignment:
     """The matching LP over the live vertices, by the rational simplex."""
     m = h.e()
     if m == 0:
-        return FractionalAssignment("matching", {}, Fraction(0), "rational", 0.0, LP_SIMPLEX)
+        return FractionalAssignment("matching", [], Fraction(0), "rational", 0.0, LP_SIMPLEX)
     live = sorted(set(chain.from_iterable(h.edges)))
     rows = [[Fraction(int(v in e)) for e in h.edges] for v in live]
     status, x, value = lp.simplex_rational(
@@ -374,16 +376,15 @@ def _matching_simplex(h: Hypergraph) -> FractionalAssignment:
     )
     if status != lp.OPTIMAL:
         raise RuntimeError(f"matching LP came back {status}")
-    weights = {e: xi for e, xi in zip(h.edges, x) if xi != 0}
-    return FractionalAssignment("matching", weights, value, "rational", 0.0, LP_SIMPLEX)
+    return FractionalAssignment("matching", x, value, "rational", 0.0, LP_SIMPLEX)
 
 
 def _cover_simplex(h: Hypergraph) -> FractionalAssignment:
     """The cover LP by the rational simplex, in the slack-basis substitution."""
     n, k = h.n, h.k
     if h.e() == 0:
-        weights = {v: Fraction(0) for v in h.vertices()}
-        return FractionalAssignment("cover", weights, Fraction(0), "rational", 0.0, LP_SIMPLEX)
+        zeros = [Fraction(0)] * n
+        return FractionalAssignment("cover", zeros, Fraction(0), "rational", 0.0, LP_SIMPLEX)
     # substitute w = 1 - u so the feasible start is the slack basis:
     # min sum(w) == n - max sum(u) with sum_{v in e} u_v <= k-1, u <= 1
     rows = [[Fraction(int(v in e)) for v in h.vertices()] for e in h.edges]
@@ -398,7 +399,7 @@ def _cover_simplex(h: Hypergraph) -> FractionalAssignment:
     )
     if status != lp.OPTIMAL:
         raise RuntimeError(f"cover LP came back {status}")
-    weights = {v: Fraction(1) - ui for v, ui in zip(h.vertices(), u)}
+    weights = [Fraction(1) - ui for ui in u]
     return FractionalAssignment(
         "cover", weights, Fraction(n) - value, "rational", 0.0, LP_SIMPLEX
     )
@@ -474,14 +475,14 @@ def fractional_perfect_matching(
             raise ValueError(f"objective has shape {c.shape}, the graph has {h.e()} edges")
     if h.e() == 0 or h.n == 0:
         return None
-    rows = [[1.0 if v in e else 0.0 for e in h.edges] for v in h.vertices()]
+    # the vertex x edge incidence as dense (n, m) rows (see notes/decisions.md)
+    a_eq = (-_negated_incidence(h)).T.toarray()
     status, x, _val, resid = lp.linprog_float(
-        c, a_eq=rows, b_eq=[1.0] * h.n, maximize=objective is not None
+        c, a_eq=a_eq, b_eq=[1.0] * h.n, maximize=objective is not None
     )
     if status != lp.OPTIMAL:
         return None
-    weights = {e: float(xi) for e, xi in zip(h.edges, x) if xi > 1e-12}
-    return FractionalAssignment("matching", weights, h.n / h.k, "float", resid)
+    return FractionalAssignment("matching", _floored(x), h.n / h.k, "float", resid)
 
 
 # -- proof-procedure operations ----------------------------------------------
@@ -529,14 +530,15 @@ def threshold_cover_graph(
     if cover.kind != "cover":
         raise ValueError("need a cover-kind assignment")
     cover.validate(h, tol)
-    order = sorted(h.vertices(), key=lambda v: (-cover.weight(v), v))
+    w = cover.weights
+    order = sorted(h.vertices(), key=lambda v: (-w[v - 1], v))
     old_to_new = {v: i + 1 for i, v in enumerate(order)}
-    w_new = {old_to_new[v]: cover.weight(v) for v in h.vertices()}
+    w_new = [w[v - 1] for v in order]  # indexed by new label - 1
     floor = 1 if cover.mode == "rational" else 1 - tol
     edges = [
         e
         for e in combinations(range(1, h.n + 1), h.k)
-        if sum(w_new[v] for v in e) >= floor
+        if sum(w_new[v - 1] for v in e) >= floor
     ]
     out = Hypergraph(h.n, h.k, edges)
     for e in h.edges:

@@ -150,7 +150,7 @@ def _find_perfect_matching(
     index order, nodes): outcome "found", "none" when no such matching
     exists, or "budget" when the search gave up after `budget` nodes.
     """
-    inc, verts = index.inc, index.verts
+    inc, verts, meets = index.inc, index.verts, index.meets
     free = []
     for v in range(1, n + 1):
         if covered0 >> (v - 1) & 1:
@@ -181,10 +181,7 @@ def _find_perfect_matching(
             best ^= low
             i = low.bit_length() - 1
             vs = verts[i]
-            hit = 0
-            for u in vs:
-                hit |= inc[u]
-            got = dfs([u for u in free if u not in vs], live & ~hit)
+            got = dfs([u for u in free if u not in vs], live & ~meets(i))
             if got is not None:
                 got.append(i)
                 return got
@@ -372,7 +369,7 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
                 status = f"infeasible at round {rnd}"
                 break
             weights = np.zeros(m)
-            weights[pos] = [fpm.weight(e) for e in sub.edges]
+            weights[pos] = fpm.weights
 
         members.append(weights)
         # np.add.at adds one entry at a time, and the pairs are laid out edge
@@ -525,16 +522,9 @@ def near_perfect_matching(
     near-perfectness is promised; the caller inspects the size.
     """
     index = EdgeIndex(h.n, h.edges)
-    inc = index.inc
+    meets = index.meets
     live = index.full  # the edges disjoint from every chosen one
     chosen: list[int] = []
-
-    def meets(i: int) -> int:
-        """The edges sharing a vertex with edge i, i itself included."""
-        row = 0
-        for v in index.verts[i]:
-            row |= inc[v]
-        return row
 
     def take(i: int) -> None:
         nonlocal live

@@ -179,7 +179,7 @@ def test_criterion_6_threshold_cover_graph():
         out, relabel = threshold_cover_graph(h, omega)
         for e in h.edges:  # the relabeled input rides along
             assert tuple(sorted(relabel[v] for v in e)) in out
-        w_new = {relabel[v]: omega.weight(v) for v in h.vertices()}
+        w_new = {relabel[v]: omega.weights[v - 1] for v in h.vertices()}
         for e in out.edges:  # omega still covers the output
             assert sum(w_new[v] for v in e) >= 1
         assert (

@@ -4,7 +4,7 @@ import pytest
 
 from hypermatch import lp, rounding, shifting
 from hypermatch.cli import main
-from hypermatch.core import complete_graph, read_hg, write_hg
+from hypermatch.core import build, complete_graph, read_hg, write_hg
 from hypermatch.constructions import hilton_milner_family
 
 
@@ -185,6 +185,19 @@ def test_solve_reports_the_lp_path(tmp_path, capsys, what, flags, lp_path):
     payload = json.loads(out)
     assert list(payload) == ["what", "value", "lp_path", "certificate"]
     assert payload["lp_path"] == lp_path
+
+
+@pytest.mark.parametrize("flags", [[], ["--exact-lp"]])
+def test_solve_certificates_name_the_weighted_edges_and_every_vertex(tmp_path, capsys, flags):
+    # the unique optimal matching puts 0 on the edge 1 4 7
+    path = str(tmp_path / "g.hg")
+    write_hg(build(7, 3, [(1, 2, 3), (4, 5, 6), (1, 4, 7)]), path)
+    code, out = run(capsys, "solve", "--what", "nustar", "--in", path, *flags)
+    assert code == 0
+    assert sorted(json.loads(out)["certificate"]["weights"]) == ["1 2 3", "4 5 6"]
+    code, out = run(capsys, "solve", "--what", "taustar", "--in", path, *flags)
+    assert code == 0
+    assert sorted(json.loads(out)["certificate"]["weights"]) == [str(v) for v in range(1, 8)]
 
 
 def test_solve_reports_the_simplex_fallback(tmp_path, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from hypermatch.optimize import (
     LP_SIMPLEX,
     DualityError,
     EdgeIndex,
+    FractionalAssignment,
     Matching,
     VertexCover,
     check_lp_duality,
@@ -137,6 +138,7 @@ class TestEdgeIndex:
             for i, mi in enumerate(masks):
                 want = sum(1 << j for j, mj in enumerate(masks) if mi & mj == 0)
                 assert index.disj[i] == want
+                assert index.meets(i) == sum(1 << j for j, mj in enumerate(masks) if mi & mj)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_witnesses_on_subsets(self, seed):
@@ -186,7 +188,7 @@ def test_certified_lp_matches_the_simplex_oracle(h):
     assert fc.value == _cover_simplex(h).value
     for fa in (fm, fc, rep.matching, rep.cover):
         fa.validate(h)
-        assert fa.value == sum(fa.weights.values())
+        assert fa.value == sum(fa.weights)
 
 
 def _halved_duals(monkeypatch):
@@ -243,6 +245,51 @@ class TestLPPaths:
         monkeypatch.setattr(lp, "linprog_sparse", fake)
         with pytest.raises(DualityError):
             check_lp_duality(h, "float")
+
+    @pytest.mark.parametrize("mode", ["exact", "Rational", "FLOAT", ""])
+    def test_unknown_mode_is_refused(self, mode):
+        h = complete_graph(5, 3)
+        for solve in (fractional_matching, fractional_cover, check_lp_duality):
+            with pytest.raises(ValueError, match="unknown LP mode"):
+                solve(h, mode)
+
+
+def _resized(weights, size):
+    """The weight vector cut or padded (with its first entry) to ``size``."""
+    w = list(weights)
+    return w[:size] + w[:1] * (size - len(w))
+
+
+class TestWeightVectors:
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_weightings_are_indexed_like_edges_and_vertices(self, mode):
+        h = random_hypergraph(12, 3, 0.3, 1)
+        rep = check_lp_duality(h, mode)
+        assert len(rep.matching.weights) == h.e() and len(rep.cover.weights) == h.n
+        for fa in (rep.matching, rep.cover):
+            if mode == "float":
+                assert isinstance(fa.weights, np.ndarray) and fa.weights.dtype == np.float64
+            else:
+                assert all(isinstance(w, Fraction) for w in fa.weights)
+        # float matching weights are floored: solver noise reads exactly 0
+        assert all(w == 0 or w > 1e-12 for w in rep.matching.weights)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_vector_of_the_wrong_length_is_refused(self, mode, delta):
+        h = complete_graph(5, 3)
+        rep = check_lp_duality(h, mode)
+        fm, fc = rep.matching, rep.cover
+        short_or_long = FractionalAssignment(
+            "matching", _resized(fm.weights, h.e() + delta), fm.value, mode
+        )
+        with pytest.raises(ValueError, match=f"weights for {h.e()} edges"):
+            short_or_long.validate(h)
+        short_or_long = FractionalAssignment(
+            "cover", _resized(fc.weights, h.n + delta), fc.value, mode
+        )
+        with pytest.raises(ValueError, match=f"weights for {h.n} vertices"):
+            short_or_long.validate(h)
 
 
 class TestFractional:
@@ -312,7 +359,7 @@ class TestFractionalPerfectMatching:
         fa = fractional_perfect_matching(h)
         assert fa is not None and fa.value == 2
         sums = {v: 0.0 for v in h.vertices()}
-        for e, w in fa.weights.items():
+        for e, w in zip(h.edges, fa.weights):
             for v in e:
                 sums[v] += w
         assert all(abs(s - 1) < 1e-9 for s in sums.values())
@@ -333,13 +380,32 @@ class TestFractionalPerfectMatching:
         objective = np.zeros(h.e())
         objective[[h.edges.index((1, 2, 3)), h.edges.index((4, 5, 6))]] = 1.0
         fa = fractional_perfect_matching(h, objective=objective)
-        assert set(fa.weights) == {(1, 2, 3), (4, 5, 6)}
-        assert all(abs(w - 1) < 1e-9 for w in fa.weights.values())
+        assert {e for e, w in zip(h.edges, fa.weights) if w} == {(1, 2, 3), (4, 5, 6)}
+        assert all(abs(w - 1) < 1e-9 for w in fa.weights if w)
 
     @pytest.mark.parametrize("size", [0, 19, 21])
     def test_objective_of_the_wrong_length_is_refused(self, size):
         with pytest.raises(ValueError, match="objective has shape"):
             fractional_perfect_matching(complete_graph(6, 3), objective=np.zeros(size))
+
+    @pytest.mark.parametrize(
+        "h", [complete_graph(6, 3), random_hypergraph(12, 3, 0.5, 2), build(7, 3, [(1, 2, 3)])]
+    )
+    def test_dense_rows_keep_the_shape_the_tracer_counts(self, monkeypatch, h):
+        # perfbench's tracer counts linprog_float's cells as len(a) * len(a[0])
+        real, seen = lp.linprog_float, []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["a_eq"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "linprog_float", spy)
+        fractional_perfect_matching(h)
+        (a,) = seen
+        reference = [[1.0 if v in e else 0.0 for e in h.edges] for v in h.vertices()]
+        assert isinstance(a, np.ndarray) and a.shape == (h.n, h.e())
+        assert np.array_equal(a, np.array(reference))
+        assert len(a) * len(a[0]) == h.n * h.e()
 
 
 class TestRainbowMatching:
@@ -389,7 +455,7 @@ class TestThresholdCoverGraph:
         from hypermatch.optimize import FractionalAssignment
 
         omega = FractionalAssignment(
-            "cover", {v: Fraction(1) for v in h.vertices()}, Fraction(5)
+            "cover", [Fraction(1)] * h.n, Fraction(5)
         )
         out, _ = threshold_cover_graph(h, omega)
         assert out == complete_graph(5, 3)
@@ -398,9 +464,7 @@ class TestThresholdCoverGraph:
         h = build(4, 3, [])
         from hypermatch.optimize import FractionalAssignment
 
-        omega = FractionalAssignment(
-            "cover", {v: Fraction(0) for v in h.vertices()}, Fraction(0)
-        )
+        omega = FractionalAssignment("cover", [Fraction(0)] * h.n, Fraction(0))
         out, _ = threshold_cover_graph(h, omega)
         assert out.e() == 0
 
@@ -415,11 +479,16 @@ class TestThresholdCoverGraph:
         h = complete_graph(4, 3)
         from hypermatch.optimize import FractionalAssignment
 
-        bad = FractionalAssignment(
-            "cover", {v: Fraction(0) for v in h.vertices()}, Fraction(0)
-        )
+        bad = FractionalAssignment("cover", [Fraction(0)] * h.n, Fraction(0))
         with pytest.raises(ValueError):
             threshold_cover_graph(h, bad)
+
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_cover_of_the_wrong_length_is_refused(self, size):
+        h = complete_graph(5, 3)
+        omega = FractionalAssignment("cover", [Fraction(1)] * size, Fraction(size))
+        with pytest.raises(ValueError, match="weights for 5 vertices"):
+            threshold_cover_graph(h, omega)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_preserves_fractional_optimum(self, seed):
@@ -432,7 +501,7 @@ class TestThresholdCoverGraph:
         for e in h.edges:
             assert tuple(sorted(relabel[v] for v in e)) in out
         # the cover transfers and the optimum is unchanged
-        w_new = {relabel[v]: omega.weight(v) for v in h.vertices()}
+        w_new = {relabel[v]: omega.weights[v - 1] for v in h.vertices()}
         for e in out.edges:
             assert sum(w_new[v] for v in e) >= 1
         assert fractional_matching(out, "rational").value == fractional_matching(
