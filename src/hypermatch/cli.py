@@ -184,7 +184,7 @@ def _cmd_solve(args) -> int:
         return _usage_error(f"--exact-lp applies to --what nustar|taustar, not {what}")
     h = _load(args.infile)
     mode = "rational" if args.exact_lp else "float"
-    lp_path = None
+    fa = None
     if what == "nu":
         value, witness = max_matching(h, limit=args.limit)
         cert = {"edges": [list(e) for e in witness.edges]}
@@ -196,18 +196,18 @@ def _cmd_solve(args) -> int:
         cert = {"vertices": sorted(wset)}
     elif what == "nustar":
         fa = fractional_matching(h, mode)
-        value, lp_path = fa.value, fa.lp_path
+        value = fa.value
         weights = zip(h.edges, fa.weights)
         cert = {"weights": {" ".join(map(str, e)): to_jsonable(w) for e, w in weights if w}}
     elif what == "taustar":
         fa = fractional_cover(h, mode)
-        value, lp_path = fa.value, fa.lp_path
+        value = fa.value
         cert = {"weights": {str(v): to_jsonable(w) for v, w in zip(h.vertices(), fa.weights)}}
     else:
         raise AssertionError(what)
     out = {"what": what, "value": to_jsonable(value)}
-    if lp_path is not None:
-        out["lp_path"] = lp_path
+    if fa is not None:
+        out.update(lp_path=fa.lp_path, lp_solves=fa.lp_solves, lp_rows=fa.lp_rows)
     out["certificate"] = cert
     print(json.dumps(out, indent=2))
     return 0

@@ -4,8 +4,9 @@ Exact values come from one edge-bitset search kernel (``EdgeIndex``, shared
 with ``verify``) run by iterative deepening; a pure enumeration oracle (no
 pruning at all) sits behind ``exhaustive=True`` and is the ground truth in
 tests. The fractional matching and cover numbers come together from one
-sparse HiGHS solve of the cover LP; in rational mode its answer is rounded
-and checked exactly, and the rational simplex (``_matching_simplex``,
+sparse HiGHS solve of the cover LP, on the edge rows that bind (row
+generation); in rational mode its answer is rounded and checked exactly over
+every edge, and the rational simplex (``_matching_simplex``,
 ``_cover_simplex``) is both the fallback and the ground truth in tests.
 """
 
@@ -80,6 +81,8 @@ class FractionalAssignment:
     mode: str = "rational"
     residual: float | None = None
     lp_path: str | None = None  # for nu* and tau*: LP_HIGHS, LP_CERTIFIED or LP_SIMPLEX
+    lp_solves: int | None = None  # on the HiGHS paths: HiGHS calls of the row generation
+    lp_rows: int | None = None  # on the HiGHS paths: edge rows in the last of them
 
     def validate(self, h: Hypergraph, tol: float = 1e-9) -> None:
         slack = 0 if self.mode == "rational" else tol
@@ -295,9 +298,14 @@ def max_independent_set(
 # -- fractional solvers -------------------------------------------------------
 
 # Which LP path produced a fractional result.
-LP_HIGHS = "highs"  # float mode: one HiGHS solve of the cover LP
+LP_HIGHS = "highs"  # float mode: HiGHS on the cover LP, by row generation
 LP_CERTIFIED = "highs-certified"  # exact mode: that solve, rounded and checked exactly
 LP_SIMPLEX = "simplex"  # exact mode: the rational simplex fallback
+
+# An edge left out of the cover LP joins when its cover sum is below
+# 1 - ROW_TOL; at y = 1/3 a sum reads 0.9999999999999999, and without the
+# slack nearly every row would re-enter as solver noise.
+ROW_TOL = 1e-12
 
 # Largest denominator HiGHS's floats are rounded to before the exact check.
 # The optima are vertices whose denominators divide a subdeterminant of the
@@ -320,39 +328,73 @@ def _floored(x: np.ndarray) -> np.ndarray:
     return np.where(x > 1e-12, x, 0.0)
 
 
+def _cover_rows(neg_at: sparse.csr_array):
+    """Solve the cover LP on the rows of ``neg_at`` that bind, by row generation.
+
+    Start from ``min(m, 4n)`` rows evenly spaced over the edge list; after
+    each solve, the edges left out whose cover sum is below ``1 - ROW_TOL``
+    join, most violated first, at most a batch of them (4n, doubling each
+    round). The loop ends when none joins, so the last y is a cover of every
+    edge up to ``ROW_TOL``. Returns (y, x, value, solves, rows): the last
+    solve's cover and value, its negated row duals spread over all edges (0
+    on every edge left out), the number of HiGHS calls and the rows of the
+    last one.
+    """
+    m, n = neg_at.shape
+    active = np.zeros(m, dtype=bool)
+    active[np.linspace(0, m - 1, min(m, 4 * n)).astype(np.intp)] = True
+    batch, solves = 4 * n, 0
+    while True:
+        rows = np.flatnonzero(active)
+        status, y, duals, tau = lp.linprog_sparse(
+            np.ones(n), neg_at[rows], np.full(len(rows), -1.0)
+        )
+        solves += 1
+        if status != lp.OPTIMAL:  # y = 1 is feasible and y >= 0 bounds the sum
+            raise RuntimeError(f"cover LP came back {status}")
+        sums = -(neg_at @ y)
+        short = np.flatnonzero(~active & (sums < 1 - ROW_TOL))
+        if not short.size:
+            x = np.zeros(m)
+            x[rows] = -duals
+            return y, x, tau, solves, len(rows)
+        active[short[np.argsort(sums[short], kind="stable")[:batch]]] = True
+        batch *= 2
+
+
 def _highs_pair(
     h: Hypergraph, mode: str
 ) -> tuple[FractionalAssignment, FractionalAssignment] | None:
-    """An optimal fractional matching and cover from one HiGHS solve.
+    """An optimal fractional matching and cover from HiGHS, by row generation.
 
     The solve is of the cover LP, min sum(y) subject to A^T y >= 1 and
-    y >= 0; its negated row duals are the matching weights. In rational mode
-    both sides are rounded to fractions and checked exactly: x >= 0, vertex
-    loads <= 1, 0 <= y <= 1, edge sums >= 1 and sum(x) == sum(y). Weak
-    duality then makes each an optimality certificate for the other; if the
-    check fails the result is None. A mode other than "rational" or "float"
-    raises ``ValueError``.
+    y >= 0, on a growing subset of its edge rows (see ``_cover_rows``); the
+    negated row duals of the last solve, 0 on every edge left out, are the
+    matching weights. In rational mode both sides are rounded to fractions
+    and checked exactly over all edges: x >= 0, vertex loads <= 1,
+    0 <= y <= 1, edge sums >= 1 and sum(x) == sum(y). Weak duality then makes
+    each an optimality certificate for the other; if the check fails the
+    result is None. A mode other than "rational" or "float" raises
+    ``ValueError``.
     """
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown LP mode {mode!r}: use 'rational' or 'float'")
     neg_at = _negated_incidence(h)
-    status, y, duals, tau = lp.linprog_sparse(np.ones(h.n), neg_at, np.full(h.e(), -1.0))
-    if status != lp.OPTIMAL:  # y = 1 is feasible and y >= 0 bounds the sum
-        raise RuntimeError(f"cover LP came back {status}")
-    x = -duals
+    y, x, tau, *stats = _cover_rows(neg_at)
     if mode == "float":
         load = -(neg_at.T @ x)
         resid_m = max(0.0, float(np.max(load, initial=1.0)) - 1.0, float(np.max(-x, initial=0.0)))
         resid_c = max(0.0, float(np.max(neg_at @ y, initial=-1.0)) + 1.0)
+        fm_value = float(x.sum())
         return (
-            FractionalAssignment("matching", _floored(x), float(x.sum()), "float", resid_m, LP_HIGHS),
-            FractionalAssignment("cover", y, tau, "float", resid_c, LP_HIGHS),
+            FractionalAssignment("matching", _floored(x), fm_value, "float", resid_m, LP_HIGHS, *stats),
+            FractionalAssignment("cover", y, tau, "float", resid_c, LP_HIGHS, *stats),
         )
     xq = [Fraction(xi).limit_denominator(CERT_DENOMINATOR) for xi in x.tolist()]
     yq = [Fraction(yi).limit_denominator(CERT_DENOMINATOR) for yi in y.tolist()]
     zero = Fraction(0)
-    fm = FractionalAssignment("matching", xq, sum(xq, zero), "rational", 0.0, LP_CERTIFIED)
-    fc = FractionalAssignment("cover", yq, sum(yq, zero), "rational", 0.0, LP_CERTIFIED)
+    fm = FractionalAssignment("matching", xq, sum(xq, zero), "rational", 0.0, LP_CERTIFIED, *stats)
+    fc = FractionalAssignment("cover", yq, sum(yq, zero), "rational", 0.0, LP_CERTIFIED, *stats)
     try:
         fm.validate(h)
         fc.validate(h)
@@ -408,7 +450,7 @@ def _cover_simplex(h: Hypergraph) -> FractionalAssignment:
 def fractional_matching(h: Hypergraph, mode: str = "rational") -> FractionalAssignment:
     """Optimal fractional matching; its value is the fractional matching number.
 
-    Read off the one HiGHS solve of the cover LP; in rational mode, when the
+    Read off the HiGHS solve of the cover LP; in rational mode, when the
     exact check fails, the rational simplex solves the matching LP instead.
     ``lp_path`` says which ran.
     """

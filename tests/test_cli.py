@@ -183,8 +183,10 @@ def test_solve_reports_the_lp_path(tmp_path, capsys, what, flags, lp_path):
     code, out = run(capsys, "solve", "--what", what, "--in", path, *flags)
     assert code == 0
     payload = json.loads(out)
-    assert list(payload) == ["what", "value", "lp_path", "certificate"]
+    assert list(payload) == ["what", "value", "lp_path", "lp_solves", "lp_rows", "certificate"]
     assert payload["lp_path"] == lp_path
+    # K5 has 10 edges, at most 4n: one HiGHS solve on all of them
+    assert (payload["lp_solves"], payload["lp_rows"]) == (1, 10)
 
 
 @pytest.mark.parametrize("flags", [[], ["--exact-lp"]])
@@ -215,6 +217,7 @@ def test_solve_reports_the_simplex_fallback(tmp_path, capsys, monkeypatch):
         assert code == 0
         payload = json.loads(out)
         assert payload["lp_path"] == "simplex"
+        assert payload["lp_solves"] is None and payload["lp_rows"] is None
         assert payload["value"] == "5/3"
 
 

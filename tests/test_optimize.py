@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypermatch import lp
 from hypermatch.constructions import (
+    clique_family,
     cover_family,
     hilton_milner_family,
     prefix_overlap_family,
@@ -22,6 +24,7 @@ from hypermatch.optimize import (
     FractionalAssignment,
     Matching,
     VertexCover,
+    _negated_incidence,
     check_lp_duality,
     fractional_cover,
     fractional_matching,
@@ -211,6 +214,7 @@ class TestLPPaths:
         fc = fractional_cover(h, "rational")
         rep = check_lp_duality(h, "rational")
         assert fm.lp_path == fc.lp_path == rep.matching.lp_path == LP_SIMPLEX
+        assert fm.lp_solves is fm.lp_rows is fc.lp_solves is fc.lp_rows is None
         assert fm.value == fc.value == rep.nu_star == Fraction(5, 3)
         fm.validate(h)
         fc.validate(h)
@@ -252,6 +256,117 @@ class TestLPPaths:
         for solve in (fractional_matching, fractional_cover, check_lp_duality):
             with pytest.raises(ValueError, match="unknown LP mode"):
                 solve(h, mode)
+
+
+def _odd_cliques() -> Hypergraph:
+    """Disjoint K5, K7, ..., K15 on 60 vertices (1035 edges); nu* = 60/3."""
+    edges, offset = [], 0
+    for size in range(5, 16, 2):
+        edges += [tuple(offset + v for v in e) for e in combinations(range(1, size + 1), 3)]
+        offset += size
+    return Hypergraph(offset, 3, edges)
+
+
+def _hub_skewed() -> Hypergraph:
+    """n 60: a triple whose least vertex is in 1..10 is kept with p .3, any
+    other with p .01 (4619 edges); the degrees are far from uniform."""
+    rng = random.Random(1)
+    triples = combinations(range(1, 61), 3)
+    return Hypergraph(60, 3, [e for e in triples if rng.random() < (0.3 if e[0] <= 10 else 0.01)])
+
+
+def _all_rows_value(h: Hypergraph) -> float:
+    """The cover LP's optimum from one HiGHS solve on every edge row."""
+    status, _y, _duals, value = lp.linprog_sparse(
+        np.ones(h.n), _negated_incidence(h), np.full(h.e(), -1.0)
+    )
+    assert status == lp.OPTIMAL
+    return value
+
+
+def _check_both_modes(h: Hypergraph, exact: Fraction) -> None:
+    # float first: a cover that misses rows fails here at once, where rational
+    # mode would fall back to a simplex that takes minutes at n 60
+    rep = check_lp_duality(h, "float")
+    assert rep.matching.lp_path == rep.cover.lp_path == LP_HIGHS
+    assert abs(rep.nu_star - float(exact)) <= 1e-9 and abs(rep.tau_star - float(exact)) <= 1e-9
+    for fa in (rep.matching, rep.cover):
+        fa.validate(h, tol=1e-9)
+        assert fa.lp_rows <= h.e()
+    rep = check_lp_duality(h, "rational")
+    assert rep.matching.lp_path == rep.cover.lp_path == LP_CERTIFIED
+    assert rep.nu_star == rep.tau_star == exact
+
+
+class TestRowGeneration:
+    """The cover LP is solved on a growing subset of its edge rows; every
+    result is still checked over all edges."""
+
+    @pytest.mark.parametrize("h", [
+        complete_graph(8, 3),
+        cover_family(10, 3, 2),
+        hilton_milner_family(10, 3, 2),
+    ], ids=["K8", "cover-10", "hm-10"])
+    def test_both_simplex_oracles_agree_when_rows_are_left_out(self, h):
+        assert h.e() > 4 * h.n
+        exact = _matching_simplex(h).value
+        assert _cover_simplex(h).value == exact
+        _check_both_modes(h, exact)
+
+    @pytest.mark.parametrize("h", [
+        cover_family(20, 3, 2),
+        cover_family(30, 3, 3),
+        hilton_milner_family(20, 3, 2),
+        clique_family(20, 3, 4),
+    ], ids=["cover-20", "cover-30", "hm-20", "clique-20"])
+    def test_families_agree_with_the_matching_simplex(self, h):
+        # the cover simplex takes 38 s on cover-20; by LP duality the
+        # matching simplex's value is tau* too
+        assert h.e() > 4 * h.n
+        _check_both_modes(h, _matching_simplex(h).value)
+
+    @pytest.mark.parametrize("h, solves", [
+        (random_hypergraph(30, 3, 0.3, 1), 1),
+        (_odd_cliques(), 3),
+        (_hub_skewed(), 2),
+    ], ids=["random-30", "odd-cliques-60", "hub-skewed-60"])
+    def test_larger_graphs_agree_with_one_solve_on_every_row(self, h, solves):
+        # the rational simplex takes minutes here: the reference is the
+        # single solve on all rows, rounded (a certified pair is a proof)
+        assert h.e() > 4 * h.n
+        exact = Fraction(_all_rows_value(h)).limit_denominator(1000)
+        _check_both_modes(h, exact)
+        fm = fractional_matching(h, "float")
+        assert fm.lp_solves == solves
+        assert fm.lp_rows == 4 * h.n if solves == 1 else 4 * h.n < fm.lp_rows < h.e()
+
+    def test_odd_cliques_value_is_a_third_of_n(self):
+        # each K_s takes y = 1/3 on its vertices
+        assert abs(fractional_cover(_odd_cliques(), "float").value - 20) <= 1e-9
+
+    @pytest.mark.parametrize("h", [complete_graph(6, 3), random_hypergraph(20, 3, 0.05, 1)])
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_few_edges_take_one_solve_on_all_rows(self, monkeypatch, h, mode):
+        assert h.e() <= 4 * h.n
+        real = lp.linprog_sparse
+        seen = []
+
+        def counting(c, a_ub, b_ub):
+            seen.append(a_ub.shape[0])
+            return real(c, a_ub, b_ub)
+
+        monkeypatch.setattr(lp, "linprog_sparse", counting)
+        fm = fractional_matching(h, mode)
+        assert seen == [h.e()]
+        assert (fm.lp_solves, fm.lp_rows) == (1, h.e())
+
+    def test_third_weights_are_not_read_as_uncovered(self):
+        # at y = 1/3 every edge sum reads 0.9999999999999999; without the
+        # join tolerance nearly every row re-enters, over some 19 solves
+        h = complete_graph(40, 3)
+        rep = check_lp_duality(h, "float")
+        assert rep.matching.residual <= 1e-9 and rep.cover.residual <= 1e-9
+        assert rep.cover.lp_solves <= 2 and rep.cover.lp_rows < h.e()
 
 
 def _resized(weights, size):
