@@ -328,7 +328,7 @@ def _floored(x: np.ndarray) -> np.ndarray:
     return np.where(x > 1e-12, x, 0.0)
 
 
-def _cover_rows(neg_at: sparse.csr_array):
+def _cover_rows(neg_at: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, float, int, int]:
     """Solve the cover LP on the rows of ``neg_at`` that bind, by row generation.
 
     Start from ``min(m, 4n)`` rows evenly spaced over the edge list; after
@@ -385,9 +385,10 @@ def _highs_pair(
         load = -(neg_at.T @ x)
         resid_m = max(0.0, float(np.max(load, initial=1.0)) - 1.0, float(np.max(-x, initial=0.0)))
         resid_c = max(0.0, float(np.max(neg_at @ y, initial=-1.0)) + 1.0)
-        fm_value = float(x.sum())
         return (
-            FractionalAssignment("matching", _floored(x), fm_value, "float", resid_m, LP_HIGHS, *stats),
+            FractionalAssignment(
+                "matching", _floored(x), float(x.sum()), "float", resid_m, LP_HIGHS, *stats
+            ),
             FractionalAssignment("cover", y, tau, "float", resid_c, LP_HIGHS, *stats),
         )
     xq = [Fraction(xi).limit_denominator(CERT_DENOMINATOR) for xi in x.tolist()]
