@@ -3,7 +3,9 @@
 Exact values come from one edge-bitset search kernel (``EdgeIndex``, shared
 with ``verify``) run by iterative deepening; a pure enumeration oracle (no
 pruning at all) sits behind ``exhaustive=True`` and is the ground truth in
-tests. The fractional matching and cover numbers come together from one
+tests. The deepening for nu stops at floor(tau*), read off the HiGHS cover
+only after an exact integer check that it covers every edge, so the last,
+failing search is skipped whenever that floor is reached. The fractional matching and cover numbers come together from one
 sparse HiGHS solve of the cover LP, on the edge rows that bind (row
 generation); in rational mode its answer is rounded and checked exactly over
 every edge, and the rational simplex (``_matching_simplex``,
@@ -94,8 +96,9 @@ class FractionalAssignment:
             raise ValueError(f"unknown kind {self.kind!r}")
         if len(self.weights) != len(keys):
             raise ValueError(f"{len(self.weights)} weights for {len(keys)} {what}")
+        # each test is written so that NaN, which fails every comparison, fails it
         for key, w in zip(keys, self.weights):
-            if w < -slack or w > 1 + slack:
+            if not -slack <= w <= 1 + slack:
                 raise ValueError(f"weight {w} on {key} outside [0, 1]")
         if self.kind == "matching":
             load = [0] * (h.n + 1)
@@ -104,12 +107,12 @@ class FractionalAssignment:
                     for v in e:
                         load[v] += w
             for v in h.vertices():
-                if load[v] > 1 + slack:
+                if not load[v] <= 1 + slack:
                     raise ValueError(f"vertex {v} carries weight {load[v]} > 1")
         else:
             for e in h.edges:
                 tot = sum(self.weights[v - 1] for v in e)
-                if tot < 1 - slack:
+                if not tot >= 1 - slack:
                     raise ValueError(f"edge {e} has cover weight {tot} < 1")
 
 
@@ -211,7 +214,10 @@ def max_matching(
     """Largest set of pairwise disjoint edges.
 
     With ``limit`` the search stops as soon as `limit` disjoint edges are
-    found (the reported value is min(nu, limit)).
+    found (the reported value is min(nu, limit)). When the greedy start
+    falls short, the search also stops at ``_matching_ceiling``, a proven
+    bound nu <= floor(tau*), so it never runs the size that must fail; if
+    the bound is not proven, the search alone decides.
     """
     if exhaustive:
         return _matching_oracle(h, limit)
@@ -219,6 +225,11 @@ def max_matching(
     if limit is not None:
         cap = min(cap, limit)
     best = _greedy_matching(h.edges)[:cap]
+    if len(best) < cap:
+        # nu never exceeds the ceiling, so the search that would fail above it is skipped
+        ceiling = _matching_ceiling(h)
+        if ceiling is not None:
+            cap = min(cap, ceiling)
     if len(best) < cap:
         index = EdgeIndex(h.n, h.edges)
         while len(best) < cap:
@@ -362,6 +373,28 @@ def _cover_rows(neg_at: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, float
         batch *= 2
 
 
+def _matching_ceiling(h: Hypergraph) -> int | None:
+    """A proven upper bound on nu from HiGHS's fractional cover, or None.
+
+    The cover y of ``_cover_rows`` is scaled by ``CERT_DENOMINATOR`` and
+    rounded up to integers c. If every edge's c-sum is at least
+    ``CERT_DENOMINATOR``, checked in integers, then c / CERT_DENOMINATOR is a
+    fractional cover; the edges of a matching are disjoint and each carries
+    weight >= 1 of it, so nu <= floor(sum(c) / CERT_DENOMINATOR). When HiGHS
+    finds no optimum or the check fails, there is no bound.
+    """
+    neg_at = _negated_incidence(h)
+    try:
+        y = _cover_rows(neg_at)[0]
+    except RuntimeError:
+        return None
+    # fmax, unlike maximum, reads a NaN as 0, so the cast below sees only numbers
+    c = np.ceil(np.fmax(y, 0.0) * CERT_DENOMINATOR).astype(np.int64)
+    if not (c[neg_at.indices].reshape(-1, h.k).sum(axis=1) >= CERT_DENOMINATOR).all():
+        return None
+    return int(c.sum()) // CERT_DENOMINATOR
+
+
 def _highs_pair(
     h: Hypergraph, mode: str
 ) -> tuple[FractionalAssignment, FractionalAssignment] | None:
@@ -383,8 +416,9 @@ def _highs_pair(
     y, x, tau, *stats = _cover_rows(neg_at)
     if mode == "float":
         load = -(neg_at.T @ x)
-        resid_m = max(0.0, float(np.max(load, initial=1.0)) - 1.0, float(np.max(-x, initial=0.0)))
-        resid_c = max(0.0, float(np.max(neg_at @ y, initial=-1.0)) + 1.0)
+        # np.max, unlike the builtin, carries a NaN through to the residual
+        resid_m = float(np.max([0.0, np.max(load, initial=1.0) - 1.0, np.max(-x, initial=0.0)]))
+        resid_c = float(np.max([0.0, np.max(neg_at @ y, initial=-1.0) + 1.0]))
         return (
             FractionalAssignment(
                 "matching", _floored(x), float(x.sum()), "float", resid_m, LP_HIGHS, *stats
@@ -494,7 +528,8 @@ def check_lp_duality(
     if mode == "rational":
         bad = gap != 0
     else:
-        bad = abs(gap) > tol or fm.residual > tol or fc.residual > tol
+        # a NaN gap or residual fails every comparison, so it reads as bad
+        bad = not (abs(gap) <= tol and fm.residual <= tol and fc.residual <= tol)
     if bad:
         raise DualityError(
             f"fractional optima disagree or are infeasible: matching {fm.value} "

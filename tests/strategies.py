@@ -8,10 +8,11 @@ from hypermatch.core import Hypergraph
 
 
 @st.composite
-def hypergraphs(draw, min_n: int = 3, max_n: int = 8, k: int = 3):
+def hypergraphs(draw, min_n: int = 3, max_n: int = 8, k: int = 3, max_edges: int | None = None):
     n = draw(st.integers(max(min_n, k), max_n))
     pool = list(combinations(range(1, n + 1), k))
-    edges = draw(st.lists(st.sampled_from(pool), max_size=len(pool)))
+    cap = len(pool) if max_edges is None else min(max_edges, len(pool))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=cap))
     return Hypergraph(n, k, edges)
 
 

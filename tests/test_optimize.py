@@ -7,14 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypermatch import lp
+from hypermatch import lp, optimize
 from hypermatch.constructions import (
     clique_family,
     cover_family,
     hilton_milner_family,
     prefix_overlap_family,
 )
-from hypermatch.core import Hypergraph, build, complete_graph, edge_mask, random_hypergraph
+from hypermatch.core import (
+    Hypergraph,
+    build,
+    complete_graph,
+    edge_mask,
+    random_hypergraph,
+    relabel_graph,
+)
 from hypermatch.optimize import (
     LP_CERTIFIED,
     LP_HIGHS,
@@ -24,6 +31,8 @@ from hypermatch.optimize import (
     FractionalAssignment,
     Matching,
     VertexCover,
+    _greedy_matching,
+    _matching_ceiling,
     _negated_incidence,
     check_lp_duality,
     fractional_cover,
@@ -85,6 +94,102 @@ class TestMaxMatching:
             used.update(e)
         assert not any(not used.intersection(e) for e in h.edges)
         assert value == witness.size
+
+
+def _plain_search(h: Hypergraph) -> tuple:
+    """nu's witness edges as the search finds them with no ceiling: the greedy
+    start, then ``EdgeIndex.packing`` one size up until it fails."""
+    cap = h.n // h.k
+    best = _greedy_matching(h.edges)[:cap]
+    index = EdgeIndex(h.n, h.edges)
+    while len(best) < cap:
+        got = index.packing(index.full, len(best) + 1)
+        if got is None:
+            break
+        best = got
+    return tuple(h.edges[i] for i in sorted(best))
+
+
+def _count_packings(monkeypatch) -> list[int]:
+    """Record the size asked of every ``EdgeIndex.packing`` call."""
+    real, needs = EdgeIndex.packing, []
+
+    def counting(self, sub, need):
+        needs.append(need)
+        return real(self, sub, need)
+
+    monkeypatch.setattr(EdgeIndex, "packing", counting)
+    return needs
+
+
+class TestMatchingCeiling:
+    """max_matching stops its search at floor(tau*), taken from HiGHS's
+    cover only when an exact integer check proves that cover."""
+
+    @given(st.integers(2, 4).flatmap(
+        lambda k: hypergraphs(min_n=k, max_n=10, k=k, max_edges=24)
+    ))
+    @example(Hypergraph(6, 3, []))
+    @example(Hypergraph(10, 3, [(1, 2, 3), (1, 4, 5)]))  # vertices 6..10 isolated
+    @example(Hypergraph(10, 2, [(1, 2), (2, 3), (3, 1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_ceiling_is_never_below_nu(self, h):
+        nu, _ = max_matching(h, exhaustive=True)
+        ceiling = _matching_ceiling(h)
+        assert ceiling is not None and nu <= ceiling
+        value, witness = max_matching(h)
+        assert value == nu == witness.size
+        witness.validate(h)
+
+    @pytest.mark.parametrize("family", [cover_family, hilton_milner_family, clique_family])
+    @pytest.mark.parametrize("s, n", [(2, 13), (3, 14), (4, 15)])
+    def test_families_keep_the_plain_search_witness(self, family, s, n):
+        # relabeled, as the benchmark feeds them; floor(tau*) = s on all three
+        perm = list(range(1, n + 1))
+        random.Random(f"{family.__name__}:{s}").shuffle(perm)
+        h = relabel_graph(family(n, 3, s), dict(zip(range(1, n + 1), perm)))
+        assert _matching_ceiling(h) == s
+        value, witness = max_matching(h)
+        assert value == s
+        assert witness.edges == _plain_search(h)
+
+    def test_ceiling_skips_the_failing_search(self, monkeypatch):
+        h = cover_family(13, 3, 3)
+        needs = _count_packings(monkeypatch)
+        assert max_matching(h)[0] == 3
+        assert 4 not in needs
+
+    def test_a_cover_that_fails_the_check_leaves_the_search_to_decide(self, monkeypatch):
+        # half the optimal cover covers each edge only halfway
+        h = cover_family(13, 3, 3)
+        real = optimize._cover_rows
+
+        def halved(neg_at):
+            y, *rest = real(neg_at)
+            return (y / 2, *rest)
+
+        monkeypatch.setattr(optimize, "_cover_rows", halved)
+        assert _matching_ceiling(h) is None
+        needs = _count_packings(monkeypatch)
+        value, witness = max_matching(h)
+        assert value == 3 == witness.size
+        witness.validate(h)
+        assert needs[-1] == 4  # the search ran to its failure
+
+    @pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED, "solver error"])
+    def test_a_highs_failure_leaves_the_search_to_decide(self, monkeypatch, status):
+        def failing(c, a_ub, b_ub):
+            if status == "solver error":
+                raise RuntimeError("LP solver failed: iteration limit reached")
+            return status, None, None, None
+
+        monkeypatch.setattr(lp, "linprog_sparse", failing)
+        for h, nu in ((cover_family(13, 3, 3), 3), (hilton_milner_family(12, 3, 2), 2),
+                      (build(6, 3, []), 0)):
+            assert _matching_ceiling(h) is None
+            value, witness = max_matching(h)
+            assert value == nu == witness.size
+            witness.validate(h)
 
 
 class TestMinVertexCover:
@@ -405,6 +510,44 @@ class TestWeightVectors:
         )
         with pytest.raises(ValueError, match=f"weights for {h.n} vertices"):
             short_or_long.validate(h)
+
+
+class TestNaNWeights:
+    """NaN fails every comparison, so each feasibility test must be written to
+    fail on it rather than pass."""
+
+    def test_nan_matching_weight_is_refused(self):
+        h = build(6, 3, [(1, 2, 3), (4, 5, 6)])
+        with pytest.raises(ValueError, match="outside"):
+            FractionalAssignment("matching", np.array([np.nan, 0.5]), 0.5, "float").validate(h)
+
+    def test_nan_cover_weight_is_refused(self):
+        h = build(6, 3, [(1, 2, 3), (4, 5, 6)])
+        y = np.array([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0])
+        cover = FractionalAssignment("cover", y, 5.0, "float")
+        with pytest.raises(ValueError, match="outside"):
+            cover.validate(h)
+        with pytest.raises(ValueError, match="outside"):
+            threshold_cover_graph(h, cover)
+
+    def test_nan_cover_residual_fails_the_duality_check(self, monkeypatch):
+        # HiGHS's value is kept, so the two optima still agree and only the
+        # cover's residual can reject the pair
+        h = complete_graph(5, 3)
+        real = optimize._cover_rows
+
+        def poisoned(neg_at):
+            y, *rest = real(neg_at)
+            y = y.copy()
+            y[0] = np.nan
+            return (y, *rest)
+
+        monkeypatch.setattr(optimize, "_cover_rows", poisoned)
+        fc = fractional_cover(h, "float")
+        assert np.isnan(fc.residual)
+        assert abs(fc.value - 5 / 3) <= 1e-9
+        with pytest.raises(DualityError):
+            check_lp_duality(h, "float")
 
 
 class TestFractional:
