@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -310,7 +311,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hypermatch",
         description="extremal hypergraph matching toolbox",
@@ -377,8 +380,11 @@ def main(argv=None) -> int:
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--format", choices=["json", "tsv"], default="json")
     p.set_defaults(func=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _InputError as exc:

@@ -8,10 +8,14 @@ containment as integer operations; Python integers keep this exact for any n.
 
 from __future__ import annotations
 
+import io
 import random
+import re
 from itertools import combinations
 from operator import lt
 from typing import Iterable
+
+import numpy as np
 
 Edge = tuple[int, ...]
 
@@ -190,6 +194,11 @@ def random_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
 #
 # Text format (".hg"): '#' comment lines, then a "k n m" header line, then
 # m lines of k strictly ascending 1-based vertex ids, newline-terminated.
+# Blank lines may appear anywhere, ids may have leading zeros, and repeated
+# edge lines collapse (m counts lines). ``read_hg`` checks and converts a
+# body of ASCII digits and blanks in bulk; every other file, and every
+# malformed one, goes to the per-line ``_read_hg_lines``, which names the
+# first bad line.
 
 
 def write_hg(h: Hypergraph, path: str) -> None:
@@ -197,6 +206,84 @@ def write_hg(h: Hypergraph, path: str) -> None:
         fh.write(f"{h.k} {h.n} {h.e()}\n")
         for e in h.edges:
             fh.write(" ".join(map(str, e)) + "\n")
+
+
+def read_hg(path: str) -> Hypergraph:
+    """Parse a `.hg` file; malformed input raises ValueError naming path and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()  # once: a pipe cannot be read again
+    try:
+        with _as_text(data) as fh:
+            text = fh.read()
+    except UnicodeDecodeError:  # the per-line loop raises it as it reaches the byte
+        text = None
+    h = None if text is None else _read_hg_bulk(text)
+    if h is None:
+        with _as_text(data) as fh:
+            h = _read_hg_lines(path, fh)
+    return h
+
+
+def _as_text(data: bytes) -> io.TextIOWrapper:
+    """The bytes as ``open(path)`` reads the file: locale encoding, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
+_COMMENT_LINE = re.compile(r"^[ \t]*#.*", re.MULTILINE)
+# the longest number read in bulk: 10**18 - 1 < 2**63, so no int64 can wrap
+_BULK_DIGITS = 18
+
+
+def _read_hg_bulk(text: str) -> Hypergraph | None:
+    """The graph of a `.hg` text, or None if any bulk check fails.
+
+    Accepts only what ``_read_hg_lines`` accepts, and to the same graph: a
+    header of three ASCII decimals with 2 <= k <= n, then a body of ASCII
+    digits, spaces, tabs and newlines whose m non-blank lines each hold k
+    strictly ascending ids inside 1..n. Every number has at most
+    ``_BULK_DIGITS`` digits; a longer one is left to the per-line loop.
+    """
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", text)
+    head, _, body = text.lstrip(" \t\n").partition("\n")
+    header = head.split()
+    short = all(t.isdigit() and len(t) <= _BULK_DIGITS for t in header)
+    if not (head.isascii() and len(header) == 3 and short):
+        return None
+    k, n, m = map(int, header)
+    if not (2 <= k <= n and body.isascii() and len(body) < 2**31):  # int32 line numbers
+        return None
+    raw = body.encode("ascii")
+    if raw.translate(None, b"0123456789 \t\n"):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    # every byte left is a digit (>= '0') or a blank; tokens are the runs of digits
+    bounds = np.flatnonzero(np.diff(buf >= 48, prepend=False, append=False))
+    starts, ends = bounds[::2], bounds[1::2]
+    if len(starts) != m * k:
+        return None
+    if m == 0:
+        return Hypergraph.from_canonical(n, k, ())
+    lengths = ends - starts
+    width = int(lengths.max())
+    if width > _BULK_DIGITS:
+        return None
+    line = np.cumsum(buf == 10, dtype=np.int32)[starts].reshape(m, k)
+    # line numbers never fall along the tokens: each row on one line, each on its own
+    if not ((line[:, 0] == line[:, -1]).all() and (line[1:, 0] > line[:-1, 0]).all()):
+        return None
+    ids = np.zeros(m * k, dtype=np.int64)
+    for j in range(width):  # Horner, one digit column at a time
+        digit = buf[np.minimum(starts + j, len(buf) - 1)] - np.int64(48)
+        ids = np.where(lengths > j, ids * 10 + digit, ids)
+    ids = ids.reshape(m, k)
+    ascending = (ids[:, 1:] > ids[:, :-1]).all()
+    if not (ascending and ids[:, 0].min() >= 1 and ids[:, -1].max() <= n):
+        return None
+    edges = list(zip(*ids.T.tolist()))  # tuples of Python ints, never numpy scalars
+    if not all(map(lt, edges, edges[1:])):
+        edges = sorted(set(edges))  # duplicate lines collapse; m counts lines
+    return Hypergraph.from_canonical(n, k, edges)
 
 
 def _bad_edge_line(path: str, lineno: int, line: str, why: str) -> ValueError:
@@ -212,14 +299,15 @@ def _plain_decimal(line: str) -> bool:
     return line.isascii() and "_" not in line and "+" not in line
 
 
-def read_hg(path: str) -> Hypergraph:
-    """Parse a `.hg` file; malformed input raises ValueError naming path and line."""
-    with open(path) as fh:
-        lines = [
-            (lineno, text)
-            for lineno, ln in enumerate(fh, 1)
-            if (text := ln.strip()) and text[0] != "#"
-        ]
+def _read_hg_lines(path: str, fh: Iterable[str]) -> Hypergraph:
+    """``read_hg`` over the lines of the text file ``fh``, one at a time:
+    decides every file the bulk checks pass on, names the first bad line,
+    and is the tests' reference."""
+    lines = [
+        (lineno, text)
+        for lineno, ln in enumerate(fh, 1)
+        if (text := ln.strip()) and text[0] != "#"
+    ]
     if not lines:
         raise ValueError(f"{path}: no header line")
     head_no, head = lines[0]

@@ -160,13 +160,22 @@ class EdgeIndex:
             self.disj = [self.full & ~self.meets(i) for i in range(len(self.verts))]
         return self.disj
 
-    def packing(self, sub: int, need: int) -> list[int] | None:
-        """`need` pairwise disjoint edges of the subset, or None."""
+    def packing(self, sub: int, need: int, nodes: int | None = None) -> list[int] | None:
+        """`need` pairwise disjoint edges of the subset, or None.
+
+        With ``nodes``, the search raises BudgetExceeded when it would enter
+        more than that many nodes (calls of its recursion).
+        """
         if need <= 0:
             return []
         disj = self.disjoint_rows()
+        left = -1 if nodes is None else nodes + 1  # -1 counts down and never reaches 0
 
         def rec(avail: int, need: int) -> list[int] | None:
+            nonlocal left
+            left -= 1
+            if not left:
+                raise BudgetExceeded(f"packing search passed {nodes} nodes")
             while avail:
                 if avail.bit_count() < need:
                     return None
@@ -208,16 +217,25 @@ def _greedy_matching(edges: Iterable[Edge]) -> list[int]:
     return sel
 
 
+# Nodes a deepening step of ``max_matching`` may search before the ceiling
+# is asked for: small searches finish well inside it (n <= 10 takes tens of
+# nodes), while one HiGHS solve for the ceiling costs about a millisecond.
+PACKING_NODES = 2000
+
+
 def max_matching(
     h: Hypergraph, limit: int | None = None, exhaustive: bool = False
 ) -> tuple[int, Matching]:
     """Largest set of pairwise disjoint edges.
 
     With ``limit`` the search stops as soon as `limit` disjoint edges are
-    found (the reported value is min(nu, limit)). When the greedy start
-    falls short, the search also stops at ``_matching_ceiling``, a proven
-    bound nu <= floor(tau*), so it never runs the size that must fail; if
-    the bound is not proven, the search alone decides.
+    found (the reported value is min(nu, limit)). Past the greedy start,
+    each size is searched within ``PACKING_NODES`` nodes; a search that runs
+    out asks once for ``_matching_ceiling``, a proven bound nu <= floor(tau*),
+    then goes on without a budget and stops at that bound, so it never runs
+    the size that must fail. If the bound is not proven, the search alone
+    decides. Every search that finishes returns the same witness, budget or
+    not.
     """
     if exhaustive:
         return _matching_oracle(h, limit)
@@ -226,14 +244,18 @@ def max_matching(
         cap = min(cap, limit)
     best = _greedy_matching(h.edges)[:cap]
     if len(best) < cap:
-        # nu never exceeds the ceiling, so the search that would fail above it is skipped
-        ceiling = _matching_ceiling(h)
-        if ceiling is not None:
-            cap = min(cap, ceiling)
-    if len(best) < cap:
         index = EdgeIndex(h.n, h.edges)
+        nodes = PACKING_NODES
         while len(best) < cap:
-            got = index.packing(index.full, len(best) + 1)
+            try:
+                got = index.packing(index.full, len(best) + 1, nodes)
+            except BudgetExceeded:
+                # nu never exceeds the ceiling, so the search that would fail above it is skipped
+                nodes = None
+                ceiling = _matching_ceiling(h)
+                if ceiling is not None:
+                    cap = min(cap, ceiling)
+                continue
             if got is None:
                 break
             best = got

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from hypermatch import lp, rounding, shifting
+from hypermatch import cli, lp, rounding, shifting
 from hypermatch.cli import main
-from hypermatch.core import build, complete_graph, read_hg, write_hg
+from hypermatch.core import _read_hg_lines, build, complete_graph, read_hg, write_hg
 from hypermatch.constructions import hilton_milner_family
 
 
@@ -149,6 +149,31 @@ def test_malformed_input_is_a_clean_input_error(tmp_path, capsys):
     assert main(["solve", "--what", "nu", "--in", str(tmp_path / "missing.hg")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "missing.hg" in err
+
+
+def test_undecodable_input_is_a_clean_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.hg"
+    path.write_bytes(b"3 4 1\n1 2 \xff\n")
+    with pytest.raises(ValueError) as exc, open(path) as fh:
+        _read_hg_lines(str(path), fh)
+    assert main(["solve", "--what", "nu", "--in", str(path)]) == 4
+    assert capsys.readouterr().err == f"input error: {exc.value}\n"
+
+
+def test_the_parser_is_built_once_and_keeps_no_flag_between_calls(tmp_path, capsys):
+    path = str(tmp_path / "hm.hg")
+    write_hg(hilton_milner_family(10, 3, 2), path)
+    code, out = run(capsys, "solve", "--what", "taustar", "--in", path, "--exact-lp")
+    assert code == 0 and json.loads(out)["value"] == "8/3"
+    code, out = run(capsys, "solve", "--what", "taustar", "--in", path)
+    payload = json.loads(out)
+    assert code == 0 and isinstance(payload["value"], float)
+    assert payload["lp_path"] == "highs"
+    code, out = run(capsys, "bounds", "--n", "10", "--k", "3", "--s", "2", "--format", "json")
+    assert code == 0 and json.loads(out)
+    code, out = run(capsys, "bounds", "--n", "10", "--k", "3", "--s", "2")
+    assert code == 0 and out.split("\t")[:3] == ["10", "3", "2"]
+    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.parametrize("limit", ["-1", "x"])

@@ -1,14 +1,16 @@
 import json
 import math
+import os
 import random
 import re
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypermatch import core
 from hypermatch.core import (
     Hypergraph,
     build,
@@ -429,3 +431,144 @@ def test_read_hg_of_shuffled_duplicated_lines_equals_the_checked_constructor(
     path = tmp_path_factory.mktemp("hg") / "g.hg"
     path.write_text(f"{k} {n} {len(lines)}\n" + "".join(" ".join(map(str, e)) + "\n" for e in lines))
     assert read_hg(str(path)) == Hypergraph(n, k, lines)
+
+
+# -- the bulk reader against the per-line loop ---------------------------------
+
+
+def _per_line(path: str) -> Hypergraph:
+    """The reference: the per-line loop over the file as ``open`` reads it."""
+    with open(path) as fh:
+        return core._read_hg_lines(path, fh)
+
+
+def _outcome(read, path: str):
+    """What a reader makes of a file: its graph, or its error message."""
+    try:
+        h = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    assert all(type(v) is int for e in h.edges for v in e)
+    return "graph", h.n, h.k, h.edges
+
+
+_BLANK = st.sampled_from(["", " ", "  ", "\t", " \t "])
+_FILLER = st.sampled_from(["", "   ", "\t", "# note", "  # 1 2 3", "#"])
+
+
+@st.composite
+def _hg_texts(draw):
+    """`.hg` texts over k 2..4: shuffled and repeated edge lines, leading zeros
+    (up to 19+ digits), tabs and runs of spaces, comment and blank lines, CRLF,
+    and at times a malformed line or a header count that is off by one."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 9))
+    pool = list(combinations(range(1, n + 1), k))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=10))
+    edges = draw(st.permutations(edges + edges[: draw(st.integers(0, 3))]))
+    zeros = st.sampled_from([0, 0, 0, 1, 4, 17, 18, 24])
+    lines = [
+        draw(_BLANK) + draw(st.sampled_from([" ", "  ", "\t"])).join(
+            "0" * draw(zeros) + str(v) for v in e
+        )
+        for e in edges
+    ]
+    if draw(st.booleans()):
+        bad = draw(st.one_of(_LINE, st.sampled_from(["1 2 10000000000000000000", "1\x0b2 3", "1 2 ３"])))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    header = f"{k} {n} {len(lines) + draw(st.sampled_from([0, 0, 0, -1, 1]))}"
+    out = []
+    for ln in [header, *lines]:
+        out += draw(st.lists(_FILLER, max_size=2))
+        out.append(ln + draw(_BLANK))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(out) + draw(st.sampled_from([eol, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_hg_texts(), _hg_lines().map(lambda lines: "".join(ln + "\n" for ln in lines))))
+@example("3 4 1\n0000000000000000000001 2 3\n")  # a 22-digit id: the per-line loop reads it
+@example("2 3 2\r\n1\t2\r\n\r\n# c\r\n  2   3  \r\n")
+def test_read_hg_equals_the_per_line_loop(tmp_path_factory, text):
+    path = str(tmp_path_factory.mktemp("eq") / "g.hg")
+    with open(path, "wb") as fh:
+        fh.write(text.encode())
+    assert _outcome(read_hg, path) == _outcome(_per_line, path)
+
+
+def _refuse_lines(path, fh):
+    raise AssertionError(f"{path} left the bulk path")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=9, k=k)))
+@example(Hypergraph(5, 3, []))
+@example(complete_graph(20, 3))
+@example(random_hypergraph(40, 4, 0.05, 1))
+def test_every_written_graph_takes_the_bulk_path(tmp_path_factory, h):
+    path = str(tmp_path_factory.mktemp("bulk") / "g.hg")
+    write_hg(h, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_read_hg_lines", _refuse_lines)
+        assert read_hg(path) == h
+
+
+# One file per bulk check, each failing that check alone; the per-line loop
+# decides every one of them, accepting some and naming the bad line in others.
+_BULK_MISSES = {
+    "undecodable byte": b"3 4 1\n1 2 \xff\n",
+    "undecodable byte past the first 8 KiB": b"3 30 1999\n"
+    + b"".join(b"%d %d %d\n" % e for e in islice(combinations(range(1, 31), 3), 1999))
+    .replace(b"\n5 7 22\n", b"\n5 7 2\xff\n"),
+    "no header line": b"# only a comment\n\n",
+    "header of two numbers": b"3 4\n",
+    "signed header": b"+3 4 1\n1 2 3\n",
+    "19-digit header number": b"3 0000000000000000004 1\n1 2 3\n",
+    "k above n": b"4 3 0\n",
+    "k below 2": b"1 3 0\n",
+    "non-ASCII body": b"3 4 1\n1 2 3\xe3\x80\x80\n",
+    "non-ASCII digit": "3 4 1\n1 2 ３\n".encode(),
+    "vertical tab in a line": b"3 4 1\n1\x0b2 3\n",
+    "form feed line": b"3 4 1\n\x0c\n1 2 3\n",
+    "negative id": b"3 4 1\n-1 2 3\n",
+    "comment after an edge": b"3 4 1\n1 2 3 # c\n",
+    "one line short": b"3 4 2\n1 2 3\n",
+    "a line of k + 1 ids, then one of k - 1": b"3 5 2\n1 2 3 4\n1 2\n",
+    "a line of k - 1 ids, then one of k + 1": b"3 6 2\n1 2\n3 4 5 6\n",
+    "two edges on one line": b"3 6 3\n1 2 3 4 5 6\n1 2 4\n",
+    "19-digit id": b"3 4 1\n0000000000000000001 2 3\n",
+    "id above 2**63": b"3 4 1\n1 2 10000000000000000000\n",
+    "id 2**64 + 3, which int64 would read as 3": b"3 4 1\n1 2 18446744073709551619\n",
+    "descending line": b"3 4 1\n3 2 1\n",
+    "repeated id": b"3 4 1\n1 2 2\n",
+    "id 0": b"3 4 1\n0 1 2\n",
+    "id above n": b"3 4 1\n2 3 5\n",
+}
+
+
+@pytest.mark.parametrize("data", _BULK_MISSES.values(), ids=_BULK_MISSES.keys())
+def test_a_file_that_fails_a_bulk_check_goes_to_the_per_line_loop(tmp_path, monkeypatch, data):
+    path = tmp_path / "g.hg"
+    path.write_bytes(data)
+    want = _outcome(_per_line, str(path))
+    real, calls = core._read_hg_lines, []
+
+    def counting(p, fh):
+        calls.append(p)
+        return real(p, fh)
+
+    monkeypatch.setattr(core, "_read_hg_lines", counting)
+    assert _outcome(read_hg, str(path)) == want
+    assert calls == [str(path)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_read_once_and_its_bad_line_named():
+    r, w = os.pipe()
+    try:
+        os.write(w, b"3 4 1\n3 2 1\n")
+        os.close(w)
+        with pytest.raises(ValueError, match=r":2: edge line '3 2 1' is not strictly ascending"):
+            read_hg(f"/dev/fd/{r}")
+    finally:
+        os.close(r)

@@ -15,6 +15,7 @@ from hypermatch.constructions import (
     prefix_overlap_family,
 )
 from hypermatch.core import (
+    BudgetExceeded,
     Hypergraph,
     build,
     complete_graph,
@@ -110,13 +111,16 @@ def _plain_search(h: Hypergraph) -> tuple:
     return tuple(h.edges[i] for i in sorted(best))
 
 
-def _count_packings(monkeypatch) -> list[int]:
-    """Record the size asked of every ``EdgeIndex.packing`` call."""
+def _count_packings(monkeypatch, budgets: list | None = None) -> list[int]:
+    """Record the size asked of every ``EdgeIndex.packing`` call, and its
+    node budget in ``budgets`` when given."""
     real, needs = EdgeIndex.packing, []
 
-    def counting(self, sub, need):
+    def counting(self, sub, need, nodes=None):
         needs.append(need)
-        return real(self, sub, need)
+        if budgets is not None:
+            budgets.append(nodes)
+        return real(self, sub, need, nodes)
 
     monkeypatch.setattr(EdgeIndex, "packing", counting)
     return needs
@@ -154,10 +158,13 @@ class TestMatchingCeiling:
         assert witness.edges == _plain_search(h)
 
     def test_ceiling_skips_the_failing_search(self, monkeypatch):
+        # the size-4 search runs out of nodes; the ceiling then ends the search
         h = cover_family(13, 3, 3)
-        needs = _count_packings(monkeypatch)
+        budgets = []
+        needs = _count_packings(monkeypatch, budgets)
         assert max_matching(h)[0] == 3
-        assert 4 not in needs
+        assert (4, optimize.PACKING_NODES) in zip(needs, budgets)
+        assert (4, None) not in zip(needs, budgets)
 
     def test_a_cover_that_fails_the_check_leaves_the_search_to_decide(self, monkeypatch):
         # half the optimal cover covers each edge only halfway
@@ -190,6 +197,73 @@ class TestMatchingCeiling:
             value, witness = max_matching(h)
             assert value == nu == witness.size
             witness.validate(h)
+
+
+def _count_lp_solves(monkeypatch) -> list:
+    """Record every ``lp.linprog_sparse`` call; the ceiling makes one or more."""
+    real, seen = lp.linprog_sparse, []
+
+    def counting(c, a_ub, b_ub):
+        seen.append(a_ub.shape)
+        return real(c, a_ub, b_ub)
+
+    monkeypatch.setattr(lp, "linprog_sparse", counting)
+    return seen
+
+
+class TestPackingBudget:
+    """Each deepening step of max_matching searches within PACKING_NODES
+    nodes; only a search that runs out asks HiGHS for the ceiling."""
+
+    def test_a_search_inside_its_budget_returns_the_unbudgeted_witness(self):
+        for seed in range(40):
+            h = seeded_graph(seed, n_lo=6, n_hi=10)
+            index = EdgeIndex(h.n, h.edges)
+            for need in range(1, h.n // h.k + 2):
+                free = index.packing(index.full, need)
+                finished = []
+                for nodes in (0, 1, 3, 10, 100, optimize.PACKING_NODES):
+                    try:
+                        got = index.packing(index.full, need, nodes)
+                    except BudgetExceeded:
+                        assert not finished  # a larger budget never fails where a smaller finished
+                        continue
+                    finished.append(nodes)
+                    assert got == free
+                assert finished  # PACKING_NODES is ample at n <= 10
+
+    def test_zero_nodes_refuses_any_search(self):
+        index = EdgeIndex(6, complete_graph(6, 3).edges)
+        assert index.packing(index.full, 0, 0) == []
+        with pytest.raises(BudgetExceeded):
+            index.packing(index.full, 1, 0)
+
+    def test_short_greedy_inputs_never_solve_an_lp(self, monkeypatch):
+        # criterion 4's inputs (n 4..10) whose greedy start falls short of n // k
+        short = [
+            h for h in map(seeded_graph, range(300))
+            if len(_greedy_matching(h.edges)) < h.n // h.k
+        ]
+        assert len(short) >= 50
+        seen = _count_lp_solves(monkeypatch)
+        for h in short:
+            value, witness = max_matching(h)
+            assert witness.edges == _plain_search(h)
+        assert seen == []
+
+    @pytest.mark.parametrize("family, n", [(cover_family, 16), (hilton_milner_family, 16),
+                                           (clique_family, 14)])
+    def test_large_families_still_stop_at_the_ceiling(self, monkeypatch, family, n):
+        # relabeled, as the benchmark feeds them; the failing size-4 search
+        # runs out of nodes, and floor(tau*) = 3 ends the search
+        perm = list(range(1, n + 1))
+        random.Random(f"{family.__name__}:{n}").shuffle(perm)
+        h = relabel_graph(family(n, 3, 3), dict(zip(range(1, n + 1), perm)))
+        seen = _count_lp_solves(monkeypatch)
+        value, witness = max_matching(h)
+        assert value == 3
+        witness.validate(h)
+        assert len(seen) >= 1
 
 
 class TestMinVertexCover:
