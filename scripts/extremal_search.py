@@ -17,6 +17,10 @@ CASES = [
     (5, 3, 1, NU_LE_S),
     (5, 3, 1, NU_LE_S_TAU_GT_S),
     (6, 3, 1, NU_LE_S_TAU_GT_S),
+    # C(n,k) > 24 edges: the exhaustive method refuses these, the pruned one
+    # settles each in about half a second
+    (8, 3, 1, NU_LE_S_TAU_GT_S),
+    (9, 2, 2, NU_LE_S_TAU_GT_S),
 ]
 
 

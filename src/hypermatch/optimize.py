@@ -5,10 +5,13 @@ with ``verify``) run by iterative deepening; a pure enumeration oracle (no
 pruning at all) sits behind ``exhaustive=True`` and is the ground truth in
 tests. The deepening for nu stops at floor(tau*), read off the HiGHS cover
 only after an exact integer check that it covers every edge, so the last,
-failing search is skipped whenever that floor is reached. The fractional matching and cover numbers come together from one
-sparse HiGHS solve of the cover LP, on the edge rows that bind (row
-generation); in rational mode its answer is rounded and checked exactly over
-every edge, and the rational simplex (``_matching_simplex``,
+failing search is skipped whenever that floor is reached. The cover search
+skips, below the later branches of a node, every vertex whose own branch
+there failed; those branches could only fail, so it returns what the plain
+search returns. The fractional matching and cover numbers come together
+from one sparse HiGHS solve of the cover LP, on the edge rows that bind
+(row generation); in rational mode its answer is rounded and checked
+exactly over every edge, and the rational simplex (``_matching_simplex``,
 ``_cover_simplex``) is both the fallback and the ground truth in tests.
 """
 
@@ -191,18 +194,29 @@ class EdgeIndex:
 
         return rec(sub, need)
 
-    def cover(self, sub: int, budget: int) -> list[int] | None:
-        """At most `budget` vertices meeting every edge of the subset, or None."""
+    def cover(self, sub: int, budget: int, failed: int = 0) -> list[int] | None:
+        """At most `budget` vertices meeting every edge of the subset, or None.
+
+        The search branches on the vertices of the lowest edge left. Once the
+        branch on v fails, no cover of the subset within the budget holds v,
+        so the later branches and everything below them skip v: bit v of
+        ``failed`` says so. Skipped branches can only fail, so the search
+        returns what it would without the skip. Callers leave ``failed`` 0.
+        """
         if sub == 0:
             return []
         if budget == 0:
             return None
         i = (sub & -sub).bit_length() - 1
         for v in self.verts[i]:
-            got = self.cover(sub & ~self.inc[v], budget - 1)
+            bit = 1 << v
+            if failed & bit:
+                continue
+            got = self.cover(sub & ~self.inc[v], budget - 1, failed)
             if got is not None:
                 got.append(v)
                 return got
+            failed |= bit
         return None
 
 

@@ -6,7 +6,9 @@ bounds. The default path enumerates all 2^C(n,k) edge subsets from the
 densest down and is the ground-truth oracle; the pruned path walks maximal
 constraint-satisfying families instead (the maximum is attained at one)
 and asks the edge-bitset kernel's cover search of every maximal family of
-the best size.
+the best size. Once it holds WITNESS_CAP families of the best size, it cuts
+every subtree that can only tie that size, since no such leaf would be
+reported; ``subsets_checked`` counts the maximal families it still visits.
 """
 
 from __future__ import annotations
@@ -206,7 +208,9 @@ def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
     def expand(sub: int, size: int, cand: int, banned: int) -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("pruned search ran over budget")
-        if size + cand.bit_count() < best_size:
+        # leaves below hold at most size + |cand| edges; once the witness list
+        # is full, a leaf that only ties best_size changes nothing either
+        if size + cand.bit_count() < best_size + (len(best_subs) >= WITNESS_CAP):
             return
         if not cand:
             if not banned:

@@ -44,6 +44,7 @@ from hypermatch.optimize import (
     max_matching,
     min_vertex_cover,
     threshold_cover_graph,
+    _cover_oracle,
     _cover_simplex,
     _matching_simplex,
 )
@@ -337,6 +338,68 @@ class TestEdgeIndex:
         cover = index.cover(sub, tau)
         VertexCover(frozenset(cover)).validate(g)
         assert tau == 0 or index.cover(sub, tau - 1) is None
+
+
+def _plain_cover(index: EdgeIndex, sub: int, budget: int, calls: list | None = None) -> list | None:
+    """``EdgeIndex.cover`` without the failed-vertex skip: branch on every
+    vertex of the lowest edge left, in order. Counts its calls in ``calls``."""
+    if calls is not None:
+        calls.append(budget)
+    if sub == 0:
+        return []
+    if budget == 0:
+        return None
+    i = (sub & -sub).bit_length() - 1
+    for v in index.verts[i]:
+        got = _plain_cover(index, sub & ~index.inc[v], budget - 1, calls)
+        if got is not None:
+            got.append(v)
+            return got
+    return None
+
+
+@st.composite
+def _edge_subsets(draw):
+    """A random k 2-4 graph on at most 11 vertices and a subset of its edges."""
+    k = draw(st.integers(2, 4))
+    h = draw(hypergraphs(min_n=k, max_n=11, k=k, max_edges=40))
+    sub = draw(st.integers(0, (1 << h.e()) - 1))
+    return h, sub
+
+
+class TestCoverKernel:
+    """The cover search skips a vertex below the later siblings of its failed
+    branch; it must return exactly what the plain search returns."""
+
+    @given(_edge_subsets())
+    @example((Hypergraph(6, 3, []), 0))
+    @example((complete_graph(7, 3), (1 << 35) - 1))  # tau = 5: long failing searches
+    @settings(max_examples=150, deadline=None)
+    def test_same_list_as_the_plain_search(self, case):
+        h, sub = case
+        index = EdgeIndex(h.n, h.edges)
+        got = [index.cover(sub, budget) for budget in range(h.n + 1)]
+        assert got == [_plain_cover(index, sub, budget) for budget in range(h.n + 1)]
+        g = Hypergraph(h.n, h.k, [e for i, e in enumerate(h.edges) if sub >> i & 1])
+        tau = next(budget for budget, cover in enumerate(got) if cover is not None)
+        assert tau == _cover_oracle(g, None)[0]
+        VertexCover(frozenset(got[tau])).validate(g)
+
+    def test_the_skip_cuts_the_failing_search(self, monkeypatch):
+        h = random_hypergraph(17, 3, 0.3, seed=5)
+        tau = min_vertex_cover(h)[0]
+        index = EdgeIndex(h.n, h.edges)
+        plain: list = []
+        assert _plain_cover(index, index.full, tau - 1, plain) is None
+        real, calls = EdgeIndex.cover, []
+
+        def counting(self, sub, budget, failed=0):
+            calls.append(budget)
+            return real(self, sub, budget, failed)
+
+        monkeypatch.setattr(EdgeIndex, "cover", counting)
+        assert index.cover(index.full, tau - 1) is None
+        assert len(calls) < len(plain)
 
 
 class TestIndependence:
