@@ -194,30 +194,35 @@ class EdgeIndex:
 
         return rec(sub, need)
 
-    def cover(self, sub: int, budget: int, failed: int = 0) -> list[int] | None:
+    def cover(self, sub: int, budget: int) -> list[int] | None:
         """At most `budget` vertices meeting every edge of the subset, or None.
 
         The search branches on the vertices of the lowest edge left. Once the
         branch on v fails, no cover of the subset within the budget holds v,
         so the later branches and everything below them skip v: bit v of
         ``failed`` says so. Skipped branches can only fail, so the search
-        returns what it would without the skip. Callers leave ``failed`` 0.
+        returns what it would without the skip.
         """
-        if sub == 0:
-            return []
-        if budget == 0:
+        verts, inc = self.verts, self.inc
+
+        def rec(sub: int, budget: int, failed: int) -> list[int] | None:
+            if sub == 0:
+                return []
+            if budget == 0:
+                return None
+            i = (sub & -sub).bit_length() - 1
+            for v in verts[i]:
+                bit = 1 << v
+                if failed & bit:
+                    continue
+                got = rec(sub & ~inc[v], budget - 1, failed)
+                if got is not None:
+                    got.append(v)
+                    return got
+                failed |= bit
             return None
-        i = (sub & -sub).bit_length() - 1
-        for v in self.verts[i]:
-            bit = 1 << v
-            if failed & bit:
-                continue
-            got = self.cover(sub & ~self.inc[v], budget - 1, failed)
-            if got is not None:
-                got.append(v)
-                return got
-            failed |= bit
-        return None
+
+        return rec(sub, budget, 0)
 
 
 def _greedy_matching(edges: Iterable[Edge]) -> list[int]:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -385,21 +386,28 @@ class TestCoverKernel:
         assert tau == _cover_oracle(g, None)[0]
         VertexCover(frozenset(got[tau])).validate(g)
 
-    def test_the_skip_cuts_the_failing_search(self, monkeypatch):
+    def test_the_skip_cuts_the_failing_search(self):
         h = random_hypergraph(17, 3, 0.3, seed=5)
         tau = min_vertex_cover(h)[0]
         index = EdgeIndex(h.n, h.edges)
         plain: list = []
         assert _plain_cover(index, index.full, tau - 1, plain) is None
-        real, calls = EdgeIndex.cover, []
+        # count the calls of cover's recursion, the nested function ``rec``
+        rec = next(c for c in EdgeIndex.cover.__code__.co_consts if getattr(c, "co_name", None) == "rec")
+        calls = 0
 
-        def counting(self, sub, budget, failed=0):
-            calls.append(budget)
-            return real(self, sub, budget, failed)
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is rec:
+                calls += 1
 
-        monkeypatch.setattr(EdgeIndex, "cover", counting)
-        assert index.cover(index.full, tau - 1) is None
-        assert len(calls) < len(plain)
+        before = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            assert index.cover(index.full, tau - 1) is None
+        finally:
+            sys.setprofile(before)
+        assert 0 < calls < len(plain)
 
 
 class TestIndependence:

@@ -17,44 +17,42 @@ from hypermatch.verify import (
     verify_extremal,
 )
 
-# (max_edges_found, subsets_checked, witnesses) of the pruned search, pinned.
-# Every row has at least WITNESS_CAP = 4 extremal families. Once the witness
-# list is full, the search cuts every subtree that can only tie the best size,
-# so subsets_checked counts the maximal families it still visits; a faster
-# addability test must leave that count, and so the search tree, as it is.
-# The two cuts (that one, and the cover kernel's failed-vertex skip) must not
-# move the maximum or any witness.
+# (max_edges_found, subsets_checked, witnesses, witness masks) of the pruned
+# search, pinned. Every row has at least WITNESS_CAP = 4 extremal families.
+# Once the witness list is full, the search cuts every subtree that can only
+# tie the best size, so subsets_checked counts the maximal families it still
+# visits; a faster addability test must leave that count, and so the search
+# tree, as it is. The masks are the witnesses in the order the search reports
+# them, bit i standing for the i-th k-set of [n] in lex order; they were read
+# off the search before it cut tied subtrees or skipped failed cover
+# vertices, and neither cut may move them or the maximum.
+# Each id keeps the subsets_checked count from before the re-pin, so the test
+# names stay as they were.
 PINNED_TREES = [
-    (6, 3, 1, NU_LE_S_TAU_GT_S, 10, 5, 4),
-    (7, 3, 1, NU_LE_S_TAU_GT_S, 13, 11, 4),
-    (7, 2, 2, NU_LE_S_TAU_GT_S, 10, 29, 4),
-    (8, 2, 2, NU_LE_S_TAU_GT_S, 10, 32, 4),
-    (8, 3, 1, NU_LE_S, 21, 4, 4),
-    (8, 3, 1, NU_LE_S_TAU_GT_S, 16, 12, 4),
-]
-
-# Test ids of the PINNED_TREES rows. They end in the subsets_checked count
-# of the search before the witness-list cut, so each row kept its name when
-# its count was re-pinned.
-PINNED_IDS = [
-    "6-3-1-nu_le_s_and_tau_gt_s-10-1024",
-    "7-3-1-nu_le_s_and_tau_gt_s-13-182",
-    "7-2-2-nu_le_s_and_tau_gt_s-10-62",
-    "8-2-2-nu_le_s_and_tau_gt_s-10-364",
-    "8-3-1-nu_le_s-21-8",
-    "8-3-1-nu_le_s_and_tau_gt_s-16-344",
-]
-
-# The witnesses of each PINNED_TREES row, in the order the search reports
-# them: bit i of a mask stands for the i-th k-set of [n] in lex order. They
-# were read off the search before either cut.
-PINNED_WITNESSES = [
-    (0x5FF, 0xAFF, 0xCFF, 0x137F),
-    (0x8FFF, 0x133FF, 0x255FF, 0x469FF),
-    (0x99CF, 0x12AD7, 0x24CE7, 0x4335B),
-    (0x21FF, 0x42FF, 0x84FF, 0x108FF),
-    (0x1FFFFF, 0xFFFE0003F, 0x3FF003E007C1, 0xFC0F03C207842),
-    (0x207FFF, 0x438FFF, 0x8C97FF, 0x11527FF),
+    pytest.param(
+        6, 3, 1, NU_LE_S_TAU_GT_S, 10, 5, 4, (0x5FF, 0xAFF, 0xCFF, 0x137F),
+        id="6-3-1-nu_le_s_and_tau_gt_s-10-1024",
+    ),
+    pytest.param(
+        7, 3, 1, NU_LE_S_TAU_GT_S, 13, 11, 4, (0x8FFF, 0x133FF, 0x255FF, 0x469FF),
+        id="7-3-1-nu_le_s_and_tau_gt_s-13-182",
+    ),
+    pytest.param(
+        7, 2, 2, NU_LE_S_TAU_GT_S, 10, 29, 4, (0x99CF, 0x12AD7, 0x24CE7, 0x4335B),
+        id="7-2-2-nu_le_s_and_tau_gt_s-10-62",
+    ),
+    pytest.param(
+        8, 2, 2, NU_LE_S_TAU_GT_S, 10, 32, 4, (0x21FF, 0x42FF, 0x84FF, 0x108FF),
+        id="8-2-2-nu_le_s_and_tau_gt_s-10-364",
+    ),
+    pytest.param(
+        8, 3, 1, NU_LE_S, 21, 4, 4, (0x1FFFFF, 0xFFFE0003F, 0x3FF003E007C1, 0xFC0F03C207842),
+        id="8-3-1-nu_le_s-21-8",
+    ),
+    pytest.param(
+        8, 3, 1, NU_LE_S_TAU_GT_S, 16, 12, 4, (0x207FFF, 0x438FFF, 0x8C97FF, 0x11527FF),
+        id="8-3-1-nu_le_s_and_tau_gt_s-16-344",
+    ),
 ]
 
 
@@ -158,11 +156,7 @@ class TestVerifyExtremal:
 
 
 class TestPrunedSearch:
-    @pytest.mark.parametrize(
-        "n,k,s,constraint,max_edges,checked,witnesses,masks",
-        [row + (masks,) for row, masks in zip(PINNED_TREES, PINNED_WITNESSES)],
-        ids=PINNED_IDS,
-    )
+    @pytest.mark.parametrize("n,k,s,constraint,max_edges,checked,witnesses,masks", PINNED_TREES)
     def test_search_tree_is_pinned(self, n, k, s, constraint, max_edges, checked, witnesses, masks):
         res = verify_extremal(n, k, s, constraint, method="pruned")
         assert (res.max_edges_found, res.subsets_checked) == (max_edges, checked)
