@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Exhaustive extremal searches at tiny scale, compared to the bounds.
 
-Usage: python scripts/extremal_search.py [--pruned] [--max-edges 20]
+Usage: python scripts/extremal_search.py [--pruned]
 """
 
 import argparse

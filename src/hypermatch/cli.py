@@ -235,9 +235,6 @@ def _cmd_closeness(args) -> int:
             rep = stability.closeness_to_cover(h, args.s, search)
         else:
             rep = stability.closeness_to_clique(h, args.s, search)
-    except BudgetExceeded as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         return _usage_error(exc)
     print(render_report(rep, args.format))
@@ -298,9 +295,6 @@ def _cmd_verify(args) -> int:
             method="pruned" if args.pruned else "exhaustive",
             budget_ms=args.budget_ms,
         )
-    except BudgetExceeded as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         return _usage_error(exc)
     print(render_report(res, args.format))
@@ -387,6 +381,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except BudgetExceeded as exc:
+        print(f"budget refusal: {exc}", file=sys.stderr)
+        return 2
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4

@@ -3,16 +3,16 @@
 Exact values come from one edge-bitset search kernel (``EdgeIndex``, shared
 with ``verify``) run by iterative deepening; a pure enumeration oracle (no
 pruning at all) sits behind ``exhaustive=True`` and is the ground truth in
-tests. The deepening for nu stops at floor(tau*), read off the HiGHS cover
-only after an exact integer check that it covers every edge, so the last,
-failing search is skipped whenever that floor is reached. The cover search
-skips, below the later branches of a node, every vertex whose own branch
-there failed; those branches could only fail, so it returns what the plain
-search returns. The fractional matching and cover numbers come together
-from one sparse HiGHS solve of the cover LP, on the edge rows that bind
-(row generation); in rational mode its answer is rounded and checked
-exactly over every edge, and the rational simplex (``_matching_simplex``,
-``_cover_simplex``) is both the fallback and the ground truth in tests.
+tests. The deepening for nu stops at floor(tau*) of the certified LP pair
+below, so the last, failing search is skipped whenever that floor is
+reached. The cover search skips, below the later branches of a node, every
+vertex whose own branch there failed; those branches could only fail, so it
+returns what the plain search returns. The fractional matching and cover
+numbers come together from one sparse HiGHS solve of the cover LP, on the
+edge rows that bind (row generation); in rational mode its answer is
+rounded over one common denominator and checked in integers over every
+edge, and the rational simplex (``_matching_simplex``, ``_cover_simplex``)
+is both the fallback and the ground truth in tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb
+from math import comb, floor, lcm
 from typing import Iterable
 
 import numpy as np
@@ -414,26 +414,36 @@ def _cover_rows(neg_at: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, float
         batch *= 2
 
 
-def _matching_ceiling(h: Hypergraph) -> int | None:
-    """A proven upper bound on nu from HiGHS's fractional cover, or None.
+def _over_common_denominator(v: np.ndarray) -> tuple[list[Fraction], np.ndarray, int] | None:
+    """Fractions for v, numerators over their common denominator L, and L; None on NaN or inf.
 
-    The cover y of ``_cover_rows`` is scaled by ``CERT_DENOMINATOR`` and
-    rounded up to integers c. If every edge's c-sum is at least
-    ``CERT_DENOMINATOR``, checked in integers, then c / CERT_DENOMINATOR is a
-    fractional cover; the edges of a matching are disjoint and each carries
-    weight >= 1 of it, so nu <= floor(sum(c) / CERT_DENOMINATOR). When HiGHS
-    finds no optimum or the check fails, there is no bound.
+    Each nonzero entry is rounded with ``limit_denominator(CERT_DENOMINATOR)``. The
+    numerators are int64 while max(L, |numerator|) * len(v) < 2**62, else Python ints.
     """
-    neg_at = _negated_incidence(h)
+    if not np.isfinite(v).all():
+        return None
+    nonzero = np.flatnonzero(v)
+    rounded = [Fraction(f).limit_denominator(CERT_DENOMINATOR) for f in v[nonzero].tolist()]
+    den = lcm(*(f.denominator for f in rounded))
+    nums = [f.numerator * (den // f.denominator) for f in rounded]
+    top = max([den, *map(abs, nums)])
+    num = np.zeros(len(v), dtype=np.int64 if top * len(v) < 2**62 else object)
+    num[nonzero] = nums
+    fractions = np.full(len(v), Fraction(0), dtype=object)
+    fractions[nonzero] = rounded
+    return fractions.tolist(), num, den
+
+
+def _matching_ceiling(h: Hypergraph) -> int | None:
+    """floor(tau*) of the certified pair of ``_highs_pair``, or None without one.
+
+    The edges of a matching are disjoint and each has cover weight >= 1, so nu <= floor(tau*).
+    """
     try:
-        y = _cover_rows(neg_at)[0]
+        pair = _highs_pair(h, "rational")
     except RuntimeError:
         return None
-    # fmax, unlike maximum, reads a NaN as 0, so the cast below sees only numbers
-    c = np.ceil(np.fmax(y, 0.0) * CERT_DENOMINATOR).astype(np.int64)
-    if not (c[neg_at.indices].reshape(-1, h.k).sum(axis=1) >= CERT_DENOMINATOR).all():
-        return None
-    return int(c.sum()) // CERT_DENOMINATOR
+    return None if pair is None else floor(pair[1].value)
 
 
 def _highs_pair(
@@ -444,12 +454,11 @@ def _highs_pair(
     The solve is of the cover LP, min sum(y) subject to A^T y >= 1 and
     y >= 0, on a growing subset of its edge rows (see ``_cover_rows``); the
     negated row duals of the last solve, 0 on every edge left out, are the
-    matching weights. In rational mode both sides are rounded to fractions
-    and checked exactly over all edges: x >= 0, vertex loads <= 1,
-    0 <= y <= 1, edge sums >= 1 and sum(x) == sum(y). Weak duality then makes
-    each an optimality certificate for the other; if the check fails the
-    result is None. A mode other than "rational" or "float" raises
-    ``ValueError``.
+    matching weights. In rational mode both sides are rounded over a common
+    denominator L and checked on the integer numerators: x >= 0, vertex loads
+    <= L, 0 <= y <= L, edge sums >= L and sum(x) == sum(y), which by weak
+    duality proves both optimal; a failed check, or a NaN or inf, gives None.
+    A mode other than "rational" or "float" raises ``ValueError``.
     """
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown LP mode {mode!r}: use 'rational' or 'float'")
@@ -466,18 +475,21 @@ def _highs_pair(
             ),
             FractionalAssignment("cover", y, tau, "float", resid_c, LP_HIGHS, *stats),
         )
-    xq = [Fraction(xi).limit_denominator(CERT_DENOMINATOR) for xi in x.tolist()]
-    yq = [Fraction(yi).limit_denominator(CERT_DENOMINATOR) for yi in y.tolist()]
-    zero = Fraction(0)
-    fm = FractionalAssignment("matching", xq, sum(xq, zero), "rational", 0.0, LP_CERTIFIED, *stats)
-    fc = FractionalAssignment("cover", yq, sum(yq, zero), "rational", 0.0, LP_CERTIFIED, *stats)
-    try:
-        fm.validate(h)
-        fc.validate(h)
-    except ValueError:
+    rounded = _over_common_denominator(np.concatenate([y, x]))
+    if rounded is None:
         return None
-    if fm.value != fc.value:
+    fracs, num, den = rounded
+    yn, xn = num[:h.n], num[h.n:]
+    edges = neg_at.indices.reshape(-1, h.k)
+    used = np.flatnonzero(xn)
+    load = np.zeros(h.n, dtype=num.dtype)
+    np.add.at(load, edges[used], xn[used, None])
+    if not ((num >= 0).all() and (load <= den).all() and (yn <= den).all()
+            and (yn[edges].sum(axis=1) >= den).all() and xn.sum() == yn.sum()):
         return None
+    value = Fraction(int(yn.sum()), den)
+    fm = FractionalAssignment("matching", fracs[h.n:], value, "rational", 0.0, LP_CERTIFIED, *stats)
+    fc = FractionalAssignment("cover", fracs[:h.n], value, "rational", 0.0, LP_CERTIFIED, *stats)
     return fm, fc
 
 

@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .constructions import augment_universal
-from .core import Hypergraph, edge_mask
+from .core import BudgetExceeded, Hypergraph, edge_mask
 from .optimize import EdgeIndex, Matching, fractional_perfect_matching
 
 _EPS = 1e-12
@@ -130,10 +130,6 @@ def _without_pairs(inc: list[int], live: int, pairs) -> int:
     return live
 
 
-class _BudgetSpent(Exception):
-    """The perfect-matching search ran out of nodes."""
-
-
 def _find_perfect_matching(
     index: EdgeIndex,
     live: int,
@@ -164,7 +160,7 @@ def _find_perfect_matching(
     def dfs(free: list[int], live: int) -> list[int] | None:
         nonlocal nodes
         if nodes == budget:
-            raise _BudgetSpent
+            raise BudgetExceeded(f"perfect-matching search passed {budget} nodes")
         nodes += 1
         if not free:
             return []
@@ -189,7 +185,7 @@ def _find_perfect_matching(
 
     try:
         picks = dfs(free, live)
-    except _BudgetSpent:
+    except BudgetExceeded:
         return "budget", None, nodes
     if picks is None:
         return "none", None, nodes

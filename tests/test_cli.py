@@ -2,10 +2,19 @@ import json
 
 import pytest
 
-from hypermatch import cli, lp, rounding, shifting
+import numpy as np
+
+from hypermatch import cli, lp, optimize, rounding, shifting
 from hypermatch.cli import main
-from hypermatch.core import _read_hg_lines, build, complete_graph, read_hg, write_hg
-from hypermatch.constructions import hilton_milner_family
+from hypermatch.core import (
+    BudgetExceeded,
+    _read_hg_lines,
+    build,
+    complete_graph,
+    read_hg,
+    write_hg,
+)
+from hypermatch.constructions import clique_family, hilton_milner_family
 
 
 def run(capsys, *argv):
@@ -133,6 +142,29 @@ def test_verify_budget_refusal(capsys):
     assert code == 2
 
 
+def test_closeness_budget_refusal(tmp_path, capsys):
+    path = str(tmp_path / "empty17.hg")
+    write_hg(build(17, 3, []), path)
+    code = main(["closeness", "--in", path, "--target", "cover", "--s", "2", "--exhaustive"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("budget refusal: ")
+
+
+def test_a_budget_refusal_under_solve_exits_2(tmp_path, capsys, monkeypatch):
+    # main turns a BudgetExceeded from any subcommand into exit 2
+    def spent(h, limit=None):
+        raise BudgetExceeded("search passed 7 nodes")
+
+    monkeypatch.setattr(cli, "max_matching", spent)
+    path = str(tmp_path / "k5.hg")
+    write_hg(complete_graph(5, 3), path)
+    code = main(["solve", "--what", "nu", "--in", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "budget refusal: search passed 7 nodes\n"
+
+
 def test_malformed_input_is_a_clean_input_error(tmp_path, capsys):
     path = tmp_path / "bad.hg"
     path.write_text("3 4 1\n1 two 3\n")
@@ -243,6 +275,26 @@ def test_solve_reports_the_simplex_fallback(tmp_path, capsys, monkeypatch):
         payload = json.loads(out)
         assert payload["lp_path"] == "simplex"
         assert payload["lp_solves"] is None and payload["lp_rows"] is None
+        assert payload["value"] == "5/3"
+
+
+def test_solve_exact_lp_falls_back_on_a_nan_from_highs(tmp_path, capsys, monkeypatch):
+    real = optimize._cover_rows
+
+    def poisoned(neg_at):
+        y, *rest = real(neg_at)
+        y = y.copy()
+        y[0] = np.nan
+        return (y, *rest)
+
+    monkeypatch.setattr(optimize, "_cover_rows", poisoned)
+    path = str(tmp_path / "k5.hg")
+    write_hg(clique_family(5, 3, 1), path)
+    for what in ("nustar", "taustar"):
+        code, out = run(capsys, "solve", "--what", what, "--in", path, "--exact-lp")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lp_path"] == "simplex"
         assert payload["value"] == "5/3"
 
 

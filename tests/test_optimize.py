@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -34,8 +35,10 @@ from hypermatch.optimize import (
     Matching,
     VertexCover,
     _greedy_matching,
+    _highs_pair,
     _matching_ceiling,
     _negated_incidence,
+    _over_common_denominator,
     check_lp_duality,
     fractional_cover,
     fractional_matching,
@@ -129,8 +132,8 @@ def _count_packings(monkeypatch, budgets: list | None = None) -> list[int]:
 
 
 class TestMatchingCeiling:
-    """max_matching stops its search at floor(tau*), taken from HiGHS's
-    cover only when an exact integer check proves that cover."""
+    """max_matching stops its search at floor(tau*), taken from HiGHS's LP
+    pair only when the pair passes its exact certificate."""
 
     @given(st.integers(2, 4).flatmap(
         lambda k: hypergraphs(min_n=k, max_n=10, k=k, max_edges=24)
@@ -199,6 +202,13 @@ class TestMatchingCeiling:
             value, witness = max_matching(h)
             assert value == nu == witness.size
             witness.validate(h)
+
+    @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=9, k=k)))
+    @example(Hypergraph(6, 3, []))
+    @example(complete_graph(7, 3))  # tau* = 7/3
+    @settings(max_examples=40, deadline=None)
+    def test_ceiling_is_the_floor_of_the_simplex_tau_star(self, h):
+        assert _matching_ceiling(h) == math.floor(_cover_simplex(h).value)
 
 
 def _count_lp_solves(monkeypatch) -> list:
@@ -506,6 +516,148 @@ class TestLPPaths:
         for solve in (fractional_matching, fractional_cover, check_lp_duality):
             with pytest.raises(ValueError, match="unknown LP mode"):
                 solve(h, mode)
+
+
+def _reference_accepts(h: Hypergraph, x: np.ndarray, y: np.ndarray) -> bool:
+    """The certificate checked the slow way: every entry rounded to a
+    ``Fraction``, both weightings validated edge by edge, and equal sums."""
+    xq, yq = ([Fraction(w).limit_denominator(optimize.CERT_DENOMINATOR) for w in v.tolist()]
+              for v in (x, y))
+    try:
+        FractionalAssignment("matching", xq, sum(xq, Fraction(0))).validate(h)
+        FractionalAssignment("cover", yq, sum(yq, Fraction(0))).validate(h)
+    except ValueError:
+        return False
+    return sum(xq, Fraction(0)) == sum(yq, Fraction(0))
+
+
+def _fixed_rows(monkeypatch, y: np.ndarray, x: np.ndarray) -> None:
+    """Make the HiGHS solve return the cover y and the matching x."""
+    monkeypatch.setattr(optimize, "_cover_rows", lambda neg_at: (y, x, float(y.sum()), 1, len(x)))
+
+
+class TestIntegerCertificate:
+    """The rational pair is checked on integer numerators over one common
+    denominator; it must accept exactly what ``validate`` and equal sums accept."""
+
+    @given(
+        st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=10, k=k, max_edges=30)),
+        st.sampled_from(["none", "y_low", "y_moved", "x_over", "x_moved", "halved"]),
+        st.randoms(use_true_random=False),
+    )
+    @example(complete_graph(5, 3), "halved", random.Random(0))
+    @settings(max_examples=150, deadline=None)
+    def test_accepts_exactly_what_validate_accepts(self, h, change, rnd):
+        y, x, *_ = optimize._cover_rows(_negated_incidence(h))
+        y, x = y.copy(), x.copy()
+        held = np.flatnonzero(y > 1e-9)
+        if change == "y_low" and held.size:
+            y[rnd.choice(held)] /= 2  # below its optimum: the sums differ
+        elif change == "y_moved" and held.size:
+            # half of a vertex's weight moves to another: the sums stay equal,
+            # and the cover may or may not still cover every edge
+            v, u = rnd.choice(held), rnd.randrange(h.n)
+            y[u] += y[v] / 2
+            y[v] /= 2
+        elif change == "x_over" and h.e():
+            # one edge's weight grows until a vertex of it carries 1.25
+            i = rnd.randrange(h.e())
+            load = -(_negated_incidence(h).T @ x)
+            x[i] += 1.25 - max(load[v - 1] for v in h.edges[i])
+        elif change == "x_moved" and x.any():
+            # an edge's weight moves to another edge: a load may pass 1
+            i, j = rnd.choice(np.flatnonzero(x).tolist()), rnd.randrange(h.e())
+            x[j] += x[i]
+            x[i] = 0.0
+        elif change == "halved":
+            x /= 2
+        with pytest.MonkeyPatch.context() as mp:
+            _fixed_rows(mp, y, x)
+            pair = _highs_pair(h, "rational")
+        assert (pair is not None) == _reference_accepts(h, x, y)
+        if change == "none":
+            assert pair is not None
+        if pair is not None:
+            fm, fc = pair
+            assert fm.weights == [Fraction(w).limit_denominator(optimize.CERT_DENOMINATOR)
+                                  for w in x.tolist()]
+            assert fc.weights == [Fraction(w).limit_denominator(optimize.CERT_DENOMINATOR)
+                                  for w in y.tolist()]
+            assert fm.value == fc.value == sum(fc.weights, Fraction(0))
+
+    @pytest.mark.parametrize("h, x, y", [
+        # K5 at x = 1/6, plus a third of 123 - 124 - 135 + 145, which moves no
+        # load: every load is still 1 and the sum 5/3, but two edges weigh -1/6
+        (complete_graph(5, 3),
+         [1 / 2, -1 / 6, 1 / 6, 1 / 6, -1 / 6, 1 / 2, 1 / 6, 1 / 6, 1 / 6, 1 / 6], [1 / 3] * 5),
+        # both edges covered with sum 1, through a weight of -1 on vertex 4
+        (build(5, 3, [(1, 2, 3), (1, 4, 5)]), [1, 0], [1, 0, 0, -1, 1]),
+        # vertex 1 carries 2
+        (build(6, 3, [(1, 2, 3), (4, 5, 6)]), [2, 0], [1, 0, 0, 1, 0, 0]),
+        # the edge 4 5 6 is covered only halfway
+        (build(6, 3, [(1, 2, 3), (4, 5, 6)]), [1, 0.5], [1, 0, 0, 0.5, 0, 0]),
+    ], ids=["x-negative", "y-negative", "load-above-1", "edge-short"])
+    def test_each_condition_rejects_on_its_own(self, monkeypatch, h, x, y):
+        # every other condition holds, and so do the equal sums
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        assert abs(x.sum() - y.sum()) < 1e-12
+        assert not _reference_accepts(h, x, y)
+        _fixed_rows(monkeypatch, y, x)
+        assert _highs_pair(h, "rational") is None
+
+    def test_a_huge_common_denominator_runs_the_check_on_python_ints(self, monkeypatch):
+        # four disjoint edges, each covered by 1/p and 1 - 1/p for a prime p
+        # near 10**6: the common denominator is about 10**24, past int64
+        primes = (999983, 999979, 999961, 999959)
+        h = build(12, 3, [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)])
+        y, x = np.zeros(12), np.ones(4)
+        for i, p in enumerate(primes):
+            y[3 * i], y[3 * i + 1] = 1 / p, 1 - 1 / p
+        _fracs, num, den = _over_common_denominator(np.concatenate([y, x]))
+        assert num.dtype == object and den == math.prod(primes)
+        _fixed_rows(monkeypatch, y, x)
+        fm, fc = _highs_pair(h, "rational")
+        assert fm.lp_path == fc.lp_path == LP_CERTIFIED
+        assert fm.value == fc.value == 4
+        assert fc.weights[:2] == [Fraction(1, primes[0]), Fraction(primes[0] - 1, primes[0])]
+        # the first edge's cover sum falls to 1 - 1/p and its matching weight
+        # with it, so only the edge sums can reject the pair
+        y[1], x[0] = 1 - 2 / primes[0], 1 - 1 / primes[0]
+        assert not _reference_accepts(h, x, y)
+        assert _highs_pair(h, "rational") is None
+
+    def test_small_numerators_stay_int64(self):
+        fracs, num, den = _over_common_denominator(np.array([0.5, 1 / 3, 0.0, 1.0]))
+        assert num.dtype == np.int64 and den == 6
+        assert num.tolist() == [3, 2, 0, 6]
+        assert fracs == [Fraction(1, 2), Fraction(1, 3), 0, 1]
+
+    @pytest.mark.parametrize("path", ["matching", "cover", "duality", "ceiling"])
+    @pytest.mark.parametrize("side, bad", [(0, np.nan), (0, -np.inf), (1, np.inf), (1, np.nan)])
+    def test_a_non_finite_entry_fails_the_certificate(self, monkeypatch, path, side, bad):
+        # side 0 poisons the cover y, side 1 the matching x
+        h = clique_family(5, 3, 1)
+        real = optimize._cover_rows
+
+        def poisoned(neg_at):
+            got = list(real(neg_at))
+            got[side] = got[side].copy()
+            got[side][0] = bad
+            return tuple(got)
+
+        monkeypatch.setattr(optimize, "_cover_rows", poisoned)
+        if path == "ceiling":
+            assert _matching_ceiling(h) is None
+            return
+        if path == "duality":
+            rep = check_lp_duality(h, "rational")
+            fas = (rep.matching, rep.cover)
+        else:
+            fas = ((fractional_matching if path == "matching" else fractional_cover)(h, "rational"),)
+        for fa in fas:
+            assert fa.lp_path == LP_SIMPLEX
+            assert fa.value == Fraction(5, 3)
+            fa.validate(h)
 
 
 def _odd_cliques() -> Hypergraph:
