@@ -122,8 +122,9 @@ def _probe_outputs(*paths: str | None) -> None:
 
 
 def _write_json(path: str, obj, indent: int | None = None) -> None:
+    # dumps takes the C encoder at indent=None, dump never does; the bytes are the same
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=indent)
+        fh.write(json.dumps(obj, indent=indent))
 
 
 def _usage_error(why) -> int:

@@ -414,8 +414,8 @@ def _cover_rows(neg_at: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, float
         batch *= 2
 
 
-def _over_common_denominator(v: np.ndarray) -> tuple[list[Fraction], np.ndarray, int] | None:
-    """Fractions for v, numerators over their common denominator L, and L; None on NaN or inf.
+def _over_common_denominator(v: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Numerators of v over a common denominator L, and L; None on NaN or inf.
 
     Each nonzero entry is rounded with ``limit_denominator(CERT_DENOMINATOR)``. The
     numerators are int64 while max(L, |numerator|) * len(v) < 2**62, else Python ints.
@@ -429,21 +429,45 @@ def _over_common_denominator(v: np.ndarray) -> tuple[list[Fraction], np.ndarray,
     top = max([den, *map(abs, nums)])
     num = np.zeros(len(v), dtype=np.int64 if top * len(v) < 2**62 else object)
     num[nonzero] = nums
-    fractions = np.full(len(v), Fraction(0), dtype=object)
-    fractions[nonzero] = rounded
-    return fractions.tolist(), num, den
+    return num, den
+
+
+def _certified_numerators(h: Hypergraph) -> tuple[np.ndarray, int, list[int]] | None:
+    """HiGHS's cover y and matching x, checked exactly over a common denominator L.
+
+    Returns the numerators of (y, x) over L, L, and the solve's (solves, rows).
+    The check runs on the integers: x >= 0, vertex loads <= L, 0 <= y <= L,
+    edge sums >= L and sum(x) == sum(y), which by weak duality proves both
+    optimal. A failed check, a NaN or inf, or a HiGHS solve that fails or
+    comes back other than optimal gives None.
+    """
+    neg_at = _negated_incidence(h)
+    try:
+        y, x, _tau, *stats = _cover_rows(neg_at)
+    except RuntimeError:
+        return None
+    rounded = _over_common_denominator(np.concatenate([y, x]))
+    if rounded is None:
+        return None
+    num, den = rounded
+    yn, xn = num[:h.n], num[h.n:]
+    edges = neg_at.indices.reshape(-1, h.k)
+    used = np.flatnonzero(xn)
+    load = np.zeros(h.n, dtype=num.dtype)
+    np.add.at(load, edges[used], xn[used, None])
+    if not ((num >= 0).all() and (load <= den).all() and (yn <= den).all()
+            and (yn[edges].sum(axis=1) >= den).all() and xn.sum() == yn.sum()):
+        return None
+    return num, den, stats
 
 
 def _matching_ceiling(h: Hypergraph) -> int | None:
-    """floor(tau*) of the certified pair of ``_highs_pair``, or None without one.
+    """floor(tau*) from the certified numerators of HiGHS's cover, or None without them.
 
     The edges of a matching are disjoint and each has cover weight >= 1, so nu <= floor(tau*).
     """
-    try:
-        pair = _highs_pair(h, "rational")
-    except RuntimeError:
-        return None
-    return None if pair is None else floor(pair[1].value)
+    cert = _certified_numerators(h)
+    return None if cert is None else int(cert[0][:h.n].sum()) // cert[1]
 
 
 def _highs_pair(
@@ -454,43 +478,41 @@ def _highs_pair(
     The solve is of the cover LP, min sum(y) subject to A^T y >= 1 and
     y >= 0, on a growing subset of its edge rows (see ``_cover_rows``); the
     negated row duals of the last solve, 0 on every edge left out, are the
-    matching weights. In rational mode both sides are rounded over a common
-    denominator L and checked on the integer numerators: x >= 0, vertex loads
-    <= L, 0 <= y <= L, edge sums >= L and sum(x) == sum(y), which by weak
-    duality proves both optimal; a failed check, or a NaN or inf, gives None.
-    A mode other than "rational" or "float" raises ``ValueError``.
+    matching weights. In rational mode both sides are the exactly checked
+    fractions of ``_certified_numerators``, or None when that check fails;
+    in float mode a failed solve raises ``RuntimeError``. A mode other than
+    "rational" or "float" raises ``ValueError``.
     """
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown LP mode {mode!r}: use 'rational' or 'float'")
-    neg_at = _negated_incidence(h)
-    y, x, tau, *stats = _cover_rows(neg_at)
-    if mode == "float":
-        load = -(neg_at.T @ x)
-        # np.max, unlike the builtin, carries a NaN through to the residual
-        resid_m = float(np.max([0.0, np.max(load, initial=1.0) - 1.0, np.max(-x, initial=0.0)]))
-        resid_c = float(np.max([0.0, np.max(neg_at @ y, initial=-1.0) + 1.0]))
+    if mode == "rational":
+        cert = _certified_numerators(h)
+        if cert is None:
+            return None
+        num, den, stats = cert
+        nonzero = np.flatnonzero(num)
+        fracs = np.full(len(num), Fraction(0), dtype=object)
+        fracs[nonzero] = [Fraction(a, den) for a in num[nonzero].tolist()]
+        fracs = fracs.tolist()
+        value = Fraction(int(num[:h.n].sum()), den)
         return (
             FractionalAssignment(
-                "matching", _floored(x), float(x.sum()), "float", resid_m, LP_HIGHS, *stats
+                "matching", fracs[h.n:], value, "rational", 0.0, LP_CERTIFIED, *stats
             ),
-            FractionalAssignment("cover", y, tau, "float", resid_c, LP_HIGHS, *stats),
+            FractionalAssignment("cover", fracs[:h.n], value, "rational", 0.0, LP_CERTIFIED, *stats),
         )
-    rounded = _over_common_denominator(np.concatenate([y, x]))
-    if rounded is None:
-        return None
-    fracs, num, den = rounded
-    yn, xn = num[:h.n], num[h.n:]
-    edges = neg_at.indices.reshape(-1, h.k)
-    used = np.flatnonzero(xn)
-    load = np.zeros(h.n, dtype=num.dtype)
-    np.add.at(load, edges[used], xn[used, None])
-    if not ((num >= 0).all() and (load <= den).all() and (yn <= den).all()
-            and (yn[edges].sum(axis=1) >= den).all() and xn.sum() == yn.sum()):
-        return None
-    value = Fraction(int(yn.sum()), den)
-    fm = FractionalAssignment("matching", fracs[h.n:], value, "rational", 0.0, LP_CERTIFIED, *stats)
-    fc = FractionalAssignment("cover", fracs[:h.n], value, "rational", 0.0, LP_CERTIFIED, *stats)
-    return fm, fc
+    neg_at = _negated_incidence(h)
+    y, x, tau, *stats = _cover_rows(neg_at)
+    load = -(neg_at.T @ x)
+    # np.max, unlike the builtin, carries a NaN through to the residual
+    resid_m = float(np.max([0.0, np.max(load, initial=1.0) - 1.0, np.max(-x, initial=0.0)]))
+    resid_c = float(np.max([0.0, np.max(neg_at @ y, initial=-1.0) + 1.0]))
+    return (
+        FractionalAssignment(
+            "matching", _floored(x), float(x.sum()), "float", resid_m, LP_HIGHS, *stats
+        ),
+        FractionalAssignment("cover", y, tau, "float", resid_c, LP_HIGHS, *stats),
+    )
 
 
 def _matching_simplex(h: Hypergraph) -> FractionalAssignment:

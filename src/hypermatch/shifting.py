@@ -72,6 +72,9 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
     mask holding j but not i whose image (j swapped for i) is absent; the
     images all hold i and not j, so none moves again in the same step and
     no two collide, which is exactly `shift_graph`'s simultaneous image.
+    During i's steps a mask without i can only leave (its image holds i), so
+    the masks without i are bucketed once per i by each vertex j > i they
+    hold, and step (i, j) scans bucket j for the masks still present.
     Each moved edge lowers the vertex-label sum by j - i, so termination is
     unconditional; the running total is checked against the output.
     """
@@ -83,10 +86,17 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
         moved_this_round = 0
         for i in range(1, h.n):
             bi = 1 << (i - 1)
+            buckets = [[] for _ in range(h.n + 1)]  # buckets[j]: masks without i, with j
+            for m in masks:
+                if not m & bi:
+                    high = m >> i << i  # the bits of the vertices above i
+                    while high:
+                        bj = high & -high
+                        buckets[bj.bit_length()].append(m)
+                        high ^= bj
             for j in range(i + 1, h.n + 1):
-                bj = 1 << (j - 1)
-                bij = bi | bj
-                movers = [m for m in masks if m & bij == bj and m ^ bij not in masks]
+                bij = bi | 1 << (j - 1)
+                movers = [m for m in buckets[j] if m in masks and m ^ bij not in masks]
                 moved = len(movers)
                 trace.steps.append((i, j, moved))
                 if moved:

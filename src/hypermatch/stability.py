@@ -3,7 +3,8 @@
 Closeness to a target family is measured one-sidedly as the number of
 target edges missing from the graph, normalized by n^k. The partition that
 realizes the measure is chosen either heuristically (highest-degree
-vertices) or by exhaustive search over all placements at small n.
+vertices) or by exhaustive search over all placements at small n, which
+reads every placement's count from one table of edges per vertex subset.
 
 The crossover functions track where the Hilton-Milner-type count and the
 clique count trade places as s/n grows: the gap density is
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
+
+import numpy as np
 
 from .constructions import PartitionSpec, clique_count, cover_count, hm_count
-from .core import BudgetExceeded, Hypergraph
+from .core import BudgetExceeded, Hypergraph, edge_mask
 
 EXHAUSTIVE_GUARD_N = 16
 
@@ -76,32 +78,51 @@ def _clique_missing(h: Hypergraph, uset: frozenset[int]) -> int:
     return clique_count(h.k, s) - inside
 
 
-def _closest(
-    h: Hypergraph,
-    target: str,
-    size: int,
-    missing: Callable[[Hypergraph, frozenset[int]], int],
-    search: str,
-) -> ClosenessReport:
+def _subset_counts(h: Hypergraph) -> np.ndarray:
+    """f[S] = the number of edges inside S, for every vertex bitmask S (bit v-1 for v).
+
+    A 1 at each edge mask (the edges are distinct), then the subset-sum
+    (zeta) transform: the pass for bit b adds f[S] into f[S | b] for every S
+    without b. Every count is at most C(n, k) < 2**31.
+    """
+    f = np.zeros(1 << h.n, dtype=np.int32)
+    f[np.fromiter(map(edge_mask, h.edges), dtype=np.int64, count=h.e())] = 1
+    for b in range(h.n):
+        pairs = f.reshape(-1, 2, 1 << b)
+        pairs[:, 1] += pairs[:, 0]
+    return f
+
+
+def _closest(h: Hypergraph, target: str, size: int, search: str) -> ClosenessReport:
     """The placement of a size-set with the fewest target edges missing.
 
-    ``missing(h, placement)`` counts the target edges absent from h. The
-    heuristic takes the highest-degree vertices; the exhaustive search tries
-    every placement and keeps the first of the fewest.
+    The heuristic takes the highest-degree vertices and counts their missing
+    edges. The exhaustive search reads every placement's count off one
+    subset-count table: a W misses cover_count - (m - f[V \\ W]) cover
+    edges, a U misses clique_count - f[U] clique edges. Placements run in
+    lex order and argmin keeps the first of the fewest.
     """
     if search == "heuristic":
         best = _top_degree_vertices(h, size)
+        missing = _cover_missing if target == "cover" else _clique_missing
         miss = missing(h, frozenset(best))
     elif search != "exhaustive":
         raise ValueError(f"unknown search mode {search!r}")
     elif h.n > EXHAUSTIVE_GUARD_N:
         raise BudgetExceeded(f"exhaustive closeness capped at n={EXHAUSTIVE_GUARD_N}")
     else:
-        # combinations() runs in lex order, so a tie on the count goes to the
-        # smaller placement, which is the one met first
-        miss, best = min(
-            (missing(h, frozenset(p)), p) for p in combinations(range(1, h.n + 1), size)
+        f = _subset_counts(h)
+        bits = [1 << v for v in range(h.n)]
+        places = np.fromiter(
+            map(sum, combinations(bits, size)), dtype=np.int64, count=math.comb(h.n, size)
         )
+        if target == "cover":
+            misses = cover_count(h.n, h.k, size) - h.e() + f[((1 << h.n) - 1) ^ places]
+        else:
+            misses = clique_count(h.k, (size + 1) // h.k - 1) - f[places]
+        at = int(np.argmin(misses))
+        miss = int(misses[at])
+        best = next(islice(combinations(range(1, h.n + 1), size), at, None))
     return ClosenessReport(target, best, miss, miss / h.n**h.k, search == "exhaustive", h.n)
 
 
@@ -109,7 +130,7 @@ def closeness_to_cover(h: Hypergraph, s: int, search: str = "heuristic") -> Clos
     """Fewest cover-family edges missing over placements of the s-set W."""
     if not 0 <= s <= h.n:
         raise ValueError(f"s={s} outside 0..{h.n}")
-    return _closest(h, "cover", s, _cover_missing, search)
+    return _closest(h, "cover", s, search)
 
 
 def closeness_to_clique(h: Hypergraph, s: int, search: str = "heuristic") -> ClosenessReport:
@@ -119,7 +140,7 @@ def closeness_to_clique(h: Hypergraph, s: int, search: str = "heuristic") -> Clo
     size = h.k * (s + 1) - 1
     if size > h.n:
         raise ValueError(f"clique core k(s+1)-1 = {size} exceeds n={h.n}")
-    return _closest(h, "clique", size, _clique_missing, search)
+    return _closest(h, "clique", size, search)
 
 
 def goodness_partition(h: Hypergraph, target: Hypergraph, theta: float) -> GoodnessReport:

@@ -5,12 +5,13 @@ import pytest
 import numpy as np
 
 from hypermatch import cli, lp, optimize, rounding, shifting
-from hypermatch.cli import main
+from hypermatch.cli import main, to_jsonable
 from hypermatch.core import (
     BudgetExceeded,
     _read_hg_lines,
     build,
     complete_graph,
+    random_hypergraph,
     read_hg,
     write_hg,
 )
@@ -83,6 +84,45 @@ def test_shift_roundtrip(tmp_path, capsys):
     assert read_hg(dst).edges == ((1, 2, 3),)
     tr = json.loads((tmp_path / "trace.json").read_text())
     assert tr["rounds"] >= 2
+
+
+# stabilizing 245, 345 on five vertices: moves at (1,2), (1,4), (2,3), (2,5),
+# (3,4) and (4,5) in the first sweep, none in the second
+PINNED_TRACE = (
+    '{"rounds": 2, "steps": [[1, 2, 1], [1, 3, 0], [1, 4, 1], [1, 5, 0], [2, 3, 1], '
+    '[2, 4, 0], [2, 5, 1], [3, 4, 1], [3, 5, 0], [4, 5, 1], [1, 2, 0], [1, 3, 0], '
+    '[1, 4, 0], [1, 5, 0], [2, 3, 0], [2, 4, 0], [2, 5, 0], [3, 4, 0], [3, 5, 0], [4, 5, 0]]}'
+)
+
+
+def test_shift_output_and_trace_are_pinned(tmp_path, capsys):
+    (tmp_path / "in.hg").write_text("3 5 2\n2 4 5\n3 4 5\n")
+    argv = ["shift", "--in", str(tmp_path / "in.hg"), "--out", str(tmp_path / "out.hg"),
+            "--trace", str(tmp_path / "trace.json")]
+    code, out = run(capsys, *argv)
+    assert code == 0 and out == "stable=True e=2 rounds=2\n"
+    assert (tmp_path / "out.hg").read_text() == "3 5 2\n1 2 3\n1 2 4\n"
+    assert (tmp_path / "trace.json").read_text() == PINNED_TRACE
+
+
+def _json_cases():
+    _, trace = shifting.stabilize(random_hypergraph(9, 3, 0.4, seed=3))
+    report = to_jsonable(rounding.pipeline(complete_graph(12, 3), 3, t=9, seed=1))
+    odd = {"x": [0.1, 1e-300, float("inf"), float("nan"), -0.0, 2**70], "s": "é\n\"", "3": None}
+    return [
+        ({"rounds": trace.rounds, "steps": trace.steps}, None),  # as shift --trace writes it
+        (report, 2),  # as round --report writes it
+        (odd, None),
+        (odd, 2),
+    ]
+
+
+@pytest.mark.parametrize("obj, indent", _json_cases(), ids=["trace", "report", "odd", "odd-2"])
+def test_write_json_writes_the_bytes_of_json_dump(tmp_path, obj, indent):
+    with open(tmp_path / "dump.json", "w") as fh:
+        json.dump(obj, fh, indent=indent)
+    cli._write_json(str(tmp_path / "ours.json"), obj, indent)
+    assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
 
 
 def test_closeness(tmp_path, capsys):
@@ -275,6 +315,24 @@ def test_solve_reports_the_simplex_fallback(tmp_path, capsys, monkeypatch):
         payload = json.loads(out)
         assert payload["lp_path"] == "simplex"
         assert payload["lp_solves"] is None and payload["lp_rows"] is None
+        assert payload["value"] == "5/3"
+
+
+@pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED, "solver error"])
+def test_solve_exact_lp_falls_back_when_highs_fails(tmp_path, capsys, monkeypatch, status):
+    def failing(c, a_ub, b_ub):
+        if status == "solver error":
+            raise RuntimeError("LP solver failed: iteration limit reached")
+        return status, None, None, None
+
+    monkeypatch.setattr(lp, "linprog_sparse", failing)
+    path = str(tmp_path / "k5.hg")
+    write_hg(clique_family(5, 3, 1), path)
+    for what in ("nustar", "taustar"):
+        code, out = run(capsys, "solve", "--what", what, "--in", path, "--exact-lp")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lp_path"] == "simplex"
         assert payload["value"] == "5/3"
 
 

@@ -203,6 +203,17 @@ class TestMatchingCeiling:
             assert value == nu == witness.size
             witness.validate(h)
 
+    @pytest.mark.parametrize("h", [
+        *(fam(n, 3, s) for fam in (cover_family, clique_family, hilton_milner_family)
+          for s, n in ((2, 13), (3, 14), (4, 16))),
+        *(random_hypergraph(n, 3, p, seed) for n, p, seed in
+          ((12, 0.3, 1), (20, 0.2, 2), (30, 0.1, 3), (40, 0.3, 4), (60, 0.05, 5))),
+    ])
+    def test_ceiling_is_the_floor_of_the_certified_tau_star(self, h):
+        fc = fractional_cover(h)
+        assert fc.lp_path == LP_CERTIFIED
+        assert _matching_ceiling(h) == math.floor(fc.value)
+
     @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=9, k=k)))
     @example(Hypergraph(6, 3, []))
     @example(complete_graph(7, 3))  # tau* = 7/3
@@ -613,7 +624,7 @@ class TestIntegerCertificate:
         y, x = np.zeros(12), np.ones(4)
         for i, p in enumerate(primes):
             y[3 * i], y[3 * i + 1] = 1 / p, 1 - 1 / p
-        _fracs, num, den = _over_common_denominator(np.concatenate([y, x]))
+        num, den = _over_common_denominator(np.concatenate([y, x]))
         assert num.dtype == object and den == math.prod(primes)
         _fixed_rows(monkeypatch, y, x)
         fm, fc = _highs_pair(h, "rational")
@@ -627,10 +638,9 @@ class TestIntegerCertificate:
         assert _highs_pair(h, "rational") is None
 
     def test_small_numerators_stay_int64(self):
-        fracs, num, den = _over_common_denominator(np.array([0.5, 1 / 3, 0.0, 1.0]))
+        num, den = _over_common_denominator(np.array([0.5, 1 / 3, 0.0, 1.0]))
         assert num.dtype == np.int64 and den == 6
         assert num.tolist() == [3, 2, 0, 6]
-        assert fracs == [Fraction(1, 2), Fraction(1, 3), 0, 1]
 
     @pytest.mark.parametrize("path", ["matching", "cover", "duality", "ceiling"])
     @pytest.mark.parametrize("side, bad", [(0, np.nan), (0, -np.inf), (1, np.inf), (1, np.nan)])
@@ -826,6 +836,25 @@ class TestNaNWeights:
             cover.validate(h)
         with pytest.raises(ValueError, match="outside"):
             threshold_cover_graph(h, cover)
+
+    @pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED, "solver error"])
+    def test_a_highs_failure_fails_the_certificate(self, monkeypatch, status):
+        # rational mode falls back to the simplex; float mode has no fallback
+        def failing(c, a_ub, b_ub):
+            if status == "solver error":
+                raise RuntimeError("LP solver failed: iteration limit reached")
+            return status, None, None, None
+
+        monkeypatch.setattr(lp, "linprog_sparse", failing)
+        h = complete_graph(5, 3)
+        assert _highs_pair(h, "rational") is None
+        rep = check_lp_duality(h, "rational")
+        for fa in (fractional_matching(h), fractional_cover(h), rep.matching, rep.cover):
+            assert fa.lp_path == LP_SIMPLEX
+            assert fa.value == Fraction(5, 3)
+            fa.validate(h)
+        with pytest.raises(RuntimeError):
+            _highs_pair(h, "float")
 
     def test_nan_cover_residual_fails_the_duality_check(self, monkeypatch):
         # HiGHS's value is kept, so the two optima still agree and only the

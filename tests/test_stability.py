@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hypermatch import stability
 from hypermatch.constructions import (
     clique_count,
     clique_family,
@@ -25,7 +28,7 @@ from hypermatch.stability import (
 )
 
 from conftest import seeded_graph
-from strategies import graph_pairs_subgraph
+from strategies import graph_pairs_subgraph, hypergraphs
 
 
 class TestMissingEdges:
@@ -112,6 +115,55 @@ class TestClosenessClique:
         heur = closeness_to_clique(h, 2, "heuristic")
         exact = closeness_to_clique(h, 2, "exhaustive")
         assert exact.missing_edges <= heur.missing_edges
+
+
+def _brute_force_closest(h, target, s):
+    """The lex-first placement with the fewest missing edges, and that count,
+    from the missing edges of the whole family at every placement."""
+    if target == "cover":
+        size, family = s, cover_family
+    else:
+        size, family = h.k * (s + 1) - 1, clique_family
+    return min(
+        (missing_edges(h, family(h.n, h.k, s, p)), p)
+        for p in combinations(range(1, h.n + 1), size)
+    )
+
+
+class TestExhaustiveOracle:
+    """The subset-count table gives the brute force's count and its lex-first placement."""
+
+    @given(hypergraphs(max_n=9), st.sampled_from(["cover", "clique"]), st.data())
+    @example(build(9, 3, []), "cover", None)
+    @example(build(9, 3, []), "clique", None)
+    @example(complete_graph(8, 3), "cover", None)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_brute_force(self, h, target, data):
+        top = h.n if target == "cover" else (h.n + 1) // h.k - 1
+        for s in range(top + 1) if data is None else [data.draw(st.integers(0, top))]:
+            closeness = closeness_to_cover if target == "cover" else closeness_to_clique
+            rep = closeness(h, s, "exhaustive")
+            miss, placement = _brute_force_closest(h, target, s)
+            assert (rep.missing_edges, rep.partition) == (miss, placement)
+            assert rep.exhaustive and rep.epsilon_effective == miss / h.n**h.k
+
+    def test_exhaustive_counts_no_single_placement(self, monkeypatch):
+        def refuse(h, placement):
+            raise AssertionError("a per-placement count ran")
+
+        monkeypatch.setattr(stability, "_cover_missing", refuse)
+        monkeypatch.setattr(stability, "_clique_missing", refuse)
+        h = hilton_milner_family(12, 3, 3)
+        for target, closeness in (("cover", closeness_to_cover), ("clique", closeness_to_clique)):
+            rep = closeness(h, 3, "exhaustive")
+            assert (rep.missing_edges, rep.partition) == _brute_force_closest(h, target, 3)
+
+    @pytest.mark.parametrize("target", ["cover", "clique"])
+    def test_guard(self, target):
+        closeness = closeness_to_cover if target == "cover" else closeness_to_clique
+        assert closeness(complete_graph(16, 3), 3, "exhaustive").missing_edges == 0
+        with pytest.raises(BudgetExceeded):
+            closeness(build(17, 3, []), 3, "exhaustive")
 
 
 class TestGoodness:
