@@ -7,7 +7,9 @@ not apply: `solve --limit` outside `nu`/`tau`, `solve --exact-lp` outside
 `nustar`/`taustar`, `gen --i` outside `--family a`), 3 bound mismatch
 (verify), 4 input error (an input file that cannot be read or is not a
 valid `.hg` graph), 5 output error (an output file that cannot be written;
-`shift` and `round` check their output paths before computing).
+`shift` and `round` check their output paths before computing), 6 solver
+error (`solve --what nustar|taustar` in float mode when HiGHS fails or
+returns a status other than optimal).
 """
 
 from __future__ import annotations
@@ -196,15 +198,18 @@ def _cmd_solve(args) -> int:
     elif what == "alpha":
         value, wset = max_independent_set(h)
         cert = {"vertices": sorted(wset)}
-    elif what == "nustar":
-        fa = fractional_matching(h, mode)
+    elif what in ("nustar", "taustar"):
+        try:  # exact mode falls back to the simplex; float mode has no fallback
+            fa = (fractional_matching if what == "nustar" else fractional_cover)(h, mode)
+        except RuntimeError as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            return 6
         value = fa.value
-        weights = zip(h.edges, fa.weights)
-        cert = {"weights": {" ".join(map(str, e)): to_jsonable(w) for e, w in weights if w}}
-    elif what == "taustar":
-        fa = fractional_cover(h, mode)
-        value = fa.value
-        cert = {"weights": {str(v): to_jsonable(w) for v, w in zip(h.vertices(), fa.weights)}}
+        if what == "nustar":
+            weights = zip(h.edges, fa.weights)
+            cert = {"weights": {" ".join(map(str, e)): to_jsonable(w) for e, w in weights if w}}
+        else:
+            cert = {"weights": {str(v): to_jsonable(w) for v, w in zip(h.vertices(), fa.weights)}}
     else:
         raise AssertionError(what)
     out = {"what": what, "value": to_jsonable(value)}

@@ -15,8 +15,10 @@ everything. Counts are exact integers throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, cycle, islice
 from math import comb
+
+import numpy as np
 
 from .core import Hypergraph, _check_shape
 
@@ -108,17 +110,58 @@ def prefix_overlap_family(n: int, k: int, s: int, i: int) -> Hypergraph:
     return Hypergraph(n, k, edges)
 
 
+def _with_tops(prev: np.ndarray, j: int, tops: range) -> np.ndarray:
+    """The j-sets whose top vertex is in ``tops``, in colex order.
+
+    ``prev`` holds the (j-1)-sets in colex order, where the (j-1)-sets of
+    [x-1] are the first C(x-1, j-1) rows; each is extended by its top x.
+    """
+    counts = [comb(x - 1, j - 1) for x in tops]
+    first = np.repeat(np.cumsum(counts) - counts, counts)  # where each top's rows start
+    rows = np.arange(len(first)) - first
+    return np.column_stack([prev[rows], np.repeat(np.arange(tops.start, tops.stop), counts)])
+
+
 def augment_universal(h: Hypergraph, r: int) -> Hypergraph:
     """Add r universal vertices n+1..n+r; every k-set meeting them is an edge."""
     if r < 0:
         raise ValueError(f"r={r} must be nonnegative")
     if r == 0:
         return h
-    n, have = h.n, h.edge_set
-    # combinations() yields canonical k-sets in lex order; an edge of h stays
-    # inside 1..n, and a k-set reaching past n meets a universal vertex
-    edges = [e for e in combinations(range(1, n + r + 1), h.k) if e[-1] > n or e in have]
-    return Hypergraph.from_canonical(n + r, h.k, edges)
+    n, k, top, allv = h.n, h.k, h.n + r, h.vertex_array()
+    # a k-set meets a universal vertex iff its top vertex t exceeds n: it is
+    # a (k-1)-set of [t-1] plus t
+    low = np.zeros((1, 0), dtype=np.intp)
+    for j in range(1, k):
+        low = _with_tops(low, j, range(j, top))
+    new = _with_tops(low, k, range(n + 1, top + 1))
+    # lex order on k-sets of [top] is the order of their base-(top+1) codes;
+    # Python ints where int64 could overflow
+    dtype = np.int64 if (top + 1) ** k < 2**63 else object
+    old_codes, new_codes = np.zeros(len(allv), dtype=dtype), np.zeros(len(new), dtype=dtype)
+    for j in range(k):
+        old_codes = old_codes * (top + 1) + allv[:, j]
+        new_codes = new_codes * (top + 1) + new[:, j]
+    order = np.argsort(new_codes)
+    new, new_codes = new[order], new_codes[order]
+    # h's edges are in lex order too; the new rows land between them
+    is_new = np.zeros(len(allv) + len(new), dtype=bool)
+    is_new[np.searchsorted(old_codes, new_codes) + np.arange(len(new))] = True
+    is_old = ~is_new
+    verts = np.empty((len(is_new), k), dtype=np.intp)
+    col = np.empty(len(is_new), dtype=np.intp)
+    for j in range(k):  # column by column: 1-D masked writes are the fast ones
+        col[is_new], col[is_old] = new[:, j], allv[:, j]
+        verts[:, j] = col
+    # the tuples in the same order: runs of h's own tuples and runs of new
+    # ones, alternating, each cut from its source by islice
+    starts = np.flatnonzero(np.diff(is_new, prepend=not is_new[0]))
+    runs = np.diff(starts, append=len(is_new)).tolist()
+    sources = [iter(h.edges), zip(*new.T.tolist())]
+    if is_new[0]:
+        sources.reverse()
+    edges = list(chain.from_iterable(map(islice, cycle(sources), runs)))
+    return Hypergraph.from_canonical(top, k, edges, verts)
 
 
 # -- closed-form counts ------------------------------------------------------

@@ -1,7 +1,8 @@
 """Immutable k-uniform hypergraphs on the vertex set {1, ..., n}.
 
 Edges are ascending k-tuples kept in lexicographic order; the edge list is
-the whole representation. ``edge_mask`` turns an edge into a vertex bitmask
+the whole representation, and its set and array views are derived from it
+on first use. ``edge_mask`` turns an edge into a vertex bitmask
 (bit v-1 for vertex v) for the few routines that test disjointness and
 containment as integer operations; Python integers keep this exact for any n.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import io
 import random
 import re
-from itertools import combinations
+from itertools import chain, combinations
 from operator import lt
 from typing import Iterable
 
@@ -53,32 +54,61 @@ class Hypergraph:
     """A k-uniform hypergraph on [n] with canonical, deduplicated edges.
 
     The constructor checks every edge; ``from_canonical`` trusts its caller.
+    ``edge_set`` (the edges as a frozenset) and ``vertex_array()`` (as one
+    read-only (m, k) array) are built on first use: the graphs the rounding
+    pipeline makes in bulk never ask for the set.
     """
 
-    __slots__ = ("n", "k", "edges", "edge_set")
+    __slots__ = ("n", "k", "edges", "_edge_set", "_verts")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]] = ()):
         _check_shape(n, k)
-        self._fill(n, k, sorted({_canonical_edge(e, k, n) for e in edges}))
+        self._fill(n, k, sorted({_canonical_edge(e, k, n) for e in edges}), None)
 
     @classmethod
-    def from_canonical(cls, n: int, k: int, edges: Iterable[Edge]) -> "Hypergraph":
+    def from_canonical(
+        cls, n: int, k: int, edges: Iterable[Edge], verts: np.ndarray | None = None
+    ) -> "Hypergraph":
         """A hypergraph from edges that are already canonical, unchecked.
 
         Precondition: every edge is an ascending k-tuple inside 1..n, no edge
         repeats, and the edges come in lexicographic order. Only k and n are
         checked; a list that breaks the precondition gives a broken graph.
+        ``verts``, when given, is trusted to hold the same edges as an (m, k)
+        integer array; it becomes read-only and is what ``vertex_array``
+        returns.
         """
         _check_shape(n, k)
         h = cls.__new__(cls)
-        h._fill(n, k, edges)
+        h._fill(n, k, edges, verts)
         return h
 
-    def _fill(self, n: int, k: int, canon: Iterable[Edge]) -> None:
+    def _fill(self, n: int, k: int, canon: Iterable[Edge], verts: np.ndarray | None) -> None:
         self.n = n
         self.k = k
         self.edges: tuple[Edge, ...] = tuple(canon)
-        self.edge_set: frozenset[Edge] = frozenset(self.edges)
+        self._edge_set: frozenset[Edge] | None = None
+        if verts is not None:
+            verts.flags.writeable = False
+        self._verts = verts
+
+    @property
+    def edge_set(self) -> frozenset[Edge]:
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.edges)
+        return self._edge_set
+
+    def vertex_array(self) -> np.ndarray:
+        """The edges as one read-only (m, k) integer array, row i = ``edges[i]``.
+
+        Built from the tuples on first use unless the producer handed it over.
+        """
+        if self._verts is None:
+            m, k = len(self.edges), self.k
+            verts = np.fromiter(chain.from_iterable(self.edges), np.intp, m * k).reshape(m, k)
+            verts.flags.writeable = False
+            self._verts = verts
+        return self._verts
 
     # -- basic queries ----------------------------------------------------
 
@@ -281,8 +311,9 @@ def _read_hg_bulk(text: str) -> Hypergraph | None:
     if not (ascending and ids[:, 0].min() >= 1 and ids[:, -1].max() <= n):
         return None
     edges = list(zip(*ids.T.tolist()))  # tuples of Python ints, never numpy scalars
-    if not all(map(lt, edges, edges[1:])):
-        edges = sorted(set(edges))  # duplicate lines collapse; m counts lines
+    if all(map(lt, edges, edges[1:])):
+        return Hypergraph.from_canonical(n, k, edges, ids.astype(np.intp, copy=False))
+    edges = sorted(set(edges))  # duplicate lines collapse; m counts lines
     return Hypergraph.from_canonical(n, k, edges)
 
 

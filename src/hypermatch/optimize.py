@@ -122,10 +122,18 @@ class FractionalAssignment:
 # -- exact matching and cover: one edge-bitset kernel ------------------------
 
 
+# Bytes the transient boolean (n+1) x block matrix of the incidence build may
+# take, however many edges or vertices there are: blocks of 11 520 edges at
+# n 90 and 6944 at n 150. A block is a multiple of 8 edges, so it packs into
+# whole bytes.
+INC_BLOCK_BYTES = 1 << 20
+
+
 class EdgeIndex:
     """Edge bitsets over a fixed edge list: bit i of a set stands for edge i.
 
-    The edges are vertex tuples, kept as ``verts``.
+    The edges are vertex tuples, kept as ``verts``; ``allv`` is the same
+    list as an (m, k) integer array, which the rows are built from.
     ``inc[v]`` holds the edges through vertex v and ``disj[i]`` the edges
     disjoint from edge i (built by the first ``disjoint_rows`` or ``packing``
     call). ``packing`` and ``cover`` answer the two questions of the paper's
@@ -134,19 +142,21 @@ class EdgeIndex:
 
     __slots__ = ("verts", "full", "inc", "disj")
 
-    def __init__(self, n: int, edges):
+    def __init__(self, n: int, edges, allv: np.ndarray):
         self.verts = tuple(edges)
-        self.full = (1 << len(self.verts)) - 1
-        # one byte row per vertex in use, set bit by bit and converted once:
-        # OR-ing 1 << i into an int copies the whole row at every edge
-        rows: list[bytearray | None] = [None] * (n + 1)
-        for v in set(chain.from_iterable(self.verts)):
-            rows[v] = bytearray((len(self.verts) + 7) // 8)
-        for i, vs in enumerate(self.verts):
-            byte, bit = i >> 3, 1 << (i & 7)
-            for v in vs:
-                rows[v][byte] |= bit
-        self.inc = [0 if row is None else int.from_bytes(row, "little") for row in rows]
+        m = len(self.verts)
+        self.full = (1 << m) - 1
+        # row v of packed is inc[v] as little-endian bytes: edge i is bit i & 7 of byte i >> 3
+        packed = np.zeros((n + 1, (m + 7) // 8), dtype=np.uint8)
+        size = max(8, INC_BLOCK_BYTES // (n + 1) // 8 * 8)
+        for lo in range(0, m, size):
+            block = allv[lo:lo + size]
+            hit = np.zeros((n + 1, len(block)), dtype=bool)
+            hit[block.T, np.arange(len(block))] = True
+            packed[:, lo >> 3:(lo + len(block) + 7) >> 3] = np.packbits(
+                hit, axis=1, bitorder="little"
+            )
+        self.inc = [int.from_bytes(row, "little") for row in packed]
         # m^2 bits in all, so left to the first search that needs them
         self.disj: list[int] | None = None
 
@@ -263,7 +273,7 @@ def max_matching(
         cap = min(cap, limit)
     best = _greedy_matching(h.edges)[:cap]
     if len(best) < cap:
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         nodes = PACKING_NODES
         while len(best) < cap:
             try:
@@ -311,7 +321,7 @@ def min_vertex_cover(
     if exhaustive:
         return _cover_oracle(h, limit)
     cap = h.n if limit is None else limit
-    index = EdgeIndex(h.n, h.edges)
+    index = EdgeIndex(h.n, h.edges, h.vertex_array())
     # a matching needs one cover vertex per edge, so its size bounds tau below
     for budget in range(len(_greedy_matching(h.edges)), cap + 1):
         got = index.cover(index.full, budget)
@@ -369,7 +379,7 @@ CERT_DENOMINATOR = 10**6
 def _negated_incidence(h: Hypergraph) -> sparse.csr_array:
     """-A^T as CSR: one row per edge, -1 at each of its vertices."""
     m, k = h.e(), h.k
-    cols = np.fromiter(chain.from_iterable(h.edges), dtype=np.int32, count=m * k) - 1
+    cols = h.vertex_array().ravel().astype(np.int32) - 1
     return sparse.csr_array(
         (np.full(m * k, -1.0), cols, np.arange(0, m * k + 1, k)), shape=(m, h.n)
     )

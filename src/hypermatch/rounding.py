@@ -15,6 +15,8 @@ Every edge weighting (a member of the family, the mixed probability) is a
 float64 vector indexed like ``h.edges`` of the graph being rounded, and the
 extraction's accumulated pair weight is one symmetric float64 matrix indexed
 by vertex label; its dead pairs and per-vertex heavy counts are read from it.
+The stages read the graph's vertices from ``h.vertex_array()``, one row per
+edge, not from its edge tuples.
 
 Round-by-round feasibility is an empirical matter at desk scale: when a
 stage stalls, the family or pipeline reports it rather than masking it.
@@ -27,7 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -118,9 +120,19 @@ def _bits(x: int) -> list[int]:
     return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
 
 
-def _vertex_array(edges: list, k: int) -> np.ndarray:
-    """The vertices of the given k-edges, one row per edge."""
-    return np.fromiter(chain.from_iterable(edges), np.intp, len(edges) * k).reshape(len(edges), k)
+def _uniforms(rng: random.Random, m: int) -> np.ndarray:
+    """The next m values of ``rng.random()``, in order, from one draw.
+
+    CPython's ``random()`` is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for two
+    consecutive 32-bit outputs a, b of its Mersenne Twister, and
+    ``getrandbits(64 m)`` returns 2m such outputs, the first in the least
+    significant word. So the array equals m calls of ``random()`` bit for
+    bit, and leaves ``rng`` where those calls would. This is an
+    implementation detail of CPython; a test pins it against the calls.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u4")
+    a, b = words[0::2] >> 5, words[1::2] >> 6
+    return (a * 67108864.0 + b) / 9007199254740992.0
 
 
 def _without_pairs(inc: list[int], live: int, pairs) -> int:
@@ -298,7 +310,7 @@ def extract_fpm_family(h: Hypergraph, t: int) -> FPMFamily:
 def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily:
     n, k = h.n, h.k
     threshold = _CAP / 2.0
-    edges = h.edges
+    edges, allv = h.edges, h.vertex_array()
     m = len(edges)
     index: EdgeIndex | None = None  # built on the first round that needs it
     perm: list[int] = []  # edge i of the index is edges[perm[i]]
@@ -345,9 +357,11 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
             break
         if index is None:
             perm = list(range(m))
-            if rng is not None:  # a retry searches the edges in its own order
+            if rng is None:
+                index = EdgeIndex(n, edges, allv)
+            else:  # a retry searches the edges in its own order
                 rng.shuffle(perm)
-            index = EdgeIndex(n, edges if rng is None else [edges[i] for i in perm])
+                index = EdgeIndex(n, [edges[i] for i in perm], allv[perm])
         rec = RoundRecord("lp")  # a search that succeeds names its own path
         rounds.append(rec)
         weights: np.ndarray | None = None
@@ -355,10 +369,10 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
             weights = _near_integral_round(n, index, perm, live, dead, rec)
         if weights is None:
             pos = sorted(perm[i] for i in _bits(live))
-            sub = Hypergraph.from_canonical(n, k, [edges[j] for j in pos])
+            v = allv[pos]
+            sub = Hypergraph.from_canonical(n, k, [edges[j] for j in pos], v)
             objective = None
             if pair_load.any():  # each edge's objective is the load on its pairs
-                v = _vertex_array(sub.edges, k)
                 objective = sum(pair_load[v[:, a], v[:, b]] for a, b in cols)
             fpm = fractional_perfect_matching(sub, objective=objective)
             if fpm is None:
@@ -372,7 +386,7 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         # by edge, so every load is the chain of additions a per-edge loop
         # would make, in edge order
         nz = np.flatnonzero(weights)
-        v = _vertex_array([edges[j] for j in nz.tolist()], k)
+        v = allv[nz]
         x, y = v[:, first].ravel(), v[:, second].ravel()
         w = np.repeat(weights[nz], len(cols))
         np.add.at(pair_load, (x, y), w)
@@ -459,21 +473,23 @@ def sample_binomial_subgraph(
     bad = np.flatnonzero(~((p >= -1e-9) & (p <= 1 + 1e-9)))  # NaN too
     if bad.size:
         raise ValueError(f"probability {p[bad[0]]} on {h.edges[bad[0]]} outside [0, 1]")
-    rng = random.Random(seed)
-    kept = [e for e, q in zip(h.edges, p.tolist()) if rng.random() < q]
-    sampled = Hypergraph.from_canonical(n, k, kept)  # kept is a subsequence of h.edges
+    allv = h.vertex_array()
+    kept = np.flatnonzero(_uniforms(random.Random(seed), m) < p)
+    kept_v = allv[kept]
+    # kept is a subsequence of h.edges, so its rows are canonical and in order
+    sampled = Hypergraph.from_canonical(n, k, [h.edges[i] for i in kept.tolist()], kept_v)
 
     nz = np.flatnonzero(p)
     w = p[nz]
-    verts = _vertex_array([h.edges[i] for i in nz.tolist()], k)
+    verts = allv[nz]
     # astype: with no weighted edge bincount returns integer zeros
     expected_arr = np.bincount(verts.ravel(), np.repeat(w, k), minlength=n + 1).astype(float)
     expected = dict(zip(h.vertices(), expected_arr[1:].tolist()))
     cols = list(combinations(range(k), 2))
     pairs = np.stack([verts[:, a] * (n + 1) + verts[:, b] for a, b in cols], axis=1).ravel()
     pair_expected = np.bincount(pairs, np.repeat(w, len(cols)), minlength=(n + 1) ** 2)
-    counts = Counter(chain.from_iterable(kept))
-    realized = {v: counts[v] for v in h.vertices()}
+    realized_arr = np.bincount(kept_v.ravel(), minlength=n + 1)
+    realized = dict(zip(h.vertices(), realized_arr[1:].tolist()))
     deviations = {v: realized[v] - expected[v] for v in h.vertices()}
 
     violations = 0
@@ -517,7 +533,7 @@ def near_perfect_matching(
     probability 0.1. Either strategy stops once no edge is live. No
     near-perfectness is promised; the caller inspects the size.
     """
-    index = EdgeIndex(h.n, h.edges)
+    index = EdgeIndex(h.n, h.edges, h.vertex_array())
     meets = index.meets
     live = index.full  # the edges disjoint from every chosen one
     chosen: list[int] = []

@@ -105,7 +105,8 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
                     potential -= (j - i) * moved
                     moved_this_round += moved
         if moved_this_round == 0:
-            out = Hypergraph(h.n, h.k, map(_mask_edge, masks))
+            # distinct masks of k bits inside 1..n: ascending tuples, sorted into lex order
+            out = Hypergraph.from_canonical(h.n, h.k, sorted(map(_mask_edge, masks)))
             assert out.e() == h.e(), "shifts must preserve the edge count"
             assert _label_sum(out) == potential, "label sum must drop by j - i per move"
             return out, trace

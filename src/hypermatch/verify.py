@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from .constructions import bound_report
 from .core import BudgetExceeded, Hypergraph, _check_shape
 from .optimize import EdgeIndex, max_matching, min_vertex_cover
@@ -54,7 +56,8 @@ class _Searcher:
         self.constraint = constraint
         self.edges = list(combinations(range(1, n + 1), k))
         self.m = len(self.edges)
-        self.index = EdgeIndex(n, self.edges)
+        allv = np.array(self.edges, dtype=np.intp).reshape(self.m, k)
+        self.index = EdgeIndex(n, self.edges, allv)
 
     def satisfies(self, sub: int) -> bool:
         if self.index.packing(sub, self.s + 1) is not None:

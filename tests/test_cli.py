@@ -336,6 +336,26 @@ def test_solve_exact_lp_falls_back_when_highs_fails(tmp_path, capsys, monkeypatc
         assert payload["value"] == "5/3"
 
 
+@pytest.mark.parametrize("status", [lp.INFEASIBLE, "solver error"])
+def test_solve_float_lp_failure_is_a_solver_error(tmp_path, capsys, monkeypatch, status):
+    # float mode has no simplex fallback: the failure is reported, not a traceback
+    def failing(c, a_ub, b_ub):
+        if status == "solver error":
+            raise RuntimeError("LP solver failed: iteration limit reached")
+        return status, None, None, None
+
+    monkeypatch.setattr(lp, "linprog_sparse", failing)
+    path = str(tmp_path / "k5.hg")
+    write_hg(clique_family(5, 3, 1), path)
+    for what in ("nustar", "taustar"):
+        code = main(["solve", "--what", what, "--in", path])
+        captured = capsys.readouterr()
+        assert code == 6
+        assert captured.out == ""
+        want = "LP solver failed" if status == "solver error" else f"came back {status}"
+        assert captured.err.startswith("solver error: ") and want in captured.err
+
+
 def test_solve_exact_lp_falls_back_on_a_nan_from_highs(tmp_path, capsys, monkeypatch):
     real = optimize._cover_rows
 

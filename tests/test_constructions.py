@@ -181,6 +181,16 @@ class TestAugment:
             assert max_matching(base)[0] >= s + 1
 
 
+    def test_codes_past_int64_are_python_ints(self):
+        # the base-21 lex codes of the 15-sets of [20] pass 2**63, where
+        # int64 codes would wrap and misplace the new edges
+        assert sum(v * 21 ** (20 - v) for v in range(6, 21)) > 2**63
+        base = random_hypergraph(19, 15, 0.05, seed=1)
+        got = augment_universal(base, 1)
+        new = [e for e in combinations(range(1, 21), 15) if e[-1] > 19]
+        assert got == Hypergraph(20, 15, list(base.edges) + new)
+        assert got.vertex_array().tolist() == [list(e) for e in got.edges]
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_equals_the_checked_constructor(self, data):

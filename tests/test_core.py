@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from itertools import combinations, islice
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,8 @@ from hypermatch.core import (
     to_json_dict,
     write_hg,
 )
-from hypermatch.constructions import cover_family, hilton_milner_family
+from hypermatch.constructions import augment_universal, cover_family, hilton_milner_family
+from hypermatch.rounding import sample_binomial_subgraph
 
 from strategies import hypergraphs
 
@@ -390,6 +392,59 @@ def test_from_canonical_equals_the_checked_constructor(case):
     h = Hypergraph.from_canonical(n, k, canon)
     assert h == Hypergraph(n, k, lines)
     assert h.edge_set == frozenset(canon)
+
+
+def _assert_vertex_array(h: Hypergraph) -> None:
+    """``vertex_array()`` holds the edge tuples, read-only, and is built once."""
+    v = h.vertex_array()
+    assert v.shape == (h.e(), h.k) and v.dtype.kind == "i"
+    assert v.tolist() == [list(e) for e in h.edges]
+    assert not v.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        v[...] = 0
+    assert h.vertex_array() is v
+
+
+@settings(max_examples=40, deadline=None)
+@given(_canonical_lists())
+def test_vertex_array_of_the_constructors(case):
+    n, k, lines = case
+    canon = sorted(set(lines))
+    _assert_vertex_array(Hypergraph(n, k, lines))
+    _assert_vertex_array(Hypergraph.from_canonical(n, k, canon))
+    given_array = np.array(canon, dtype=np.intp).reshape(len(canon), k)
+    h = Hypergraph.from_canonical(n, k, canon, given_array)
+    assert h.vertex_array() is given_array  # handed over, not copied
+    _assert_vertex_array(h)
+
+
+_READ_PATHS = {
+    "bulk": b"3 5 3\n1 2 3\n1 2 4\n2 4 5\n",
+    "bulk, lines out of order and repeated": b"3 5 4\n2 4 5\n1 2 3\n2 4 5\n1 2 4\n",
+    "per-line loop": b"3 5 3\n0000000000000000001 2 3\n1 2 4\n2 4 5\n",
+    "per-line loop, lines repeated": b"3 5 3\n1 2 4\n0000000000000000001 2 3\n1 2 4\n",
+    "empty": b"3 5 0\n",
+}
+
+
+@pytest.mark.parametrize("data", _READ_PATHS.values(), ids=_READ_PATHS.keys())
+def test_vertex_array_of_read_hg(tmp_path, data):
+    path = tmp_path / "g.hg"
+    path.write_bytes(data)
+    h = read_hg(str(path))
+    _assert_vertex_array(h)
+    assert h == _per_line(str(path))
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_vertex_array_of_augmented_and_sampled_graphs(k, r):
+    for seed, p in ((1, 0.0), (2, 0.4), (3, 1.0)):
+        h = random_hypergraph(7, k, p, seed)
+        hr = augment_universal(h, r)
+        _assert_vertex_array(hr)
+        probs = np.linspace(0.0, 1.0, hr.e())
+        _assert_vertex_array(sample_binomial_subgraph(hr, probs, seed).sampled)
 
 
 def test_from_canonical_keeps_the_shape_checks():

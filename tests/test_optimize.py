@@ -107,7 +107,7 @@ def _plain_search(h: Hypergraph) -> tuple:
     start, then ``EdgeIndex.packing`` one size up until it fails."""
     cap = h.n // h.k
     best = _greedy_matching(h.edges)[:cap]
-    index = EdgeIndex(h.n, h.edges)
+    index = EdgeIndex(h.n, h.edges, h.vertex_array())
     while len(best) < cap:
         got = index.packing(index.full, len(best) + 1)
         if got is None:
@@ -241,7 +241,7 @@ class TestPackingBudget:
     def test_a_search_inside_its_budget_returns_the_unbudgeted_witness(self):
         for seed in range(40):
             h = seeded_graph(seed, n_lo=6, n_hi=10)
-            index = EdgeIndex(h.n, h.edges)
+            index = EdgeIndex(h.n, h.edges, h.vertex_array())
             for need in range(1, h.n // h.k + 2):
                 free = index.packing(index.full, need)
                 finished = []
@@ -256,7 +256,8 @@ class TestPackingBudget:
                 assert finished  # PACKING_NODES is ample at n <= 10
 
     def test_zero_nodes_refuses_any_search(self):
-        index = EdgeIndex(6, complete_graph(6, 3).edges)
+        k6 = complete_graph(6, 3)
+        index = EdgeIndex(6, k6.edges, k6.vertex_array())
         assert index.packing(index.full, 0, 0) == []
         with pytest.raises(BudgetExceeded):
             index.packing(index.full, 1, 0)
@@ -328,12 +329,21 @@ class TestMinVertexCover:
                 witness.validate(h)
 
 
+def _per_edge_rows(n: int, edges) -> list[int]:
+    """inc[v] set edge by edge into one byte row per vertex, then converted."""
+    rows = [bytearray((len(edges) + 7) // 8) for _ in range(n + 1)]
+    for i, vs in enumerate(edges):
+        for v in vs:
+            rows[v][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(row, "little") for row in rows]
+
+
 class TestEdgeIndex:
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_match_their_definitions(self, seed):
         for k in (2, 3, 4):
             h = seeded_graph(seed, n_lo=4, n_hi=9, k=k)
-            index = EdgeIndex(h.n, h.edges)
+            index = EdgeIndex(h.n, h.edges, h.vertex_array())
             assert index.disj is None and index.packing(0, 1) is None  # builds disj
             assert len(index.inc) == h.n + 1 and index.inc[0] == 0
             masks = [edge_mask(e) for e in h.edges]
@@ -345,10 +355,37 @@ class TestEdgeIndex:
                 assert index.disj[i] == want
                 assert index.meets(i) == sum(1 << j for j, mj in enumerate(masks) if mi & mj)
 
+    @pytest.mark.parametrize("budget", [1, 200, optimize.INC_BLOCK_BYTES])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_packed_rows_equal_the_per_edge_rows(self, monkeypatch, budget, k):
+        # the rows are packed in blocks of edges; small byte budgets put the
+        # block boundaries (8 or 16 edges apart, and a short last block)
+        # inside these small edge lists
+        monkeypatch.setattr(optimize, "INC_BLOCK_BYTES", budget)
+        rng = random.Random(budget * 10 + k)
+        graphs = [complete_graph(8, k), random_hypergraph(9, k, 0.4, k), Hypergraph(6, k, [])]
+        for h in graphs:
+            edges = list(h.edges)
+            rng.shuffle(edges)  # any edge order, as a retry's shuffled index has
+            n = h.n + 3  # vertices no edge uses get a zero row
+            allv = np.array(edges, dtype=np.intp).reshape(len(edges), k)
+            index = EdgeIndex(n, edges, allv)
+            assert index.inc == _per_edge_rows(n, edges)
+            assert index.full == (1 << len(edges)) - 1 and index.verts == tuple(edges)
+
+    def test_packed_rows_cross_the_default_block(self):
+        h = complete_graph(55, 3)  # 26 235 edges, past one block of 18 720
+        assert h.e() > optimize.INC_BLOCK_BYTES // (h.n + 1)
+        perm = list(range(h.e()))
+        random.Random(55).shuffle(perm)
+        edges = [h.edges[i] for i in perm]
+        index = EdgeIndex(h.n, edges, h.vertex_array()[perm])
+        assert index.inc == _per_edge_rows(h.n, edges)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_witnesses_on_subsets(self, seed):
         h = seeded_graph(seed, n_lo=4, n_hi=8)
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         sub = sum(1 << i for i in range(0, h.e(), 2))  # every other edge
         g = build(h.n, h.k, [e for i, e in enumerate(h.edges) if sub >> i & 1])
         nu = max_matching(g, exhaustive=True)[0]
@@ -399,7 +436,7 @@ class TestCoverKernel:
     @settings(max_examples=150, deadline=None)
     def test_same_list_as_the_plain_search(self, case):
         h, sub = case
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         got = [index.cover(sub, budget) for budget in range(h.n + 1)]
         assert got == [_plain_cover(index, sub, budget) for budget in range(h.n + 1)]
         g = Hypergraph(h.n, h.k, [e for i, e in enumerate(h.edges) if sub >> i & 1])
@@ -410,7 +447,7 @@ class TestCoverKernel:
     def test_the_skip_cuts_the_failing_search(self):
         h = random_hypergraph(17, 3, 0.3, seed=5)
         tau = min_vertex_cover(h)[0]
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         plain: list = []
         assert _plain_cover(index, index.full, tau - 1, plain) is None
         # count the calls of cover's recursion, the nested function ``rec``

@@ -18,6 +18,7 @@ from hypermatch.rounding import (
     _find_perfect_matching,
     _pick_gadget_vertices,
     _uniform_round_budget,
+    _uniforms,
     _without_pairs,
     choose_augmentation,
     extract_fpm_family,
@@ -146,6 +147,36 @@ def _edge_probabilities(draw, m):
         return [1.0] * m
     entry = st.one_of(st.just(0.0), unit) if kind == "sparse" else unit
     return draw(st.lists(entry, min_size=m, max_size=m))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**40 + 3])
+@pytest.mark.parametrize("m", [0, 1, 7, 5000])
+def test_bulk_draws_equal_the_per_edge_loop(seed, m):
+    # CPython's random() over two 32-bit outputs, read from one getrandbits
+    # call: a different CPython could break this, and this test would say so
+    p = np.random.default_rng(seed).random(m)
+    p[::3] = 0.0
+    p[1::4] = 1.0
+    loop = random.Random(seed)
+    kept = [i for i, q in enumerate(p.tolist()) if loop.random() < q]
+    bulk = random.Random(seed)
+    u = _uniforms(bulk, m)
+    assert np.flatnonzero(u < p).tolist() == kept
+    assert bulk.random() == loop.random()  # the generator is left where the loop leaves it
+    again = random.Random(seed)
+    assert [x.hex() for x in u.tolist()] == [again.random().hex() for _ in range(m)]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampler_on_five_thousand_edges_equals_the_per_edge_reference(seed):
+    h = complete_graph(32, 3)  # 4960 edges
+    p = np.random.default_rng(seed).random(h.e())
+    p[::5] = 0.0
+    rep = sample_binomial_subgraph(h, p, seed)
+    kept = _sample_reference(h, p.tolist(), seed, 1.0)[0]
+    assert rep.sampled.edges == tuple(kept)
+    assert rep.sampled.vertex_array().tolist() == [list(e) for e in kept]
+    assert rep.realized_degrees == {v: sum(v in e for e in kept) for v in h.vertices()}
 
 
 class TestSample:
@@ -346,7 +377,7 @@ class TestPipeline:
 class TestFindPerfectMatching:
     def test_covers_exactly_the_complement(self):
         h = complete_graph(10, 3)
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         covered0 = edge_mask((2, 5, 9, 10))  # six vertices left: two edges
         outcome, pm, _ = _find_perfect_matching(index, index.full, h.n, 3, covered0)
         assert outcome == "found"
@@ -359,7 +390,7 @@ class TestFindPerfectMatching:
 
     def test_none_when_the_rest_is_not_divisible_by_k(self):
         h = complete_graph(10, 3)
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         covered0 = edge_mask((2, 5, 9))  # seven vertices left
         assert _find_perfect_matching(index, index.full, h.n, 3, covered0) == ("none", None, 0)
 
@@ -367,7 +398,7 @@ class TestFindPerfectMatching:
     def test_matches_the_exhaustive_oracle_on_small_graphs(self, h, data):
         # a perfect matching of the live edges avoiding covered0 exists iff
         # the oracle finds (n - |covered0|) / 3 disjoint such edges
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         live = data.draw(st.one_of(st.just(index.full), st.integers(0, index.full)))
         if data.draw(st.booleans()):
             covered0 = data.draw(st.integers(0, (1 << h.n) - 1))
@@ -395,11 +426,11 @@ class TestFindPerfectMatching:
 
     def test_tiny_budget_is_budget_not_none(self):
         h = complete_graph(12, 3)
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         assert _find_perfect_matching(index, index.full, h.n, 3, budget=2) == ("budget", None, 2)
         # an isolated vertex is a proof of none at the root, inside any budget
         h = build(9, 3, [e for e in complete_graph(9, 3).edges if 9 not in e])
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         assert _find_perfect_matching(index, index.full, h.n, 3, budget=1) == ("none", None, 1)
 
 
@@ -449,7 +480,7 @@ class TestExtractionIndex:
 
     @given(hypergraphs(max_n=9), st.data())
     def test_dead_pair_kill_matches_the_per_edge_definition(self, h, data):
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         live = data.draw(st.integers(0, index.full))
         pool = list(combinations(range(1, h.n + 1), 2))
         pairs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
@@ -506,19 +537,19 @@ class TestExtractionIndex:
 class TestPickGadget:
     def test_none_when_every_candidate_fails(self):
         h = complete_graph(20, 3)
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         dead = ~np.eye(21, dtype=bool)  # every pair: C(20, 4) = 4845 candidates
         assert _pick_gadget_vertices(20, 4, dead, index, index.full) == ("none", None)
 
     def test_budget_after_five_thousand_candidates(self):
         h = complete_graph(21, 3)
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         dead = ~np.eye(22, dtype=bool)  # every pair: C(21, 4) = 5985 candidates
         assert _pick_gadget_vertices(21, 4, dead, index, index.full) == ("budget", None)
 
     def test_found_needs_live_triples(self):
         h = complete_graph(10, 3)
-        index = EdgeIndex(h.n, h.edges)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
         dead = np.zeros((11, 11), dtype=bool)
         outcome, cand = _pick_gadget_vertices(10, 4, dead, index, index.full)
         assert (outcome, cand) == ("found", (1, 2, 3, 4))

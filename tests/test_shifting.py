@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from hypermatch.constructions import cover_family, hilton_milner_family
-from hypermatch.core import build, complete_graph
+from hypermatch.core import Hypergraph, build, complete_graph, relabel_graph
 from hypermatch.optimize import max_matching
 from hypermatch.shifting import (
     ShiftTrace,
@@ -127,6 +129,21 @@ class TestStabilize:
         # final sweep moves nothing
         per_round = len(trace.steps) // trace.rounds
         assert all(m == 0 for _, _, m in trace.steps[-per_round:])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_stabilize_output_equals_the_checked_constructor(seed, k):
+    # stabilize builds its output unchecked; the checked constructor must agree
+    h = seeded_graph(seed, n_lo=k, n_hi=12, k=k)
+    labels = list(h.vertices())
+    random.Random(seed).shuffle(labels)
+    for g in (h, relabel_graph(h, dict(zip(h.vertices(), labels)))):
+        out, _ = stabilize(g)
+        checked = Hypergraph(out.n, out.k, out.edges)
+        assert out == checked and out.edge_set == checked.edge_set
+        assert out.vertex_array().tolist() == [list(e) for e in checked.edges]
+        assert all(type(v) is int for e in out.edges for v in e)
 
 
 class TestStabilizeMatchesReference:
