@@ -17,10 +17,12 @@ CASES = [
     (5, 3, 1, NU_LE_S),
     (5, 3, 1, NU_LE_S_TAU_GT_S),
     (6, 3, 1, NU_LE_S_TAU_GT_S),
-    # C(n,k) > 24 edges: the exhaustive method refuses these, the pruned one
-    # settles each in about half a second
+    # C(n,k) > 24 edges: the exhaustive method refuses these; the pruned one
+    # settles (9,3,1) in a few seconds and each of the others in under one
     (8, 3, 1, NU_LE_S_TAU_GT_S),
     (9, 2, 2, NU_LE_S_TAU_GT_S),
+    (9, 3, 1, NU_LE_S_TAU_GT_S),
+    (10, 2, 2, NU_LE_S_TAU_GT_S),
 ]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import random
 import re
+from bisect import bisect_left
 from itertools import chain, combinations
 from operator import lt
 from typing import Iterable
@@ -56,7 +57,8 @@ class Hypergraph:
     The constructor checks every edge; ``from_canonical`` trusts its caller.
     ``edge_set`` (the edges as a frozenset) and ``vertex_array()`` (as one
     read-only (m, k) array) are built on first use: the graphs the rounding
-    pipeline makes in bulk never ask for the set.
+    pipeline makes in bulk never ask for the set, and ``e in h`` bisects the
+    lex-ordered edges instead.
     """
 
     __slots__ = ("n", "k", "edges", "_edge_set", "_verts")
@@ -120,7 +122,10 @@ class Hypergraph:
         return range(1, self.n + 1)
 
     def __contains__(self, e) -> bool:
-        return tuple(sorted(e)) in self.edge_set
+        # the edges are in lex order: a bisect finds t without building the set
+        t = tuple(sorted(e))
+        i = bisect_left(self.edges, t)
+        return i < len(self.edges) and self.edges[i] == t
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,9 +6,14 @@ bounds. The default path enumerates all 2^C(n,k) edge subsets from the
 densest down and is the ground-truth oracle; the pruned path walks maximal
 constraint-satisfying families instead (the maximum is attained at one)
 and asks the edge-bitset kernel's cover search of every maximal family of
-the best size. Once it holds WITNESS_CAP families of the best size, it cuts
-every subtree that can only tie that size, since no such leaf would be
-reported; ``subsets_checked`` counts the maximal families it still visits.
+the best size. For n >= ks it walks only the families that contain the
+fixed s-matching M0 = {1..k}, ..., {(s-1)k+1..sk}: every maximal family
+there has nu = s, and relabeling moves any s-matching onto M0, so the
+maximum is the same and the witnesses are the extremal families holding
+M0. Under the tau floor it cuts a subtree whose largest family already has
+a cover of s vertices. Once it holds WITNESS_CAP families of the best size,
+it cuts every subtree that can only tie that size, since no such leaf would
+be reported; ``subsets_checked`` counts the maximal families it still visits.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .optimize import EdgeIndex, max_matching, min_vertex_cover
 
 EXHAUSTIVE_EDGE_GUARD = 24
 WITNESS_CAP = 4  # extremal families reported per call
+# Least |cand| at which the pruned search asks whether sub | cand has a cover
+# of s vertices; on smaller subtrees the cover search costs more than it cuts.
+TAU_CUT_MIN_CAND = 8
 
 NU_LE_S = "nu_le_s"
 NU_LE_S_TAU_GT_S = "nu_le_s_and_tau_gt_s"
@@ -65,6 +73,12 @@ class _Searcher:
         if self.constraint == NU_LE_S_TAU_GT_S and self.index.cover(sub, self.s) is not None:
             return False
         return True
+
+    def fixed_matching(self) -> int:
+        """M0 = {1..k}, {k+1..2k}, ..., {(s-1)k+1..sk} as an edge bitset (n >= ks)."""
+        k = self.k
+        blocks = (tuple(range(j * k + 1, j * k + k + 1)) for j in range(self.s))
+        return sum(1 << self.edges.index(e) for e in blocks)
 
     def to_graph(self, sub: int) -> Hypergraph:
         picked = [self.edges[i] for i in range(self.m) if sub >> i & 1]
@@ -188,9 +202,23 @@ def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
     adding an edge filters both sets with `_addable_after` alone, and a
     leaf (`cand` empty) is maximal exactly when `banned` is empty. Every
     leaf is a different family, so the witnesses are distinct.
+
+    For n >= ks the root is `sub` = M0 (`_Searcher.fixed_matching`) with
+    `cand` the edges that meet [ks]: a maximal family has nu = s, and a
+    relabeling of [n] moves any of its s-matchings onto M0 and keeps both
+    constraints, so the maximum is attained at a family holding M0. The
+    edges addable to M0 are exactly those meeting [ks], so the invariants
+    hold at the root. The witnesses are then extremal families holding M0.
+    Below n = ks the root is the empty family with every edge in `cand`.
+
+    Under the tau floor, a node entered by taking an edge, with at least
+    TAU_CUT_MIN_CAND edges in `cand`, is cut when ``sub | cand`` has a cover
+    of s vertices: every leaf below is a subset of it, and tau never drops
+    as edges are added, so none of them has tau > s.
     """
     index = searcher.index
     s = searcher.s
+    tau_floor = searcher.constraint == NU_LE_S_TAU_GT_S
     best_size = -1
     best_subs: list[int] = []
     checked = 0
@@ -200,7 +228,7 @@ def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
         checked += 1
         if size < best_size:
             return
-        if searcher.constraint == NU_LE_S_TAU_GT_S and index.cover(sub, s) is not None:
+        if tau_floor and index.cover(sub, s) is not None:
             return
         if size > best_size:
             best_size = size
@@ -208,25 +236,36 @@ def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
         elif len(best_subs) < WITNESS_CAP:
             best_subs.append(sub)
 
-    def expand(sub: int, size: int, cand: int, banned: int) -> None:
+    def expand(sub: int, size: int, cand: int, banned: int, took: bool) -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("pruned search ran over budget")
         # leaves below hold at most size + |cand| edges; once the witness list
         # is full, a leaf that only ties best_size changes nothing either
-        if size + cand.bit_count() < best_size + (len(best_subs) >= WITNESS_CAP):
+        free = cand.bit_count()
+        if size + free < best_size + (len(best_subs) >= WITNESS_CAP):
             return
         if not cand:
             if not banned:
                 visit_maximal(sub, size)
             return
+        if took and tau_floor and free >= TAU_CUT_MIN_CAND:
+            if index.cover(sub | cand, s) is not None:
+                return
         low = cand & -cand
         rest = cand ^ low
         kept = _addable_after(index, s, sub, low.bit_length() - 1, rest | banned)
-        expand(sub | low, size + 1, kept & rest, kept & banned)
-        expand(sub, size, rest, banned | low)
+        expand(sub | low, size + 1, kept & rest, kept & banned, True)
+        expand(sub, size, rest, banned | low, False)
 
     try:
-        expand(0, 0, index.full, 0)
+        if searcher.n >= searcher.k * s:
+            fixed = searcher.fixed_matching()
+            meets = 0
+            for v in range(1, searcher.k * s + 1):
+                meets |= index.inc[v]
+            expand(fixed, s, meets & ~fixed, 0, True)
+        else:
+            expand(0, 0, index.full, 0, False)
     except BudgetExceeded:
         return None, [], checked, "budget refusal"
     if best_size < 0:

@@ -394,6 +394,18 @@ def test_from_canonical_equals_the_checked_constructor(case):
     assert h.edge_set == frozenset(canon)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_canonical_lists(), st.randoms(use_true_random=False))
+def test_membership_agrees_with_the_edge_set(case, rnd):
+    n, k, lines = case
+    h = Hypergraph.from_canonical(n, k, sorted(set(lines)))
+    probes = [rnd.sample(range(1, n + 1), k) for _ in range(20)]  # edges and non-edges, any order
+    probes += [e[::-1] for e in h.edges] + [(0,) * k, (n + 1,) * k, (1,), tuple(range(1, n + 1))]
+    got = [p in h for p in probes]
+    assert h._edge_set is None  # answered without building the set
+    assert got == [tuple(sorted(p)) in h.edge_set for p in probes]
+
+
 def _assert_vertex_array(h: Hypergraph) -> None:
     """``vertex_array()`` holds the edge tuples, read-only, and is built once."""
     v = h.vertex_array()

@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import combinations
 
 import pytest
@@ -9,51 +10,78 @@ from hypermatch.cli import render_report, to_jsonable
 from hypermatch.constructions import clique_family, hilton_milner_family
 from hypermatch.core import BudgetExceeded, Hypergraph
 from hypermatch.optimize import EdgeIndex, max_matching, min_vertex_cover
+import hypermatch.verify as verify
 from hypermatch.verify import (
     NU_LE_S,
     NU_LE_S_TAU_GT_S,
+    WITNESS_CAP,
     _addable_after,
     revalidate_witnesses,
     verify_extremal,
 )
 
 # (max_edges_found, subsets_checked, witnesses, witness masks) of the pruned
-# search, pinned. Every row has at least WITNESS_CAP = 4 extremal families.
-# Once the witness list is full, the search cuts every subtree that can only
-# tie the best size, so subsets_checked counts the maximal families it still
-# visits; a faster addability test must leave that count, and so the search
-# tree, as it is. The masks are the witnesses in the order the search reports
-# them, bit i standing for the i-th k-set of [n] in lex order; they were read
-# off the search before it cut tied subtrees or skipped failed cover
-# vertices, and neither cut may move them or the maximum.
-# Each id keeps the subsets_checked count from before the re-pin, so the test
-# names stay as they were.
+# search, pinned. Every row has n >= ks, so the search starts from the fixed
+# s-matching M0 and reports only extremal families that hold it; (7,2,2)
+# under the tau floor and (8,3,1) under nu <= s have three such families, the
+# other rows at least WITNESS_CAP = 4. Once the witness list is full, the
+# search cuts every subtree that can only tie the best size, so
+# subsets_checked counts the maximal families it still visits; a faster
+# addability test must leave that count, and so the search tree, as it is.
+# The masks are the witnesses in the order the search reports them, bit i
+# standing for the i-th k-set of [n] in lex order; neither the tied-subtree
+# cut, the skipped failed cover vertices nor the tau-floor cut may move them
+# or the maximum.
+# Each id keeps the subsets_checked count of the search before any cut, so
+# the test names stay as they were.
 PINNED_TREES = [
     pytest.param(
         6, 3, 1, NU_LE_S_TAU_GT_S, 10, 5, 4, (0x5FF, 0xAFF, 0xCFF, 0x137F),
         id="6-3-1-nu_le_s_and_tau_gt_s-10-1024",
     ),
     pytest.param(
-        7, 3, 1, NU_LE_S_TAU_GT_S, 13, 11, 4, (0x8FFF, 0x133FF, 0x255FF, 0x469FF),
+        7, 3, 1, NU_LE_S_TAU_GT_S, 13, 5, 4, (0x8FFF, 0x133FF, 0x255FF, 0x469FF),
         id="7-3-1-nu_le_s_and_tau_gt_s-13-182",
     ),
     pytest.param(
-        7, 2, 2, NU_LE_S_TAU_GT_S, 10, 29, 4, (0x99CF, 0x12AD7, 0x24CE7, 0x4335B),
+        7, 2, 2, NU_LE_S_TAU_GT_S, 10, 11, 3, (0x99CF, 0x12AD7, 0x24CE7),
         id="7-2-2-nu_le_s_and_tau_gt_s-10-62",
     ),
     pytest.param(
-        8, 2, 2, NU_LE_S_TAU_GT_S, 10, 32, 4, (0x21FF, 0x42FF, 0x84FF, 0x108FF),
+        8, 2, 2, NU_LE_S_TAU_GT_S, 10, 8, 4, (0x21FF, 0x4607F, 0x8A07F, 0x11207F),
         id="8-2-2-nu_le_s_and_tau_gt_s-10-364",
     ),
     pytest.param(
-        8, 3, 1, NU_LE_S, 21, 4, 4, (0x1FFFFF, 0xFFFE0003F, 0x3FF003E007C1, 0xFC0F03C207842),
+        8, 3, 1, NU_LE_S, 21, 3, 3, (0x1FFFFF, 0xFFFE0003F, 0x3FF003E007C1),
         id="8-3-1-nu_le_s-21-8",
     ),
     pytest.param(
-        8, 3, 1, NU_LE_S_TAU_GT_S, 16, 12, 4, (0x207FFF, 0x438FFF, 0x8C97FF, 0x11527FF),
+        8, 3, 1, NU_LE_S_TAU_GT_S, 16, 5, 4, (0x207FFF, 0x438FFF, 0x8C97FF, 0x11527FF),
         id="8-3-1-nu_le_s_and_tau_gt_s-16-344",
     ),
 ]
+
+
+def _fixed_matching(n, k, s):
+    """M0 = {1..k}, {k+1..2k}, ..., {(s-1)k+1..sk} as edge tuples."""
+    return [tuple(range(j * k + 1, j * k + k + 1)) for j in range(s)]
+
+
+def _extremal_families_holding_m0(n, k, s, constraint, size):
+    """Every family of `size` edges on [n] that holds M0 and meets the
+    constraint, by brute force over the enumeration oracles."""
+    m0 = _fixed_matching(n, k, s)
+    rest = [e for e in combinations(range(1, n + 1), k) if e not in m0]
+    found = []
+    for extra in combinations(rest, size - s):
+        h = Hypergraph(n, k, m0 + list(extra))
+        if max_matching(h, limit=s + 1, exhaustive=True)[0] > s:
+            continue
+        if constraint == NU_LE_S_TAU_GT_S:
+            if min_vertex_cover(h, limit=s, exhaustive=True)[1] is not None:
+                continue
+        found.append(h.edge_set)
+    return found
 
 
 @st.composite
@@ -110,7 +138,12 @@ class TestVerifyExtremal:
         a = verify_extremal(n, k, s, constraint)
         b = verify_extremal(n, k, s, constraint, method="pruned")
         assert a.max_edges_found == b.max_edges_found
-        assert len(a.extremal_witnesses) == len(b.extremal_witnesses)
+        # n >= ks in every case, so the pruned witnesses are extremal families
+        # holding M0: as many of them as there are, up to the cap
+        every = _extremal_families_holding_m0(n, k, s, constraint, b.max_edges_found)
+        got = [w.edge_set for w in b.extremal_witnesses]
+        assert len(got) == len(set(got)) == min(WITNESS_CAP, len(every))
+        assert all(w in every for w in got)
 
     def test_pruned_agrees_at_twenty_edges(self):
         a = verify_extremal(6, 3, 1, NU_LE_S_TAU_GT_S)
@@ -167,6 +200,52 @@ class TestPrunedSearch:
         every = list(combinations(range(1, n + 1), k))
         want = [tuple(e for i, e in enumerate(every) if mask >> i & 1) for mask in masks]
         assert [w.edges for w in res.extremal_witnesses] == want
+
+    @pytest.mark.parametrize(
+        "n,k,s,constraint",
+        [(4, 2, 1, NU_LE_S), (6, 2, 2, NU_LE_S), (6, 2, 3, NU_LE_S), (5, 3, 1, NU_LE_S_TAU_GT_S)]
+        + [p.values[:4] for p in PINNED_TREES],
+    )
+    def test_every_witness_holds_the_fixed_matching(self, n, k, s, constraint):
+        res = verify_extremal(n, k, s, constraint, method="pruned")
+        assert res.extremal_witnesses
+        m0 = set(_fixed_matching(n, k, s))
+        assert all(m0 <= w.edge_set for w in res.extremal_witnesses)
+
+    @pytest.mark.parametrize(
+        "n,k,s,constraint,max_edges,checked,masks",
+        [
+            # n < ks: no s-matching exists, so the search starts from the
+            # empty family, and K_n^k is the one maximal family and witness
+            pytest.param(5, 3, 2, NU_LE_S_TAU_GT_S, 10, 1, (0x3FF,), id="5-3-2-nutau"),
+            pytest.param(5, 2, 3, NU_LE_S, 10, 1, (0x3FF,), id="5-2-3-nu"),
+            # tau(K_5^3) = 3 <= s, so no family qualifies; the tau-floor cut
+            # drops K_5^3 before it is visited
+            pytest.param(5, 3, 3, NU_LE_S_TAU_GT_S, None, 0, (), id="5-3-3-nutau"),
+        ],
+    )
+    def test_below_ks_the_search_starts_from_the_empty_family(
+        self, n, k, s, constraint, max_edges, checked, masks
+    ):
+        res = verify_extremal(n, k, s, constraint, method="pruned")
+        assert (res.max_edges_found, res.subsets_checked) == (max_edges, checked)
+        assert res.status == "complete"
+        every = list(combinations(range(1, n + 1), k))
+        want = [tuple(e for i, e in enumerate(every) if mask >> i & 1) for mask in masks]
+        assert [w.edges for w in res.extremal_witnesses] == want
+        assert revalidate_witnesses(res)
+
+    @pytest.mark.parametrize("n,k,s", [(7, 3, 1), (8, 2, 2), (8, 3, 1)])
+    def test_tau_floor_cut_changes_no_answer(self, monkeypatch, n, k, s):
+        cut = verify_extremal(n, k, s, NU_LE_S_TAU_GT_S, method="pruned")
+        # a gate above C(n,k) is never reached, so no subtree is cut on tau
+        monkeypatch.setattr(verify, "TAU_CUT_MIN_CAND", math.comb(n, k) + 1)
+        plain = verify_extremal(n, k, s, NU_LE_S_TAU_GT_S, method="pruned")
+        assert plain.max_edges_found == cut.max_edges_found
+        assert [w.edges for w in plain.extremal_witnesses] == [
+            w.edges for w in cut.extremal_witnesses
+        ]
+        assert plain.subsets_checked >= cut.subsets_checked
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_addable_after_kills_the_edge_that_completes_a_matching(self, s):
