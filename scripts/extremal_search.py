@@ -18,7 +18,9 @@ CASES = [
     (5, 3, 1, NU_LE_S_TAU_GT_S),
     (6, 3, 1, NU_LE_S_TAU_GT_S),
     # C(n,k) > 24 edges: the exhaustive method refuses these; the pruned one
-    # settles (9,3,1) in a few seconds and each of the others in under one
+    # settles (9,3,1) in 1-2 s and each of the others in under 0.1 s on a
+    # 2-CPU container; (10,3,1) = 22 takes about 40 s, so CI runs it in a
+    # step of its own
     (8, 3, 1, NU_LE_S_TAU_GT_S),
     (9, 2, 2, NU_LE_S_TAU_GT_S),
     (9, 3, 1, NU_LE_S_TAU_GT_S),

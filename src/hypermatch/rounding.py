@@ -486,7 +486,12 @@ def sample_binomial_subgraph(
     expected_arr = np.bincount(verts.ravel(), np.repeat(w, k), minlength=n + 1).astype(float)
     expected = dict(zip(h.vertices(), expected_arr[1:].tolist()))
     cols = list(combinations(range(k), 2))
-    pairs = np.stack([verts[:, a] * (n + 1) + verts[:, b] for a, b in cols], axis=1).ravel()
+
+    def pair_codes(rows: np.ndarray) -> np.ndarray:
+        """Each row's vertex pairs a < b as a * (n + 1) + b, row by row."""
+        return np.stack([rows[:, a] * (n + 1) + rows[:, b] for a, b in cols], axis=1).ravel()
+
+    pairs = pair_codes(verts)
     pair_expected = np.bincount(pairs, np.repeat(w, len(cols)), minlength=(n + 1) ** 2)
     realized_arr = np.bincount(kept_v.ravel(), minlength=n + 1)
     realized = dict(zip(h.vertices(), realized_arr[1:].tolist()))
@@ -502,7 +507,7 @@ def sample_binomial_subgraph(
         if abs(deviations[v]) >= alpha * ev:
             violations += 1
 
-    max_pair = sampled.max_set_degree(2) if sampled.e() else 0
+    max_pair = int(np.bincount(pair_codes(kept_v)).max()) if kept.size else 0
     max_expected_pair = float(pair_expected[pairs].max()) if pairs.size else 0.0
     return SampleReport(
         sampled=sampled,

@@ -67,15 +67,9 @@ def _top_degree_vertices(h: Hypergraph, count: int) -> tuple[int, ...]:
     return tuple(sorted(ranked[:count]))
 
 
-def _cover_missing(h: Hypergraph, wset: frozenset[int]) -> int:
-    hits = sum(1 for e in h.edges if wset.intersection(e))
-    return cover_count(h.n, h.k, len(wset)) - hits
-
-
-def _clique_missing(h: Hypergraph, uset: frozenset[int]) -> int:
-    s = (len(uset) + 1) // h.k - 1
-    inside = sum(1 for e in h.edges if uset.issuperset(e))
-    return clique_count(h.k, s) - inside
+def _inside(h: Hypergraph, vertices: set[int]) -> int:
+    """The number of edges of h inside the vertex set."""
+    return sum(1 for e in h.edges if vertices.issuperset(e))
 
 
 def _subset_counts(h: Hypergraph) -> np.ndarray:
@@ -96,16 +90,22 @@ def _subset_counts(h: Hypergraph) -> np.ndarray:
 def _closest(h: Hypergraph, target: str, size: int, search: str) -> ClosenessReport:
     """The placement of a size-set with the fewest target edges missing.
 
-    The heuristic takes the highest-degree vertices and counts their missing
-    edges. The exhaustive search reads every placement's count off one
-    subset-count table: a W misses cover_count - (m - f[V \\ W]) cover
-    edges, a U misses clique_count - f[U] clique edges. Placements run in
-    lex order and argmin keeps the first of the fewest.
+    A W misses cover_count - (m - inside(V \\ W)) cover edges and a U misses
+    clique_count - inside(U) clique edges, where inside(S) counts the edges
+    inside S. The heuristic takes the highest-degree vertices and counts
+    with `_inside`. The exhaustive search reads every placement's count off
+    one subset-count table f, f[S] = inside(S); placements run in lex order
+    and argmin keeps the first of the fewest.
     """
+    def misses(inside):
+        if target == "cover":
+            return cover_count(h.n, h.k, size) - h.e() + inside
+        return clique_count(h.k, (size + 1) // h.k - 1) - inside
+
     if search == "heuristic":
         best = _top_degree_vertices(h, size)
-        missing = _cover_missing if target == "cover" else _clique_missing
-        miss = missing(h, frozenset(best))
+        kept = set(best) if target == "clique" else set(h.vertices()).difference(best)
+        miss = misses(_inside(h, kept))
     elif search != "exhaustive":
         raise ValueError(f"unknown search mode {search!r}")
     elif h.n > EXHAUSTIVE_GUARD_N:
@@ -116,12 +116,9 @@ def _closest(h: Hypergraph, target: str, size: int, search: str) -> ClosenessRep
         places = np.fromiter(
             map(sum, combinations(bits, size)), dtype=np.int64, count=math.comb(h.n, size)
         )
-        if target == "cover":
-            misses = cover_count(h.n, h.k, size) - h.e() + f[((1 << h.n) - 1) ^ places]
-        else:
-            misses = clique_count(h.k, (size + 1) // h.k - 1) - f[places]
-        at = int(np.argmin(misses))
-        miss = int(misses[at])
+        every = misses(f[((1 << h.n) - 1) ^ places] if target == "cover" else f[places])
+        at = int(np.argmin(every))
+        miss = int(every[at])
         best = next(islice(combinations(range(1, h.n + 1), size), at, None))
     return ClosenessReport(target, best, miss, miss / h.n**h.k, search == "exhaustive", h.n)
 

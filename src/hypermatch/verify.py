@@ -4,16 +4,18 @@ verify_extremal maximizes e(H) over every H on [n] that satisfies the
 requested matching/cover constraint, then compares against the closed-form
 bounds. The default path enumerates all 2^C(n,k) edge subsets from the
 densest down and is the ground-truth oracle; the pruned path walks maximal
-constraint-satisfying families instead (the maximum is attained at one)
-and asks the edge-bitset kernel's cover search of every maximal family of
-the best size. For n >= ks it walks only the families that contain the
-fixed s-matching M0 = {1..k}, ..., {(s-1)k+1..sk}: every maximal family
-there has nu = s, and relabeling moves any s-matching onto M0, so the
-maximum is the same and the witnesses are the extremal families holding
-M0. Under the tau floor it cuts a subtree whose largest family already has
-a cover of s vertices. Once it holds WITNESS_CAP families of the best size,
-it cuts every subtree that can only tie that size, since no such leaf would
-be reported; ``subsets_checked`` counts the maximal families it still visits.
+constraint-satisfying families instead (the maximum is attained at one).
+For n >= ks it walks only the families that contain the fixed s-matching
+M0 = {1..k}, ..., {(s-1)k+1..sk}: every maximal family there has nu = s,
+and relabeling moves any s-matching onto M0, so the maximum is the same
+and the witnesses are the extremal families holding M0. Such a family has
+a cover of s vertices exactly when one of the k^s transversals of M0's
+blocks is one, so under the tau floor every node, leaf or not, is cut when
+its largest family passes that test. Below n = ks no family reaches
+nu = s, and K_n^k is the one family checked. Once it holds WITNESS_CAP
+families of the best size, it cuts every subtree that can only tie that
+size, since no such leaf would be reported; ``subsets_checked`` counts the
+maximal families it still visits.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ from .optimize import EdgeIndex, max_matching, min_vertex_cover
 
 EXHAUSTIVE_EDGE_GUARD = 24
 WITNESS_CAP = 4  # extremal families reported per call
-# Least |cand| at which the pruned search asks whether sub | cand has a cover
-# of s vertices; on smaller subtrees the cover search costs more than it cuts.
-TAU_CUT_MIN_CAND = 8
 
 NU_LE_S = "nu_le_s"
 NU_LE_S_TAU_GT_S = "nu_le_s_and_tau_gt_s"
@@ -79,6 +78,20 @@ class _Searcher:
         k = self.k
         blocks = (tuple(range(j * k + 1, j * k + k + 1)) for j in range(self.s))
         return sum(1 << self.edges.index(e) for e in blocks)
+
+    def transversal_hits(self) -> list[int]:
+        """The edges meeting T, for each transversal T of M0's blocks (n >= ks).
+
+        A family holding M0 has a cover of at most s vertices exactly when
+        one of these masks holds the whole family: such a cover meets each
+        of M0's s disjoint blocks, so it takes one vertex from each.
+        """
+        inc, k = self.index.inc, self.k
+        hits = [0]
+        for j in range(self.s):
+            block = range(j * k + 1, j * k + k + 1)
+            hits = [hit | inc[v] for hit in hits for v in block]
+        return hits
 
     def to_graph(self, sub: int) -> Hypergraph:
         picked = [self.edges[i] for i in range(self.m) if sub >> i & 1]
@@ -196,6 +209,16 @@ def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
     attained at a family maximal under the (downward-closed) matching
     ceiling, because enlarging a family never lowers its cover number.
 
+    Below n = ks every family has nu <= floor(n/k) < s, so K_n^k is the one
+    maximal family and is checked directly.
+
+    For n >= ks the search starts at `sub` = M0 (`_Searcher.fixed_matching`)
+    with `cand` the edges that meet [ks]: a maximal family has nu = s, and a
+    relabeling of [n] moves any of its s-matchings onto M0 and keeps both
+    constraints, so the maximum is attained at a family holding M0. The
+    edges addable to M0 are exactly those meeting [ks], so the invariants
+    below hold at the root. The witnesses are extremal families holding M0.
+
     `cand` and `banned` are edge bitsets, taken lowest bit first. The
     search keeps two invariants: the family `sub` has nu <= s, and every
     edge in `cand` or `banned` can be added to `sub` keeping nu <= s. So
@@ -203,69 +226,56 @@ def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
     leaf (`cand` empty) is maximal exactly when `banned` is empty. Every
     leaf is a different family, so the witnesses are distinct.
 
-    For n >= ks the root is `sub` = M0 (`_Searcher.fixed_matching`) with
-    `cand` the edges that meet [ks]: a maximal family has nu = s, and a
-    relabeling of [n] moves any of its s-matchings onto M0 and keeps both
-    constraints, so the maximum is attained at a family holding M0. The
-    edges addable to M0 are exactly those meeting [ks], so the invariants
-    hold at the root. The witnesses are then extremal families holding M0.
-    Below n = ks the root is the empty family with every edge in `cand`.
-
-    Under the tau floor, a node entered by taking an edge, with at least
-    TAU_CUT_MIN_CAND edges in `cand`, is cut when ``sub | cand`` has a cover
-    of s vertices: every leaf below is a subset of it, and tau never drops
-    as edges are added, so none of them has tau > s.
+    Under the tau floor every node is cut when ``sub | cand`` has a cover
+    of s vertices, which is then a transversal of M0
+    (`_Searcher.transversal_hits`): every leaf below is a subset of it, and
+    tau never drops as edges are added, so none of them has tau > s. At a
+    leaf ``sub | cand`` is `sub`, so the same test decides the leaf.
     """
     index = searcher.index
     s = searcher.s
     tau_floor = searcher.constraint == NU_LE_S_TAU_GT_S
+    if searcher.n < searcher.k * s:
+        if tau_floor and index.cover(index.full, s) is not None:
+            return None, [], 1, "complete"
+        return searcher.m, [index.full], 1, "complete"
+    hits = searcher.transversal_hits() if tau_floor else []
     best_size = -1
     best_subs: list[int] = []
     checked = 0
 
-    def visit_maximal(sub: int, size: int) -> None:
+    def expand(sub: int, size: int, cand: int, banned: int) -> None:
         nonlocal best_size, best_subs, checked
-        checked += 1
-        if size < best_size:
-            return
-        if tau_floor and index.cover(sub, s) is not None:
-            return
-        if size > best_size:
-            best_size = size
-            best_subs = [sub]
-        elif len(best_subs) < WITNESS_CAP:
-            best_subs.append(sub)
-
-    def expand(sub: int, size: int, cand: int, banned: int, took: bool) -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("pruned search ran over budget")
         # leaves below hold at most size + |cand| edges; once the witness list
         # is full, a leaf that only ties best_size changes nothing either
-        free = cand.bit_count()
-        if size + free < best_size + (len(best_subs) >= WITNESS_CAP):
+        if size + cand.bit_count() < best_size + (len(best_subs) >= WITNESS_CAP):
             return
+        top = sub | cand
+        for hit in hits:
+            if top & hit == top:
+                return
         if not cand:
             if not banned:
-                visit_maximal(sub, size)
+                checked += 1
+                if size > best_size:
+                    best_size, best_subs = size, [sub]
+                else:  # a tie: the bound above let it through only with room left
+                    best_subs.append(sub)
             return
-        if took and tau_floor and free >= TAU_CUT_MIN_CAND:
-            if index.cover(sub | cand, s) is not None:
-                return
         low = cand & -cand
         rest = cand ^ low
         kept = _addable_after(index, s, sub, low.bit_length() - 1, rest | banned)
-        expand(sub | low, size + 1, kept & rest, kept & banned, True)
-        expand(sub, size, rest, banned | low, False)
+        expand(sub | low, size + 1, kept & rest, kept & banned)
+        expand(sub, size, rest, banned | low)
 
+    fixed = searcher.fixed_matching()
+    meets = 0
+    for v in range(1, searcher.k * s + 1):
+        meets |= index.inc[v]
     try:
-        if searcher.n >= searcher.k * s:
-            fixed = searcher.fixed_matching()
-            meets = 0
-            for v in range(1, searcher.k * s + 1):
-                meets |= index.inc[v]
-            expand(fixed, s, meets & ~fixed, 0, True)
-        else:
-            expand(0, 0, index.full, 0, False)
+        expand(fixed, s, meets & ~fixed, 0)
     except BudgetExceeded:
         return None, [], checked, "budget refusal"
     if best_size < 0:

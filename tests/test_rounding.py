@@ -194,6 +194,9 @@ class TestSample:
             x.hex() for x in expected.values()
         ]
         assert rep.max_expected_pair_degree.hex() == max_pair.hex()
+        # the realized pair degree, against core's per-edge count
+        assert rep.max_pair_degree == (rep.sampled.max_set_degree(2) if kept else 0)
+        assert type(rep.max_pair_degree) is int
         assert rep.vertex_violations == violations
         assert rep.vertex_violation_budget.hex() == budget.hex()
 
@@ -201,11 +204,13 @@ class TestSample:
         h = complete_graph(6, 3)
         rep = sample_binomial_subgraph(h, np.zeros(h.e()), seed=3)
         assert rep.sampled.e() == 0
+        assert rep.max_pair_degree == 0
 
     def test_unit_probability_keeps_everything(self):
         h = complete_graph(6, 3)
         rep = sample_binomial_subgraph(h, np.ones(h.e()), seed=9)
         assert rep.sampled == h
+        assert rep.max_pair_degree == h.max_set_degree(2) == 4
 
     def test_deterministic_per_seed(self):
         h = complete_graph(9, 3)

@@ -151,12 +151,25 @@ class TestExhaustiveOracle:
         def refuse(h, placement):
             raise AssertionError("a per-placement count ran")
 
-        monkeypatch.setattr(stability, "_cover_missing", refuse)
-        monkeypatch.setattr(stability, "_clique_missing", refuse)
+        monkeypatch.setattr(stability, "_inside", refuse)
         h = hilton_milner_family(12, 3, 3)
         for target, closeness in (("cover", closeness_to_cover), ("clique", closeness_to_clique)):
             rep = closeness(h, 3, "exhaustive")
             assert (rep.missing_edges, rep.partition) == _brute_force_closest(h, target, 3)
+
+    @given(hypergraphs(max_n=9), st.sampled_from(["cover", "clique"]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_heuristic_counts_the_placed_family(self, h, target, data):
+        top = h.n if target == "cover" else (h.n + 1) // h.k - 1
+        s = data.draw(st.integers(0, top))
+        if target == "cover":
+            rep = closeness_to_cover(h, s, "heuristic")
+            placed = cover_family(h.n, h.k, s, w=rep.partition)
+        else:
+            rep = closeness_to_clique(h, s, "heuristic")
+            placed = clique_family(h.n, h.k, s, u=rep.partition)
+        assert rep.missing_edges == missing_edges(h, placed)
+        assert type(rep.missing_edges) is int
 
     @pytest.mark.parametrize("target", ["cover", "clique"])
     def test_guard(self, target):

@@ -1,5 +1,5 @@
 import json
-import math
+import random
 from itertools import combinations
 
 import pytest
@@ -28,6 +28,8 @@ from hypermatch.verify import (
 # search cuts every subtree that can only tie the best size, so
 # subsets_checked counts the maximal families it still visits; a faster
 # addability test must leave that count, and so the search tree, as it is.
+# Under the tau floor it counts only the maximal families that pass the
+# transversal test.
 # The masks are the witnesses in the order the search reports them, bit i
 # standing for the i-th k-set of [n] in lex order; neither the tied-subtree
 # cut, the skipped failed cover vertices nor the tau-floor cut may move them
@@ -36,19 +38,19 @@ from hypermatch.verify import (
 # the test names stay as they were.
 PINNED_TREES = [
     pytest.param(
-        6, 3, 1, NU_LE_S_TAU_GT_S, 10, 5, 4, (0x5FF, 0xAFF, 0xCFF, 0x137F),
+        6, 3, 1, NU_LE_S_TAU_GT_S, 10, 4, 4, (0x5FF, 0xAFF, 0xCFF, 0x137F),
         id="6-3-1-nu_le_s_and_tau_gt_s-10-1024",
     ),
     pytest.param(
-        7, 3, 1, NU_LE_S_TAU_GT_S, 13, 5, 4, (0x8FFF, 0x133FF, 0x255FF, 0x469FF),
+        7, 3, 1, NU_LE_S_TAU_GT_S, 13, 4, 4, (0x8FFF, 0x133FF, 0x255FF, 0x469FF),
         id="7-3-1-nu_le_s_and_tau_gt_s-13-182",
     ),
     pytest.param(
-        7, 2, 2, NU_LE_S_TAU_GT_S, 10, 11, 3, (0x99CF, 0x12AD7, 0x24CE7),
+        7, 2, 2, NU_LE_S_TAU_GT_S, 10, 7, 3, (0x99CF, 0x12AD7, 0x24CE7),
         id="7-2-2-nu_le_s_and_tau_gt_s-10-62",
     ),
     pytest.param(
-        8, 2, 2, NU_LE_S_TAU_GT_S, 10, 8, 4, (0x21FF, 0x4607F, 0x8A07F, 0x11207F),
+        8, 2, 2, NU_LE_S_TAU_GT_S, 10, 4, 4, (0x21FF, 0x4607F, 0x8A07F, 0x11207F),
         id="8-2-2-nu_le_s_and_tau_gt_s-10-364",
     ),
     pytest.param(
@@ -56,7 +58,7 @@ PINNED_TREES = [
         id="8-3-1-nu_le_s-21-8",
     ),
     pytest.param(
-        8, 3, 1, NU_LE_S_TAU_GT_S, 16, 5, 4, (0x207FFF, 0x438FFF, 0x8C97FF, 0x11527FF),
+        8, 3, 1, NU_LE_S_TAU_GT_S, 16, 4, 4, (0x207FFF, 0x438FFF, 0x8C97FF, 0x11527FF),
         id="8-3-1-nu_le_s_and_tau_gt_s-16-344",
     ),
 ]
@@ -215,13 +217,12 @@ class TestPrunedSearch:
     @pytest.mark.parametrize(
         "n,k,s,constraint,max_edges,checked,masks",
         [
-            # n < ks: no s-matching exists, so the search starts from the
-            # empty family, and K_n^k is the one maximal family and witness
+            # n < ks: every family has nu < s, so K_n^k is the one maximal
+            # family, checked directly, and the one witness
             pytest.param(5, 3, 2, NU_LE_S_TAU_GT_S, 10, 1, (0x3FF,), id="5-3-2-nutau"),
             pytest.param(5, 2, 3, NU_LE_S, 10, 1, (0x3FF,), id="5-2-3-nu"),
-            # tau(K_5^3) = 3 <= s, so no family qualifies; the tau-floor cut
-            # drops K_5^3 before it is visited
-            pytest.param(5, 3, 3, NU_LE_S_TAU_GT_S, None, 0, (), id="5-3-3-nutau"),
+            # tau(K_5^3) = 3 <= s, so K_5^3 is checked and no family qualifies
+            pytest.param(5, 3, 3, NU_LE_S_TAU_GT_S, None, 1, (), id="5-3-3-nutau"),
         ],
     )
     def test_below_ks_the_search_starts_from_the_empty_family(
@@ -235,17 +236,51 @@ class TestPrunedSearch:
         assert [w.edges for w in res.extremal_witnesses] == want
         assert revalidate_witnesses(res)
 
-    @pytest.mark.parametrize("n,k,s", [(7, 3, 1), (8, 2, 2), (8, 3, 1)])
-    def test_tau_floor_cut_changes_no_answer(self, monkeypatch, n, k, s):
-        cut = verify_extremal(n, k, s, NU_LE_S_TAU_GT_S, method="pruned")
-        # a gate above C(n,k) is never reached, so no subtree is cut on tau
-        monkeypatch.setattr(verify, "TAU_CUT_MIN_CAND", math.comb(n, k) + 1)
-        plain = verify_extremal(n, k, s, NU_LE_S_TAU_GT_S, method="pruned")
-        assert plain.max_edges_found == cut.max_edges_found
-        assert [w.edges for w in plain.extremal_witnesses] == [
-            w.edges for w in cut.extremal_witnesses
-        ]
-        assert plain.subsets_checked >= cut.subsets_checked
+    @pytest.mark.parametrize("n,k,s", [(6, 3, 1), (7, 2, 2), (8, 2, 2), (7, 3, 2)])
+    def test_transversal_test_decides_tau_le_s(self, n, k, s):
+        # on families holding M0, some transversal's mask holds the family
+        # exactly when the cover search finds s vertices, and exactly when
+        # the enumeration oracle puts tau at most s
+        searcher = verify._Searcher(n, k, s, NU_LE_S_TAU_GT_S)
+        index, hits = searcher.index, searcher.transversal_hits()
+        assert len(hits) == k**s
+        fixed = searcher.fixed_matching()
+        rnd = random.Random(n * 100 + k * 10 + s)
+        seen = set()
+        for trial in range(60):
+            p = (trial % 6 + 1) / 16  # sparse draws often have tau <= s
+            fam = fixed | sum(1 << i for i in range(searcher.m) if rnd.random() < p)
+            by_hits = any(fam & hit == fam for hit in hits)
+            assert by_hits == (index.cover(fam, s) is not None)
+            tau, _ = min_vertex_cover(searcher.to_graph(fam), limit=s, exhaustive=True)
+            assert by_hits == (tau <= s)
+            seen.add(by_hits)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize(
+        "n,k,s,tests", [(6, 3, 1, 521), (7, 3, 1, 3718), (7, 2, 2, 441), (8, 2, 2, 1062)]
+    )
+    def test_one_tau_test_per_node_and_no_cover_search(self, monkeypatch, n, k, s, tests):
+        # every node that passes the size bound reads the transversal masks
+        # once, so their count pins the tree of nodes, cuts included; for
+        # n >= ks the cover search never runs
+        count = 0
+
+        class CountingHits(list):
+            def __iter__(self):
+                nonlocal count
+                count += 1
+                return super().__iter__()
+
+        def refuse(index, sub, budget):
+            raise AssertionError("a cover search ran")
+
+        hits = verify._Searcher.transversal_hits
+        monkeypatch.setattr(verify._Searcher, "transversal_hits", lambda sr: CountingHits(hits(sr)))
+        monkeypatch.setattr(EdgeIndex, "cover", refuse)
+        res = verify_extremal(n, k, s, NU_LE_S_TAU_GT_S, method="pruned")
+        assert res.status == "complete" and res.extremal_witnesses
+        assert count == tests
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_addable_after_kills_the_edge_that_completes_a_matching(self, s):
