@@ -202,7 +202,10 @@ class EdgeIndex:
                     return got
             return None
 
-        return rec(sub, need)
+        try:
+            return rec(sub, need)
+        finally:
+            del rec  # rec reaches itself through its cell: free it without the cyclic GC
 
     def cover(self, sub: int, budget: int) -> list[int] | None:
         """At most `budget` vertices meeting every edge of the subset, or None.
@@ -232,7 +235,10 @@ class EdgeIndex:
                 failed |= bit
             return None
 
-        return rec(sub, budget, 0)
+        try:
+            return rec(sub, budget, 0)
+        finally:
+            del rec  # rec reaches itself through its cell: free it without the cyclic GC
 
 
 def _greedy_matching(edges: Iterable[Edge]) -> list[int]:

@@ -199,6 +199,8 @@ def _find_perfect_matching(
         picks = dfs(free, live)
     except BudgetExceeded:
         return "budget", None, nodes
+    finally:
+        del dfs  # dfs reaches itself through its cell: free it without the cyclic GC
     if picks is None:
         return "none", None, nodes
     return "found", sorted(picks), nodes

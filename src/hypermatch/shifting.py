@@ -65,6 +65,22 @@ def _mask_edge(m: int) -> Edge:
     return tuple(e)
 
 
+def _closed(masks) -> bool:
+    """True iff lowering any vertex v > 1 of a mask to an absent v - 1 stays inside.
+
+    Closure under these one-step lowerings is the down-set property, and so
+    stability under every (i, j)-shift.
+    """
+    for m in masks:
+        low = m & ~(m << 1) & ~1  # the vertices v > 1 of m with v - 1 absent
+        while low:
+            bv = low & -low
+            low ^= bv
+            if m ^ (bv | bv >> 1) not in masks:
+                return False
+    return True
+
+
 def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
     """Sweep all (i, j) in lexicographic order until nothing moves.
 
@@ -72,62 +88,59 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
     mask holding j but not i whose image (j swapped for i) is absent; the
     images all hold i and not j, so none moves again in the same step and
     no two collide, which is exactly `shift_graph`'s simultaneous image.
-    During i's steps a mask without i can only leave (its image holds i), so
-    the masks without i are bucketed once per i by each vertex j > i they
-    hold, and step (i, j) scans bucket j for the masks still present.
+    Each edge keeps a fixed slot: ``slot[s]`` is its current mask and
+    ``has[v]`` the slots holding v. A move changes only i and j in the
+    masks it moves, so it updates ``has[i]`` and ``has[j]`` alone.
+    A sweep starts only on a family that is not closed (`_closed`), and such
+    a sweep moves an edge: the first pair whose shift moves something acts
+    before any earlier step has changed the family. A closed family is
+    fixed by every shift, so its sweep is logged as all zeros unrun.
     Each moved edge lowers the vertex-label sum by j - i, so termination is
     unconditional; the running total is checked against the output.
     """
     trace = ShiftTrace()
-    masks = set(map(edge_mask, h.edges))
+    slot = list(map(edge_mask, h.edges))
+    masks = set(slot)
+    has: list[set[int]] = [set() for _ in range(h.n + 1)]
+    for s, e in enumerate(h.edges):
+        for v in e:
+            has[v].add(s)
     potential = _label_sum(h)
     while True:
         trace.rounds += 1
-        moved_this_round = 0
-        for i in range(1, h.n):
-            bi = 1 << (i - 1)
-            buckets = [[] for _ in range(h.n + 1)]  # buckets[j]: masks without i, with j
-            for m in masks:
-                if not m & bi:
-                    high = m >> i << i  # the bits of the vertices above i
-                    while high:
-                        bj = high & -high
-                        buckets[bj.bit_length()].append(m)
-                        high ^= bj
-            for j in range(i + 1, h.n + 1):
-                bij = bi | 1 << (j - 1)
-                movers = [m for m in buckets[j] if m in masks and m ^ bij not in masks]
-                moved = len(movers)
-                trace.steps.append((i, j, moved))
-                if moved:
-                    masks.difference_update(movers)
-                    masks.update(m ^ bij for m in movers)
-                    potential -= (j - i) * moved
-                    moved_this_round += moved
-        if moved_this_round == 0:
+        if _closed(masks):
+            trace.steps.extend(
+                (i, j, 0) for i in range(1, h.n) for j in range(i + 1, h.n + 1)
+            )
             # distinct masks of k bits inside 1..n: ascending tuples, sorted into lex order
             out = Hypergraph.from_canonical(h.n, h.k, sorted(map(_mask_edge, masks)))
             assert out.e() == h.e(), "shifts must preserve the edge count"
             assert _label_sum(out) == potential, "label sum must drop by j - i per move"
             return out, trace
+        moved_this_round = 0
+        for i in range(1, h.n):
+            has_i = has[i]
+            bi = 1 << (i - 1)
+            for j in range(i + 1, h.n + 1):
+                bij = bi | 1 << (j - 1)
+                movers = [s for s in has[j] - has_i if slot[s] ^ bij not in masks]
+                moved = len(movers)
+                trace.steps.append((i, j, moved))
+                if moved:
+                    for s in movers:
+                        masks.remove(slot[s])
+                        slot[s] ^= bij
+                        masks.add(slot[s])
+                    has[j].difference_update(movers)
+                    has_i.update(movers)
+                    potential -= (j - i) * moved
+                    moved_this_round += moved
+        assert moved_this_round, "a sweep from a family that is not closed moves an edge"
 
 
 def is_stable(h: Hypergraph) -> bool:
     """True iff every (i, j)-shift is the identity."""
-    masks = set(map(edge_mask, h.edges))
-    for m in masks:
-        rest = m
-        while rest:
-            bj = rest & -rest
-            rest ^= bj
-            # for every absent i < j, the image (j swapped for i) must be an edge
-            free = (bj - 1) & ~m
-            while free:
-                bi = free & -free
-                free ^= bi
-                if m ^ bj | bi not in masks:
-                    return False
-    return True
+    return _closed(set(map(edge_mask, h.edges)))
 
 
 def is_downset(h: Hypergraph) -> bool:

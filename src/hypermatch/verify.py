@@ -278,6 +278,8 @@ def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
         expand(fixed, s, meets & ~fixed, 0)
     except BudgetExceeded:
         return None, [], checked, "budget refusal"
+    finally:
+        del expand  # expand reaches itself through its cell: free it without the cyclic GC
     if best_size < 0:
         return None, [], checked, "complete"
     return best_size, best_subs, checked, "complete"

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -11,3 +12,16 @@ def seeded_graph(seed: int, n_lo: int = 4, n_hi: int = 10, k: int = 3) -> Hyperg
     p = rng.choice([0.15, 0.3, 0.5, 0.7])
     edges = [e for e in combinations(range(1, n + 1), k) if rng.random() < p]
     return Hypergraph(n, k, edges)
+
+
+def cyclic_garbage(call, times: int = 100) -> int:
+    """Objects that only the cyclic GC frees after `times` calls of `call`."""
+    call()  # first-use caches are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(times):
+            call()
+        return gc.collect()
+    finally:
+        gc.enable()

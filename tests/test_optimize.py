@@ -53,7 +53,7 @@ from hypermatch.optimize import (
     _matching_simplex,
 )
 
-from conftest import seeded_graph
+from conftest import cyclic_garbage, seeded_graph
 from strategies import hypergraphs
 
 
@@ -397,6 +397,21 @@ class TestEdgeIndex:
         cover = index.cover(sub, tau)
         VertexCover(frozenset(cover)).validate(g)
         assert tau == 0 or index.cover(sub, tau - 1) is None
+
+    def test_searches_leave_no_reference_cycles(self):
+        # the recursive closures are freed by reference counting alone, found,
+        # failed or over the node budget
+        h = complete_graph(7, 3)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+
+        def over_budget():
+            with pytest.raises(BudgetExceeded):
+                index.packing(index.full, 3, nodes=3)
+
+        assert cyclic_garbage(lambda: index.cover(index.full, 5)) == 0
+        assert cyclic_garbage(lambda: index.cover(index.full, 2)) == 0
+        assert cyclic_garbage(lambda: index.packing(index.full, 2)) == 0
+        assert cyclic_garbage(over_budget) == 0
 
 
 def _plain_cover(index: EdgeIndex, sub: int, budget: int, calls: list | None = None) -> list | None:

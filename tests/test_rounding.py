@@ -27,6 +27,7 @@ from hypermatch.rounding import (
     pipeline,
     sample_binomial_subgraph,
 )
+from conftest import cyclic_garbage
 from strategies import hypergraphs
 
 
@@ -437,6 +438,16 @@ class TestFindPerfectMatching:
         h = build(9, 3, [e for e in complete_graph(9, 3).edges if 9 not in e])
         index = EdgeIndex(h.n, h.edges, h.vertex_array())
         assert _find_perfect_matching(index, index.full, h.n, 3, budget=1) == ("none", None, 1)
+
+    def test_leaves_no_reference_cycles(self):
+        # the recursive dfs closure is freed by reference counting alone,
+        # found or over the node budget
+        h = complete_graph(9, 3)
+        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        found = lambda: _find_perfect_matching(index, index.full, h.n, 3)
+        assert found()[0] == "found"
+        assert cyclic_garbage(found) == 0
+        assert cyclic_garbage(lambda: _find_perfect_matching(index, index.full, h.n, 3, budget=2)) == 0
 
 
 def _per_edge_uniform(h, rounds):

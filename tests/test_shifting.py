@@ -3,8 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from hypermatch.constructions import cover_family, hilton_milner_family
-from hypermatch.core import Hypergraph, build, complete_graph, relabel_graph
+from hypermatch.constructions import clique_family, cover_family, hilton_milner_family
+from hypermatch.core import (
+    Hypergraph,
+    build,
+    complete_graph,
+    random_hypergraph,
+    relabel_graph,
+)
 from hypermatch.optimize import max_matching
 from hypermatch.shifting import (
     ShiftTrace,
@@ -154,6 +160,33 @@ class TestStabilizeMatchesReference:
 
     def test_empty_graph(self):
         assert_matches_reference(build(6, 3, []))
+
+    # the shapes the compress benchmark shifts: relabeled families (few moving
+    # steps) and random p .3 graphs (many), each stabilizing in two sweeps
+    @pytest.mark.parametrize("n", [14, 20])
+    @pytest.mark.parametrize("family", [cover_family, clique_family, hilton_milner_family])
+    def test_relabeled_family(self, family, n):
+        h = family(n, 3, 3)
+        labels = list(h.vertices())
+        random.Random(n).shuffle(labels)
+        assert_matches_reference(relabel_graph(h, dict(zip(h.vertices(), labels))))
+
+    @pytest.mark.parametrize("n", [16, 20, 23])
+    def test_random_graph(self, n):
+        assert_matches_reference(random_hypergraph(n, 3, 0.3, n))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_five_uniform(self, seed):
+        assert_matches_reference(seeded_graph(seed, n_lo=5, n_hi=9, k=5))
+
+    @pytest.mark.parametrize("n,k", [(3, 3), (5, 5), (6, 3), (8, 5)])
+    def test_complete_graph(self, n, k):
+        assert_matches_reference(complete_graph(n, k))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_n_equals_k(self, k):
+        assert_matches_reference(build(k, k, [tuple(range(1, k + 1))]))
+        assert_matches_reference(build(k, k, []))
 
 
 class TestStablePredicates:

@@ -20,6 +20,8 @@ from hypermatch.verify import (
     verify_extremal,
 )
 
+from conftest import cyclic_garbage
+
 # (max_edges_found, subsets_checked, witnesses, witness masks) of the pruned
 # search, pinned. Every row has n >= ks, so the search starts from the fixed
 # s-matching M0 and reports only extremal families that hold it; (7,2,2)
@@ -311,6 +313,15 @@ class TestPrunedSearch:
                 if index.packing(sub | 1 << i | 1 << j, s + 1) is None
             )
             assert _addable_after(index, s, sub, i, sum(1 << j for j in others)) == want
+
+    def test_search_leaves_no_reference_cycles(self):
+        # the recursive expand closure is freed by reference counting alone,
+        # whether the search completes or stops on its budget
+        for constraint in (NU_LE_S_TAU_GT_S, NU_LE_S):
+            assert cyclic_garbage(lambda: verify_extremal(4, 2, 1, constraint, method="pruned")) == 0
+        refused = lambda: verify_extremal(9, 3, 2, NU_LE_S, method="pruned", budget_ms=0.001)
+        assert refused().status == "budget refusal"
+        assert cyclic_garbage(refused, times=20) == 0
 
 
 class TestReportRendering:
