@@ -1,8 +1,10 @@
 """Linear programs, three ways.
 
-* exact mode: a two-phase primal simplex over Fractions with Bland's rule
-  (terminates, no tolerance anywhere); meant for the desk-scale programs
-  this package solves, not for large instances.
+* exact mode: a primal simplex over Fractions with Bland's rule
+  (terminates, no tolerance anywhere). It takes only the form its callers
+  pose, max c.x over <= rows with right-hand sides >= 0, so it starts from
+  the slack basis and needs no phase one; it is meant for the desk-scale
+  programs this package solves, not for large instances.
 * float mode on dense rows: scipy's HiGHS via linprog, with residuals
   reported back.
 * float mode on a sparse matrix: one HiGHS solve that hands back the row
@@ -25,130 +27,64 @@ UNBOUNDED = "unbounded"
 def simplex_rational(
     c: Sequence,
     rows: Sequence[Sequence],
-    senses: Sequence[str],
     rhs: Sequence,
-    maximize: bool = True,
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
-    """Optimize c.x over rows[i].x (senses[i]) rhs[i], x >= 0, exactly.
+    """Maximize c.x over rows[i].x <= rhs[i], x >= 0, exactly.
 
-    senses entries are "<=", ">=" or "=". Returns (status, x, value).
+    Every rhs[i] must be >= 0, so the slack basis is a feasible start;
+    a negative one raises ValueError. Returns (status, x, value), status
+    OPTIMAL or UNBOUNDED.
     """
-    nv = len(c)
-    cmin = [Fraction(v) if not maximize else -Fraction(v) for v in c]
-    a = [[Fraction(v) for v in row] for row in rows]
     b = [Fraction(v) for v in rhs]
-    sn = list(senses)
-    for i in range(len(a)):
-        if b[i] < 0:
-            a[i] = [-v for v in a[i]]
-            b[i] = -b[i]
-            sn[i] = {"<=": ">=", ">=": "<=", "=": "="}[sn[i]]
-
-    m = len(a)
-    n_slack = sum(1 for s in sn if s == "<=")
-    n_surp = sum(1 for s in sn if s == ">=")
-    n_art = sum(1 for s in sn if s in (">=", "="))
-    ncols = nv + n_slack + n_surp + n_art
+    if any(v < 0 for v in b):
+        raise ValueError("simplex_rational needs every right-hand side >= 0")
+    nv, m = len(c), len(rows)
+    ncols = nv + m
 
     zero = Fraction(0)
     one = Fraction(1)
     tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    art_cols: set[int] = set()
-    si = nv
-    pi = nv + n_slack
-    ai = nv + n_slack + n_surp
-    for i in range(m):
-        row = a[i] + [zero] * (ncols - nv) + [b[i]]
-        if sn[i] == "<=":
-            row[si] = one
-            basis.append(si)
-            si += 1
-        elif sn[i] == ">=":
-            row[pi] = -one
-            row[ai] = one
-            basis.append(ai)
-            art_cols.add(ai)
-            pi += 1
-            ai += 1
-        else:
-            row[ai] = one
-            basis.append(ai)
-            art_cols.add(ai)
-            ai += 1
-        tableau.append(row)
+    for i, row in enumerate(rows):
+        t = [Fraction(v) for v in row] + [zero] * m + [b[i]]
+        t[nv + i] = one
+        tableau.append(t)
+    basis = list(range(nv, ncols))
+    # reduced costs of min -c.x from the slack basis; the last cell holds -value
+    obj = [-Fraction(v) for v in c] + [zero] * (m + 1)
 
-    def reduced_row(cost: list[Fraction]) -> list[Fraction]:
-        obj = cost + [zero]
-        for r, bv in enumerate(basis):
-            coef = obj[bv]
-            if coef:
-                row = tableau[r]
-                for j in range(ncols + 1):
-                    obj[j] -= coef * row[j]
-        return obj
-
-    def pivot(obj: list[Fraction], r: int, col: int) -> None:
-        prow = tableau[r]
+    # Bland's rule: the first improving column enters, and a tie in the
+    # ratio test goes to the row with the smallest basic column
+    while True:
+        col = next((j for j in range(ncols) if obj[j] < 0), -1)
+        if col < 0:
+            break
+        r_best, ratio_best = -1, None
+        for r in range(m):
+            arc = tableau[r][col]
+            if arc > 0:
+                ratio = tableau[r][ncols] / arc
+                if (
+                    ratio_best is None
+                    or ratio < ratio_best
+                    or (ratio == ratio_best and basis[r] < basis[r_best])
+                ):
+                    r_best, ratio_best = r, ratio
+        if r_best < 0:
+            return UNBOUNDED, None, None
+        prow = tableau[r_best]
         inv = one / prow[col]
         if inv != one:
             for j in range(ncols + 1):
                 prow[j] *= inv
-        for row in tableau:
+        for row in tableau + [obj]:
             if row is prow:
                 continue
             f = row[col]
             if f:
                 for j in range(ncols + 1):
                     row[j] -= f * prow[j]
-        f = obj[col]
-        if f:
-            for j in range(ncols + 1):
-                obj[j] -= f * prow[j]
-        basis[r] = col
+        basis[r_best] = col
 
-    def run(obj: list[Fraction], banned: set[int]) -> str:
-        while True:
-            col = -1
-            for j in range(ncols):
-                if j not in banned and obj[j] < 0:
-                    col = j
-                    break
-            if col < 0:
-                return OPTIMAL
-            r_best, ratio_best = -1, None
-            for r in range(m):
-                arc = tableau[r][col]
-                if arc > 0:
-                    ratio = tableau[r][ncols] / arc
-                    if (
-                        ratio_best is None
-                        or ratio < ratio_best
-                        or (ratio == ratio_best and basis[r] < basis[r_best])
-                    ):
-                        r_best, ratio_best = r, ratio
-            if r_best < 0:
-                return UNBOUNDED
-            pivot(obj, r_best, col)
-
-    if art_cols:
-        phase1 = [one if j in art_cols else zero for j in range(ncols)]
-        obj = reduced_row(phase1)
-        run(obj, banned=set())
-        if -obj[ncols] != 0:  # residual infeasibility (obj holds -value)
-            return INFEASIBLE, None, None
-        # pivot lingering artificials out of the basis where possible
-        for r in range(m):
-            if basis[r] in art_cols:
-                for j in range(ncols):
-                    if j not in art_cols and tableau[r][j] != 0:
-                        pivot(obj, r, j)
-                        break
-
-    obj = reduced_row(cmin + [zero] * (ncols - nv))
-    status = run(obj, banned=art_cols)
-    if status != OPTIMAL:
-        return status, None, None
     x = [zero] * nv
     for r, bv in enumerate(basis):
         if bv < nv:

@@ -274,7 +274,8 @@ def max_matching(
     """
     if exhaustive:
         return _matching_oracle(h, limit)
-    cap = h.n // h.k
+    # c disjoint edges cover kc distinct vertices, each on some edge
+    cap = np.count_nonzero(np.bincount(h.vertex_array().ravel())) // h.k
     if limit is not None:
         cap = min(cap, limit)
     best = _greedy_matching(h.edges)[:cap]
@@ -538,10 +539,7 @@ def _matching_simplex(h: Hypergraph) -> FractionalAssignment:
         return FractionalAssignment("matching", [], Fraction(0), "rational", 0.0, LP_SIMPLEX)
     live = sorted(set(chain.from_iterable(h.edges)))
     rows = [[Fraction(int(v in e)) for e in h.edges] for v in live]
-    status, x, value = lp.simplex_rational(
-        [Fraction(1)] * m, rows, ["<="] * len(live), [Fraction(1)] * len(live),
-        maximize=True,
-    )
+    status, x, value = lp.simplex_rational([Fraction(1)] * m, rows, [Fraction(1)] * len(live))
     if status != lp.OPTIMAL:
         raise RuntimeError(f"matching LP came back {status}")
     return FractionalAssignment("matching", x, value, "rational", 0.0, LP_SIMPLEX)
@@ -556,15 +554,11 @@ def _cover_simplex(h: Hypergraph) -> FractionalAssignment:
     # substitute w = 1 - u so the feasible start is the slack basis:
     # min sum(w) == n - max sum(u) with sum_{v in e} u_v <= k-1, u <= 1
     rows = [[Fraction(int(v in e)) for v in h.vertices()] for e in h.edges]
-    senses = ["<="] * h.e()
     rhs = [Fraction(k - 1)] * h.e()
     for v in h.vertices():
         rows.append([Fraction(int(u == v)) for u in h.vertices()])
-        senses.append("<=")
         rhs.append(Fraction(1))
-    status, u, value = lp.simplex_rational(
-        [Fraction(1)] * n, rows, senses, rhs, maximize=True
-    )
+    status, u, value = lp.simplex_rational([Fraction(1)] * n, rows, rhs)
     if status != lp.OPTIMAL:
         raise RuntimeError(f"cover LP came back {status}")
     weights = [Fraction(1) - ui for ui in u]

@@ -14,7 +14,8 @@ The stages, in order:
 Every edge weighting (a member of the family, the mixed probability) is a
 float64 vector indexed like ``h.edges`` of the graph being rounded, and the
 extraction's accumulated pair weight is one symmetric float64 matrix indexed
-by vertex label; its dead pairs and per-vertex heavy counts are read from it.
+by vertex label; a round finds its newly dead pairs among the pairs it
+touched.
 The stages read the graph's vertices from ``h.vertex_array()``, one row per
 edge, not from its edge tuples.
 
@@ -209,19 +210,20 @@ def _find_perfect_matching(
 def _pick_gadget_vertices(
     n: int,
     g: int,
-    dead: np.ndarray,
+    heavy: list[int],
     index: EdgeIndex,
     live: int,
     banned_mask: int = 0,
 ) -> tuple[str, tuple[int, ...] | None]:
-    """A g-set with no dead pair whose C(g,3) triples are all live.
+    """A g-set whose C(g,3) triples are all live.
 
-    ``dead`` is a boolean matrix by vertex label. Candidates are tried with
-    the vertices in fewest dead pairs first. Returns ("found", the set),
-    ("none", None) once every candidate failed, or ("budget", None) after
-    5000 candidates.
+    ``heavy[v]`` counts the dead pairs through vertex v; candidates are tried
+    with the vertices in fewest dead pairs first. ``live`` holds no edge
+    through a dead pair, and each pair of a g-set (g >= 3) lies in one of its
+    triples, so a set with a dead pair fails the triple test. Returns
+    ("found", the set), ("none", None) once every candidate failed, or
+    ("budget", None) after 5000 candidates.
     """
-    heavy = dead.sum(axis=1).tolist()
     ranked = [
         v
         for v in sorted(range(1, n + 1), key=lambda u: (heavy[u], u))
@@ -233,8 +235,6 @@ def _pick_gadget_vertices(
         tried += 1
         if tried > 5000:
             return "budget", None
-        if any(dead[a, b] for a, b in combinations(cand, 2)):
-            continue
         if all(inc[a] & inc[b] & inc[c] & live for a, b, c in combinations(cand, 3)):
             return "found", cand
     return "none", None
@@ -245,7 +245,8 @@ def _near_integral_round(
     index: EdgeIndex,
     perm: list[int],
     live: int,
-    dead: np.ndarray,
+    pair_load: np.ndarray,
+    threshold: float,
     rec: RoundRecord,
 ) -> np.ndarray | None:
     """An integral matching on most vertices plus uniform 4-blocks on the rest.
@@ -264,11 +265,13 @@ def _near_integral_round(
     blocks = [4] * rem
     if (n - 4 * rem) // 3 + rem < 4 and rem:
         return None  # too few blocks for a feasible follow-up round
+    if blocks:  # each vertex's dead pairs rank the gadget candidates
+        heavy = (pair_load >= threshold - _EPS).sum(axis=1).tolist()
     inc = index.inc
     weights = np.zeros(len(perm))
     gmask = 0
     for g in blocks:
-        rec.gadget, gadget = _pick_gadget_vertices(n, g, dead, index, live, banned_mask=gmask)
+        rec.gadget, gadget = _pick_gadget_vertices(n, g, heavy, index, live, banned_mask=gmask)
         if gadget is None:
             return None
         gmask |= edge_mask(gadget)
@@ -318,13 +321,12 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
     perm: list[int] = []  # edge i of the index is edges[perm[i]]
     live = (1 << m) - 1  # surviving edges, one bit per index edge
     pair_load = np.zeros((n + 1, n + 1))  # by vertex label; row and column 0 unused
-    dead = np.zeros((n + 1, n + 1), dtype=bool)
-    upper = np.triu(np.ones((n + 1, n + 1), dtype=bool), 1)  # each pair once
     cols = list(combinations(range(k), 2))  # an edge's vertex pairs, by position
     first, second = [a for a, _ in cols], [b for _, b in cols]
     members: list[np.ndarray] = []
     rounds: list[RoundRecord] = []
     heavy_total: list[int] = []
+    n_dead = 0
     removed_total: list[int] = []
     status = "complete"
 
@@ -368,7 +370,7 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         rounds.append(rec)
         weights: np.ndarray | None = None
         if k == 3:
-            weights = _near_integral_round(n, index, perm, live, dead, rec)
+            weights = _near_integral_round(n, index, perm, live, pair_load, threshold, rec)
         if weights is None:
             pos = sorted(perm[i] for i in _bits(live))
             v = allv[pos]
@@ -386,20 +388,25 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         members.append(weights)
         # np.add.at adds one entry at a time, and the pairs are laid out edge
         # by edge, so every load is the chain of additions a per-edge loop
-        # would make, in edge order
+        # would make, in edge order. Only this round's pairs change, each
+        # as (x, y) with x < y since edges ascend.
         nz = np.flatnonzero(weights)
         v = allv[nz]
         x, y = v[:, first].ravel(), v[:, second].ravel()
         w = np.repeat(weights[nz], len(cols))
+        prev = pair_load[x, y]
         np.add.at(pair_load, (x, y), w)
         np.add.at(pair_load, (y, x), w)
-        if pair_load.max() >= _CAP + 1e-9:
-            a, b = map(int, np.unravel_index(pair_load.argmax(), pair_load.shape))
-            raise AssertionError(f"pair ({a}, {b}) reached load {pair_load[a, b]} >= cap {_CAP}")
-        was, dead = dead, pair_load >= threshold - _EPS
+        now = pair_load[x, y]
+        if now.max(initial=0.0) >= _CAP + 1e-9:
+            i = int(now.argmax())
+            raise AssertionError(f"pair ({x[i]}, {y[i]}) reached load {now[i]} >= cap {_CAP}")
+        died = (prev < threshold - _EPS) & (now >= threshold - _EPS)
+        newly = set(zip(x[died].tolist(), y[died].tolist()))
+        n_dead += len(newly)
         before = live.bit_count()
-        live = _without_pairs(index.inc, live, np.argwhere(dead & ~was & upper).tolist())
-        heavy_total.append(int(np.count_nonzero(dead)) // 2)
+        live = _without_pairs(index.inc, live, newly)
+        heavy_total.append(n_dead)
         removed_total.append(
             (removed_total[-1] if removed_total else 0) + before - live.bit_count()
         )

@@ -4,18 +4,19 @@ import pytest
 
 import numpy as np
 
-from hypermatch import cli, lp, optimize, rounding, shifting
+from hypermatch import cli, lp, optimize, rounding, shifting, verify
 from hypermatch.cli import main, to_jsonable
 from hypermatch.core import (
     BudgetExceeded,
     _read_hg_lines,
     build,
     complete_graph,
+    from_json_dict,
     random_hypergraph,
     read_hg,
     write_hg,
 )
-from hypermatch.constructions import clique_family, hilton_milner_family
+from hypermatch.constructions import clique_family, hilton_milner_family, prefix_overlap_family
 
 
 def run(capsys, *argv):
@@ -501,3 +502,61 @@ def test_round_on_a_graph_that_is_not_3_uniform_is_a_usage_error(tmp_path, capsy
     path = str(tmp_path / "g.hg")
     assert main(["round", "--in", path, "--s", "1"]) == 2
     assert capsys.readouterr().err == f"usage error: round needs a 3-graph, {path} has k=2\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_solve_tau_reports_a_cover_of_every_edge(tmp_path, capsys, seed):
+    h = random_hypergraph(9, 3, 0.4, seed)
+    path = str(tmp_path / "g.hg")
+    write_hg(h, path)
+    code, out = run(capsys, "solve", "--what", "tau", "--in", path)
+    assert code == 0
+    payload = json.loads(out)
+    cover = set(payload["certificate"]["vertices"])
+    assert payload["value"] == len(cover) == optimize.min_vertex_cover(h, exhaustive=True)[0]
+    assert all(cover.intersection(e) for e in h.edges)
+
+
+def test_solve_tau_below_the_limit_has_no_certificate(tmp_path, capsys):
+    path = str(tmp_path / "hm.hg")
+    write_hg(hilton_milner_family(10, 3, 2), path)  # tau = 3
+    code, out = run(capsys, "solve", "--what", "tau", "--in", path, "--limit", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] > 2
+    assert payload["certificate"] == {"vertices": None}
+
+
+def test_solve_alpha_is_n_minus_tau_with_an_independent_set(tmp_path, capsys):
+    h = hilton_milner_family(10, 3, 2)
+    path = str(tmp_path / "hm.hg")
+    write_hg(h, path)
+    code, out = run(capsys, "solve", "--what", "alpha", "--in", path)
+    assert code == 0
+    payload = json.loads(out)
+    wset = set(payload["certificate"]["vertices"])
+    assert payload["value"] == len(wset) == h.n - 3
+    assert not any(wset.issuperset(e) for e in h.edges)
+
+
+def test_verify_off_the_bound_exits_3(capsys, monkeypatch):
+    # (5,3,1) under nu <= s finds 10 edges; a bound of 11 does not match it
+    monkeypatch.setattr(verify, "_bound_target", lambda n, k, s, constraint: 11)
+    code, out = run(capsys, "verify", "--n", "5", "--k", "3", "--s", "1", "--constraint", "nu")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["max_edges_found"] == 10 and payload["matches_bound"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--family", "clique", "--n", "6", "--k", "3", "--s", "1"], clique_family(6, 3, 1)),
+        (["--family", "a", "--n", "8", "--k", "3", "--s", "1", "--i", "2"],
+         prefix_overlap_family(8, 3, 1, 2)),
+    ],
+)
+def test_gen_without_out_writes_json_to_stdout(capsys, argv, expected):
+    code, out = run(capsys, "gen", *argv)
+    assert code == 0
+    assert from_json_dict(json.loads(out)) == expected

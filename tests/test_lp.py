@@ -20,60 +20,31 @@ from hypermatch.lp import (
 
 def test_tiny_max():
     # max x+y st x+y <= 1
-    status, x, value = simplex_rational([1, 1], [[1, 1]], ["<="], [1], maximize=True)
+    status, x, value = simplex_rational([1, 1], [[1, 1]], [1])
     assert status == OPTIMAL and value == 1
-
-
-def test_equality_feasibility():
-    # x1 + x2 = 1, x2 + x3 = 1, nonneg; maximize x1
-    status, x, value = simplex_rational(
-        [1, 0, 0], [[1, 1, 0], [0, 1, 1]], ["=", "="], [1, 1], maximize=True
-    )
-    assert status == OPTIMAL and value == 1
-    assert x[0] == 1 and x[1] == 0 and x[2] == 1
-
-
-def test_infeasible_detected():
-    # x <= 1 and x >= 2
-    status, x, value = simplex_rational(
-        [1], [[1], [1]], ["<=", ">="], [1, 2], maximize=True
-    )
-    assert status == INFEASIBLE
 
 
 def test_unbounded_detected():
-    status, _, _ = simplex_rational([1], [[-1]], ["<="], [1], maximize=True)
+    status, _, _ = simplex_rational([1], [[-1]], [1])
     assert status == UNBOUNDED
 
 
-def test_negative_rhs_normalized():
-    # -x <= -2 means x >= 2; minimize x
-    status, x, value = simplex_rational([1], [[-1]], ["<="], [-2], maximize=False)
-    assert status == OPTIMAL and value == 2
+def test_negative_rhs_raises():
+    # -x <= -2 has no feasible slack start
+    with pytest.raises(ValueError):
+        simplex_rational([1], [[-1]], [-2])
 
 
 def test_degenerate_redundant_rows():
-    # duplicated equality rows must not confuse phase one
+    # duplicated rows make the first ratio test a tie
     status, x, value = simplex_rational(
-        [1, 1], [[1, 1], [1, 1], [1, 0]], ["=", "=", "<="], [1, 1, 1], maximize=True
+        [1, 1], [[1, 1], [1, 1], [1, 0]], [1, 1, 1]
     )
     assert status == OPTIMAL and value == 1
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_random_lps_match_highs(seed):
-    rng = random.Random(seed)
-    nv = rng.randint(2, 6)
-    nr = rng.randint(1, 5)
-    c = [rng.randint(-4, 6) for _ in range(nv)]
-    rows = [[rng.randint(0, 4) for _ in range(nv)] for _ in range(nr)]
-    rhs = [rng.randint(1, 9) for _ in range(nr)]
-    senses = ["<="] * nr
-    # keep the region bounded
-    rows.append([1] * nv)
-    senses.append("<=")
-    rhs.append(10)
-    status, x, value = simplex_rational(c, rows, senses, rhs, maximize=True)
+def _check_against_highs(c, rows, rhs):
+    status, x, value = simplex_rational(c, rows, rhs)
     assert status == OPTIMAL
     f_status, fx, f_value, _ = linprog_float(
         [float(ci) for ci in c],
@@ -85,43 +56,48 @@ def test_random_lps_match_highs(seed):
     assert f_status == OPTIMAL
     assert abs(float(value) - f_value) < 1e-7
     # solution feasibility, exactly
-    for row, sense, b in zip(rows, senses, rhs):
+    assert all(xi >= 0 for xi in x)
+    for row, b in zip(rows, rhs):
         lhs = sum(Fraction(a) * xi for a, xi in zip(row, x))
         assert lhs <= b
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_random_lps_match_highs(seed):
+    rng = random.Random(seed)
+    nv = rng.randint(2, 6)
+    nr = rng.randint(1, 5)
+    c = [rng.randint(-4, 6) for _ in range(nv)]
+    rows = [[rng.randint(0, 4) for _ in range(nv)] for _ in range(nr)]
+    rhs = [rng.randint(1, 9) for _ in range(nr)]
+    # keep the region bounded
+    rows.append([1] * nv)
+    rhs.append(10)
+    _check_against_highs(c, rows, rhs)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_random_mixed_sense_lps_match_highs(seed):
+    # a >= row with a positive right-hand side has no slack start, so >=
+    # rows come only as a.x >= 0, written -a.x <= 0; their zero right-hand
+    # sides make the slack start degenerate. The last row keeps the region
+    # bounded.
     rng = random.Random(100 + seed)
     nv = rng.randint(2, 5)
-    c = [rng.randint(1, 5) for _ in range(nv)]
-    rows, senses, rhs = [], [], []
-    for _ in range(rng.randint(1, 3)):
-        rows.append([rng.randint(0, 3) for _ in range(nv)])
-        senses.append("<=")
-        rhs.append(rng.randint(2, 8))
-    # one covering-style row keeps phase one honest (may be infeasible)
-    rows.append([rng.randint(0, 2) for _ in range(nv)])
-    senses.append(">=")
-    rhs.append(rng.randint(1, 4))
-    status, x, value = simplex_rational(c, rows, senses, rhs, maximize=False)
-    a_ub, b_ub = [], []
-    for row, sense, b in zip(rows, senses, rhs):
-        if sense == "<=":
-            a_ub.append([float(a) for a in row])
-            b_ub.append(float(b))
+    c = [rng.randint(-2, 5) for _ in range(nv)]
+    rows, rhs = [], []
+    for i in range(rng.randint(2, 5)):
+        row = [rng.randint(0, 3) for _ in range(nv)]
+        if i == 0 or rng.random() < 0.5:
+            row[rng.randrange(nv)] = -rng.randint(1, 3)
+            rows.append([-a for a in row])
+            rhs.append(0)
         else:
-            a_ub.append([-float(a) for a in row])
-            b_ub.append(-float(b))
-    f_status, fx, f_value, _ = linprog_float(
-        [float(ci) for ci in c], a_ub=a_ub, b_ub=b_ub, bounds=(0, None)
-    )
-    assert status == f_status
-    if status == OPTIMAL:
-        assert abs(float(value) - f_value) < 1e-7
-        for row, sense, b in zip(rows, senses, rhs):
-            lhs = sum(Fraction(a) * xi for a, xi in zip(row, x))
-            assert lhs <= b if sense == "<=" else lhs >= b
+            rows.append(row)
+            rhs.append(rng.randint(2, 8))
+    rows.append([1] * nv)
+    rhs.append(rng.randint(1, 10))
+    _check_against_highs(c, rows, rhs)
 
 
 def test_sparse_solve_returns_row_duals():

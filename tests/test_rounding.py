@@ -554,23 +554,23 @@ class TestPickGadget:
     def test_none_when_every_candidate_fails(self):
         h = complete_graph(20, 3)
         index = EdgeIndex(h.n, h.edges, h.vertex_array())
-        dead = ~np.eye(21, dtype=bool)  # every pair: C(20, 4) = 4845 candidates
-        assert _pick_gadget_vertices(20, 4, dead, index, index.full) == ("none", None)
+        heavy = [0] * 21  # no live triple: C(20, 4) = 4845 candidates
+        assert _pick_gadget_vertices(20, 4, heavy, index, 0) == ("none", None)
 
     def test_budget_after_five_thousand_candidates(self):
         h = complete_graph(21, 3)
         index = EdgeIndex(h.n, h.edges, h.vertex_array())
-        dead = ~np.eye(22, dtype=bool)  # every pair: C(21, 4) = 5985 candidates
-        assert _pick_gadget_vertices(21, 4, dead, index, index.full) == ("budget", None)
+        heavy = [0] * 22  # no live triple: C(21, 4) = 5985 candidates
+        assert _pick_gadget_vertices(21, 4, heavy, index, 0) == ("budget", None)
 
     def test_found_needs_live_triples(self):
         h = complete_graph(10, 3)
         index = EdgeIndex(h.n, h.edges, h.vertex_array())
-        dead = np.zeros((11, 11), dtype=bool)
-        outcome, cand = _pick_gadget_vertices(10, 4, dead, index, index.full)
+        heavy = [0] * 11
+        outcome, cand = _pick_gadget_vertices(10, 4, heavy, index, index.full)
         assert (outcome, cand) == ("found", (1, 2, 3, 4))
         live = index.full & ~(1 << h.edges.index((1, 2, 3)))
-        assert _pick_gadget_vertices(10, 4, dead, index, live) == ("found", (1, 2, 4, 5))
+        assert _pick_gadget_vertices(10, 4, heavy, index, live) == ("found", (1, 2, 4, 5))
 
 
 def _diag(r, t, n_aug, status, members, attempts, paths, nodes, load, rest=None):
