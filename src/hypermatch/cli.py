@@ -22,6 +22,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import constructions, rounding, shifting, stability, verify
 from .core import BudgetExceeded, Hypergraph, read_hg, to_json_dict, write_hg
 from .optimize import (
@@ -206,8 +208,11 @@ def _cmd_solve(args) -> int:
             return 6
         value = fa.value
         if what == "nustar":
-            weights = zip(h.edges, fa.weights)
-            cert = {"weights": {" ".join(map(str, e)): to_jsonable(w) for e, w in weights if w}}
+            # only the nonzero weights, keyed by their rows of the vertex array
+            w = fa.weights  # float64 array, or a list of Fractions in rational mode
+            nz = np.flatnonzero(w).tolist() if mode == "float" else [i for i, x in enumerate(w) if x]
+            rows = h.vertex_array()[nz].tolist()
+            cert = {"weights": {" ".join(map(str, e)): to_jsonable(w[i]) for e, i in zip(rows, nz)}}
         else:
             cert = {"weights": {str(v): to_jsonable(w) for v, w in zip(h.vertices(), fa.weights)}}
     else:

@@ -15,12 +15,12 @@ everything. Counts are exact integers throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, cycle, islice
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .core import Hypergraph, _check_shape
+from .core import Hypergraph, _check_shape, lex_codes
 
 
 def _check_range(n: int, k: int, s: int) -> None:
@@ -135,13 +135,8 @@ def augment_universal(h: Hypergraph, r: int) -> Hypergraph:
     for j in range(1, k):
         low = _with_tops(low, j, range(j, top))
     new = _with_tops(low, k, range(n + 1, top + 1))
-    # lex order on k-sets of [top] is the order of their base-(top+1) codes;
-    # Python ints where int64 could overflow
-    dtype = np.int64 if (top + 1) ** k < 2**63 else object
-    old_codes, new_codes = np.zeros(len(allv), dtype=dtype), np.zeros(len(new), dtype=dtype)
-    for j in range(k):
-        old_codes = old_codes * (top + 1) + allv[:, j]
-        new_codes = new_codes * (top + 1) + new[:, j]
+    # lex order on k-sets of [top] is the order of their codes
+    old_codes, new_codes = lex_codes(allv, top), lex_codes(new, top)
     order = np.argsort(new_codes)
     new, new_codes = new[order], new_codes[order]
     # h's edges are in lex order too; the new rows land between them
@@ -153,15 +148,7 @@ def augment_universal(h: Hypergraph, r: int) -> Hypergraph:
     for j in range(k):  # column by column: 1-D masked writes are the fast ones
         col[is_new], col[is_old] = new[:, j], allv[:, j]
         verts[:, j] = col
-    # the tuples in the same order: runs of h's own tuples and runs of new
-    # ones, alternating, each cut from its source by islice
-    starts = np.flatnonzero(np.diff(is_new, prepend=not is_new[0]))
-    runs = np.diff(starts, append=len(is_new)).tolist()
-    sources = [iter(h.edges), zip(*new.T.tolist())]
-    if is_new[0]:
-        sources.reverse()
-    edges = list(chain.from_iterable(map(islice, cycle(sources), runs)))
-    return Hypergraph.from_canonical(top, k, edges, verts)
+    return Hypergraph.from_canonical(top, k, verts=verts)
 
 
 # -- closed-form counts ------------------------------------------------------

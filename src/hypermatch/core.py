@@ -1,8 +1,11 @@
 """Immutable k-uniform hypergraphs on the vertex set {1, ..., n}.
 
-Edges are ascending k-tuples kept in lexicographic order; the edge list is
-the whole representation, and its set and array views are derived from it
-on first use. ``edge_mask`` turns an edge into a vertex bitmask
+Edges are ascending k-tuples kept in lexicographic order. A graph holds
+them as a tuple of edge tuples, as one read-only (m, k) vertex array, or
+both: either one is the whole representation, and the other, like the
+edge set, is derived from it on first use. Graphs the rounding pipeline
+reads from disk or makes in bulk are born as arrays and never build tuples
+nobody reads. ``edge_mask`` turns an edge into a vertex bitmask
 (bit v-1 for vertex v) for the few routines that test disjointness and
 containment as integer operations; Python integers keep this exact for any n.
 """
@@ -51,17 +54,33 @@ def _check_shape(n: int, k: int) -> None:
         raise ValueError(f"uniformity k={k} exceeds vertex count n={n}")
 
 
+def lex_codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row of an (m, k) array of ids in 0..n as one base-(n+1) number.
+
+    On ascending k-sets of [n], lex order is the order of these codes, and
+    distinct rows get distinct codes. The codes are int64 while (n+1)^k
+    < 2^63, else Python ints in an object array.
+    """
+    k = rows.shape[1]
+    codes = rows[:, 0].astype(np.int64 if (n + 1) ** k < 2**63 else object)
+    for j in range(1, k):
+        codes = codes * (n + 1) + rows[:, j]
+    return codes
+
+
 class Hypergraph:
     """A k-uniform hypergraph on [n] with canonical, deduplicated edges.
 
     The constructor checks every edge; ``from_canonical`` trusts its caller.
-    ``edge_set`` (the edges as a frozenset) and ``vertex_array()`` (as one
-    read-only (m, k) array) are built on first use: the graphs the rounding
-    pipeline makes in bulk never ask for the set, and ``e in h`` bisects the
-    lex-ordered edges instead.
+    A graph keeps its edges as tuples, as the (m, k) vertex array, or both;
+    ``edges`` (the tuples), ``vertex_array()`` and ``edge_set`` (the edges
+    as a frozenset) are each built on first use from what the graph holds.
+    Membership never builds the set: ``e in h`` bisects the lex-ordered
+    tuples, or, on a graph born as an array, finds the edge's lex code
+    among the rows'.
     """
 
-    __slots__ = ("n", "k", "edges", "_edge_set", "_verts")
+    __slots__ = ("n", "k", "_edges", "_edge_set", "_verts")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]] = ()):
         _check_shape(n, k)
@@ -69,30 +88,49 @@ class Hypergraph:
 
     @classmethod
     def from_canonical(
-        cls, n: int, k: int, edges: Iterable[Edge], verts: np.ndarray | None = None
+        cls,
+        n: int,
+        k: int,
+        edges: Iterable[Edge] | None = None,
+        verts: np.ndarray | None = None,
     ) -> "Hypergraph":
         """A hypergraph from edges that are already canonical, unchecked.
 
         Precondition: every edge is an ascending k-tuple inside 1..n, no edge
         repeats, and the edges come in lexicographic order. Only k and n are
         checked; a list that breaks the precondition gives a broken graph.
-        ``verts``, when given, is trusted to hold the same edges as an (m, k)
-        integer array; it becomes read-only and is what ``vertex_array``
-        returns.
+        ``verts`` is the same edges as an (m, k) integer array, trusted like
+        the tuples; it becomes read-only and is what ``vertex_array``
+        returns. Either argument alone is enough, and the graph builds the
+        other on first use; given both, they must hold the same edges.
         """
         _check_shape(n, k)
+        if edges is None and verts is None:
+            raise TypeError("from_canonical needs the edges, their vertex array, or both")
         h = cls.__new__(cls)
         h._fill(n, k, edges, verts)
         return h
 
-    def _fill(self, n: int, k: int, canon: Iterable[Edge], verts: np.ndarray | None) -> None:
+    def _fill(
+        self, n: int, k: int, canon: Iterable[Edge] | None, verts: np.ndarray | None
+    ) -> None:
         self.n = n
         self.k = k
-        self.edges: tuple[Edge, ...] = tuple(canon)
+        self._edges: tuple[Edge, ...] | None = None if canon is None else tuple(canon)
         self._edge_set: frozenset[Edge] | None = None
         if verts is not None:
             verts.flags.writeable = False
         self._verts = verts
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ascending tuples of Python ints, in lex order.
+
+        Built from the vertex array on first use when the graph was born as one.
+        """
+        if self._edges is None:
+            self._edges = tuple(zip(*self._verts.T.tolist()))
+        return self._edges
 
     @property
     def edge_set(self) -> frozenset[Edge]:
@@ -106,8 +144,8 @@ class Hypergraph:
         Built from the tuples on first use unless the producer handed it over.
         """
         if self._verts is None:
-            m, k = len(self.edges), self.k
-            verts = np.fromiter(chain.from_iterable(self.edges), np.intp, m * k).reshape(m, k)
+            m, k = len(self._edges), self.k
+            verts = np.fromiter(chain.from_iterable(self._edges), np.intp, m * k).reshape(m, k)
             verts.flags.writeable = False
             self._verts = verts
         return self._verts
@@ -116,16 +154,36 @@ class Hypergraph:
 
     def e(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return len(self._edges if self._edges is not None else self._verts)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
     def __contains__(self, e) -> bool:
-        # the edges are in lex order: a bisect finds t without building the set
-        t = tuple(sorted(e))
-        i = bisect_left(self.edges, t)
-        return i < len(self.edges) and self.edges[i] == t
+        return self.has_edges((e,))[0]
+
+    def has_edges(self, es: Iterable[Iterable[int]]) -> list[bool]:
+        """Whether each vertex collection, in any order, is an edge.
+
+        With the tuples at hand each is a bisect of the lex-ordered edges;
+        a graph born as an array answers them all with one ``searchsorted``
+        of lex codes, and builds neither tuples nor set.
+        """
+        ts = [tuple(sorted(e)) for e in es]
+        edges = self._edges
+        if edges is not None:
+            return [(i := bisect_left(edges, t)) < len(edges) and edges[i] == t for t in ts]
+        n, k, verts = self.n, self.k, self._verts
+        out = [False] * len(ts)
+        # only k ids inside 1..n have a code; the row a code finds must equal t
+        asked = [i for i, t in enumerate(ts) if len(t) == k and 1 <= t[0] and t[-1] <= n]
+        if asked and len(verts):
+            codes = lex_codes(verts, n)
+            want = lex_codes(np.array([ts[i] for i in asked], dtype=codes.dtype), n)
+            pos = np.minimum(np.searchsorted(codes, want), len(codes) - 1).tolist()
+            for i, p in zip(asked, pos):
+                out[i] = tuple(verts[p].tolist()) == ts[i]
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -315,10 +373,11 @@ def _read_hg_bulk(text: str) -> Hypergraph | None:
     ascending = (ids[:, 1:] > ids[:, :-1]).all()
     if not (ascending and ids[:, 0].min() >= 1 and ids[:, -1].max() <= n):
         return None
-    edges = list(zip(*ids.T.tolist()))  # tuples of Python ints, never numpy scalars
-    if all(map(lt, edges, edges[1:])):
-        return Hypergraph.from_canonical(n, k, edges, ids.astype(np.intp, copy=False))
-    edges = sorted(set(edges))  # duplicate lines collapse; m counts lines
+    codes = lex_codes(ids, n)
+    if (codes[1:] > codes[:-1]).all():  # strictly ascending rows: the array is the graph
+        return Hypergraph.from_canonical(n, k, verts=ids.astype(np.intp, copy=False))
+    # duplicate lines collapse (m counts lines); tuples of Python ints, never numpy scalars
+    edges = sorted(set(zip(*ids.T.tolist())))
     return Hypergraph.from_canonical(n, k, edges)
 
 

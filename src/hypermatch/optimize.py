@@ -46,8 +46,8 @@ class Matching:
 
     def validate(self, h: Hypergraph) -> None:
         used: set[int] = set()
-        for e in self.edges:
-            if e not in h:
+        for e, present in zip(self.edges, h.has_edges(self.edges)):
+            if not present:
                 raise ValueError(f"matching edge {e} not in the graph")
             if used.intersection(e):
                 raise ValueError(f"matching edge {e} reuses a vertex")

@@ -17,7 +17,9 @@ extraction's accumulated pair weight is one symmetric float64 matrix indexed
 by vertex label; a round finds its newly dead pairs among the pairs it
 touched.
 The stages read the graph's vertices from ``h.vertex_array()``, one row per
-edge, not from its edge tuples.
+edge. Edge tuples are read only where the edge index needs them: in the
+extraction's first round that builds one, and in the matchers, on the sampled
+graph.
 
 Round-by-round feasibility is an empirical matter at desk scale: when a
 stage stalls, the family or pipeline reports it rather than masking it.
@@ -315,10 +317,10 @@ def extract_fpm_family(h: Hypergraph, t: int) -> FPMFamily:
 def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily:
     n, k = h.n, h.k
     threshold = _CAP / 2.0
-    edges, allv = h.edges, h.vertex_array()
-    m = len(edges)
+    allv = h.vertex_array()
+    m = len(allv)
     index: EdgeIndex | None = None  # built on the first round that needs it
-    perm: list[int] = []  # edge i of the index is edges[perm[i]]
+    perm: list[int] = []  # edge i of the index is h.edges[perm[i]]
     live = (1 << m) - 1  # surviving edges, one bit per index edge
     pair_load = np.zeros((n + 1, n + 1))  # by vertex label; row and column 0 unused
     cols = list(combinations(range(k), 2))  # an edge's vertex pairs, by position
@@ -359,12 +361,13 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         if not live:
             status = f"infeasible at round {rnd}"
             break
-        if index is None:
+        if index is None:  # the one read of the edge tuples
             perm = list(range(m))
             if rng is None:
-                index = EdgeIndex(n, edges, allv)
+                index = EdgeIndex(n, h.edges, allv)
             else:  # a retry searches the edges in its own order
                 rng.shuffle(perm)
+                edges = h.edges
                 index = EdgeIndex(n, [edges[i] for i in perm], allv[perm])
         rec = RoundRecord("lp")  # a search that succeeds names its own path
         rounds.append(rec)
@@ -374,7 +377,7 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         if weights is None:
             pos = sorted(perm[i] for i in _bits(live))
             v = allv[pos]
-            sub = Hypergraph.from_canonical(n, k, [edges[j] for j in pos], v)
+            sub = Hypergraph.from_canonical(n, k, verts=v)
             objective = None
             if pair_load.any():  # each edge's objective is the load on its pairs
                 objective = sum(pair_load[v[:, a], v[:, b]] for a, b in cols)
@@ -485,8 +488,8 @@ def sample_binomial_subgraph(
     allv = h.vertex_array()
     kept = np.flatnonzero(_uniforms(random.Random(seed), m) < p)
     kept_v = allv[kept]
-    # kept is a subsequence of h.edges, so its rows are canonical and in order
-    sampled = Hypergraph.from_canonical(n, k, [h.edges[i] for i in kept.tolist()], kept_v)
+    # kept is a subsequence of h's rows, so its rows are canonical and in order
+    sampled = Hypergraph.from_canonical(n, k, verts=kept_v)
 
     nz = np.flatnonzero(p)
     w = p[nz]

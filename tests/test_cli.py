@@ -300,6 +300,25 @@ def test_solve_certificates_name_the_weighted_edges_and_every_vertex(tmp_path, c
     assert sorted(json.loads(out)["certificate"]["weights"]) == [str(v) for v in range(1, 8)]
 
 
+@pytest.mark.parametrize("what", ["nustar", "taustar"])
+def test_float_lp_solve_builds_no_edge_tuples(tmp_path, capsys, monkeypatch, what):
+    # the LP reads the vertex array, and the certificate keys come from its rows
+    path = str(tmp_path / "r.hg")
+    h = random_hypergraph(14, 3, 0.4, 2)
+    write_hg(h, path)
+    read = []
+    monkeypatch.setattr(cli, "read_hg", lambda p: read.append(read_hg(p)) or read[-1])
+    code, out = run(capsys, "solve", "--what", what, "--in", path)
+    assert code == 0
+    assert read[0]._edges is None
+    weights = json.loads(out)["certificate"]["weights"]
+    if what == "nustar":  # the nonzero weights only, each on an edge
+        fm = optimize.fractional_matching(h, "float")
+        assert weights == {
+            " ".join(map(str, e)): w for e, w in zip(h.edges, fm.weights.tolist()) if w
+        }
+
+
 def test_solve_reports_the_simplex_fallback(tmp_path, capsys, monkeypatch):
     real = lp.linprog_sparse
 

@@ -24,6 +24,7 @@ from hypermatch.core import (
     write_hg,
 )
 from hypermatch.constructions import augment_universal, cover_family, hilton_milner_family
+from hypermatch.optimize import Matching
 from hypermatch.rounding import sample_binomial_subgraph
 
 from strategies import hypergraphs
@@ -406,6 +407,62 @@ def test_membership_agrees_with_the_edge_set(case, rnd):
     assert got == [tuple(sorted(p)) in h.edge_set for p in probes]
 
 
+def _matching_outcome(m: Matching, h: Hypergraph) -> str | None:
+    try:
+        m.validate(h)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _membership_case(n: int, k: int, canon: list, rnd: random.Random) -> None:
+    """``in`` and ``Matching.validate`` answer alike on the tuple-built graph
+    and on the array-born one, and the latter builds no tuples doing so."""
+    tuples = Hypergraph.from_canonical(n, k, canon)
+    born = Hypergraph.from_canonical(n, k, verts=np.array(canon, dtype=np.intp).reshape(-1, k))
+    edges = set(canon)
+    probes = [tuple(rnd.sample(range(1, n + 1), k)) for _ in range(20)]
+    probes += [e[::-1] for e in canon] + [(0,) * k, (n + 1,) * k, (1,), tuple(range(1, k + 2))]
+    want = [tuple(sorted(p)) in edges for p in probes]
+    assert [p in tuples for p in probes] == want
+    assert [p in born for p in probes] == want
+    assert born.has_edges(probes) == want
+    greedy, used = [], set()
+    for e in canon:
+        if used.isdisjoint(e):
+            greedy.append(e)
+            used.update(e)
+    missing = [p for p, hit in zip(probes, want) if not hit and len(set(p)) == k]
+    reused = greedy + greedy[:1]  # the first edge twice reuses its vertices
+    cases = [greedy, reused, greedy + missing[:1], missing[:1]]
+    for es in cases:
+        m = Matching(tuple(es))
+        assert _matching_outcome(m, born) == _matching_outcome(m, tuples)
+    assert born._edges is None and born._edge_set is None and tuples._edge_set is None
+    assert _matching_outcome(Matching(tuple(greedy)), born) is None
+    if greedy:
+        assert "reuses a vertex" in _matching_outcome(Matching(tuple(reused)), born)
+    if missing:
+        assert "not in the graph" in _matching_outcome(Matching(tuple(missing[:1])), born)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_canonical_lists(max_n=12), st.randoms(use_true_random=False))
+def test_membership_of_tuple_built_and_array_born_graphs_agrees(case, rnd):
+    n, k, lines = case
+    _membership_case(n, k, sorted(set(lines)), rnd)
+
+
+@pytest.mark.parametrize("n, k", [(2**21, 3), (2**16, 4)])  # (n+1)^k >= 2^63: object codes
+def test_membership_with_object_codes(n, k):
+    rnd = random.Random(n)
+    canon = sorted({tuple(sorted(rnd.sample(range(1, n + 1), k))) for _ in range(30)})
+    canon += [tuple(range(n - k + 1, n + 1))]  # the lex-last k-set, with the largest code
+    born = Hypergraph.from_canonical(n, k, verts=np.array(canon, dtype=np.intp))
+    assert core.lex_codes(born.vertex_array(), n).dtype == object
+    _membership_case(n, k, canon, rnd)
+
+
 def _assert_vertex_array(h: Hypergraph) -> None:
     """``vertex_array()`` holds the edge tuples, read-only, and is built once."""
     v = h.vertex_array()
@@ -428,6 +485,16 @@ def test_vertex_array_of_the_constructors(case):
     h = Hypergraph.from_canonical(n, k, canon, given_array)
     assert h.vertex_array() is given_array  # handed over, not copied
     _assert_vertex_array(h)
+    born = Hypergraph.from_canonical(n, k, verts=given_array.copy())
+    assert born.e() == len(canon) and born._edges is None  # counted without tuples
+    assert born == h and born.edges == tuple(canon)
+    assert all(type(v) is int for e in born.edges for v in e)
+    _assert_vertex_array(born)
+
+
+def test_from_canonical_needs_the_edges_or_their_array():
+    with pytest.raises(TypeError, match="needs the edges"):
+        Hypergraph.from_canonical(5, 3)
 
 
 _READ_PATHS = {
@@ -578,6 +645,34 @@ def test_every_written_graph_takes_the_bulk_path(tmp_path_factory, h):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_read_hg_lines", _refuse_lines)
         assert read_hg(path) == h
+
+
+# Files the bulk checks all pass, in and out of strict lex order; only the
+# ones in order with an edge hand over their array alone. (n+1)^k >= 2^63 in
+# the last two, so their lex codes are Python ints.
+_BULK_ORDERS = {
+    "no edge": (b"3 5 0\n", False),
+    "one edge": (b"3 5 1\n2 4 5\n", True),
+    "rows equal up to the last column": (b"3 5 3\n1 2 4\n1 2 5\n1 3 4\n", True),
+    "a duplicate line": (b"3 5 3\n1 2 4\n1 2 4\n1 2 5\n", False),
+    "a descending last column": (b"3 5 2\n1 2 5\n1 2 4\n", False),
+    "an unsorted body": (b"3 6 3\n2 3 4\n1 5 6\n1 2 3\n", False),
+    "object codes, in order": (b"3 2097152 3\n1 2 3\n1 2 2097152\n2097150 2097151 2097152\n", True),
+    "object codes, out of order": (b"4 65536 2\n2 3 4 65536\n1 2 3 65536\n", False),
+}
+
+
+@pytest.mark.parametrize("data, in_order", _BULK_ORDERS.values(), ids=_BULK_ORDERS.keys())
+def test_bulk_order_check_equals_the_per_line_loop(tmp_path, monkeypatch, data, in_order):
+    path = tmp_path / "g.hg"
+    path.write_bytes(data)
+    want = _per_line(str(path))
+    monkeypatch.setattr(core, "_read_hg_lines", _refuse_lines)
+    h = read_hg(str(path))
+    assert (h._edges is None) == in_order  # no tuples built for rows already in order
+    _assert_vertex_array(h)
+    assert (h.n, h.k, h.edges) == (want.n, want.k, want.edges)
+    assert all(type(v) is int for e in h.edges for v in e)
 
 
 # One file per bulk check, each failing that check alone; the per-line loop

@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 
 from hypermatch.cli import to_jsonable
 from hypermatch.constructions import augment_universal, cover_family
-from hypermatch.core import Hypergraph, build, complete_graph, edge_mask, random_hypergraph
+from hypermatch import rounding
+from hypermatch.core import (
+    Hypergraph,
+    build,
+    complete_graph,
+    edge_mask,
+    random_hypergraph,
+    read_hg,
+    write_hg,
+)
 from hypermatch.optimize import EdgeIndex, max_matching
 from hypermatch.rounding import (
     ROUND_PATHS,
@@ -373,6 +382,26 @@ class TestPipeline:
     def test_wrong_uniformity(self):
         with pytest.raises(ValueError):
             pipeline(complete_graph(8, 4), 1)
+
+    def test_complete_input_from_disk_builds_no_edge_tuples(self, tmp_path, monkeypatch):
+        # uniform rounds only: no edge index, so neither the input nor the
+        # augmented graph is read as tuples; the matchers read the sample's
+        path = str(tmp_path / "k30.hg")
+        write_hg(complete_graph(30, 3), path)
+        h = read_hg(path)
+        augmented = []
+
+        def keep(g, r):
+            augmented.append(augment_universal(g, r))
+            return augmented[-1]
+
+        monkeypatch.setattr(rounding, "augment_universal", keep)
+        res = pipeline(h, 3, t=12, seed=5)
+        assert res.success and res.diagnostics["extract_paths"]["uniform"] == 12
+        (hr,) = augmented
+        assert hr is not h and hr.n == res.diagnostics["n_augmented"]
+        assert h._edges is None and hr._edges is None
+        res.matching.validate(complete_graph(30, 3))
 
     def test_deterministic(self):
         a = pipeline(complete_graph(12, 3), 3, t=9, seed=1)
