@@ -3,11 +3,11 @@
 Edges are ascending k-tuples kept in lexicographic order. A graph holds
 them as a tuple of edge tuples, as one read-only (m, k) vertex array, or
 both: either one is the whole representation, and the other, like the
-edge set, is derived from it on first use. Graphs the rounding pipeline
-reads from disk or makes in bulk are born as arrays and never build tuples
-nobody reads. ``edge_mask`` turns an edge into a vertex bitmask
-(bit v-1 for vertex v) for the few routines that test disjointness and
-containment as integer operations; Python integers keep this exact for any n.
+edge set, is derived from it on first use. Graphs read from disk or made
+in bulk are born as arrays, which every kernel reads; tuples serve I/O,
+the enumeration oracles and the reference routines. ``edge_mask`` gives
+an edge's vertex bitmask (bit v-1 for vertex v) to the routines that test
+disjointness and containment as integer operations, exactly for any n.
 """
 
 from __future__ import annotations

@@ -132,25 +132,25 @@ INC_BLOCK_BYTES = 1 << 20
 class EdgeIndex:
     """Edge bitsets over a fixed edge list: bit i of a set stands for edge i.
 
-    The edges are vertex tuples, kept as ``verts``; ``allv`` is the same
-    list as an (m, k) integer array, which the rows are built from.
-    ``inc[v]`` holds the edges through vertex v and ``disj[i]`` the edges
-    disjoint from edge i (built by the first ``disjoint_rows`` or ``packing``
-    call). ``packing`` and ``cover`` answer the two questions of the paper's
-    hypothesis, nu <= s and tau > s, on any edge subset.
+    Edge i is row i of ``verts``, an (m, k) integer array, and the index
+    builds no Python object per edge: a search that reads many rows takes one
+    ``verts.tolist()`` per call. ``inc[v]`` holds the edges through vertex v
+    and ``disj[i]`` the edges disjoint from edge i (built by the first
+    ``disjoint_rows`` or ``packing`` call). ``packing`` and ``cover`` answer
+    the paper's two questions, nu <= s and tau > s, on any edge subset.
     """
 
     __slots__ = ("verts", "full", "inc", "disj")
 
-    def __init__(self, n: int, edges, allv: np.ndarray):
-        self.verts = tuple(edges)
-        m = len(self.verts)
+    def __init__(self, n: int, verts: np.ndarray):
+        self.verts = verts
+        m = len(verts)
         self.full = (1 << m) - 1
         # row v of packed is inc[v] as little-endian bytes: edge i is bit i & 7 of byte i >> 3
         packed = np.zeros((n + 1, (m + 7) // 8), dtype=np.uint8)
         size = max(8, INC_BLOCK_BYTES // (n + 1) // 8 * 8)
         for lo in range(0, m, size):
-            block = allv[lo:lo + size]
+            block = verts[lo:lo + size]
             hit = np.zeros((n + 1, len(block)), dtype=bool)
             hit[block.T, np.arange(len(block))] = True
             packed[:, lo >> 3:(lo + len(block) + 7) >> 3] = np.packbits(
@@ -160,17 +160,21 @@ class EdgeIndex:
         # m^2 bits in all, so left to the first search that needs them
         self.disj: list[int] | None = None
 
+    def meeting(self, vs) -> int:
+        """The edges through any of the vertices vs."""
+        inc, row = self.inc, 0
+        for v in vs:
+            row |= inc[v]
+        return row
+
     def meets(self, i: int) -> int:
         """The edges sharing a vertex with edge i, i itself included."""
-        row = 0
-        for v in self.verts[i]:
-            row |= self.inc[v]
-        return row
+        return self.meeting(self.verts[i].tolist())
 
     def disjoint_rows(self) -> list[int]:
         """``disj``, built on first use: row i is ``full & ~meets(i)``."""
         if self.disj is None:
-            self.disj = [self.full & ~self.meets(i) for i in range(len(self.verts))]
+            self.disj = [self.full & ~self.meeting(vs) for vs in self.verts.tolist()]
         return self.disj
 
     def packing(self, sub: int, need: int, nodes: int | None = None) -> list[int] | None:
@@ -216,7 +220,7 @@ class EdgeIndex:
         ``failed`` says so. Skipped branches can only fail, so the search
         returns what it would without the skip.
         """
-        verts, inc = self.verts, self.inc
+        rows, inc = self.verts.tolist(), self.inc
 
         def rec(sub: int, budget: int, failed: int) -> list[int] | None:
             if sub == 0:
@@ -224,7 +228,7 @@ class EdgeIndex:
             if budget == 0:
                 return None
             i = (sub & -sub).bit_length() - 1
-            for v in verts[i]:
+            for v in rows[i]:
                 bit = 1 << v
                 if failed & bit:
                     continue
@@ -241,7 +245,7 @@ class EdgeIndex:
             del rec  # rec reaches itself through its cell: free it without the cyclic GC
 
 
-def _greedy_matching(edges: Iterable[Edge]) -> list[int]:
+def _greedy_matching(edges: Iterable[Iterable[int]]) -> list[int]:
     """A maximal matching: each edge in turn if it avoids those taken."""
     used: set[int] = set()
     sel = []
@@ -274,13 +278,14 @@ def max_matching(
     """
     if exhaustive:
         return _matching_oracle(h, limit)
+    verts = h.vertex_array()
     # c disjoint edges cover kc distinct vertices, each on some edge
-    cap = np.count_nonzero(np.bincount(h.vertex_array().ravel())) // h.k
+    cap = np.count_nonzero(np.bincount(verts.ravel())) // h.k
     if limit is not None:
         cap = min(cap, limit)
-    best = _greedy_matching(h.edges)[:cap]
+    best = _greedy_matching(verts.tolist())[:cap]
     if len(best) < cap:
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, verts)
         nodes = PACKING_NODES
         while len(best) < cap:
             try:
@@ -295,7 +300,7 @@ def max_matching(
             if got is None:
                 break
             best = got
-    return len(best), Matching(tuple(h.edges[i] for i in sorted(best)))
+    return len(best), Matching(tuple(map(tuple, verts[sorted(best)].tolist())))
 
 
 def _matching_oracle(h: Hypergraph, limit: int | None) -> tuple[int, Matching]:
@@ -328,9 +333,10 @@ def min_vertex_cover(
     if exhaustive:
         return _cover_oracle(h, limit)
     cap = h.n if limit is None else limit
-    index = EdgeIndex(h.n, h.edges, h.vertex_array())
+    verts = h.vertex_array()
+    index = EdgeIndex(h.n, verts)
     # a matching needs one cover vertex per edge, so its size bounds tau below
-    for budget in range(len(_greedy_matching(h.edges)), cap + 1):
+    for budget in range(len(_greedy_matching(verts.tolist())), cap + 1):
         got = index.cover(index.full, budget)
         if got is not None:
             return len(got), VertexCover(frozenset(got))

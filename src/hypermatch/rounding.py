@@ -16,10 +16,8 @@ float64 vector indexed like ``h.edges`` of the graph being rounded, and the
 extraction's accumulated pair weight is one symmetric float64 matrix indexed
 by vertex label; a round finds its newly dead pairs among the pairs it
 touched.
-The stages read the graph's vertices from ``h.vertex_array()``, one row per
-edge. Edge tuples are read only where the edge index needs them: in the
-extraction's first round that builds one, and in the matchers, on the sampled
-graph.
+The stages, the edge index and the matchers read the graph's vertices from
+``h.vertex_array()``, one row per edge, and build no edge tuples.
 
 Round-by-round feasibility is an empirical matter at desk scale: when a
 stage stalls, the family or pipeline reports it rather than masking it.
@@ -161,7 +159,7 @@ def _find_perfect_matching(
     index order, nodes): outcome "found", "none" when no such matching
     exists, or "budget" when the search gave up after `budget` nodes.
     """
-    inc, verts, meets = index.inc, index.verts, index.meets
+    inc, verts, meeting = index.inc, index.verts, index.meeting
     free = []
     for v in range(1, n + 1):
         if covered0 >> (v - 1) & 1:
@@ -191,8 +189,8 @@ def _find_perfect_matching(
             low = best & -best
             best ^= low
             i = low.bit_length() - 1
-            vs = verts[i]
-            got = dfs([u for u in free if u not in vs], live & ~meets(i))
+            vs = verts[i].tolist()
+            got = dfs([u for u in free if u not in vs], live & ~meeting(vs))
             if got is not None:
                 got.append(i)
                 return got
@@ -320,7 +318,7 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
     allv = h.vertex_array()
     m = len(allv)
     index: EdgeIndex | None = None  # built on the first round that needs it
-    perm: list[int] = []  # edge i of the index is h.edges[perm[i]]
+    perm: list[int] = []  # edge i of the index is row perm[i] of allv
     live = (1 << m) - 1  # surviving edges, one bit per index edge
     pair_load = np.zeros((n + 1, n + 1))  # by vertex label; row and column 0 unused
     cols = list(combinations(range(k), 2))  # an edge's vertex pairs, by position
@@ -361,14 +359,11 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         if not live:
             status = f"infeasible at round {rnd}"
             break
-        if index is None:  # the one read of the edge tuples
+        if index is None:
             perm = list(range(m))
-            if rng is None:
-                index = EdgeIndex(n, h.edges, allv)
-            else:  # a retry searches the edges in its own order
+            if rng is not None:  # a retry searches the edges in its own order
                 rng.shuffle(perm)
-                edges = h.edges
-                index = EdgeIndex(n, [edges[i] for i in perm], allv[perm])
+            index = EdgeIndex(n, allv if rng is None else allv[perm])
         rec = RoundRecord("lp")  # a search that succeeds names its own path
         rounds.append(rec)
         weights: np.ndarray | None = None
@@ -483,9 +478,9 @@ def sample_binomial_subgraph(
     if p.shape != (m,):
         raise ValueError(f"probabilities have shape {p.shape}, the graph has {m} edges")
     bad = np.flatnonzero(~((p >= -1e-9) & (p <= 1 + 1e-9)))  # NaN too
-    if bad.size:
-        raise ValueError(f"probability {p[bad[0]]} on {h.edges[bad[0]]} outside [0, 1]")
     allv = h.vertex_array()
+    if bad.size:
+        raise ValueError(f"probability {p[bad[0]]} on {tuple(allv[bad[0]].tolist())} outside [0, 1]")
     kept = np.flatnonzero(_uniforms(random.Random(seed), m) < p)
     kept_v = allv[kept]
     # kept is a subsequence of h's rows, so its rows are canonical and in order
@@ -550,19 +545,19 @@ def near_perfect_matching(
     probability 0.1. Either strategy stops once no edge is live. No
     near-perfectness is promised; the caller inspects the size.
     """
-    index = EdgeIndex(h.n, h.edges, h.vertex_array())
-    meets = index.meets
+    index = EdgeIndex(h.n, h.vertex_array())
+    rows, meeting = index.verts.tolist(), index.meeting
     live = index.full  # the edges disjoint from every chosen one
     chosen: list[int] = []
 
     def take(i: int) -> None:
         nonlocal live
         chosen.append(i)
-        live &= ~meets(i)
+        live &= ~meeting(rows[i])
 
     if strategy == "greedy":
         while live:
-            take(min(_bits(live), key=lambda i: (live & meets(i)).bit_count()))
+            take(min(_bits(live), key=lambda i: (live & meeting(rows[i])).bit_count()))
     elif strategy == "nibble":
         rng = random.Random(seed)
         for _ in range(math.ceil(10 * math.log(max(h.n, 2)))):
@@ -579,7 +574,7 @@ def near_perfect_matching(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    return Matching(tuple(sorted(index.verts[i] for i in chosen)))
+    return Matching(tuple(sorted(tuple(rows[i]) for i in chosen)))
 
 
 # -- end-to-end ---------------------------------------------------------------

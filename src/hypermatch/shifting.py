@@ -52,7 +52,7 @@ def shift_graph(h: Hypergraph, i: int, j: int) -> Hypergraph:
 
 
 def _label_sum(h: Hypergraph) -> int:
-    return sum(sum(e) for e in h.edges)
+    return int(h.vertex_array().sum())
 
 
 def _mask_edge(m: int) -> Edge:
@@ -99,10 +99,11 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
     unconditional; the running total is checked against the output.
     """
     trace = ShiftTrace()
-    slot = list(map(edge_mask, h.edges))
+    rows = h.vertex_array().tolist()
+    slot = list(map(edge_mask, rows))
     masks = set(slot)
     has: list[set[int]] = [set() for _ in range(h.n + 1)]
-    for s, e in enumerate(h.edges):
+    for s, e in enumerate(rows):
         for v in e:
             has[v].add(s)
     potential = _label_sum(h)
@@ -140,7 +141,7 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
 
 def is_stable(h: Hypergraph) -> bool:
     """True iff every (i, j)-shift is the identity."""
-    return _closed(set(map(edge_mask, h.edges)))
+    return _closed(set(map(edge_mask, h.vertex_array().tolist())))
 
 
 def is_downset(h: Hypergraph) -> bool:

@@ -17,14 +17,13 @@ positive for small x, with a single root (sqrt(321) - 3)/52 in (0, 1/3).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 
 import numpy as np
 
 from .constructions import PartitionSpec, clique_count, cover_count, hm_count
-from .core import BudgetExceeded, Hypergraph, edge_mask
+from .core import BudgetExceeded, Hypergraph
 
 EXHAUSTIVE_GUARD_N = 16
 
@@ -62,25 +61,27 @@ def missing_edges(h: Hypergraph, target: Hypergraph) -> int:
 
 
 def _top_degree_vertices(h: Hypergraph, count: int) -> tuple[int, ...]:
-    deg = Counter(chain.from_iterable(h.edges))
-    ranked = sorted(h.vertices(), key=lambda v: (-deg[v], v))
-    return tuple(sorted(ranked[:count]))
+    deg = np.bincount(h.vertex_array().ravel(), minlength=h.n + 1)[1:]
+    ranked = np.argsort(-deg, kind="stable")[:count] + 1  # stable: equal degrees stay in label order
+    return tuple(sorted(ranked.tolist()))
 
 
 def _inside(h: Hypergraph, vertices: set[int]) -> int:
     """The number of edges of h inside the vertex set."""
-    return sum(1 for e in h.edges if vertices.issuperset(e))
+    inside = np.zeros(h.n + 1, dtype=bool)
+    inside[list(vertices)] = True
+    return int(inside[h.vertex_array()].all(axis=1).sum())
 
 
 def _subset_counts(h: Hypergraph) -> np.ndarray:
     """f[S] = the number of edges inside S, for every vertex bitmask S (bit v-1 for v).
 
-    A 1 at each edge mask (the edges are distinct), then the subset-sum
-    (zeta) transform: the pass for bit b adds f[S] into f[S | b] for every S
-    without b. Every count is at most C(n, k) < 2**31.
+    A 1 at each edge mask (the sum of a row's bits; the edges are distinct), then
+    the subset-sum (zeta) transform: the pass for bit b adds f[S] into f[S | b]
+    for every S without b. Every count is at most C(n, k) < 2**31.
     """
     f = np.zeros(1 << h.n, dtype=np.int32)
-    f[np.fromiter(map(edge_mask, h.edges), dtype=np.int64, count=h.e())] = 1
+    f[(np.int64(1) << (h.vertex_array() - 1)).sum(axis=1)] = 1
     for b in range(h.n):
         pairs = f.reshape(-1, 2, 1 << b)
         pairs[:, 1] += pairs[:, 0]

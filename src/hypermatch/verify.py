@@ -63,8 +63,7 @@ class _Searcher:
         self.constraint = constraint
         self.edges = list(combinations(range(1, n + 1), k))
         self.m = len(self.edges)
-        allv = np.array(self.edges, dtype=np.intp).reshape(self.m, k)
-        self.index = EdgeIndex(n, self.edges, allv)
+        self.index = EdgeIndex(n, np.array(self.edges, dtype=np.intp).reshape(self.m, k))
 
     def satisfies(self, sub: int) -> bool:
         if self.index.packing(sub, self.s + 1) is not None:
@@ -271,9 +270,7 @@ def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
         expand(sub, size, rest, banned | low)
 
     fixed = searcher.fixed_matching()
-    meets = 0
-    for v in range(1, searcher.k * s + 1):
-        meets |= index.inc[v]
+    meets = index.meeting(range(1, searcher.k * s + 1))
     try:
         expand(fixed, s, meets & ~fixed, 0)
     except BudgetExceeded:

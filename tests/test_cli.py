@@ -8,6 +8,7 @@ from hypermatch import cli, lp, optimize, rounding, shifting, verify
 from hypermatch.cli import main, to_jsonable
 from hypermatch.core import (
     BudgetExceeded,
+    Hypergraph,
     _read_hg_lines,
     build,
     complete_graph,
@@ -317,6 +318,31 @@ def test_float_lp_solve_builds_no_edge_tuples(tmp_path, capsys, monkeypatch, wha
         assert weights == {
             " ".join(map(str, e)): w for e, w in zip(h.edges, fm.weights.tolist()) if w
         }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--what", "nu"],
+        ["solve", "--what", "tau"],
+        ["shift"],
+        *(["closeness", "--target", target, "--s", "2", *exhaustive]
+          for target in ("cover", "clique") for exhaustive in ([], ["--exhaustive"])),
+    ],
+)
+def test_kernels_build_no_edge_tuples(tmp_path, capsys, monkeypatch, argv):
+    # the searches, shifting and closeness read the vertex array of the graph
+    # read from disk, and print what they print for the graph built from tuples
+    path = str(tmp_path / "r.hg")
+    h = random_hypergraph(12, 3, 0.15, 0)  # greedy takes 3 disjoint edges of nu = 4
+    write_hg(h, path)
+    monkeypatch.setattr(cli, "read_hg", lambda p: Hypergraph(h.n, h.k, h.edges))
+    code, from_tuples = run(capsys, *argv, "--in", path)
+    assert code == 0
+    read = []
+    monkeypatch.setattr(cli, "read_hg", lambda p: read.append(read_hg(p)) or read[-1])
+    assert run(capsys, *argv, "--in", path) == (0, from_tuples)
+    assert read[0]._edges is None
 
 
 def test_solve_reports_the_simplex_fallback(tmp_path, capsys, monkeypatch):

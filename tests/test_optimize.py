@@ -107,7 +107,7 @@ def _plain_search(h: Hypergraph) -> tuple:
     start, then ``EdgeIndex.packing`` one size up until it fails."""
     cap = h.n // h.k
     best = _greedy_matching(h.edges)[:cap]
-    index = EdgeIndex(h.n, h.edges, h.vertex_array())
+    index = EdgeIndex(h.n, h.vertex_array())
     while len(best) < cap:
         got = index.packing(index.full, len(best) + 1)
         if got is None:
@@ -241,7 +241,7 @@ class TestPackingBudget:
     def test_a_search_inside_its_budget_returns_the_unbudgeted_witness(self):
         for seed in range(40):
             h = seeded_graph(seed, n_lo=6, n_hi=10)
-            index = EdgeIndex(h.n, h.edges, h.vertex_array())
+            index = EdgeIndex(h.n, h.vertex_array())
             for need in range(1, h.n // h.k + 2):
                 free = index.packing(index.full, need)
                 finished = []
@@ -257,7 +257,7 @@ class TestPackingBudget:
 
     def test_zero_nodes_refuses_any_search(self):
         k6 = complete_graph(6, 3)
-        index = EdgeIndex(6, k6.edges, k6.vertex_array())
+        index = EdgeIndex(6, k6.vertex_array())
         assert index.packing(index.full, 0, 0) == []
         with pytest.raises(BudgetExceeded):
             index.packing(index.full, 1, 0)
@@ -348,7 +348,7 @@ class TestEdgeIndex:
     def test_rows_match_their_definitions(self, seed):
         for k in (2, 3, 4):
             h = seeded_graph(seed, n_lo=4, n_hi=9, k=k)
-            index = EdgeIndex(h.n, h.edges, h.vertex_array())
+            index = EdgeIndex(h.n, h.vertex_array())
             assert index.disj is None and index.packing(0, 1) is None  # builds disj
             assert len(index.inc) == h.n + 1 and index.inc[0] == 0
             masks = [edge_mask(e) for e in h.edges]
@@ -374,9 +374,12 @@ class TestEdgeIndex:
             rng.shuffle(edges)  # any edge order, as a retry's shuffled index has
             n = h.n + 3  # vertices no edge uses get a zero row
             allv = np.array(edges, dtype=np.intp).reshape(len(edges), k)
-            index = EdgeIndex(n, edges, allv)
+            index = EdgeIndex(n, allv)
             assert index.inc == _per_edge_rows(n, edges)
-            assert index.full == (1 << len(edges)) - 1 and index.verts == tuple(edges)
+            assert index.full == (1 << len(edges)) - 1 and index.verts is allv
+            assert [index.meets(i) for i in range(len(edges))] == [
+                sum(1 << j for j, f in enumerate(edges) if set(e) & set(f)) for e in edges
+            ]
 
     def test_packed_rows_cross_the_default_block(self):
         h = complete_graph(55, 3)  # 26 235 edges, past one block of 18 720
@@ -384,13 +387,13 @@ class TestEdgeIndex:
         perm = list(range(h.e()))
         random.Random(55).shuffle(perm)
         edges = [h.edges[i] for i in perm]
-        index = EdgeIndex(h.n, edges, h.vertex_array()[perm])
+        index = EdgeIndex(h.n, h.vertex_array()[perm])
         assert index.inc == _per_edge_rows(h.n, edges)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_witnesses_on_subsets(self, seed):
         h = seeded_graph(seed, n_lo=4, n_hi=8)
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         sub = sum(1 << i for i in range(0, h.e(), 2))  # every other edge
         g = build(h.n, h.k, [e for i, e in enumerate(h.edges) if sub >> i & 1])
         nu = max_matching(g, exhaustive=True)[0]
@@ -407,7 +410,7 @@ class TestEdgeIndex:
         # the recursive closures are freed by reference counting alone, found,
         # failed or over the node budget
         h = complete_graph(7, 3)
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
 
         def over_budget():
             with pytest.raises(BudgetExceeded):
@@ -429,7 +432,7 @@ def _plain_cover(index: EdgeIndex, sub: int, budget: int, calls: list | None = N
     if budget == 0:
         return None
     i = (sub & -sub).bit_length() - 1
-    for v in index.verts[i]:
+    for v in index.verts[i].tolist():
         got = _plain_cover(index, sub & ~index.inc[v], budget - 1, calls)
         if got is not None:
             got.append(v)
@@ -456,7 +459,7 @@ class TestCoverKernel:
     @settings(max_examples=150, deadline=None)
     def test_same_list_as_the_plain_search(self, case):
         h, sub = case
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         got = [index.cover(sub, budget) for budget in range(h.n + 1)]
         assert got == [_plain_cover(index, sub, budget) for budget in range(h.n + 1)]
         g = Hypergraph(h.n, h.k, [e for i, e in enumerate(h.edges) if sub >> i & 1])
@@ -467,7 +470,7 @@ class TestCoverKernel:
     def test_the_skip_cuts_the_failing_search(self):
         h = random_hypergraph(17, 3, 0.3, seed=5)
         tau = min_vertex_cover(h)[0]
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         plain: list = []
         assert _plain_cover(index, index.full, tau - 1, plain) is None
         # count the calls of cover's recursion, the nested function ``rec``

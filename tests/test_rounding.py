@@ -403,6 +403,21 @@ class TestPipeline:
         assert h._edges is None and hr._edges is None
         res.matching.validate(complete_graph(30, 3))
 
+    def test_extraction_from_disk_builds_no_edge_tuples(self, tmp_path):
+        # K12 less two edges: integral and LP rounds on the edge index, over
+        # five attempts, four of them on shuffled edge orders
+        gone = {(1, 3, 8), (9, 10, 12)}
+        h = build(12, 3, [e for e in complete_graph(12, 3).edges if e not in gone])
+        path = str(tmp_path / "near12.hg")
+        write_hg(h, path)
+        born = read_hg(path)
+        fam, want = extract_fpm_family(born, 6), extract_fpm_family(h, 6)
+        assert born._edges is None
+        assert fam.complete and fam.attempts == 5
+        assert {rec.path for rec in fam.rounds} == {"integral", "lp"}
+        assert (fam.rounds, fam.removed_total) == (want.rounds, want.removed_total)
+        assert all(np.array_equal(a, b) for a, b in zip(fam.members, want.members, strict=True))
+
     def test_deterministic(self):
         a = pipeline(complete_graph(12, 3), 3, t=9, seed=1)
         b = pipeline(complete_graph(12, 3), 3, t=9, seed=1)
@@ -412,7 +427,7 @@ class TestPipeline:
 class TestFindPerfectMatching:
     def test_covers_exactly_the_complement(self):
         h = complete_graph(10, 3)
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         covered0 = edge_mask((2, 5, 9, 10))  # six vertices left: two edges
         outcome, pm, _ = _find_perfect_matching(index, index.full, h.n, 3, covered0)
         assert outcome == "found"
@@ -425,7 +440,7 @@ class TestFindPerfectMatching:
 
     def test_none_when_the_rest_is_not_divisible_by_k(self):
         h = complete_graph(10, 3)
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         covered0 = edge_mask((2, 5, 9))  # seven vertices left
         assert _find_perfect_matching(index, index.full, h.n, 3, covered0) == ("none", None, 0)
 
@@ -433,7 +448,7 @@ class TestFindPerfectMatching:
     def test_matches_the_exhaustive_oracle_on_small_graphs(self, h, data):
         # a perfect matching of the live edges avoiding covered0 exists iff
         # the oracle finds (n - |covered0|) / 3 disjoint such edges
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         live = data.draw(st.one_of(st.just(index.full), st.integers(0, index.full)))
         if data.draw(st.booleans()):
             covered0 = data.draw(st.integers(0, (1 << h.n) - 1))
@@ -461,18 +476,18 @@ class TestFindPerfectMatching:
 
     def test_tiny_budget_is_budget_not_none(self):
         h = complete_graph(12, 3)
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         assert _find_perfect_matching(index, index.full, h.n, 3, budget=2) == ("budget", None, 2)
         # an isolated vertex is a proof of none at the root, inside any budget
         h = build(9, 3, [e for e in complete_graph(9, 3).edges if 9 not in e])
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         assert _find_perfect_matching(index, index.full, h.n, 3, budget=1) == ("none", None, 1)
 
     def test_leaves_no_reference_cycles(self):
         # the recursive dfs closure is freed by reference counting alone,
         # found or over the node budget
         h = complete_graph(9, 3)
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         found = lambda: _find_perfect_matching(index, index.full, h.n, 3)
         assert found()[0] == "found"
         assert cyclic_garbage(found) == 0
@@ -525,7 +540,7 @@ class TestExtractionIndex:
 
     @given(hypergraphs(max_n=9), st.data())
     def test_dead_pair_kill_matches_the_per_edge_definition(self, h, data):
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         live = data.draw(st.integers(0, index.full))
         pool = list(combinations(range(1, h.n + 1), 2))
         pairs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
@@ -582,19 +597,19 @@ class TestExtractionIndex:
 class TestPickGadget:
     def test_none_when_every_candidate_fails(self):
         h = complete_graph(20, 3)
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         heavy = [0] * 21  # no live triple: C(20, 4) = 4845 candidates
         assert _pick_gadget_vertices(20, 4, heavy, index, 0) == ("none", None)
 
     def test_budget_after_five_thousand_candidates(self):
         h = complete_graph(21, 3)
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         heavy = [0] * 22  # no live triple: C(21, 4) = 5985 candidates
         assert _pick_gadget_vertices(21, 4, heavy, index, 0) == ("budget", None)
 
     def test_found_needs_live_triples(self):
         h = complete_graph(10, 3)
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         heavy = [0] * 11
         outcome, cand = _pick_gadget_vertices(10, 4, heavy, index, index.full)
         assert (outcome, cand) == ("found", (1, 2, 3, 4))

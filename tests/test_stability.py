@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from hypermatch.constructions import (
     cover_family,
     hilton_milner_family,
 )
-from hypermatch.core import BudgetExceeded, build, complete_graph
+from hypermatch.core import BudgetExceeded, Hypergraph, build, complete_graph, edge_mask
 from hypermatch.stability import (
     bound_table,
     clique_overtakes_at,
@@ -177,6 +179,34 @@ class TestExhaustiveOracle:
         assert closeness(complete_graph(16, 3), 3, "exhaustive").missing_edges == 0
         with pytest.raises(BudgetExceeded):
             closeness(build(17, 3, []), 3, "exhaustive")
+
+
+class TestVertexArrayKernels:
+    """Degrees, inside counts and the subset-count table read the vertex
+    array; the tuple definitions here are their reference."""
+
+    @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=8, k=k)))
+    @example(build(7, 3, []))  # m = 0: the array has shape (0, 3)
+    @example(build(9, 3, [(1, 2, 3), (4, 5, 6)]))  # isolated vertices, every degree tied
+    @example(complete_graph(6, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_match_the_tuple_definitions(self, h):
+        m, k = h.e(), h.k
+        born = Hypergraph.from_canonical(
+            h.n, k, verts=np.array(h.edges, dtype=np.intp).reshape(m, k)
+        )
+        deg = Counter(chain.from_iterable(h.edges))
+        ranked = sorted(h.vertices(), key=lambda v: (-deg[v], v))
+        for count in range(h.n + 1):
+            assert stability._top_degree_vertices(born, count) == tuple(sorted(ranked[:count]))
+        f = stability._subset_counts(born)
+        masks = [edge_mask(e) for e in h.edges]
+        for mask in range(1 << h.n):
+            vertices = {v for v in h.vertices() if mask >> (v - 1) & 1}
+            inside = sum(1 for e in h.edges if vertices.issuperset(e))
+            assert stability._inside(born, vertices) == inside
+            assert f[mask] == inside == sum(1 for em in masks if em | mask == mask)
+        assert born._edges is None
 
 
 class TestGoodness:

@@ -99,7 +99,7 @@ def _family_cases(draw):
     rnd = draw(st.randoms(use_true_random=False))
     p = draw(st.sampled_from([0.3, 0.6, 0.9]))
     h = Hypergraph(n, k, [e for e in combinations(range(1, n + 1), k) if rnd.random() < p])
-    index = EdgeIndex(h.n, h.edges, h.vertex_array())
+    index = EdgeIndex(h.n, h.vertex_array())
     q = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))  # how full the family gets
     order = list(range(h.e()))
     rnd.shuffle(order)
@@ -289,7 +289,7 @@ class TestPrunedSearch:
         # sub is s-1 disjoint pairs of K_8; with i it leaves s disjoint edges,
         # so a pair disjoint from all of them makes s+1 and must go
         h = Hypergraph(8, 2, list(combinations(range(1, 9), 2)))
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         bit = {e: 1 << h.edges.index(e) for e in h.edges}
         sub = sum(bit[(2 * t + 1, 2 * t + 2)] for t in range(s - 1))
         i = h.edges.index((2 * s - 1, 2 * s))
@@ -301,7 +301,7 @@ class TestPrunedSearch:
     @given(_family_cases())
     def test_addable_after_matches_its_definition(self, case):
         h, s, sub, rnd = case
-        index = EdgeIndex(h.n, h.edges, h.vertex_array())
+        index = EdgeIndex(h.n, h.vertex_array())
         pool = [
             j for j in range(h.e())
             if not sub >> j & 1 and index.packing(sub | 1 << j, s + 1) is None
