@@ -219,7 +219,8 @@ def _cmd_solve(args) -> int:
         raise AssertionError(what)
     out = {"what": what, "value": to_jsonable(value)}
     if fa is not None:
-        out.update(lp_path=fa.lp_path, lp_solves=fa.lp_solves, lp_rows=fa.lp_rows)
+        out.update(lp_path=fa.lp_path, lp_solves=fa.lp_solves, lp_rows=fa.lp_rows,
+                   lp_iterations=fa.lp_iterations)
     out["certificate"] = cert
     print(json.dumps(out, indent=2))
     return 0

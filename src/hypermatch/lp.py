@@ -1,14 +1,14 @@
-"""Linear programs, three ways.
+"""Linear programs, two ways.
 
 * exact mode: a primal simplex over Fractions with Bland's rule
   (terminates, no tolerance anywhere). It takes only the form its callers
   pose, max c.x over <= rows with right-hand sides >= 0, so it starts from
   the slack basis and needs no phase one; it is meant for the desk-scale
   programs this package solves, not for large instances.
-* float mode on dense rows: scipy's HiGHS via linprog, with residuals
-  reported back.
-* float mode on a sparse matrix: one HiGHS solve that hands back the row
-  duals too, so a caller can read both sides of a duality pair from it.
+* float mode: one HiGHS dual simplex solve through scipy's bindings to it,
+  ``highs_solve``, which hands back x, the row duals and the iteration
+  count. ``linprog_float`` adapts the dense-row form onto it and reports
+  the residuals.
 """
 
 from __future__ import annotations
@@ -17,7 +17,20 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+# scipy.optimize before its private submodule: naming the submodule first
+# made a fresh process's import of this package about 0.25 s slower
+# (scipy 1.17.1, where scipy.special's start-up work grew 80 -> 330 ms)
+import scipy.optimize
+from scipy import sparse
+
+try:
+    from scipy.optimize._highspy import _core
+except ImportError as exc:  # a private module: a scipy release may move it
+    raise ImportError(
+        "hypermatch.lp needs scipy's private HiGHS bindings "
+        f"(scipy.optimize._highspy._core), and the installed scipy {scipy.__version__} "
+        "has none; the package was tested with scipy 1.17.1, which ships them"
+    ) from exc
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -93,15 +106,73 @@ def simplex_rational(
     return OPTIMAL, x, value
 
 
-def _status(res) -> str:
-    """OPTIMAL, INFEASIBLE or UNBOUNDED from a linprog result; other failures raise."""
-    if res.status == 2:
-        return INFEASIBLE
-    if res.status == 3:
-        return UNBOUNDED
-    if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    return OPTIMAL
+# The options linprog(method="highs") hands HiGHS, so that HiGHS sees the
+# same model under the same settings and stops at the same optimal vertex.
+_OPTIONS = _core.HighsOptions()
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
+_OPTIONS.presolve = "on"
+_OPTIONS.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_OPTIONS.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+
+_STATUS = {
+    _core.HighsModelStatus.kOptimal: OPTIMAL,
+    _core.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _core.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
+
+def highs_solve(c, a, row_lower, row_upper, col_upper=None):
+    """HiGHS: minimize c.x subject to row_lower <= a @ x <= row_upper, x >= 0.
+
+    ``a`` is a ``scipy.sparse`` matrix or dense rows; a row bound of -inf or
+    inf is absent, and ``col_upper``, if given, bounds x above. Returns
+    (status, x, row_duals, value, iterations), status OPTIMAL, INFEASIBLE or
+    UNBOUNDED; x, row_duals and value are None unless OPTIMAL. ``row_duals``
+    are d(value)/d(bound) of each row, linprog's marginals, and
+    ``iterations`` the simplex iterations. Any other outcome raises
+    RuntimeError naming HiGHS's model status.
+    """
+    a = sparse.csc_array(a)
+    nrow, ncol = a.shape
+    lp = _core.HighsLp()
+    lp.num_col_ = ncol
+    lp.num_row_ = nrow
+    lp.col_cost_ = np.asarray(c, dtype=np.float64)
+    lp.col_lower_ = np.zeros(ncol)
+    lp.col_upper_ = (
+        np.full(ncol, np.inf) if col_upper is None else np.asarray(col_upper, dtype=np.float64)
+    )
+    lp.row_lower_ = np.asarray(row_lower, dtype=np.float64)
+    lp.row_upper_ = np.asarray(row_upper, dtype=np.float64)
+    mat = lp.a_matrix_
+    mat.format_ = _core.MatrixFormat.kColwise
+    mat.num_col_ = ncol
+    mat.num_row_ = nrow
+    mat.start_ = a.indptr
+    mat.index_ = a.indices
+    mat.value_ = a.data
+    highs = _core._Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(lp) == _core.HighsStatus.kError:
+        raise RuntimeError("LP solver failed: HiGHS refused the model")
+    highs.run()
+    model_status = highs.getModelStatus()
+    status = _STATUS.get(model_status)
+    if status is None:
+        name = highs.modelStatusToString(model_status)
+        raise RuntimeError(f"LP solver failed: model status {name}")
+    info = highs.getInfo()
+    if status != OPTIMAL:
+        return status, None, None, None, info.simplex_iteration_count
+    solution = highs.getSolution()
+    return (
+        OPTIMAL,
+        np.array(solution.col_value),
+        np.array(solution.row_dual),
+        info.objective_function_value,
+        info.simplex_iteration_count,
+    )
 
 
 def linprog_float(
@@ -113,38 +184,35 @@ def linprog_float(
     bounds=(0, 1),
     maximize: bool = False,
 ):
-    """HiGHS solve; returns (status, x, value, max constraint residual)."""
-    cv = np.asarray(c, dtype=float)
-    res = linprog(
-        -cv if maximize else cv,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    status = _status(res)
-    if status != OPTIMAL:
-        return status, None, None, None
-    x = res.x
-    resid = 0.0
-    if a_ub is not None and len(a_ub):
-        resid = max(resid, float(np.max(np.asarray(a_ub) @ x - np.asarray(b_ub), initial=0.0)))
-    if a_eq is not None and len(a_eq):
-        resid = max(resid, float(np.max(np.abs(np.asarray(a_eq) @ x - np.asarray(b_eq)), initial=0.0)))
-    value = float(cv @ x)
-    return OPTIMAL, x, value, resid
+    """``highs_solve`` on dense <= rows and == rows, posed in that order.
 
-
-def linprog_sparse(c, a_ub, b_ub):
-    """HiGHS minimize c.x subject to a_ub @ x <= b_ub and x >= 0.
-
-    ``a_ub`` may be a ``scipy.sparse`` matrix. Returns (status, x, duals,
-    value); ``duals`` are the row marginals d(value)/d(b_ub), all <= 0.
+    ``bounds`` is (0, upper), upper None for none. Returns (status, x, value,
+    max constraint residual).
     """
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    status = _status(res)
+    lower, upper = bounds
+    if lower != 0:
+        raise ValueError(f"linprog_float takes bounds (0, upper), not {bounds!r}")
+    cv = np.asarray(c, dtype=float)
+    nv = len(cv)
+
+    def dense(a, b):
+        if a is None or not len(a):
+            return np.zeros((0, nv)), np.zeros(0)
+        return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+
+    (a_ub, b_ub), (a_eq, b_eq) = dense(a_ub, b_ub), dense(a_eq, b_eq)
+    status, x, *_ = highs_solve(
+        -cv if maximize else cv,
+        np.vstack([a_ub, a_eq]),
+        np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
+        np.concatenate([b_ub, b_eq]),
+        None if upper is None else np.full(nv, float(upper)),
+    )
     if status != OPTIMAL:
         return status, None, None, None
-    return OPTIMAL, res.x, res.ineqlin.marginals, float(res.fun)
+    resid = max(
+        0.0,
+        float(np.max(a_ub @ x - b_ub, initial=0.0)),
+        float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)),
+    )
+    return OPTIMAL, x, float(cv @ x), resid

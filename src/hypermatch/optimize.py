@@ -88,6 +88,7 @@ class FractionalAssignment:
     lp_path: str | None = None  # for nu* and tau*: LP_HIGHS, LP_CERTIFIED or LP_SIMPLEX
     lp_solves: int | None = None  # on the HiGHS paths: HiGHS calls of the row generation
     lp_rows: int | None = None  # on the HiGHS paths: edge rows in the last of them
+    lp_iterations: int | None = None  # on the HiGHS paths: simplex iterations of all of them
 
     def validate(self, h: Hypergraph, tol: float = 1e-9) -> None:
         slack = 0 if self.mode == "rational" else tol
@@ -211,16 +212,20 @@ class EdgeIndex:
         finally:
             del rec  # rec reaches itself through its cell: free it without the cyclic GC
 
-    def cover(self, sub: int, budget: int) -> list[int] | None:
+    def cover(self, sub: int, budget: int, rows: list | None = None) -> list[int] | None:
         """At most `budget` vertices meeting every edge of the subset, or None.
 
         The search branches on the vertices of the lowest edge left. Once the
         branch on v fails, no cover of the subset within the budget holds v,
         so the later branches and everything below them skip v: bit v of
         ``failed`` says so. Skipped branches can only fail, so the search
-        returns what it would without the skip.
+        returns what it would without the skip. A caller that calls it
+        repeatedly passes ``rows``, the edges' vertices as ``verts.tolist()``
+        gives them, so they are listed once.
         """
-        rows, inc = self.verts.tolist(), self.inc
+        inc = self.inc
+        if rows is None:
+            rows = self.verts.tolist()
 
         def rec(sub: int, budget: int, failed: int) -> list[int] | None:
             if sub == 0:
@@ -335,9 +340,10 @@ def min_vertex_cover(
     cap = h.n if limit is None else limit
     verts = h.vertex_array()
     index = EdgeIndex(h.n, verts)
+    rows = verts.tolist()
     # a matching needs one cover vertex per edge, so its size bounds tau below
-    for budget in range(len(_greedy_matching(verts.tolist())), cap + 1):
-        got = index.cover(index.full, budget)
+    for budget in range(len(_greedy_matching(rows)), cap + 1):
+        got = index.cover(index.full, budget, rows)
         if got is not None:
             return len(got), VertexCover(frozenset(got))
     return cap + 1, None
@@ -403,28 +409,31 @@ def _floored(x: np.ndarray) -> np.ndarray:
     return np.where(x > 1e-12, x, 0.0)
 
 
-def _cover_rows(neg_at: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, float, int, int]:
+def _cover_rows(neg_at: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, float, int, int, int]:
     """Solve the cover LP on the rows of ``neg_at`` that bind, by row generation.
 
     Start from ``min(m, 4n)`` rows evenly spaced over the edge list; after
     each solve, the edges left out whose cover sum is below ``1 - ROW_TOL``
     join, most violated first, at most a batch of them (4n, doubling each
     round). The loop ends when none joins, so the last y is a cover of every
-    edge up to ``ROW_TOL``. Returns (y, x, value, solves, rows): the last
-    solve's cover and value, its negated row duals spread over all edges (0
-    on every edge left out), the number of HiGHS calls and the rows of the
-    last one.
+    edge up to ``ROW_TOL``. Returns (y, x, value, solves, rows, iterations):
+    the last solve's cover and value, its negated row duals spread over all
+    edges (0 on every edge left out), the number of HiGHS calls, the rows of
+    the last one and the simplex iterations of them all.
     """
     m, n = neg_at.shape
     active = np.zeros(m, dtype=bool)
     active[np.linspace(0, m - 1, min(m, 4 * n)).astype(np.intp)] = True
-    batch, solves = 4 * n, 0
+    batch, solves, iterations = 4 * n, 0, 0
     while True:
         rows = np.flatnonzero(active)
-        status, y, duals, tau = lp.linprog_sparse(
-            np.ones(n), neg_at[rows], np.full(len(rows), -1.0)
+        # -A^T y <= -1, not A^T y >= 1: HiGHS's optimal vertex, and so every
+        # digit printed, depends on the form of the rows
+        status, y, duals, tau, its = lp.highs_solve(
+            np.ones(n), neg_at[rows], np.full(len(rows), -np.inf), np.full(len(rows), -1.0)
         )
         solves += 1
+        iterations += its
         if status != lp.OPTIMAL:  # y = 1 is feasible and y >= 0 bounds the sum
             raise RuntimeError(f"cover LP came back {status}")
         sums = -(neg_at @ y)
@@ -432,7 +441,7 @@ def _cover_rows(neg_at: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, float
         if not short.size:
             x = np.zeros(m)
             x[rows] = -duals
-            return y, x, tau, solves, len(rows)
+            return y, x, tau, solves, len(rows), iterations
         active[short[np.argsort(sums[short], kind="stable")[:batch]]] = True
         batch *= 2
 
@@ -458,7 +467,8 @@ def _over_common_denominator(v: np.ndarray) -> tuple[np.ndarray, int] | None:
 def _certified_numerators(h: Hypergraph) -> tuple[np.ndarray, int, list[int]] | None:
     """HiGHS's cover y and matching x, checked exactly over a common denominator L.
 
-    Returns the numerators of (y, x) over L, L, and the solve's (solves, rows).
+    Returns the numerators of (y, x) over L, L, and the solve's (solves, rows,
+    iterations).
     The check runs on the integers: x >= 0, vertex loads <= L, 0 <= y <= L,
     edge sums >= L and sum(x) == sum(y), which by weak duality proves both
     optimal. A failed check, a NaN or inf, or a HiGHS solve that fails or

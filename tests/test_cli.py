@@ -282,10 +282,12 @@ def test_solve_reports_the_lp_path(tmp_path, capsys, what, flags, lp_path):
     code, out = run(capsys, "solve", "--what", what, "--in", path, *flags)
     assert code == 0
     payload = json.loads(out)
-    assert list(payload) == ["what", "value", "lp_path", "lp_solves", "lp_rows", "certificate"]
+    assert list(payload) == ["what", "value", "lp_path", "lp_solves", "lp_rows",
+                             "lp_iterations", "certificate"]
     assert payload["lp_path"] == lp_path
     # K5 has 10 edges, at most 4n: one HiGHS solve on all of them
     assert (payload["lp_solves"], payload["lp_rows"]) == (1, 10)
+    assert isinstance(payload["lp_iterations"], int) and payload["lp_iterations"] >= 1
 
 
 @pytest.mark.parametrize("flags", [[], ["--exact-lp"]])
@@ -346,13 +348,13 @@ def test_kernels_build_no_edge_tuples(tmp_path, capsys, monkeypatch, argv):
 
 
 def test_solve_reports_the_simplex_fallback(tmp_path, capsys, monkeypatch):
-    real = lp.linprog_sparse
+    real = lp.highs_solve
 
     def negated_duals(*args, **kwargs):
-        status, x, duals, value = real(*args, **kwargs)
-        return status, x, -duals, value
+        status, x, duals, value, its = real(*args, **kwargs)
+        return status, x, -duals, value, its
 
-    monkeypatch.setattr(lp, "linprog_sparse", negated_duals)
+    monkeypatch.setattr(lp, "highs_solve", negated_duals)
     path = str(tmp_path / "k5.hg")
     write_hg(complete_graph(5, 3), path)
     for what in ("nustar", "taustar"):
@@ -361,17 +363,18 @@ def test_solve_reports_the_simplex_fallback(tmp_path, capsys, monkeypatch):
         payload = json.loads(out)
         assert payload["lp_path"] == "simplex"
         assert payload["lp_solves"] is None and payload["lp_rows"] is None
+        assert payload["lp_iterations"] is None
         assert payload["value"] == "5/3"
 
 
 @pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED, "solver error"])
 def test_solve_exact_lp_falls_back_when_highs_fails(tmp_path, capsys, monkeypatch, status):
-    def failing(c, a_ub, b_ub):
+    def failing(c, a, row_lower, row_upper, col_upper=None):
         if status == "solver error":
             raise RuntimeError("LP solver failed: iteration limit reached")
-        return status, None, None, None
+        return status, None, None, None, 0
 
-    monkeypatch.setattr(lp, "linprog_sparse", failing)
+    monkeypatch.setattr(lp, "highs_solve", failing)
     path = str(tmp_path / "k5.hg")
     write_hg(clique_family(5, 3, 1), path)
     for what in ("nustar", "taustar"):
@@ -385,12 +388,12 @@ def test_solve_exact_lp_falls_back_when_highs_fails(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("status", [lp.INFEASIBLE, "solver error"])
 def test_solve_float_lp_failure_is_a_solver_error(tmp_path, capsys, monkeypatch, status):
     # float mode has no simplex fallback: the failure is reported, not a traceback
-    def failing(c, a_ub, b_ub):
+    def failing(c, a, row_lower, row_upper, col_upper=None):
         if status == "solver error":
             raise RuntimeError("LP solver failed: iteration limit reached")
-        return status, None, None, None
+        return status, None, None, None, 0
 
-    monkeypatch.setattr(lp, "linprog_sparse", failing)
+    monkeypatch.setattr(lp, "highs_solve", failing)
     path = str(tmp_path / "k5.hg")
     write_hg(clique_family(5, 3, 1), path)
     for what in ("nustar", "taustar"):

@@ -190,12 +190,12 @@ class TestMatchingCeiling:
 
     @pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED, "solver error"])
     def test_a_highs_failure_leaves_the_search_to_decide(self, monkeypatch, status):
-        def failing(c, a_ub, b_ub):
+        def failing(c, a, row_lower, row_upper, col_upper=None):
             if status == "solver error":
                 raise RuntimeError("LP solver failed: iteration limit reached")
-            return status, None, None, None
+            return status, None, None, None, 0
 
-        monkeypatch.setattr(lp, "linprog_sparse", failing)
+        monkeypatch.setattr(lp, "highs_solve", failing)
         for h, nu in ((cover_family(13, 3, 3), 3), (hilton_milner_family(12, 3, 2), 2),
                       (build(6, 3, []), 0)):
             assert _matching_ceiling(h) is None
@@ -223,14 +223,14 @@ class TestMatchingCeiling:
 
 
 def _count_lp_solves(monkeypatch) -> list:
-    """Record every ``lp.linprog_sparse`` call; the ceiling makes one or more."""
-    real, seen = lp.linprog_sparse, []
+    """Record every ``lp.highs_solve`` call; the ceiling makes one or more."""
+    real, seen = lp.highs_solve, []
 
-    def counting(c, a_ub, b_ub):
-        seen.append(a_ub.shape)
-        return real(c, a_ub, b_ub)
+    def counting(c, a, *bounds):
+        seen.append(a.shape)
+        return real(c, a, *bounds)
 
-    monkeypatch.setattr(lp, "linprog_sparse", counting)
+    monkeypatch.setattr(lp, "highs_solve", counting)
     return seen
 
 
@@ -309,6 +309,21 @@ class TestMinVertexCover:
     def test_prefix_overlap(self):
         h = prefix_overlap_family(10, 3, 2, 2)
         assert min_vertex_cover(h)[0] == min_vertex_cover(h, exhaustive=True)[0] == 4
+
+    def test_every_budget_reads_one_listing_of_the_rows(self, monkeypatch):
+        # cover n 16, s 3: the greedy start is 1 and tau 3, so three budgets run
+        h = cover_family(16, 3, 3)
+        real, seen = EdgeIndex.cover, []
+
+        def spy(index, sub, budget, rows=None):
+            seen.append(rows)
+            return real(index, sub, budget, rows)
+
+        monkeypatch.setattr(EdgeIndex, "cover", spy)
+        assert min_vertex_cover(h)[0] == 3
+        assert len(seen) == 3
+        assert all(rows is seen[0] for rows in seen)
+        assert seen[0] == h.vertex_array().tolist()
 
     def test_limit_signals_above(self):
         h = complete_graph(6, 3)  # tau = 4: any 3 vertices leave an edge
@@ -528,13 +543,13 @@ def test_certified_lp_matches_the_simplex_oracle(h):
 def _halved_duals(monkeypatch):
     """Make the HiGHS solve return half its duals: still a feasible matching,
     but not an optimal one, so only the equal-sums check can reject it."""
-    real = lp.linprog_sparse
+    real = lp.highs_solve
 
     def fake(*args, **kwargs):
-        status, x, duals, value = real(*args, **kwargs)
-        return status, x, duals / 2, value
+        status, x, duals, value, its = real(*args, **kwargs)
+        return status, x, duals / 2, value, its
 
-    monkeypatch.setattr(lp, "linprog_sparse", fake)
+    monkeypatch.setattr(lp, "highs_solve", fake)
 
 
 class TestLPPaths:
@@ -571,13 +586,13 @@ class TestLPPaths:
         # feasible, but every vertex load is 2, so only the matching's
         # residual can reject the pair
         h = complete_graph(5, 3)
-        real = lp.linprog_sparse
+        real = lp.highs_solve
 
         def fake(*args, **kwargs):
-            status, y, duals, value = real(*args, **kwargs)
-            return status, 2 * y, 2 * duals, 2 * value
+            status, y, duals, value, its = real(*args, **kwargs)
+            return status, 2 * y, 2 * duals, 2 * value, its
 
-        monkeypatch.setattr(lp, "linprog_sparse", fake)
+        monkeypatch.setattr(lp, "highs_solve", fake)
         with pytest.raises(DualityError):
             check_lp_duality(h, "float")
 
@@ -749,8 +764,8 @@ def _hub_skewed() -> Hypergraph:
 
 def _all_rows_value(h: Hypergraph) -> float:
     """The cover LP's optimum from one HiGHS solve on every edge row."""
-    status, _y, _duals, value = lp.linprog_sparse(
-        np.ones(h.n), _negated_incidence(h), np.full(h.e(), -1.0)
+    status, _y, _duals, value, _its = lp.highs_solve(
+        np.ones(h.n), _negated_incidence(h), np.full(h.e(), -np.inf), np.full(h.e(), -1.0)
     )
     assert status == lp.OPTIMAL
     return value
@@ -812,6 +827,22 @@ class TestRowGeneration:
         assert fm.lp_solves == solves
         assert fm.lp_rows == 4 * h.n if solves == 1 else 4 * h.n < fm.lp_rows < h.e()
 
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_iterations_sum_over_the_solves(self, monkeypatch, mode):
+        # odd-cliques-60 takes three solves (see above)
+        h = _odd_cliques()
+        real, its = lp.highs_solve, []
+
+        def counting(*args):
+            got = real(*args)
+            its.append(got[4])
+            return got
+
+        monkeypatch.setattr(lp, "highs_solve", counting)
+        fm, fc = _highs_pair(h, mode)
+        assert len(its) == fm.lp_solves == 3
+        assert fm.lp_iterations == fc.lp_iterations == sum(its) > 0
+
     def test_odd_cliques_value_is_a_third_of_n(self):
         # each K_s takes y = 1/3 on its vertices
         assert abs(fractional_cover(_odd_cliques(), "float").value - 20) <= 1e-9
@@ -820,14 +851,14 @@ class TestRowGeneration:
     @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_few_edges_take_one_solve_on_all_rows(self, monkeypatch, h, mode):
         assert h.e() <= 4 * h.n
-        real = lp.linprog_sparse
+        real = lp.highs_solve
         seen = []
 
-        def counting(c, a_ub, b_ub):
-            seen.append(a_ub.shape[0])
-            return real(c, a_ub, b_ub)
+        def counting(c, a, *bounds):
+            seen.append(a.shape[0])
+            return real(c, a, *bounds)
 
-        monkeypatch.setattr(lp, "linprog_sparse", counting)
+        monkeypatch.setattr(lp, "highs_solve", counting)
         fm = fractional_matching(h, mode)
         assert seen == [h.e()]
         assert (fm.lp_solves, fm.lp_rows) == (1, h.e())
@@ -900,12 +931,12 @@ class TestNaNWeights:
     @pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED, "solver error"])
     def test_a_highs_failure_fails_the_certificate(self, monkeypatch, status):
         # rational mode falls back to the simplex; float mode has no fallback
-        def failing(c, a_ub, b_ub):
+        def failing(c, a, row_lower, row_upper, col_upper=None):
             if status == "solver error":
                 raise RuntimeError("LP solver failed: iteration limit reached")
-            return status, None, None, None
+            return status, None, None, None, 0
 
-        monkeypatch.setattr(lp, "linprog_sparse", failing)
+        monkeypatch.setattr(lp, "highs_solve", failing)
         h = complete_graph(5, 3)
         assert _highs_pair(h, "rational") is None
         rep = check_lp_duality(h, "rational")
