@@ -323,7 +323,7 @@ def _as_text(data: bytes) -> io.TextIOWrapper:
 
 
 _COMMENT_LINE = re.compile(r"^[ \t]*#.*", re.MULTILINE)
-# the longest number read in bulk: 10**18 - 1 < 2**63, so no int64 can wrap
+# the longest header number read in bulk: n < 10**18 < 2**63, so an id in 1..n fits int64
 _BULK_DIGITS = 18
 
 
@@ -331,10 +331,10 @@ def _read_hg_bulk(text: str) -> Hypergraph | None:
     """The graph of a `.hg` text, or None if any bulk check fails.
 
     Accepts only what ``_read_hg_lines`` accepts, and to the same graph: a
-    header of three ASCII decimals with 2 <= k <= n, then a body of ASCII
-    digits, spaces, tabs and newlines whose m non-blank lines each hold k
-    strictly ascending ids inside 1..n. Every number has at most
-    ``_BULK_DIGITS`` digits; a longer one is left to the per-line loop.
+    header of three ASCII decimals of at most ``_BULK_DIGITS`` digits with
+    2 <= k <= n, then a body of ASCII digits, spaces, tabs and newlines whose
+    m non-blank lines each hold k strictly ascending ids inside 1..n. numpy's
+    ``loadtxt`` reads the body; an id past int64 is left to the per-line loop.
     """
     if "#" in text:
         text = _COMMENT_LINE.sub("", text)
@@ -344,41 +344,26 @@ def _read_hg_bulk(text: str) -> Hypergraph | None:
     if not (head.isascii() and len(header) == 3 and short):
         return None
     k, n, m = map(int, header)
-    if not (2 <= k <= n and body.isascii() and len(body) < 2**31):  # int32 line numbers
+    if not (2 <= k <= n and body.isascii()):
         return None
-    raw = body.encode("ascii")
-    if raw.translate(None, b"0123456789 \t\n"):
+    # only digits and blanks reach loadtxt: no sign, '_', '#' or other whitespace
+    if body.encode("ascii").translate(None, b"0123456789 \t\n"):
         return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    # every byte left is a digit (>= '0') or a blank; tokens are the runs of digits
-    bounds = np.flatnonzero(np.diff(buf >= 48, prepend=False, append=False))
-    starts, ends = bounds[::2], bounds[1::2]
-    if len(starts) != m * k:
+    if not body.strip():  # loadtxt warns on no data, and a (0, k) array's edges are k lists
+        return Hypergraph.from_canonical(n, k, ()) if m == 0 else None
+    try:
+        ids = np.loadtxt(io.StringIO(body), dtype=np.intp, ndmin=2, comments=None)
+    except ValueError:  # a ragged line, or an id past int64
         return None
-    if m == 0:
-        return Hypergraph.from_canonical(n, k, ())
-    lengths = ends - starts
-    width = int(lengths.max())
-    if width > _BULK_DIGITS:
+    if ids.shape != (m, k):
         return None
-    line = np.cumsum(buf == 10, dtype=np.int32)[starts].reshape(m, k)
-    # line numbers never fall along the tokens: each row on one line, each on its own
-    if not ((line[:, 0] == line[:, -1]).all() and (line[1:, 0] > line[:-1, 0]).all()):
-        return None
-    ids = np.zeros(m * k, dtype=np.int64)
-    for j in range(width):  # Horner, one digit column at a time
-        digit = buf[np.minimum(starts + j, len(buf) - 1)] - np.int64(48)
-        ids = np.where(lengths > j, ids * 10 + digit, ids)
-    ids = ids.reshape(m, k)
     ascending = (ids[:, 1:] > ids[:, :-1]).all()
     if not (ascending and ids[:, 0].min() >= 1 and ids[:, -1].max() <= n):
         return None
     codes = lex_codes(ids, n)
-    if (codes[1:] > codes[:-1]).all():  # strictly ascending rows: the array is the graph
-        return Hypergraph.from_canonical(n, k, verts=ids.astype(np.intp, copy=False))
-    # duplicate lines collapse (m counts lines); tuples of Python ints, never numpy scalars
-    edges = sorted(set(zip(*ids.T.tolist())))
-    return Hypergraph.from_canonical(n, k, edges)
+    if not (codes[1:] > codes[:-1]).all():  # duplicate lines collapse; m counts lines
+        ids = ids[np.unique(codes, return_index=True)[1]]
+    return Hypergraph.from_canonical(n, k, verts=ids)
 
 
 def _bad_edge_line(path: str, lineno: int, line: str, why: str) -> ValueError:

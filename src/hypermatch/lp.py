@@ -7,8 +7,8 @@
   programs this package solves, not for large instances.
 * float mode: one HiGHS dual simplex solve through scipy's bindings to it,
   ``highs_solve``, which hands back x, the row duals and the iteration
-  count. ``linprog_float`` adapts the dense-row form onto it and reports
-  the residuals.
+  count. ``linprog_float`` adapts dense equality rows, 0 <= x <= 1, onto
+  it and reports the residual.
 """
 
 from __future__ import annotations
@@ -175,44 +175,15 @@ def highs_solve(c, a, row_lower, row_upper, col_upper=None):
     )
 
 
-def linprog_float(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-    bounds=(0, 1),
-    maximize: bool = False,
-):
-    """``highs_solve`` on dense <= rows and == rows, posed in that order.
+def linprog_float(c, a_eq, b_eq, maximize: bool = False):
+    """``highs_solve`` on dense == rows, with 0 <= x <= 1.
 
-    ``bounds`` is (0, upper), upper None for none. Returns (status, x, value,
-    max constraint residual).
+    Returns (status, x, value, max constraint residual).
     """
-    lower, upper = bounds
-    if lower != 0:
-        raise ValueError(f"linprog_float takes bounds (0, upper), not {bounds!r}")
-    cv = np.asarray(c, dtype=float)
-    nv = len(cv)
-
-    def dense(a, b):
-        if a is None or not len(a):
-            return np.zeros((0, nv)), np.zeros(0)
-        return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-
-    (a_ub, b_ub), (a_eq, b_eq) = dense(a_ub, b_ub), dense(a_eq, b_eq)
-    status, x, *_ = highs_solve(
-        -cv if maximize else cv,
-        np.vstack([a_ub, a_eq]),
-        np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
-        np.concatenate([b_ub, b_eq]),
-        None if upper is None else np.full(nv, float(upper)),
-    )
+    c = np.asarray(c, dtype=float)
+    a_eq, b_eq = np.asarray(a_eq, dtype=float), np.asarray(b_eq, dtype=float)
+    status, x, *_ = highs_solve(-c if maximize else c, a_eq, b_eq, b_eq, np.ones(len(c)))
     if status != OPTIMAL:
         return status, None, None, None
-    resid = max(
-        0.0,
-        float(np.max(a_ub @ x - b_ub, initial=0.0)),
-        float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)),
-    )
-    return OPTIMAL, x, float(cv @ x), resid
+    resid = max(0.0, float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)))
+    return OPTIMAL, x, float(c @ x), resid

@@ -168,12 +168,8 @@ class EdgeIndex:
             row |= inc[v]
         return row
 
-    def meets(self, i: int) -> int:
-        """The edges sharing a vertex with edge i, i itself included."""
-        return self.meeting(self.verts[i].tolist())
-
     def disjoint_rows(self) -> list[int]:
-        """``disj``, built on first use: row i is ``full & ~meets(i)``."""
+        """``disj``, built on first use: row i holds the edges disjoint from edge i."""
         if self.disj is None:
             self.disj = [self.full & ~self.meeting(vs) for vs in self.verts.tolist()]
         return self.disj

@@ -619,6 +619,7 @@ def _hg_texts(draw):
     return eol.join(out) + draw(st.sampled_from([eol, ""]))
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_hg_texts(), _hg_lines().map(lambda lines: "".join(ln + "\n" for ln in lines))))
 @example("3 4 1\n0000000000000000000001 2 3\n")  # a 22-digit id: the per-line loop reads it
@@ -647,29 +648,32 @@ def test_every_written_graph_takes_the_bulk_path(tmp_path_factory, h):
         assert read_hg(path) == h
 
 
-# Files the bulk checks all pass, in and out of strict lex order; only the
-# ones in order with an edge hand over their array alone. (n+1)^k >= 2^63 in
-# the last two, so their lex codes are Python ints.
+# Files the bulk checks all pass, in and out of strict lex order; every one
+# with an edge hands over its array alone, rows out of order sorted and
+# repeated ones collapsed. (n+1)^k >= 2^63 in the two "object codes" files,
+# so their lex codes are Python ints.
 _BULK_ORDERS = {
     "no edge": (b"3 5 0\n", False),
     "one edge": (b"3 5 1\n2 4 5\n", True),
     "rows equal up to the last column": (b"3 5 3\n1 2 4\n1 2 5\n1 3 4\n", True),
-    "a duplicate line": (b"3 5 3\n1 2 4\n1 2 4\n1 2 5\n", False),
-    "a descending last column": (b"3 5 2\n1 2 5\n1 2 4\n", False),
-    "an unsorted body": (b"3 6 3\n2 3 4\n1 5 6\n1 2 3\n", False),
+    "a duplicate line": (b"3 5 3\n1 2 4\n1 2 4\n1 2 5\n", True),
+    "a descending last column": (b"3 5 2\n1 2 5\n1 2 4\n", True),
+    "an unsorted body": (b"3 6 3\n2 3 4\n1 5 6\n1 2 3\n", True),
     "object codes, in order": (b"3 2097152 3\n1 2 3\n1 2 2097152\n2097150 2097151 2097152\n", True),
-    "object codes, out of order": (b"4 65536 2\n2 3 4 65536\n1 2 3 65536\n", False),
+    "object codes, out of order": (b"4 65536 2\n2 3 4 65536\n1 2 3 65536\n", True),
+    "19-digit id": (b"3 4 1\n0000000000000000001 2 3\n", True),
 }
 
 
-@pytest.mark.parametrize("data, in_order", _BULK_ORDERS.values(), ids=_BULK_ORDERS.keys())
-def test_bulk_order_check_equals_the_per_line_loop(tmp_path, monkeypatch, data, in_order):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("data, array_born", _BULK_ORDERS.values(), ids=_BULK_ORDERS.keys())
+def test_bulk_order_check_equals_the_per_line_loop(tmp_path, monkeypatch, data, array_born):
     path = tmp_path / "g.hg"
     path.write_bytes(data)
     want = _per_line(str(path))
     monkeypatch.setattr(core, "_read_hg_lines", _refuse_lines)
     h = read_hg(str(path))
-    assert (h._edges is None) == in_order  # no tuples built for rows already in order
+    assert (h._edges is None) == array_born  # no tuples built for a graph with an edge
     _assert_vertex_array(h)
     assert (h.n, h.k, h.edges) == (want.n, want.k, want.edges)
     assert all(type(v) is int for e in h.edges for v in e)
@@ -695,10 +699,10 @@ _BULK_MISSES = {
     "negative id": b"3 4 1\n-1 2 3\n",
     "comment after an edge": b"3 4 1\n1 2 3 # c\n",
     "one line short": b"3 4 2\n1 2 3\n",
+    "a blank body with m > 0": b"3 4 1\n\n  \n",
     "a line of k + 1 ids, then one of k - 1": b"3 5 2\n1 2 3 4\n1 2\n",
     "a line of k - 1 ids, then one of k + 1": b"3 6 2\n1 2\n3 4 5 6\n",
     "two edges on one line": b"3 6 3\n1 2 3 4 5 6\n1 2 4\n",
-    "19-digit id": b"3 4 1\n0000000000000000001 2 3\n",
     "id above 2**63": b"3 4 1\n1 2 10000000000000000000\n",
     "id 2**64 + 3, which int64 would read as 3": b"3 4 1\n1 2 18446744073709551619\n",
     "descending line": b"3 4 1\n3 2 1\n",

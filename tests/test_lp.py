@@ -21,7 +21,6 @@ from hypermatch.lp import (
     OPTIMAL,
     UNBOUNDED,
     highs_solve,
-    linprog_float,
     simplex_rational,
 )
 
@@ -54,15 +53,15 @@ def test_degenerate_redundant_rows():
 def _check_against_highs(c, rows, rhs):
     status, x, value = simplex_rational(c, rows, rhs)
     assert status == OPTIMAL
-    f_status, fx, f_value, _ = linprog_float(
-        [float(ci) for ci in c],
-        a_ub=[[float(a) for a in row] for row in rows],
+    res = linprog(
+        [-float(ci) for ci in c],
+        A_ub=[[float(a) for a in row] for row in rows],
         b_ub=[float(b) for b in rhs],
         bounds=(0, None),
-        maximize=True,
+        method="highs",
     )
-    assert f_status == OPTIMAL
-    assert abs(float(value) - f_value) < 1e-7
+    assert res.status == 0
+    assert abs(float(value) + res.fun) < 1e-7
     # solution feasibility, exactly
     assert all(xi >= 0 for xi in x)
     for row, b in zip(rows, rhs):
@@ -231,11 +230,6 @@ def test_other_model_statuses_raise_naming_the_status(monkeypatch, model_status)
     name = real().modelStatusToString(wanted)
     with pytest.raises(RuntimeError, match=f"LP solver failed: model status {name}"):
         highs_solve([1.0], [[1.0]], [-np.inf], [1.0])
-
-
-def test_linprog_float_takes_only_nonnegative_variables():
-    with pytest.raises(ValueError, match="bounds"):
-        linprog_float([1.0], a_ub=[[1.0]], b_ub=[1.0], bounds=(-1, 1))
 
 
 def test_missing_bindings_fail_loudly():

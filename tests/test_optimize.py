@@ -373,7 +373,8 @@ class TestEdgeIndex:
             for i, mi in enumerate(masks):
                 want = sum(1 << j for j, mj in enumerate(masks) if mi & mj == 0)
                 assert index.disj[i] == want
-                assert index.meets(i) == sum(1 << j for j, mj in enumerate(masks) if mi & mj)
+                meets = sum(1 << j for j, mj in enumerate(masks) if mi & mj)
+                assert index.meeting(index.verts[i].tolist()) == meets
 
     @pytest.mark.parametrize("budget", [1, 200, optimize.INC_BLOCK_BYTES])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -392,7 +393,7 @@ class TestEdgeIndex:
             index = EdgeIndex(n, allv)
             assert index.inc == _per_edge_rows(n, edges)
             assert index.full == (1 << len(edges)) - 1 and index.verts is allv
-            assert [index.meets(i) for i in range(len(edges))] == [
+            assert [index.meeting(index.verts[i].tolist()) for i in range(len(edges))] == [
                 sum(1 << j for j, f in enumerate(edges) if set(e) & set(f)) for e in edges
             ]
 
