@@ -1,13 +1,12 @@
 """Immutable k-uniform hypergraphs on the vertex set {1, ..., n}.
 
-Edges are ascending k-tuples kept in lexicographic order. A graph holds
-them as a tuple of edge tuples, as one read-only (m, k) vertex array, or
-both: either one is the whole representation, and the other, like the
-edge set, is derived from it on first use. Graphs read from disk or made
-in bulk are born as arrays, which every kernel reads; tuples serve I/O,
-the enumeration oracles and the reference routines. ``edge_mask`` gives
-an edge's vertex bitmask (bit v-1 for vertex v) to the routines that test
-disjointness and containment as integer operations, exactly for any n.
+Edges are ascending k-tuples kept in lexicographic order. A graph stores
+them as one read-only (m, k) intp vertex array, which every kernel reads,
+so n and every id must fit intp. The edge tuples and the edge set are views
+built on first read; they serve the enumeration oracles and the reference
+routines. ``edge_mask`` gives an edge's vertex bitmask (bit v-1 for vertex
+v) to the routines that test disjointness and containment as integer
+operations, exactly for any n.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from __future__ import annotations
 import io
 import random
 import re
-from bisect import bisect_left
-from itertools import chain, combinations
+from itertools import combinations
 from operator import lt
 from typing import Iterable
 
@@ -47,6 +45,10 @@ def _canonical_edge(e: Iterable[int], k: int, n: int) -> Edge:
     return t
 
 
+# a vertex array is intp, so every id, and n, must fit one
+_MAX_ID = int(np.iinfo(np.intp).max)
+
+
 def _check_shape(n: int, k: int) -> None:
     if k < 2:
         raise ValueError(f"uniformity k={k} must be at least 2")
@@ -72,62 +74,53 @@ class Hypergraph:
     """A k-uniform hypergraph on [n] with canonical, deduplicated edges.
 
     The constructor checks every edge; ``from_canonical`` trusts its caller.
-    A graph keeps its edges as tuples, as the (m, k) vertex array, or both;
-    ``edges`` (the tuples), ``vertex_array()`` and ``edge_set`` (the edges
-    as a frozenset) are each built on first use from what the graph holds.
-    Membership never builds the set: ``e in h`` bisects the lex-ordered
-    tuples, or, on a graph born as an array, finds the edge's lex code
-    among the rows'.
+    A graph stores one thing: its edges as a read-only (m, k) intp vertex
+    array, row i the i-th edge in lex order (``vertex_array()``). ``edges``
+    (the tuples) and ``edge_set`` (the edges as a frozenset) are views built
+    on first read. Membership never builds either: ``e in h`` finds the
+    edge's lex code among the rows'.
     """
 
     __slots__ = ("n", "k", "_edges", "_edge_set", "_verts")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]] = ()):
         _check_shape(n, k)
-        self._fill(n, k, sorted({_canonical_edge(e, k, n) for e in edges}), None)
+        canon = sorted({_canonical_edge(e, k, n) for e in edges})
+        self._fill(n, k, canon)
+        self._edges = tuple(canon)  # built already: kept as the tuples view
 
     @classmethod
-    def from_canonical(
-        cls,
-        n: int,
-        k: int,
-        edges: Iterable[Edge] | None = None,
-        verts: np.ndarray | None = None,
-    ) -> "Hypergraph":
+    def from_canonical(cls, n: int, k: int, verts: np.ndarray | Iterable[Edge]) -> "Hypergraph":
         """A hypergraph from edges that are already canonical, unchecked.
 
-        Precondition: every edge is an ascending k-tuple inside 1..n, no edge
-        repeats, and the edges come in lexicographic order. Only k and n are
-        checked; a list that breaks the precondition gives a broken graph.
-        ``verts`` is the same edges as an (m, k) integer array, trusted like
-        the tuples; it becomes read-only and is what ``vertex_array``
-        returns. Either argument alone is enough, and the graph builds the
-        other on first use; given both, they must hold the same edges.
+        ``verts`` is the edges as an (m, k) integer array, taken as it is
+        when its dtype is intp (the caller writes it no more), or as
+        k-tuples. Precondition: every row is an ascending k-tuple inside
+        1..n, no row repeats, and the rows come in lexicographic order. Only
+        k and n are checked; rows that break the precondition give a broken
+        graph.
         """
         _check_shape(n, k)
-        if edges is None and verts is None:
-            raise TypeError("from_canonical needs the edges, their vertex array, or both")
         h = cls.__new__(cls)
-        h._fill(n, k, edges, verts)
+        h._fill(n, k, verts)
         return h
 
-    def _fill(
-        self, n: int, k: int, canon: Iterable[Edge] | None, verts: np.ndarray | None
-    ) -> None:
+    def _fill(self, n: int, k: int, rows: np.ndarray | Iterable[Edge]) -> None:
+        if n > _MAX_ID:
+            raise ValueError(
+                f"vertex count n={n} exceeds {_MAX_ID}, the largest id an intp array holds"
+            )
         self.n = n
         self.k = k
-        self._edges: tuple[Edge, ...] | None = None if canon is None else tuple(canon)
-        self._edge_set: frozenset[Edge] | None = None
-        if verts is not None:
-            verts.flags.writeable = False
+        verts = np.asarray(rows, np.intp).reshape(-1, k)
+        verts.flags.writeable = False
         self._verts = verts
+        self._edges: tuple[Edge, ...] | None = None
+        self._edge_set: frozenset[Edge] | None = None
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        """The edges as ascending tuples of Python ints, in lex order.
-
-        Built from the vertex array on first use when the graph was born as one.
-        """
+        """The edges as ascending tuples of Python ints, in lex order, built on first read."""
         if self._edges is None:
             self._edges = tuple(zip(*self._verts.T.tolist()))
         return self._edges
@@ -139,22 +132,14 @@ class Hypergraph:
         return self._edge_set
 
     def vertex_array(self) -> np.ndarray:
-        """The edges as one read-only (m, k) integer array, row i = ``edges[i]``.
-
-        Built from the tuples on first use unless the producer handed it over.
-        """
-        if self._verts is None:
-            m, k = len(self._edges), self.k
-            verts = np.fromiter(chain.from_iterable(self._edges), np.intp, m * k).reshape(m, k)
-            verts.flags.writeable = False
-            self._verts = verts
+        """The edges as one read-only (m, k) intp array, row i = ``edges[i]``."""
         return self._verts
 
     # -- basic queries ----------------------------------------------------
 
     def e(self) -> int:
         """Number of edges."""
-        return len(self._edges if self._edges is not None else self._verts)
+        return len(self._verts)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -165,14 +150,10 @@ class Hypergraph:
     def has_edges(self, es: Iterable[Iterable[int]]) -> list[bool]:
         """Whether each vertex collection, in any order, is an edge.
 
-        With the tuples at hand each is a bisect of the lex-ordered edges;
-        a graph born as an array answers them all with one ``searchsorted``
-        of lex codes, and builds neither tuples nor set.
+        One ``searchsorted`` of lex codes answers them all; it builds
+        neither tuples nor set.
         """
         ts = [tuple(sorted(e)) for e in es]
-        edges = self._edges
-        if edges is not None:
-            return [(i := bisect_left(edges, t)) < len(edges) and edges[i] == t for t in ts]
         n, k, verts = self.n, self.k, self._verts
         out = [False] * len(ts)
         # only k ids inside 1..n have a code; the row a code finds must equal t
@@ -190,11 +171,11 @@ class Hypergraph:
             isinstance(other, Hypergraph)
             and self.n == other.n
             and self.k == other.k
-            and self.edges == other.edges
+            and np.array_equal(self._verts, other._verts)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, self.edges))
+        return hash((self.n, self.k, self._verts.tobytes()))
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, k={self.k}, e={self.e()})"
@@ -297,7 +278,7 @@ def random_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
 def write_hg(h: Hypergraph, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"{h.k} {h.n} {h.e()}\n")
-        for e in h.edges:
+        for e in h.vertex_array().tolist():
             fh.write(" ".join(map(str, e)) + "\n")
 
 
@@ -429,7 +410,7 @@ def _read_hg_lines(path: str, fh: Iterable[str]) -> Hypergraph:
 
 
 def to_json_dict(h: Hypergraph) -> dict:
-    return {"k": h.k, "n": h.n, "edges": [list(e) for e in h.edges]}
+    return {"k": h.k, "n": h.n, "edges": h.vertex_array().tolist()}
 
 
 def from_json_dict(d: dict) -> Hypergraph:

@@ -156,7 +156,7 @@ def is_downset(h: Hypergraph) -> bool:
             u = v - 1
             if u >= 1 and u not in present:
                 lowered = tuple(sorted([x for x in e if x != v] + [u]))
-                if lowered not in h:
+                if lowered not in h.edge_set:
                     return False
     return True
 

@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .constructions import bound_report
-from .core import BudgetExceeded, Hypergraph, _check_shape
+from .core import BudgetExceeded, Hypergraph, _check_shape, lex_codes
 from .optimize import EdgeIndex, max_matching, min_vertex_cover
 
 EXHAUSTIVE_EDGE_GUARD = 24
@@ -54,16 +54,17 @@ class VerifyResult:
 
 
 class _Searcher:
-    """The edge list and its bitset index, shared by both search methods."""
+    """The k-sets of [n] as one vertex array in lex order, and its bitset
+    index, shared by both search methods."""
 
     def __init__(self, n: int, k: int, s: int, constraint: str):
         if constraint not in (NU_LE_S, NU_LE_S_TAU_GT_S):
             raise ValueError(f"unknown constraint {constraint!r}")
         self.n, self.k, self.s = n, k, s
         self.constraint = constraint
-        self.edges = list(combinations(range(1, n + 1), k))
-        self.m = len(self.edges)
-        self.index = EdgeIndex(n, np.array(self.edges, dtype=np.intp).reshape(self.m, k))
+        verts = np.array(list(combinations(range(1, n + 1), k)), dtype=np.intp).reshape(-1, k)
+        self.m = len(verts)
+        self.index = EdgeIndex(n, verts)
 
     def satisfies(self, sub: int) -> bool:
         if self.index.packing(sub, self.s + 1) is not None:
@@ -74,9 +75,10 @@ class _Searcher:
 
     def fixed_matching(self) -> int:
         """M0 = {1..k}, {k+1..2k}, ..., {(s-1)k+1..sk} as an edge bitset (n >= ks)."""
-        k = self.k
-        blocks = (tuple(range(j * k + 1, j * k + k + 1)) for j in range(self.s))
-        return sum(1 << self.edges.index(e) for e in blocks)
+        blocks = np.arange(1, self.k * self.s + 1).reshape(self.s, self.k)
+        # the rows are in lex order, which is the order of their lex codes
+        rows = np.searchsorted(lex_codes(self.index.verts, self.n), lex_codes(blocks, self.n))
+        return sum(1 << i for i in rows.tolist())
 
     def transversal_hits(self) -> list[int]:
         """The edges meeting T, for each transversal T of M0's blocks (n >= ks).
@@ -93,8 +95,9 @@ class _Searcher:
         return hits
 
     def to_graph(self, sub: int) -> Hypergraph:
-        picked = [self.edges[i] for i in range(self.m) if sub >> i & 1]
-        return Hypergraph(self.n, self.k, picked)
+        # a subsequence of the lex-ordered rows: canonical as it stands
+        picked = [i for i in range(self.m) if sub >> i & 1]
+        return Hypergraph.from_canonical(self.n, self.k, self.index.verts[picked])
 
 
 def _bound_target(n: int, k: int, s: int, constraint: str) -> int | None:

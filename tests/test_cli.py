@@ -225,6 +225,25 @@ def test_malformed_input_is_a_clean_input_error(tmp_path, capsys):
     assert err.startswith("input error: ") and "missing.hg" in err
 
 
+def test_vertex_ids_past_int64_are_a_clean_input_error(tmp_path, capsys):
+    # n and the ids must fit the intp vertex array; the header line is named
+    path = tmp_path / "big.hg"
+    path.write_text("3 100000000000000000000 1\n1 2 99999999999999999999\n")
+    for what in ("nu", "tau"):
+        assert main(["solve", "--what", what, "--in", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {path}:1: vertex count n=100000000000000000000 ")
+        assert captured.err.count("\n") == 1
+
+
+def test_bounds_take_a_vertex_count_past_int64(capsys):
+    # bounds are closed forms in Python ints: no graph, so no vertex array
+    code, out = run(capsys, "bounds", "--n", "100000000000000000000", "--k", "3", "--s", "2")
+    assert code == 0
+    assert out.split("\t")[:3] == ["100000000000000000000", "3", "2"]
+
+
 def test_undecodable_input_is_a_clean_input_error(tmp_path, capsys):
     path = tmp_path / "bad.hg"
     path.write_bytes(b"3 4 1\n1 2 \xff\n")

@@ -23,9 +23,18 @@ from hypermatch.core import (
     to_json_dict,
     write_hg,
 )
-from hypermatch.constructions import augment_universal, cover_family, hilton_milner_family
+from hypermatch.constructions import (
+    augment_universal,
+    bound_report,
+    clique_family,
+    cover_family,
+    hilton_milner_family,
+    prefix_overlap_family,
+)
 from hypermatch.optimize import Matching
 from hypermatch.rounding import sample_binomial_subgraph
+from hypermatch.shifting import shift_graph, stabilize
+from hypermatch.verify import NU_LE_S, NU_LE_S_TAU_GT_S, verify_extremal
 
 from strategies import hypergraphs
 
@@ -416,9 +425,10 @@ def _matching_outcome(m: Matching, h: Hypergraph) -> str | None:
 
 
 def _membership_case(n: int, k: int, canon: list, rnd: random.Random) -> None:
-    """``in`` and ``Matching.validate`` answer alike on the tuple-built graph
-    and on the array-born one, and the latter builds no tuples doing so."""
-    tuples = Hypergraph.from_canonical(n, k, canon)
+    """``in`` and ``Matching.validate`` answer alike on the graph the checked
+    constructor built from tuples (it keeps them) and on the array-born one,
+    agree with the edge list, and build no tuples or set doing so."""
+    tuples = Hypergraph(n, k, canon)
     born = Hypergraph.from_canonical(n, k, verts=np.array(canon, dtype=np.intp).reshape(-1, k))
     edges = set(canon)
     probes = [tuple(rnd.sample(range(1, n + 1), k)) for _ in range(20)]
@@ -464,10 +474,14 @@ def test_membership_with_object_codes(n, k):
 
 
 def _assert_vertex_array(h: Hypergraph) -> None:
-    """``vertex_array()`` holds the edge tuples, read-only, and is built once."""
+    """``vertex_array()`` is the one intp array the graph holds: read-only,
+    its rows ascending k-sets of [n] in strict lex order, equal to ``edges``."""
     v = h.vertex_array()
-    assert v.shape == (h.e(), h.k) and v.dtype.kind == "i"
-    assert v.tolist() == [list(e) for e in h.edges]
+    assert v.shape == (h.e(), h.k) and v.dtype == np.intp
+    rows = [tuple(r) for r in v.tolist()]
+    assert all(list(r) == sorted(set(r)) and 1 <= r[0] and r[-1] <= h.n for r in rows)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert rows == list(h.edges)
     assert not v.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         v[...] = 0
@@ -479,22 +493,19 @@ def _assert_vertex_array(h: Hypergraph) -> None:
 def test_vertex_array_of_the_constructors(case):
     n, k, lines = case
     canon = sorted(set(lines))
-    _assert_vertex_array(Hypergraph(n, k, lines))
+    checked = Hypergraph(n, k, lines)
+    _assert_vertex_array(checked)
     _assert_vertex_array(Hypergraph.from_canonical(n, k, canon))
-    given_array = np.array(canon, dtype=np.intp).reshape(len(canon), k)
-    h = Hypergraph.from_canonical(n, k, canon, given_array)
-    assert h.vertex_array() is given_array  # handed over, not copied
-    _assert_vertex_array(h)
-    born = Hypergraph.from_canonical(n, k, verts=given_array.copy())
+    given_array = np.array(canon, dtype=np.intp).reshape(len(canon), k).copy()
+    born = Hypergraph.from_canonical(n, k, given_array)
+    assert born.vertex_array().base is given_array  # taken as it is, not copied
     assert born.e() == len(canon) and born._edges is None  # counted without tuples
-    assert born == h and born.edges == tuple(canon)
+    assert born == checked and born.edges == tuple(canon)
     assert all(type(v) is int for e in born.edges for v in e)
     _assert_vertex_array(born)
-
-
-def test_from_canonical_needs_the_edges_or_their_array():
-    with pytest.raises(TypeError, match="needs the edges"):
-        Hypergraph.from_canonical(5, 3)
+    narrow = Hypergraph.from_canonical(n, k, given_array.astype(np.int32))
+    _assert_vertex_array(narrow)  # converted to intp
+    assert narrow == born
 
 
 _READ_PATHS = {
@@ -524,6 +535,91 @@ def test_vertex_array_of_augmented_and_sampled_graphs(k, r):
         _assert_vertex_array(hr)
         probs = np.linspace(0.0, 1.0, hr.e())
         _assert_vertex_array(sample_binomial_subgraph(hr, probs, seed).sampled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=8, k=k)))
+@example(Hypergraph(5, 3, []))
+def test_vertex_array_of_shifted_and_derived_graphs(h):
+    stable, _ = stabilize(h)
+    assert stable._edges is None  # handed over its rows alone
+    _assert_vertex_array(stable)
+    _assert_vertex_array(shift_graph(h, 1, h.n))
+    _assert_vertex_array(h.delete_edges(h.edges[::2])[0])
+    if h.n > h.k:  # a vertex can go and k still fit
+        _assert_vertex_array(h.induced(range(2, h.n + 1))[0])
+        _assert_vertex_array(h.delete_vertices([h.n])[0])
+
+
+@pytest.mark.parametrize("k, s", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_vertex_array_of_the_families(k, s):
+    n = k * (s + 1) + 1
+    for h in (
+        cover_family(n, k, s),
+        clique_family(n, k, s),
+        hilton_milner_family(n, k, s),
+        prefix_overlap_family(n, k, s, k),
+    ):
+        _assert_vertex_array(h)
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "pruned"])
+@pytest.mark.parametrize("n, k, s, constraint", [(6, 2, 1, NU_LE_S), (6, 2, 2, NU_LE_S_TAU_GT_S)])
+def test_vertex_array_of_verify_witnesses(n, k, s, constraint, method):
+    res = verify_extremal(n, k, s, constraint, method)
+    assert res.extremal_witnesses
+    for w in res.extremal_witnesses:
+        assert w._edges is None  # the index's rows at the set bits, no tuples
+        _assert_vertex_array(w)
+
+
+def test_vertex_count_past_intp_is_refused():
+    top = (1, 2, core._MAX_ID)  # the largest n a vertex array holds
+    h = Hypergraph(core._MAX_ID, 3, [top])
+    assert h.vertex_array().tolist() == [list(top)] and top in h and (1, 2, 3) not in h
+    assert Hypergraph.from_canonical(core._MAX_ID, 3, [top]) == h
+    huge = core._MAX_ID + 1
+    with pytest.raises(ValueError, match="exceeds"):
+        Hypergraph(huge, 3, [])
+    with pytest.raises(ValueError, match="exceeds"):
+        Hypergraph(huge, 3, [(1, 2, huge)])
+    with pytest.raises(ValueError, match="exceeds"):
+        Hypergraph.from_canonical(huge, 3, [(1, 2, huge)])
+    assert bound_report(huge, 3, 2).n == huge  # closed forms build no graph
+
+
+def test_read_hg_names_the_header_of_a_graph_past_intp(tmp_path):
+    path = tmp_path / "big.hg"
+    path.write_text("3 100000000000000000000 1\n1 2 99999999999999999999\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: vertex count")):
+        read_hg(str(path))
+
+
+def test_equality_and_hash_read_the_array(tmp_path):
+    h = random_hypergraph(9, 3, 0.4, 5)
+    path = str(tmp_path / "g.hg")
+    write_hg(h, path)
+    born, again = read_hg(path), read_hg(path)
+    assert born == again and hash(born) == hash(again)
+    assert born._edges is None and again._edges is None  # compared without tuples
+    assert born == h and hash(born) == hash(h)  # the constructor's graph, and the reader's
+    two = build(5, 3, [(1, 2, 3), (1, 2, 4)])
+    assert two != build(6, 3, two.edges)  # another n
+    assert two != build(5, 3, two.edges[:1])  # another shape
+    assert two != build(5, 3, [(1, 2, 3), (1, 2, 5)])  # another row
+    assert build(5, 2, []) != build(5, 3, [])  # both arrays empty, another k
+    assert two != two.edges
+
+
+def test_writers_build_no_tuples(tmp_path):
+    h = random_hypergraph(9, 3, 0.4, 6)
+    path = str(tmp_path / "g.hg")
+    write_hg(h, path)
+    born = read_hg(path)
+    write_hg(born, str(tmp_path / "again.hg"))
+    assert to_json_dict(born) == {"k": 3, "n": 9, "edges": [list(e) for e in h.edges]}
+    assert born._edges is None
+    assert (tmp_path / "again.hg").read_bytes() == (tmp_path / "g.hg").read_bytes()
 
 
 def test_from_canonical_keeps_the_shape_checks():
@@ -649,31 +745,31 @@ def test_every_written_graph_takes_the_bulk_path(tmp_path_factory, h):
 
 
 # Files the bulk checks all pass, in and out of strict lex order; every one
-# with an edge hands over its array alone, rows out of order sorted and
-# repeated ones collapsed. (n+1)^k >= 2^63 in the two "object codes" files,
+# hands over its array alone, rows out of order sorted and repeated ones
+# collapsed. (n+1)^k >= 2^63 in the two "object codes" files,
 # so their lex codes are Python ints.
 _BULK_ORDERS = {
-    "no edge": (b"3 5 0\n", False),
-    "one edge": (b"3 5 1\n2 4 5\n", True),
-    "rows equal up to the last column": (b"3 5 3\n1 2 4\n1 2 5\n1 3 4\n", True),
-    "a duplicate line": (b"3 5 3\n1 2 4\n1 2 4\n1 2 5\n", True),
-    "a descending last column": (b"3 5 2\n1 2 5\n1 2 4\n", True),
-    "an unsorted body": (b"3 6 3\n2 3 4\n1 5 6\n1 2 3\n", True),
-    "object codes, in order": (b"3 2097152 3\n1 2 3\n1 2 2097152\n2097150 2097151 2097152\n", True),
-    "object codes, out of order": (b"4 65536 2\n2 3 4 65536\n1 2 3 65536\n", True),
-    "19-digit id": (b"3 4 1\n0000000000000000001 2 3\n", True),
+    "no edge": b"3 5 0\n",
+    "one edge": b"3 5 1\n2 4 5\n",
+    "rows equal up to the last column": b"3 5 3\n1 2 4\n1 2 5\n1 3 4\n",
+    "a duplicate line": b"3 5 3\n1 2 4\n1 2 4\n1 2 5\n",
+    "a descending last column": b"3 5 2\n1 2 5\n1 2 4\n",
+    "an unsorted body": b"3 6 3\n2 3 4\n1 5 6\n1 2 3\n",
+    "object codes, in order": b"3 2097152 3\n1 2 3\n1 2 2097152\n2097150 2097151 2097152\n",
+    "object codes, out of order": b"4 65536 2\n2 3 4 65536\n1 2 3 65536\n",
+    "19-digit id": b"3 4 1\n0000000000000000001 2 3\n",
 }
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("data, array_born", _BULK_ORDERS.values(), ids=_BULK_ORDERS.keys())
-def test_bulk_order_check_equals_the_per_line_loop(tmp_path, monkeypatch, data, array_born):
+@pytest.mark.parametrize("data", _BULK_ORDERS.values(), ids=_BULK_ORDERS.keys())
+def test_bulk_order_check_equals_the_per_line_loop(tmp_path, monkeypatch, data):
     path = tmp_path / "g.hg"
     path.write_bytes(data)
     want = _per_line(str(path))
     monkeypatch.setattr(core, "_read_hg_lines", _refuse_lines)
     h = read_hg(str(path))
-    assert (h._edges is None) == array_born  # no tuples built for a graph with an edge
+    assert h._edges is None  # no tuples built
     _assert_vertex_array(h)
     assert (h.n, h.k, h.edges) == (want.n, want.k, want.edges)
     assert all(type(v) is int for e in h.edges for v in e)

@@ -3,7 +3,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -191,10 +190,7 @@ class TestVertexArrayKernels:
     @example(complete_graph(6, 3))
     @settings(max_examples=60, deadline=None)
     def test_match_the_tuple_definitions(self, h):
-        m, k = h.e(), h.k
-        born = Hypergraph.from_canonical(
-            h.n, k, verts=np.array(h.edges, dtype=np.intp).reshape(m, k)
-        )
+        born = Hypergraph.from_canonical(h.n, h.k, h.vertex_array())
         deg = Counter(chain.from_iterable(h.edges))
         ranked = sorted(h.vertices(), key=lambda v: (-deg[v], v))
         for count in range(h.n + 1):
