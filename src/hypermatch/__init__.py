@@ -18,7 +18,6 @@ from .constructions import (
 from .core import (
     BudgetExceeded,
     Hypergraph,
-    build,
     complete_graph,
     random_hypergraph,
     read_hg,

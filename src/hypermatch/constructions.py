@@ -148,7 +148,7 @@ def augment_universal(h: Hypergraph, r: int) -> Hypergraph:
     for j in range(k):  # column by column: 1-D masked writes are the fast ones
         col[is_new], col[is_old] = new[:, j], allv[:, j]
         verts[:, j] = col
-    return Hypergraph.from_canonical(top, k, verts=verts)
+    return Hypergraph(top, k, verts)
 
 
 # -- closed-form counts ------------------------------------------------------

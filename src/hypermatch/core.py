@@ -15,6 +15,7 @@ import io
 import random
 import re
 from itertools import combinations
+from numbers import Integral
 from operator import lt
 from typing import Iterable
 
@@ -32,17 +33,6 @@ def edge_mask(e: Iterable[int]) -> int:
     for v in e:
         m |= 1 << (v - 1)
     return m
-
-
-def _canonical_edge(e: Iterable[int], k: int, n: int) -> Edge:
-    t = tuple(sorted(e))
-    if len(t) != k:
-        raise ValueError(f"edge {t!r} does not have {k} vertices")
-    if len(set(t)) != k:
-        raise ValueError(f"edge {t!r} repeats a vertex")
-    if t[0] < 1 or t[-1] > n:
-        raise ValueError(f"edge {t!r} leaves the vertex range 1..{n}")
-    return t
 
 
 # a vertex array is intp, so every id, and n, must fit one
@@ -70,51 +60,73 @@ def lex_codes(rows: np.ndarray, n: int) -> np.ndarray:
     return codes
 
 
+def _ascending(a: np.ndarray) -> bool:
+    # column by column: the 2-D a[:, 1:] > a[:, :-1] is several times slower
+    return all((a[:, j - 1] < a[:, j]).all() for j in range(1, a.shape[1]))
+
+
+def _checked_edges(rows, n: int, k: int) -> list[Edge]:
+    """Each edge as an ascending tuple of ints; the first bad one raises ValueError."""
+    out = []
+    for e in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+        t = tuple(e)
+        if not all(isinstance(v, Integral) for v in t):
+            raise ValueError(f"edge {t!r} has a non-integer vertex id")
+        t = tuple(sorted(map(int, t)))
+        if len(t) != k:
+            raise ValueError(f"edge {t!r} does not have {k} vertices")
+        if len(set(t)) != k:
+            raise ValueError(f"edge {t!r} repeats a vertex")
+        if t[0] < 1 or t[-1] > n:
+            raise ValueError(f"edge {t!r} leaves the vertex range 1..{n}")
+        out.append(t)
+    return out
+
+
 class Hypergraph:
     """A k-uniform hypergraph on [n] with canonical, deduplicated edges.
 
-    The constructor checks every edge; ``from_canonical`` trusts its caller.
-    A graph stores one thing: its edges as a read-only (m, k) intp vertex
-    array, row i the i-th edge in lex order (``vertex_array()``). ``edges``
-    (the tuples) and ``edge_set`` (the edges as a frozenset) are views built
-    on first read. Membership never builds either: ``e in h`` finds the
-    edge's lex code among the rows'.
+    ``edges`` is an (m, k) integer array or an iterable of vertex
+    collections, rows and ids in any order, repeats allowed; a bad edge
+    raises ValueError naming the first in input order. A graph stores its
+    edges as one read-only (m, k) intp array, row i the i-th edge in lex
+    order (``vertex_array()``). ``edges`` and ``edge_set`` are views built
+    on first read; ``e in h`` builds neither: it finds the edge's lex code
+    among the rows'.
     """
 
     __slots__ = ("n", "k", "_edges", "_edge_set", "_verts")
 
-    def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]] = ()):
+    def __init__(self, n: int, k: int, edges: np.ndarray | Iterable[Iterable[int]] = ()):
+        """Check and store ``edges``: numpy passes check an integer array, and
+        only a failed check sorts, dedupes, or runs ``_checked_edges``, which
+        converts what numpy does not read as integers and names the first bad edge."""
         _check_shape(n, k)
-        canon = sorted({_canonical_edge(e, k, n) for e in edges})
-        self._fill(n, k, canon)
-        self._edges = tuple(canon)  # built already: kept as the tuples view
-
-    @classmethod
-    def from_canonical(cls, n: int, k: int, verts: np.ndarray | Iterable[Edge]) -> "Hypergraph":
-        """A hypergraph from edges that are already canonical, unchecked.
-
-        ``verts`` is the edges as an (m, k) integer array, taken as it is
-        when its dtype is intp (the caller writes it no more), or as
-        k-tuples. Precondition: every row is an ascending k-tuple inside
-        1..n, no row repeats, and the rows come in lexicographic order. Only
-        k and n are checked; rows that break the precondition give a broken
-        graph.
-        """
-        _check_shape(n, k)
-        h = cls.__new__(cls)
-        h._fill(n, k, verts)
-        return h
-
-    def _fill(self, n: int, k: int, rows: np.ndarray | Iterable[Edge]) -> None:
         if n > _MAX_ID:
             raise ValueError(
                 f"vertex count n={n} exceeds {_MAX_ID}, the largest id an intp array holds"
             )
+        rows = edges if isinstance(edges, (np.ndarray, list, tuple)) else list(edges)
+        try:
+            a = np.asarray(rows)
+        except (ValueError, TypeError, OverflowError):  # ragged rows, or ids past int64
+            a = np.empty(0)
+        # astype wraps a uint64 id past intp below 1, where the range check finds it
+        a = a.astype(np.intp, copy=False) if a.dtype.kind in "iu" and a.shape[1:] == (k,) else None
+        if not len(rows):  # no check runs, so none loops over k, which may be huge
+            a = np.empty((0, k), np.intp) if a is None else a
+        else:
+            # rows that do not ascend are sorted; a row that still does not repeats a vertex
+            ok = a is not None and (_ascending(a) or _ascending(a := np.sort(a, axis=1)))
+            if not (ok and a[:, 0].min() >= 1 and a[:, -1].max() <= n):
+                a = np.array(_checked_edges(rows, n, k), np.intp)
+            codes = lex_codes(a, n)
+            if not (codes[1:] > codes[:-1]).all():
+                a = a[np.unique(codes, return_index=True)[1]]
         self.n = n
         self.k = k
-        verts = np.asarray(rows, np.intp).reshape(-1, k)
-        verts.flags.writeable = False
-        self._verts = verts
+        self._verts = a.view()  # an intp array given in canonical form is kept, not copied
+        self._verts.flags.writeable = False
         self._edges: tuple[Edge, ...] | None = None
         self._edge_set: frozenset[Edge] | None = None
 
@@ -122,7 +134,8 @@ class Hypergraph:
     def edges(self) -> tuple[Edge, ...]:
         """The edges as ascending tuples of Python ints, in lex order, built on first read."""
         if self._edges is None:
-            self._edges = tuple(zip(*self._verts.T.tolist()))
+            # an empty graph's k columns are k empty lists, and k may be huge
+            self._edges = tuple(zip(*self._verts.T.tolist())) if len(self._verts) else ()
         return self._edges
 
     @property
@@ -239,11 +252,6 @@ class Hypergraph:
         return Hypergraph(self.n, self.k, remaining), ignored
 
 
-def build(n: int, k: int, edges: Iterable[Iterable[int]] = ()) -> Hypergraph:
-    """Validated construction; duplicates collapse, bad edges raise."""
-    return Hypergraph(n, k, edges)
-
-
 def complete_graph(n: int, k: int) -> Hypergraph:
     return Hypergraph(n, k, combinations(range(1, n + 1), k))
 
@@ -330,21 +338,19 @@ def _read_hg_bulk(text: str) -> Hypergraph | None:
     # only digits and blanks reach loadtxt: no sign, '_', '#' or other whitespace
     if body.encode("ascii").translate(None, b"0123456789 \t\n"):
         return None
-    if not body.strip():  # loadtxt warns on no data, and a (0, k) array's edges are k lists
-        return Hypergraph.from_canonical(n, k, ()) if m == 0 else None
+    if not body.strip():  # loadtxt warns on no data
+        return Hypergraph(n, k) if m == 0 else None
     try:
         ids = np.loadtxt(io.StringIO(body), dtype=np.intp, ndmin=2, comments=None)
     except ValueError:  # a ragged line, or an id past int64
         return None
-    if ids.shape != (m, k):
+    # the format wants each line ascending, which the constructor would sort
+    if ids.shape != (m, k) or not _ascending(ids):
         return None
-    ascending = (ids[:, 1:] > ids[:, :-1]).all()
-    if not (ascending and ids[:, 0].min() >= 1 and ids[:, -1].max() <= n):
+    try:
+        return Hypergraph(n, k, ids)
+    except ValueError:  # an id outside 1..n: the per-line loop names its line
         return None
-    codes = lex_codes(ids, n)
-    if not (codes[1:] > codes[:-1]).all():  # duplicate lines collapse; m counts lines
-        ids = ids[np.unique(codes, return_index=True)[1]]
-    return Hypergraph.from_canonical(n, k, verts=ids)
 
 
 def _bad_edge_line(path: str, lineno: int, line: str, why: str) -> ValueError:
@@ -400,11 +406,8 @@ def _read_hg_lines(path: str, fh: Iterable[str]) -> Hypergraph:
         if ids[0] < 1 or ids[-1] > n:
             raise _bad_edge_line(path, lineno, ln, f"leaves 1..{n}")
         edges.append(ids)
-    if not all(map(lt, edges, edges[1:])):
-        edges = sorted(set(edges))  # duplicate lines collapse; m counts lines
     try:
-        # every line was checked above: k ascending ids inside 1..n, now in lex order
-        return Hypergraph.from_canonical(n, k, edges)
+        return Hypergraph(n, k, edges)
     except ValueError as exc:
         raise ValueError(f"{path}:{head_no}: {exc}") from exc
 
@@ -414,4 +417,4 @@ def to_json_dict(h: Hypergraph) -> dict:
 
 
 def from_json_dict(d: dict) -> Hypergraph:
-    return Hypergraph(int(d["n"]), int(d["k"]), [tuple(e) for e in d["edges"]])
+    return Hypergraph(int(d["n"]), int(d["k"]), d["edges"])

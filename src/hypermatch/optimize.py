@@ -716,8 +716,8 @@ def threshold_cover_graph(
         if sum(w_new[v - 1] for v in e) >= floor
     ]
     out = Hypergraph(h.n, h.k, edges)
-    for e in h.edges:
-        img = tuple(sorted(old_to_new[v] for v in e))
-        if img not in out:
+    kept = out.has_edges([old_to_new[v] for v in e] for e in h.edges)
+    for e, hit in zip(h.edges, kept):
+        if not hit:
             raise ValueError(f"edge {e} fell below the threshold; cover invalid")
     return out, old_to_new

@@ -372,7 +372,7 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         if weights is None:
             pos = sorted(perm[i] for i in _bits(live))
             v = allv[pos]
-            sub = Hypergraph.from_canonical(n, k, verts=v)
+            sub = Hypergraph(n, k, v)
             objective = None
             if pair_load.any():  # each edge's objective is the load on its pairs
                 objective = sum(pair_load[v[:, a], v[:, b]] for a, b in cols)
@@ -483,8 +483,7 @@ def sample_binomial_subgraph(
         raise ValueError(f"probability {p[bad[0]]} on {tuple(allv[bad[0]].tolist())} outside [0, 1]")
     kept = np.flatnonzero(_uniforms(random.Random(seed), m) < p)
     kept_v = allv[kept]
-    # kept is a subsequence of h's rows, so its rows are canonical and in order
-    sampled = Hypergraph.from_canonical(n, k, verts=kept_v)
+    sampled = Hypergraph(n, k, kept_v)
 
     nz = np.flatnonzero(p)
     w = p[nz]

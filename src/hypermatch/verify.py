@@ -95,9 +95,8 @@ class _Searcher:
         return hits
 
     def to_graph(self, sub: int) -> Hypergraph:
-        # a subsequence of the lex-ordered rows: canonical as it stands
         picked = [i for i in range(self.m) if sub >> i & 1]
-        return Hypergraph.from_canonical(self.n, self.k, self.index.verts[picked])
+        return Hypergraph(self.n, self.k, self.index.verts[picked])
 
 
 def _bound_target(n: int, k: int, s: int, constraint: str) -> int | None:

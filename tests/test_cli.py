@@ -10,7 +10,6 @@ from hypermatch.core import (
     BudgetExceeded,
     Hypergraph,
     _read_hg_lines,
-    build,
     complete_graph,
     from_json_dict,
     random_hypergraph,
@@ -186,7 +185,7 @@ def test_verify_budget_refusal(capsys):
 
 def test_closeness_budget_refusal(tmp_path, capsys):
     path = str(tmp_path / "empty17.hg")
-    write_hg(build(17, 3, []), path)
+    write_hg(Hypergraph(17, 3, []), path)
     code = main(["closeness", "--in", path, "--target", "cover", "--s", "2", "--exhaustive"])
     assert code == 2
     assert capsys.readouterr().err.startswith("budget refusal: ")
@@ -313,7 +312,7 @@ def test_solve_reports_the_lp_path(tmp_path, capsys, what, flags, lp_path):
 def test_solve_certificates_name_the_weighted_edges_and_every_vertex(tmp_path, capsys, flags):
     # the unique optimal matching puts 0 on the edge 1 4 7
     path = str(tmp_path / "g.hg")
-    write_hg(build(7, 3, [(1, 2, 3), (4, 5, 6), (1, 4, 7)]), path)
+    write_hg(Hypergraph(7, 3, [(1, 2, 3), (4, 5, 6), (1, 4, 7)]), path)
     code, out = run(capsys, "solve", "--what", "nustar", "--in", path, *flags)
     assert code == 0
     assert sorted(json.loads(out)["certificate"]["weights"]) == ["1 2 3", "4 5 6"]

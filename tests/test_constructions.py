@@ -18,7 +18,7 @@ from hypermatch.constructions import (
     prefix_overlap_count,
     prefix_overlap_family,
 )
-from hypermatch.core import Hypergraph, build, complete_graph, random_hypergraph
+from hypermatch.core import Hypergraph, complete_graph, random_hypergraph
 from hypermatch.optimize import max_matching, min_vertex_cover
 
 
@@ -150,7 +150,7 @@ class TestAugment:
         assert augment_universal(h, 0) is h
 
     def test_empty_base(self):
-        h = augment_universal(build(3, 3, []), 1)
+        h = augment_universal(Hypergraph(3, 3, []), 1)
         assert h.n == 4
         assert h.edges == ((1, 2, 4), (1, 3, 4), (2, 3, 4))
 

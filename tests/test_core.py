@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypermatch import core
 from hypermatch.core import (
     Hypergraph,
-    build,
     complete_graph,
     from_json_dict,
     random_hypergraph,
@@ -41,36 +40,82 @@ from strategies import hypergraphs
 
 class TestBuild:
     def test_basic(self):
-        h = build(3, 2, [{1, 2}, {2, 3}])
+        h = Hypergraph(3, 2, [{1, 2}, {2, 3}])
         assert h.e() == 2
         assert h.edges == ((1, 2), (2, 3))
 
     def test_dedup(self):
-        assert build(4, 3, [{1, 2, 3}, {1, 2, 3}]).e() == 1
+        assert Hypergraph(4, 3, [{1, 2, 3}, {1, 2, 3}]).e() == 1
 
     def test_k_exceeds_n(self):
         with pytest.raises(ValueError):
-            build(3, 4, [])
+            Hypergraph(3, 4, [])
 
     def test_k_below_two(self):
         with pytest.raises(ValueError):
-            build(3, 1, [])
+            Hypergraph(3, 1, [])
 
     def test_rejects_non_k_set(self):
         with pytest.raises(ValueError):
-            build(5, 3, [(1, 2)])
+            Hypergraph(5, 3, [(1, 2)])
         with pytest.raises(ValueError):
-            build(5, 3, [(1, 2, 2)])
+            Hypergraph(5, 3, [(1, 2, 2)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            build(5, 3, [(3, 4, 6)])
+            Hypergraph(5, 3, [(3, 4, 6)])
         with pytest.raises(ValueError):
-            build(5, 3, [(0, 1, 2)])
+            Hypergraph(5, 3, [(0, 1, 2)])
 
     def test_degenerate_k_equals_n(self):
-        h = build(3, 3, [(1, 2, 3)])
+        h = Hypergraph(3, 3, [(1, 2, 3)])
         assert h.e() == 1
+
+    @pytest.mark.parametrize(
+        "edges, named",
+        [
+            ([(1, 2, 3.5), (1, 2, 3)], (1, 2, 3.5)),
+            ([(1, 2, 3), (1, 2, 3.0)], (1, 2, 3.0)),
+            ([(1, 2, 3), ("1", "2", "4")], ("1", "2", "4")),
+            ([(1, 2, "3")], (1, 2, "3")),
+            (np.array([(1, 2, 3), (1, 2, 4.5)]), (1.0, 2.0, 3.0)),  # every id of a float array is a float
+        ],
+    )
+    def test_rejects_a_non_integer_id(self, edges, named):
+        with pytest.raises(ValueError, match=re.escape(f"edge {named!r} has a non-integer vertex id")):
+            Hypergraph(5, 3, edges)
+
+    def test_takes_numpy_integer_ids(self):
+        h = Hypergraph(5, 3, [(np.int64(3), np.int64(1), 2), (np.uint64(2), np.int64(4), 5)])
+        assert h.edges == ((1, 2, 3), (2, 4, 5))
+        assert (3, 2, 1) in h and all(type(v) is int for e in h.edges for v in e)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(3, 2, 1), (1, 2, 2), (0, 1, 2)], "edge (1, 2, 2) repeats a vertex"),
+            ([(3, 2, 1), (4, 6, 5), (1, 1, 2)], "edge (4, 5, 6) leaves the vertex range 1..5"),
+            ([(3, 2, 1), (5, 3, 2), (4, 0, 2)], "edge (0, 2, 4) leaves the vertex range 1..5"),
+        ],
+    )
+    def test_names_the_first_bad_edge_in_input_order(self, edges, message, as_array):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Hypergraph(5, 3, np.array(edges) if as_array else edges)
+
+    def test_names_an_edge_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match=re.escape("edge (1, 2) does not have 3 vertices")):
+            Hypergraph(5, 3, [(3, 2, 1), (2, 1), (1, 2, 3, 4)])
+        with pytest.raises(ValueError, match=re.escape("edge (1, 2, 3, 4) does not have 3 vertices")):
+            Hypergraph(5, 3, np.array([(1, 2, 3, 4)]))
+
+    def test_an_id_past_int64_leaves_the_range(self):
+        for big in (2**63, 2**64 + 3):
+            with pytest.raises(ValueError, match="leaves the vertex range"):
+                Hypergraph(5, 3, [(1, 2, 3), (1, 2, big)])
+        wrapped = np.array([(1, 2, 3), (1, 2, 2**64 - 1)], dtype=np.uint64)  # -1 as intp
+        with pytest.raises(ValueError, match=re.escape(f"edge (1, 2, {2**64 - 1}) leaves")):
+            Hypergraph(5, 3, wrapped)
 
 
 class TestDegrees:
@@ -80,7 +125,7 @@ class TestDegrees:
         assert h.degree(1) == len(list(combinations([2, 3, 4], 2))) == 3
 
     def test_degree_empty(self):
-        h = build(5, 3, [])
+        h = Hypergraph(5, 3, [])
         assert all(h.degree(v) == 0 for v in h.vertices())
 
     def test_degree_cover_family(self):
@@ -113,8 +158,8 @@ class TestDegrees:
 
     def test_max_set_degree(self):
         assert complete_graph(5, 3).max_set_degree(2) == 3  # each pair in n-2 edges
-        assert build(5, 3, [(1, 2, 3)]).max_set_degree(1) == 1
-        assert build(5, 3, []).max_set_degree(2) == 0
+        assert Hypergraph(5, 3, [(1, 2, 3)]).max_set_degree(1) == 1
+        assert Hypergraph(5, 3, []).max_set_degree(2) == 0
 
     def test_max_set_degree_range(self):
         with pytest.raises(ValueError):
@@ -163,12 +208,12 @@ class TestDerivedGraphs:
         assert g3.e() == 2 and ignored3 == 0
 
     def test_delete_absent_edges_ignored(self):
-        h = build(5, 3, [(1, 2, 3), (2, 3, 4)])
+        h = Hypergraph(5, 3, [(1, 2, 3), (2, 3, 4)])
         g, ignored = h.delete_edges([(1, 2, 3), (3, 4, 5)])
         assert g.e() == 1 and ignored == 1
 
     def test_relabel(self):
-        h = build(3, 2, [(1, 2)])
+        h = Hypergraph(3, 2, [(1, 2)])
         g = relabel_graph(h, {1: 3, 2: 2, 3: 1})
         assert g.edges == ((2, 3),)
         with pytest.raises(ValueError):
@@ -282,6 +327,19 @@ class TestFiles:
         assert d["k"] == 3 and d["n"] == 7
         assert from_json_dict(d) == h
 
+    def test_json_float_id_is_refused(self):
+        d = json.loads('{"k": 3, "n": 5, "edges": [[1, 2, 3], [1, 2, 3.5]]}')
+        with pytest.raises(ValueError, match=re.escape("edge (1, 2, 3.5) has a non-integer vertex id")):
+            from_json_dict(d)
+
+    def test_a_huge_empty_graph_is_read_at_once(self, tmp_path):
+        # k and n of 18 digits: no step may loop over k or over 1..n
+        path = tmp_path / "g.hg"
+        path.write_text("999999999999999999 999999999999999999 0\n")
+        h = read_hg(str(path))
+        assert (h.k, h.n, h.e()) == (10**18 - 1, 10**18 - 1, 0)
+        assert h.edges == () and h.vertex_array().shape == (0, 10**18 - 1)
+
 
 class TestRandom:
     def test_p_zero(self):
@@ -394,21 +452,41 @@ def _canonical_lists(draw, max_n: int = 8):
     return n, k, draw(st.lists(st.sampled_from(pool), max_size=len(pool)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_canonical_lists())
-def test_from_canonical_equals_the_checked_constructor(case):
+@settings(max_examples=80, deadline=None)
+@given(_canonical_lists(), st.randoms(use_true_random=False))
+@example((4, 3, [(1, 2, 3)] * 3 + [(2, 3, 4)]), random.Random(0))
+def test_constructor_equals_the_sorted_set_of_sorted_edges(case, rnd):
+    """Rows shuffled, repeated and each in any order, given as tuples, lists,
+    sets, an iterator, or an intp, int32 or uint16 array, all give the one
+    canonical graph."""
     n, k, lines = case
-    canon = sorted(set(lines))
-    h = Hypergraph.from_canonical(n, k, canon)
-    assert h == Hypergraph(n, k, lines)
-    assert h.edge_set == frozenset(canon)
+    want = sorted({tuple(sorted(e)) for e in lines})
+    edges = lines + rnd.sample(lines, len(lines) // 2)
+    rnd.shuffle(edges)
+    edges = [tuple(rnd.sample(e, k)) for e in edges]
+    canon = Hypergraph(n, k, want)
+    assert canon.edges == tuple(want) and canon.edge_set == frozenset(want)
+    given = [
+        edges,
+        [list(e) for e in edges],
+        [set(e) for e in edges],
+        iter(edges),
+        np.array(edges, dtype=np.intp).reshape(-1, k),
+        np.array(edges, dtype=np.int32).reshape(-1, k),
+        np.array(edges, dtype=np.uint16).reshape(-1, k),
+    ]
+    for e in given:
+        h = Hypergraph(n, k, e)
+        _assert_vertex_array(h)
+        assert h == canon and h.edges == tuple(want)
+        assert all(type(v) is int for t in h.edges for v in t)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_canonical_lists(), st.randoms(use_true_random=False))
 def test_membership_agrees_with_the_edge_set(case, rnd):
     n, k, lines = case
-    h = Hypergraph.from_canonical(n, k, sorted(set(lines)))
+    h = Hypergraph(n, k, lines)
     probes = [rnd.sample(range(1, n + 1), k) for _ in range(20)]  # edges and non-edges, any order
     probes += [e[::-1] for e in h.edges] + [(0,) * k, (n + 1,) * k, (1,), tuple(range(1, n + 1))]
     got = [p in h for p in probes]
@@ -425,11 +503,11 @@ def _matching_outcome(m: Matching, h: Hypergraph) -> str | None:
 
 
 def _membership_case(n: int, k: int, canon: list, rnd: random.Random) -> None:
-    """``in`` and ``Matching.validate`` answer alike on the graph the checked
-    constructor built from tuples (it keeps them) and on the array-born one,
-    agree with the edge list, and build no tuples or set doing so."""
+    """``in`` and ``Matching.validate`` answer alike on the graph built from
+    tuples and on the one built from an intp array, agree with the edge
+    list, and build no tuples or set doing so."""
     tuples = Hypergraph(n, k, canon)
-    born = Hypergraph.from_canonical(n, k, verts=np.array(canon, dtype=np.intp).reshape(-1, k))
+    born = Hypergraph(n, k, np.array(canon, dtype=np.intp).reshape(-1, k))
     edges = set(canon)
     probes = [tuple(rnd.sample(range(1, n + 1), k)) for _ in range(20)]
     probes += [e[::-1] for e in canon] + [(0,) * k, (n + 1,) * k, (1,), tuple(range(1, k + 2))]
@@ -468,7 +546,7 @@ def test_membership_with_object_codes(n, k):
     rnd = random.Random(n)
     canon = sorted({tuple(sorted(rnd.sample(range(1, n + 1), k))) for _ in range(30)})
     canon += [tuple(range(n - k + 1, n + 1))]  # the lex-last k-set, with the largest code
-    born = Hypergraph.from_canonical(n, k, verts=np.array(canon, dtype=np.intp))
+    born = Hypergraph(n, k, np.array(canon, dtype=np.intp))
     assert core.lex_codes(born.vertex_array(), n).dtype == object
     _membership_case(n, k, canon, rnd)
 
@@ -495,15 +573,15 @@ def test_vertex_array_of_the_constructors(case):
     canon = sorted(set(lines))
     checked = Hypergraph(n, k, lines)
     _assert_vertex_array(checked)
-    _assert_vertex_array(Hypergraph.from_canonical(n, k, canon))
+    _assert_vertex_array(Hypergraph(n, k, canon))
     given_array = np.array(canon, dtype=np.intp).reshape(len(canon), k).copy()
-    born = Hypergraph.from_canonical(n, k, given_array)
+    born = Hypergraph(n, k, given_array)
     assert born.vertex_array().base is given_array  # taken as it is, not copied
     assert born.e() == len(canon) and born._edges is None  # counted without tuples
     assert born == checked and born.edges == tuple(canon)
     assert all(type(v) is int for e in born.edges for v in e)
     _assert_vertex_array(born)
-    narrow = Hypergraph.from_canonical(n, k, given_array.astype(np.int32))
+    narrow = Hypergraph(n, k, given_array.astype(np.int32))
     _assert_vertex_array(narrow)  # converted to intp
     assert narrow == born
 
@@ -577,14 +655,14 @@ def test_vertex_count_past_intp_is_refused():
     top = (1, 2, core._MAX_ID)  # the largest n a vertex array holds
     h = Hypergraph(core._MAX_ID, 3, [top])
     assert h.vertex_array().tolist() == [list(top)] and top in h and (1, 2, 3) not in h
-    assert Hypergraph.from_canonical(core._MAX_ID, 3, [top]) == h
+    assert Hypergraph(core._MAX_ID, 3, np.array([top], dtype=np.intp)) == h
     huge = core._MAX_ID + 1
     with pytest.raises(ValueError, match="exceeds"):
         Hypergraph(huge, 3, [])
     with pytest.raises(ValueError, match="exceeds"):
         Hypergraph(huge, 3, [(1, 2, huge)])
     with pytest.raises(ValueError, match="exceeds"):
-        Hypergraph.from_canonical(huge, 3, [(1, 2, huge)])
+        Hypergraph(huge, 3, np.array([(1, 2, 3)], dtype=np.intp))
     assert bound_report(huge, 3, 2).n == huge  # closed forms build no graph
 
 
@@ -603,11 +681,11 @@ def test_equality_and_hash_read_the_array(tmp_path):
     assert born == again and hash(born) == hash(again)
     assert born._edges is None and again._edges is None  # compared without tuples
     assert born == h and hash(born) == hash(h)  # the constructor's graph, and the reader's
-    two = build(5, 3, [(1, 2, 3), (1, 2, 4)])
-    assert two != build(6, 3, two.edges)  # another n
-    assert two != build(5, 3, two.edges[:1])  # another shape
-    assert two != build(5, 3, [(1, 2, 3), (1, 2, 5)])  # another row
-    assert build(5, 2, []) != build(5, 3, [])  # both arrays empty, another k
+    two = Hypergraph(5, 3, [(1, 2, 3), (1, 2, 4)])
+    assert two != Hypergraph(6, 3, two.edges)  # another n
+    assert two != Hypergraph(5, 3, two.edges[:1])  # another shape
+    assert two != Hypergraph(5, 3, [(1, 2, 3), (1, 2, 5)])  # another row
+    assert Hypergraph(5, 2, []) != Hypergraph(5, 3, [])  # both arrays empty, another k
     assert two != two.edges
 
 
@@ -620,13 +698,6 @@ def test_writers_build_no_tuples(tmp_path):
     assert to_json_dict(born) == {"k": 3, "n": 9, "edges": [list(e) for e in h.edges]}
     assert born._edges is None
     assert (tmp_path / "again.hg").read_bytes() == (tmp_path / "g.hg").read_bytes()
-
-
-def test_from_canonical_keeps_the_shape_checks():
-    with pytest.raises(ValueError, match="at least 2"):
-        Hypergraph.from_canonical(3, 1, [])
-    with pytest.raises(ValueError, match="exceeds vertex count"):
-        Hypergraph.from_canonical(3, 4, [])
 
 
 @pytest.mark.parametrize("k", [3, 4])

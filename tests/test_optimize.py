@@ -19,7 +19,6 @@ from hypermatch.constructions import (
 from hypermatch.core import (
     BudgetExceeded,
     Hypergraph,
-    build,
     complete_graph,
     edge_mask,
     random_hypergraph,
@@ -79,7 +78,7 @@ class TestMaxMatching:
         assert value == 2 and witness.size == 2
 
     def test_empty(self):
-        assert max_matching(build(5, 3, []))[0] == 0
+        assert max_matching(Hypergraph(5, 3, []))[0] == 0
 
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_oracle(self, seed):
@@ -197,7 +196,7 @@ class TestMatchingCeiling:
 
         monkeypatch.setattr(lp, "highs_solve", failing)
         for h, nu in ((cover_family(13, 3, 3), 3), (hilton_milner_family(12, 3, 2), 2),
-                      (build(6, 3, []), 0)):
+                      (Hypergraph(6, 3, []), 0)):
             assert _matching_ceiling(h) is None
             value, witness = max_matching(h)
             assert value == nu == witness.size
@@ -303,7 +302,7 @@ class TestMinVertexCover:
         witness.validate(h)
 
     def test_empty(self):
-        value, witness = min_vertex_cover(build(6, 3, []))
+        value, witness = min_vertex_cover(Hypergraph(6, 3, []))
         assert value == 0 and witness.size == 0
 
     def test_prefix_overlap(self):
@@ -411,7 +410,7 @@ class TestEdgeIndex:
         h = seeded_graph(seed, n_lo=4, n_hi=8)
         index = EdgeIndex(h.n, h.vertex_array())
         sub = sum(1 << i for i in range(0, h.e(), 2))  # every other edge
-        g = build(h.n, h.k, [e for i, e in enumerate(h.edges) if sub >> i & 1])
+        g = Hypergraph(h.n, h.k, [e for i, e in enumerate(h.edges) if sub >> i & 1])
         nu = max_matching(g, exhaustive=True)[0]
         tau = min_vertex_cover(g, exhaustive=True)[0]
         got = index.packing(sub, nu)
@@ -520,7 +519,7 @@ class TestIndependence:
         assert witness == frozenset(range(3, 10))
 
     def test_empty_graph(self):
-        assert max_independent_set(build(6, 3, []))[0] == 6
+        assert max_independent_set(Hypergraph(6, 3, []))[0] == 6
 
 
 @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=9, k=k)))
@@ -678,11 +677,11 @@ class TestIntegerCertificate:
         (complete_graph(5, 3),
          [1 / 2, -1 / 6, 1 / 6, 1 / 6, -1 / 6, 1 / 2, 1 / 6, 1 / 6, 1 / 6, 1 / 6], [1 / 3] * 5),
         # both edges covered with sum 1, through a weight of -1 on vertex 4
-        (build(5, 3, [(1, 2, 3), (1, 4, 5)]), [1, 0], [1, 0, 0, -1, 1]),
+        (Hypergraph(5, 3, [(1, 2, 3), (1, 4, 5)]), [1, 0], [1, 0, 0, -1, 1]),
         # vertex 1 carries 2
-        (build(6, 3, [(1, 2, 3), (4, 5, 6)]), [2, 0], [1, 0, 0, 1, 0, 0]),
+        (Hypergraph(6, 3, [(1, 2, 3), (4, 5, 6)]), [2, 0], [1, 0, 0, 1, 0, 0]),
         # the edge 4 5 6 is covered only halfway
-        (build(6, 3, [(1, 2, 3), (4, 5, 6)]), [1, 0.5], [1, 0, 0, 0.5, 0, 0]),
+        (Hypergraph(6, 3, [(1, 2, 3), (4, 5, 6)]), [1, 0.5], [1, 0, 0, 0.5, 0, 0]),
     ], ids=["x-negative", "y-negative", "load-above-1", "edge-short"])
     def test_each_condition_rejects_on_its_own(self, monkeypatch, h, x, y):
         # every other condition holds, and so do the equal sums
@@ -696,7 +695,7 @@ class TestIntegerCertificate:
         # four disjoint edges, each covered by 1/p and 1 - 1/p for a prime p
         # near 10**6: the common denominator is about 10**24, past int64
         primes = (999983, 999979, 999961, 999959)
-        h = build(12, 3, [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)])
+        h = Hypergraph(12, 3, [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)])
         y, x = np.zeros(12), np.ones(4)
         for i, p in enumerate(primes):
             y[3 * i], y[3 * i + 1] = 1 / p, 1 - 1 / p
@@ -916,12 +915,12 @@ class TestNaNWeights:
     fail on it rather than pass."""
 
     def test_nan_matching_weight_is_refused(self):
-        h = build(6, 3, [(1, 2, 3), (4, 5, 6)])
+        h = Hypergraph(6, 3, [(1, 2, 3), (4, 5, 6)])
         with pytest.raises(ValueError, match="outside"):
             FractionalAssignment("matching", np.array([np.nan, 0.5]), 0.5, "float").validate(h)
 
     def test_nan_cover_weight_is_refused(self):
-        h = build(6, 3, [(1, 2, 3), (4, 5, 6)])
+        h = Hypergraph(6, 3, [(1, 2, 3), (4, 5, 6)])
         y = np.array([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0])
         cover = FractionalAssignment("cover", y, 5.0, "float")
         with pytest.raises(ValueError, match="outside"):
@@ -975,11 +974,11 @@ class TestFractional:
         fa.validate(complete_graph(4, 3))
 
     def test_matching_single_edge(self):
-        h = build(3, 3, [(1, 2, 3)])
+        h = Hypergraph(3, 3, [(1, 2, 3)])
         assert fractional_matching(h, "rational").value == 1
 
     def test_matching_empty(self):
-        assert fractional_matching(build(4, 3, []), "rational").value == 0
+        assert fractional_matching(Hypergraph(4, 3, []), "rational").value == 0
 
     def test_cover_k4(self):
         fa = fractional_cover(complete_graph(4, 3), "rational")
@@ -987,12 +986,12 @@ class TestFractional:
         fa.validate(complete_graph(4, 3))
 
     def test_cover_single_edge(self):
-        h = build(4, 3, [(1, 2, 3)])
+        h = Hypergraph(4, 3, [(1, 2, 3)])
         fa = fractional_cover(h, "rational")
         assert fa.value == 1
 
     def test_cover_empty(self):
-        assert fractional_cover(build(4, 3, []), "rational").value == 0
+        assert fractional_cover(Hypergraph(4, 3, []), "rational").value == 0
 
     def test_float_mode_close(self):
         h = complete_graph(4, 3)
@@ -1001,7 +1000,7 @@ class TestFractional:
         assert fm.residual is not None and fm.residual < 1e-9
 
     def test_duality_examples(self):
-        assert check_lp_duality(build(5, 3, []), "rational").nu_star == 0
+        assert check_lp_duality(Hypergraph(5, 3, []), "rational").nu_star == 0
         rep = check_lp_duality(complete_graph(4, 3), "rational")
         assert rep.nu_star == Fraction(4, 3) and rep.gap == 0
 
@@ -1041,7 +1040,7 @@ class TestFractionalPerfectMatching:
         assert all(abs(s - 1) < 1e-9 for s in sums.values())
 
     def test_isolated_vertex_infeasible(self):
-        h = build(7, 3, [(1, 2, 3), (4, 5, 6)])  # vertex 7 uncoverable
+        h = Hypergraph(7, 3, [(1, 2, 3), (4, 5, 6)])  # vertex 7 uncoverable
         assert fractional_perfect_matching(h) is None
 
     def test_nonmultiple_n_still_possible(self):
@@ -1065,7 +1064,7 @@ class TestFractionalPerfectMatching:
             fractional_perfect_matching(complete_graph(6, 3), objective=np.zeros(size))
 
     @pytest.mark.parametrize(
-        "h", [complete_graph(6, 3), random_hypergraph(12, 3, 0.5, 2), build(7, 3, [(1, 2, 3)])]
+        "h", [complete_graph(6, 3), random_hypergraph(12, 3, 0.5, 2), Hypergraph(7, 3, [(1, 2, 3)])]
     )
     def test_dense_rows_keep_the_shape_the_tracer_counts(self, monkeypatch, h):
         # perfbench's tracer counts linprog_float's cells as len(a) * len(a[0])
@@ -1096,7 +1095,7 @@ class TestRainbowMatching:
         assert all(len({1, 2} & set(e)) == 1 for e in m.edges)
 
     def test_edge_meeting_twice_unusable(self):
-        h = build(3, 3, [(1, 2, 3)])
+        h = Hypergraph(3, 3, [(1, 2, 3)])
         assert greedy_rainbow_matching(h, {1, 2}).size == 0
 
     def test_exact_matches_brute_force(self):
@@ -1127,7 +1126,7 @@ class TestRainbowMatching:
 
 class TestThresholdCoverGraph:
     def test_all_ones_gives_complete(self):
-        h = build(5, 3, [(1, 2, 3)])
+        h = Hypergraph(5, 3, [(1, 2, 3)])
         from hypermatch.optimize import FractionalAssignment
 
         omega = FractionalAssignment(
@@ -1137,7 +1136,7 @@ class TestThresholdCoverGraph:
         assert out == complete_graph(5, 3)
 
     def test_zero_cover_only_for_empty(self):
-        h = build(4, 3, [])
+        h = Hypergraph(4, 3, [])
         from hypermatch.optimize import FractionalAssignment
 
         omega = FractionalAssignment("cover", [Fraction(0)] * h.n, Fraction(0))
@@ -1158,6 +1157,28 @@ class TestThresholdCoverGraph:
         bad = FractionalAssignment("cover", [Fraction(0)] * h.n, Fraction(0))
         with pytest.raises(ValueError):
             threshold_cover_graph(h, bad)
+
+    def test_missing_images_are_found_by_one_lookup(self, monkeypatch):
+        h = random_hypergraph(12, 3, 0.5, 3)
+        omega = fractional_cover(h, "float")
+        real, calls = Hypergraph.has_edges, []
+
+        def counting(self, es):
+            calls.append(self)
+            return real(self, es)
+
+        monkeypatch.setattr(Hypergraph, "has_edges", counting)
+        out, relabel = threshold_cover_graph(h, omega)
+        assert len(calls) == 1
+        assert all(tuple(sorted(relabel[v] for v in e)) in out.edge_set for e in h.edges)
+
+    def test_the_first_edge_below_the_threshold_is_named(self, monkeypatch):
+        # the cover check would refuse this cover first; skip it to reach the lookup
+        monkeypatch.setattr(FractionalAssignment, "validate", lambda self, h, tol=1e-9: None)
+        h = Hypergraph(5, 3, [(1, 2, 3), (2, 4, 5), (3, 4, 5)])
+        omega = FractionalAssignment("cover", np.array([1.0, 0, 0, 0, 0]), 1.0, "float")
+        with pytest.raises(ValueError, match=r"edge \(2, 4, 5\) fell below the threshold"):
+            threshold_cover_graph(h, omega)
 
     @pytest.mark.parametrize("size", [4, 6])
     def test_cover_of_the_wrong_length_is_refused(self, size):

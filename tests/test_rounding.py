@@ -14,7 +14,6 @@ from hypermatch.constructions import augment_universal, cover_family
 from hypermatch import rounding
 from hypermatch.core import (
     Hypergraph,
-    build,
     complete_graph,
     edge_mask,
     random_hypergraph,
@@ -59,7 +58,7 @@ class TestExtract:
         assert all(abs(s - 1) < 1e-12 for s in sums.values())
 
     def test_isolated_vertex_infeasible(self):
-        h = build(7, 3, [(1, 2, 3), (4, 5, 6)])
+        h = Hypergraph(7, 3, [(1, 2, 3), (4, 5, 6)])
         fam = extract_fpm_family(h, 1)
         assert fam.status == "infeasible at round 1"
         assert fam.members == []
@@ -121,7 +120,7 @@ class TestMix:
         assert [w.hex() for w in mixed.tolist()] == [w.hex() for w in ref]
 
     def test_empty_family_rejected(self):
-        fam = extract_fpm_family(build(7, 3, [(1, 2, 3), (4, 5, 6)]), 1)
+        fam = extract_fpm_family(Hypergraph(7, 3, [(1, 2, 3), (4, 5, 6)]), 1)
         with pytest.raises(ValueError):
             mix_and_halve(fam)
 
@@ -313,7 +312,7 @@ class TestNearPerfectMatching:
         assert m.size == 3
 
     def test_empty(self):
-        assert near_perfect_matching(build(6, 3, []), "greedy").size == 0
+        assert near_perfect_matching(Hypergraph(6, 3, []), "greedy").size == 0
 
     def test_nibble_deterministic(self):
         h = random_hypergraph(15, 3, 0.2, seed=8)
@@ -363,7 +362,7 @@ class TestPipeline:
         assert max_matching(h)[0] == 2
 
     def test_empty_graph_fails_at_extract(self):
-        res = pipeline(build(9, 3, []), 1, t=2, seed=0)
+        res = pipeline(Hypergraph(9, 3, []), 1, t=2, seed=0)
         assert res.status.startswith("failed at extract")
 
     def test_explicit_augmentation_discards_universal_edges(self):
@@ -407,7 +406,7 @@ class TestPipeline:
         # K12 less two edges: integral and LP rounds on the edge index, over
         # five attempts, four of them on shuffled edge orders
         gone = {(1, 3, 8), (9, 10, 12)}
-        h = build(12, 3, [e for e in complete_graph(12, 3).edges if e not in gone])
+        h = Hypergraph(12, 3, [e for e in complete_graph(12, 3).edges if e not in gone])
         path = str(tmp_path / "near12.hg")
         write_hg(h, path)
         born = read_hg(path)
@@ -479,7 +478,7 @@ class TestFindPerfectMatching:
         index = EdgeIndex(h.n, h.vertex_array())
         assert _find_perfect_matching(index, index.full, h.n, 3, budget=2) == ("budget", None, 2)
         # an isolated vertex is a proof of none at the root, inside any budget
-        h = build(9, 3, [e for e in complete_graph(9, 3).edges if 9 not in e])
+        h = Hypergraph(9, 3, [e for e in complete_graph(9, 3).edges if 9 not in e])
         index = EdgeIndex(h.n, h.vertex_array())
         assert _find_perfect_matching(index, index.full, h.n, 3, budget=1) == ("none", None, 1)
 
@@ -557,7 +556,7 @@ class TestExtractionIndex:
             (complete_graph(15, 3), 8),
             (complete_graph(13, 3), 9),
             (random_hypergraph(15, 3, 0.7, seed=2), 4),
-            (build(12, 3, complete_graph(12, 3).edges[3:]), 6),
+            (Hypergraph(12, 3, complete_graph(12, 3).edges[3:]), 6),
         ],
     )
     def test_survivors_are_the_edges_without_a_dead_pair(self, h, t):
@@ -710,7 +709,7 @@ def _per_edge_loads(h, members):
 # rounds, retries and a stall before the first member.
 EXTRACTION_CASES = [
     (augment_universal(h, diag["r"]), diag["t"]) for h, _, _, _, diag in SEEDED_PIPELINE_REPORTS
-] + [(build(13, 3, complete_graph(13, 3).edges[1:]), 7)]
+] + [(Hypergraph(13, 3, complete_graph(13, 3).edges[1:]), 7)]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypermatch.constructions import clique_family, cover_family, hilton_milner_family
 from hypermatch.core import (
     Hypergraph,
-    build,
     complete_graph,
     random_hypergraph,
     relabel_graph,
@@ -60,28 +59,28 @@ def assert_matches_reference(h):
 
 class TestShiftEdge:
     def test_moves_when_image_absent(self):
-        h = build(3, 2, [(2, 3)])
+        h = Hypergraph(3, 2, [(2, 3)])
         assert shift_edge(h, 1, 2, (2, 3)) == (1, 3)
 
     def test_blocked_by_present_image(self):
-        h = build(3, 2, [(1, 3), (2, 3)])
+        h = Hypergraph(3, 2, [(1, 3), (2, 3)])
         assert shift_edge(h, 1, 2, (2, 3)) == (2, 3)
 
     def test_identity_when_j_absent(self):
-        h = build(4, 3, [(1, 3, 4)])
+        h = Hypergraph(4, 3, [(1, 3, 4)])
         assert shift_edge(h, 1, 2, (1, 3, 4)) == (1, 3, 4)
 
     def test_identity_when_i_present(self):
-        h = build(4, 3, [(1, 2, 4)])
+        h = Hypergraph(4, 3, [(1, 2, 4)])
         assert shift_edge(h, 1, 2, (1, 2, 4)) == (1, 2, 4)
 
     def test_rejects_foreign_edge(self):
-        h = build(4, 3, [(1, 2, 3)])
+        h = Hypergraph(4, 3, [(1, 2, 3)])
         with pytest.raises(ValueError):
             shift_edge(h, 1, 2, (1, 2, 4))
 
     def test_rejects_bad_pair(self):
-        h = build(4, 3, [(1, 2, 3)])
+        h = Hypergraph(4, 3, [(1, 2, 3)])
         with pytest.raises(ValueError):
             shift_edge(h, 2, 2, (1, 2, 3))
         with pytest.raises(ValueError):
@@ -111,7 +110,7 @@ class TestShiftGraph:
 
 class TestStabilize:
     def test_single_edge_goes_lexicographic(self):
-        h = build(4, 3, [(2, 3, 4)])
+        h = Hypergraph(4, 3, [(2, 3, 4)])
         out, trace = stabilize(h)
         assert out.edges == ((1, 2, 3),)
         assert trace.rounds >= 2
@@ -159,7 +158,7 @@ class TestStabilizeMatchesReference:
         assert_matches_reference(seeded_graph(seed, n_lo=k, n_hi=11, k=k))
 
     def test_empty_graph(self):
-        assert_matches_reference(build(6, 3, []))
+        assert_matches_reference(Hypergraph(6, 3, []))
 
     # the shapes the compress benchmark shifts: relabeled families (few moving
     # steps) and random p .3 graphs (many), each stabilizing in two sweeps
@@ -185,8 +184,8 @@ class TestStabilizeMatchesReference:
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_n_equals_k(self, k):
-        assert_matches_reference(build(k, k, [tuple(range(1, k + 1))]))
-        assert_matches_reference(build(k, k, []))
+        assert_matches_reference(Hypergraph(k, k, [tuple(range(1, k + 1))]))
+        assert_matches_reference(Hypergraph(k, k, []))
 
 
 class TestStablePredicates:
@@ -195,12 +194,12 @@ class TestStablePredicates:
         assert is_downset(complete_graph(6, 3))
 
     def test_shifted_singleton_not_stable(self):
-        h = build(4, 3, [(2, 3, 4)])
+        h = Hypergraph(4, 3, [(2, 3, 4)])
         assert not is_stable(h)
         assert not is_downset(h)
 
     def test_missing_dominated_edge(self):
-        h = build(4, 3, [(1, 2, 4)])
+        h = Hypergraph(4, 3, [(1, 2, 4)])
         assert not is_downset(h)  # (1,2,3) is dominated but absent
 
     def test_cover_family_stable(self):

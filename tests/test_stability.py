@@ -14,7 +14,7 @@ from hypermatch.constructions import (
     cover_family,
     hilton_milner_family,
 )
-from hypermatch.core import BudgetExceeded, Hypergraph, build, complete_graph, edge_mask
+from hypermatch.core import BudgetExceeded, Hypergraph, complete_graph, edge_mask
 from hypermatch.stability import (
     bound_table,
     clique_overtakes_at,
@@ -39,7 +39,7 @@ class TestMissingEdges:
 
     def test_empty_vs_target(self):
         target = cover_family(7, 3, 2)
-        assert missing_edges(build(7, 3, []), target) == target.e()
+        assert missing_edges(Hypergraph(7, 3, []), target) == target.e()
 
     def test_hilton_milner_vs_cover(self):
         h = hilton_milner_family(10, 3, 2)
@@ -83,7 +83,7 @@ class TestClosenessCover:
         assert exact.exhaustive and not heur.exhaustive
         # 3, 5, 6, 7 tie at degree 2, 8 has degree 1 and 1, 2, 4 are isolated:
         # placements rank by (-degree, label), so each tie goes low first
-        tied = build(8, 3, [(3, 5, 7), (3, 6, 8), (5, 6, 7)])
+        tied = Hypergraph(8, 3, [(3, 5, 7), (3, 6, 8), (5, 6, 7)])
         assert closeness_to_cover(tied, 2, "heuristic").partition == (3, 5)
         assert closeness_to_cover(tied, 6, "heuristic").partition == (1, 3, 5, 6, 7, 8)
 
@@ -97,7 +97,7 @@ class TestClosenessCover:
 
     def test_guard(self):
         with pytest.raises(BudgetExceeded):
-            closeness_to_cover(build(17, 3, []), 2, "exhaustive")
+            closeness_to_cover(Hypergraph(17, 3, []), 2, "exhaustive")
 
 
 class TestClosenessClique:
@@ -106,7 +106,7 @@ class TestClosenessClique:
         assert closeness_to_clique(h, 2, "heuristic").missing_edges == 0
 
     def test_empty_graph(self):
-        h = build(10, 3, [])
+        h = Hypergraph(10, 3, [])
         rep = closeness_to_clique(h, 2, "heuristic")
         assert rep.missing_edges == clique_count(3, 2)
 
@@ -135,8 +135,8 @@ class TestExhaustiveOracle:
     """The subset-count table gives the brute force's count and its lex-first placement."""
 
     @given(hypergraphs(max_n=9), st.sampled_from(["cover", "clique"]), st.data())
-    @example(build(9, 3, []), "cover", None)
-    @example(build(9, 3, []), "clique", None)
+    @example(Hypergraph(9, 3, []), "cover", None)
+    @example(Hypergraph(9, 3, []), "clique", None)
     @example(complete_graph(8, 3), "cover", None)
     @settings(max_examples=120, deadline=None)
     def test_matches_the_brute_force(self, h, target, data):
@@ -177,7 +177,7 @@ class TestExhaustiveOracle:
         closeness = closeness_to_cover if target == "cover" else closeness_to_clique
         assert closeness(complete_graph(16, 3), 3, "exhaustive").missing_edges == 0
         with pytest.raises(BudgetExceeded):
-            closeness(build(17, 3, []), 3, "exhaustive")
+            closeness(Hypergraph(17, 3, []), 3, "exhaustive")
 
 
 class TestVertexArrayKernels:
@@ -185,12 +185,12 @@ class TestVertexArrayKernels:
     array; the tuple definitions here are their reference."""
 
     @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=8, k=k)))
-    @example(build(7, 3, []))  # m = 0: the array has shape (0, 3)
-    @example(build(9, 3, [(1, 2, 3), (4, 5, 6)]))  # isolated vertices, every degree tied
+    @example(Hypergraph(7, 3, []))  # m = 0: the array has shape (0, 3)
+    @example(Hypergraph(9, 3, [(1, 2, 3), (4, 5, 6)]))  # isolated vertices, every degree tied
     @example(complete_graph(6, 3))
     @settings(max_examples=60, deadline=None)
     def test_match_the_tuple_definitions(self, h):
-        born = Hypergraph.from_canonical(h.n, h.k, h.vertex_array())
+        born = Hypergraph(h.n, h.k, h.vertex_array())
         deg = Counter(chain.from_iterable(h.edges))
         ranked = sorted(h.vertices(), key=lambda v: (-deg[v], v))
         for count in range(h.n + 1):
@@ -212,7 +212,7 @@ class TestGoodness:
         assert rep.bad == frozenset()
 
     def test_empty_vs_complete_all_bad(self):
-        h = build(6, 3, [])
+        h = Hypergraph(6, 3, [])
         rep = goodness_partition(h, complete_graph(6, 3), 0.0)
         assert rep.good == frozenset()
         assert all(d == math.comb(5, 2) for d in rep.deficiency.values())
