@@ -3,8 +3,11 @@
 
 Scans the exact integer bounds for a range of n, reports the finite-n
 tie point, and compares it with the asymptotic root of the gap density.
+With --table-n it also prints the k = 3 bound table for that n: the cover,
+clique, Hilton-Milner and A_2 counts, the paper's maximum (the largest of
+the last three) and every family at it.
 
-Usage: python scripts/crossover_scan.py [--n-list 50,100,500,2000]
+Usage: python scripts/crossover_scan.py [--n-list 50,100,500,2000] [--table-n 12]
 """
 
 import argparse
@@ -39,9 +42,10 @@ def main() -> None:
 
     if args.table_n:
         print()
-        print("s\tcover\tclique\thm\twinner")
+        print("s\tcover\tclique\thm\ta2\tmax\tat max")
         for row in bound_table(args.table_n):
-            print(f"{row.s}\t{row.cover_bound}\t{row.clique_bound}\t{row.hm_bound}\t{row.argmax}")
+            print(f"{row.s}\t{row.cover_bound}\t{row.clique_bound}\t{row.hm_bound}"
+                  f"\t{row.a_bounds[0]}\t{row.max_nontrivial}\t{row.argmax}")
 
 
 if __name__ == "__main__":

@@ -95,7 +95,7 @@ class Hypergraph:
     among the rows'.
     """
 
-    __slots__ = ("n", "k", "_edges", "_edge_set", "_verts")
+    __slots__ = ("n", "k", "_edges", "_edge_set", "_verts", "_codes")
 
     def __init__(self, n: int, k: int, edges: np.ndarray | Iterable[Iterable[int]] = ()):
         """Check and store ``edges``: numpy passes check an integer array, and
@@ -129,6 +129,7 @@ class Hypergraph:
         self._verts.flags.writeable = False
         self._edges: tuple[Edge, ...] | None = None
         self._edge_set: frozenset[Edge] | None = None
+        self._codes: np.ndarray | None = None
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -164,7 +165,8 @@ class Hypergraph:
         """Whether each vertex collection, in any order, is an edge.
 
         One ``searchsorted`` of lex codes answers them all; it builds
-        neither tuples nor set.
+        neither tuples nor set. The rows' codes are computed on the first
+        call and kept: the vertex array they come from is read-only.
         """
         ts = [tuple(sorted(e)) for e in es]
         n, k, verts = self.n, self.k, self._verts
@@ -172,7 +174,10 @@ class Hypergraph:
         # only k ids inside 1..n have a code; the row a code finds must equal t
         asked = [i for i, t in enumerate(ts) if len(t) == k and 1 <= t[0] and t[-1] <= n]
         if asked and len(verts):
-            codes = lex_codes(verts, n)
+            if self._codes is None:
+                self._codes = lex_codes(verts, n)
+                self._codes.flags.writeable = False
+            codes = self._codes
             want = lex_codes(np.array([ts[i] for i in asked], dtype=codes.dtype), n)
             pos = np.minimum(np.searchsorted(codes, want), len(codes) - 1).tolist()
             for i, p in zip(asked, pos):

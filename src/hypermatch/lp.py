@@ -5,32 +5,76 @@
   pose, max c.x over <= rows with right-hand sides >= 0, so it starts from
   the slack basis and needs no phase one; it is meant for the desk-scale
   programs this package solves, not for large instances.
-* float mode: one HiGHS dual simplex solve through scipy's bindings to it,
-  ``highs_solve``, which hands back x, the row duals and the iteration
-  count. ``linprog_float`` adapts dense equality rows, 0 <= x <= 1, onto
-  it and reports the residual.
+* float mode: one HiGHS dual simplex solve, ``highs_solve``, on a matrix
+  given as a CSC triplet of numpy arrays; it hands back x, the row duals and
+  the iteration count. ``linprog_float`` adapts dense equality rows,
+  0 <= x <= 1, onto it and reports the residual.
+
+HiGHS is reached through scipy's compiled bindings to it, the extension
+module ``scipy.optimize._highspy._core``. This module loads that one file
+and nothing else of scipy's: importing ``scipy.optimize`` or
+``scipy.sparse`` would take most of a fresh process's start-up. The
+extension is loaded once per process and shared with scipy, whichever of
+the two loads it first.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-# scipy.optimize before its private submodule: naming the submodule first
-# made a fresh process's import of this package about 0.25 s slower
-# (scipy 1.17.1, where scipy.special's start-up work grew 80 -> 330 ms)
-import scipy.optimize
-from scipy import sparse
 
-try:
-    from scipy.optimize._highspy import _core
-except ImportError as exc:  # a private module: a scipy release may move it
-    raise ImportError(
-        "hypermatch.lp needs scipy's private HiGHS bindings "
-        f"(scipy.optimize._highspy._core), and the installed scipy {scipy.__version__} "
-        "has none; the package was tested with scipy 1.17.1, which ships them"
-    ) from exc
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_core():
+    """scipy's HiGHS extension, loaded from its file without ``scipy.optimize``.
+
+    pybind11 registers the extension's types once per process, so a second
+    load of the file fails. A copy already in ``sys.modules`` (scipy's own,
+    or this function's) is reused, and a copy loaded here is registered
+    under scipy's name, where ``scipy.optimize`` finds it when it is
+    imported later. Raises ImportError naming the scipy release tested if
+    the file is missing or does not load.
+    """
+    core = sys.modules.get(_CORE)
+    if core is not None:
+        return core
+    spec = importlib.util.find_spec("scipy")
+    places = (spec and spec.submodule_search_locations) or ()
+    files = (
+        os.path.join(place, "optimize", "_highspy", "_core" + suffix)
+        for place in places
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    )
+    path = next(filter(os.path.isfile, files), None)
+    try:
+        if path is None:
+            raise ImportError(f"no {_CORE} extension file")
+        loader = importlib.machinery.ExtensionFileLoader(_CORE, path)
+        core = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(_CORE, path, loader=loader)
+        )
+        sys.modules[_CORE] = core
+        loader.exec_module(core)
+    except ImportError as exc:  # a private module: a scipy release may move it
+        sys.modules.pop(_CORE, None)
+        import scipy  # only to name the release
+
+        raise ImportError(
+            "hypermatch.lp needs scipy's private HiGHS bindings "
+            f"({_CORE}), and the installed scipy {scipy.__version__} "
+            "has none; the package was tested with scipy 1.17.1, which ships them"
+        ) from exc
+    return core
+
+
+_core = _load_core()
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -122,19 +166,27 @@ _STATUS = {
 }
 
 
-def highs_solve(c, a, row_lower, row_upper, col_upper=None):
-    """HiGHS: minimize c.x subject to row_lower <= a @ x <= row_upper, x >= 0.
+def highs_solve(c, csc, row_lower, row_upper, col_upper=None):
+    """HiGHS: minimize c.x subject to row_lower <= A @ x <= row_upper, x >= 0.
 
-    ``a`` is a ``scipy.sparse`` matrix or dense rows; a row bound of -inf or
-    inf is absent, and ``col_upper``, if given, bounds x above. Returns
-    (status, x, row_duals, value, iterations), status OPTIMAL, INFEASIBLE or
-    UNBOUNDED; x, row_duals and value are None unless OPTIMAL. ``row_duals``
-    are d(value)/d(bound) of each row, linprog's marginals, and
-    ``iterations`` the simplex iterations. Any other outcome raises
-    RuntimeError naming HiGHS's model status.
+    ``csc`` is A as a CSC triplet ``(start, index, value)``: the entries of
+    column j are ``value[start[j]:start[j + 1]]`` in the rows
+    ``index[start[j]:start[j + 1]]``, ascending. A has ``len(c)`` columns and
+    ``len(row_lower)`` rows. A row bound of -inf or inf is absent, and
+    ``col_upper``, if given, bounds x above. Returns (status, x, row_duals,
+    value, iterations), status OPTIMAL, INFEASIBLE or UNBOUNDED; x, row_duals
+    and value are None unless OPTIMAL. ``row_duals`` are d(value)/d(bound)
+    of each row, linprog's marginals, and ``iterations`` the simplex
+    iterations. A triplet that does not fit the shape raises ValueError; any
+    other outcome raises RuntimeError naming HiGHS's model status.
     """
-    a = sparse.csc_array(a)
-    nrow, ncol = a.shape
+    start, index, value = csc
+    ncol, nrow = len(c), len(row_lower)
+    if len(start) != ncol + 1 or not len(index) == len(value) == start[-1]:
+        raise ValueError(
+            f"a CSC triplet for {ncol} columns needs {ncol + 1} starts and start[-1] "
+            f"entries; got {len(start)} starts, {len(index)} rows and {len(value)} values"
+        )
     lp = _core.HighsLp()
     lp.num_col_ = ncol
     lp.num_row_ = nrow
@@ -149,9 +201,9 @@ def highs_solve(c, a, row_lower, row_upper, col_upper=None):
     mat.format_ = _core.MatrixFormat.kColwise
     mat.num_col_ = ncol
     mat.num_row_ = nrow
-    mat.start_ = a.indptr
-    mat.index_ = a.indices
-    mat.value_ = a.data
+    mat.start_ = start
+    mat.index_ = index
+    mat.value_ = value
     highs = _core._Highs()
     highs.passOptions(_OPTIONS)
     if highs.passModel(lp) == _core.HighsStatus.kError:
@@ -175,6 +227,14 @@ def highs_solve(c, a, row_lower, row_upper, col_upper=None):
     )
 
 
+def csc_of_dense(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of the 2-D array a as a CSC triplet, rows ascending in each column."""
+    cols, rows = np.nonzero(a.T)
+    start = np.zeros(a.shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=a.shape[1]), out=start[1:])
+    return start, rows.astype(np.int32), a[rows, cols]
+
+
 def linprog_float(c, a_eq, b_eq, maximize: bool = False):
     """``highs_solve`` on dense == rows, with 0 <= x <= 1.
 
@@ -182,7 +242,9 @@ def linprog_float(c, a_eq, b_eq, maximize: bool = False):
     """
     c = np.asarray(c, dtype=float)
     a_eq, b_eq = np.asarray(a_eq, dtype=float), np.asarray(b_eq, dtype=float)
-    status, x, *_ = highs_solve(-c if maximize else c, a_eq, b_eq, b_eq, np.ones(len(c)))
+    status, x, *_ = highs_solve(
+        -c if maximize else c, csc_of_dense(a_eq), b_eq, b_eq, np.ones(len(c))
+    )
     if status != OPTIMAL:
         return status, None, None, None
     resid = max(0.0, float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)))

@@ -24,7 +24,6 @@ from math import comb, floor, lcm
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
 
 from . import lp
 from .core import BudgetExceeded, Edge, Hypergraph, edge_mask
@@ -391,13 +390,37 @@ ROW_TOL = 1e-12
 CERT_DENOMINATOR = 10**6
 
 
-def _negated_incidence(h: Hypergraph) -> sparse.csr_array:
-    """-A^T as CSR: one row per edge, -1 at each of its vertices."""
-    m, k = h.e(), h.k
-    cols = h.vertex_array().ravel().astype(np.int32) - 1
-    return sparse.csr_array(
-        (np.full(m * k, -1.0), cols, np.arange(0, m * k + 1, k)), shape=(m, h.n)
-    )
+def _lp_columns(h: Hypergraph) -> np.ndarray:
+    """The vertex array made 0-based: row i holds the cover LP's columns in edge i's row."""
+    return h.vertex_array() - 1
+
+
+def _cover_csc(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """-A^T on the rows ``cols`` as a CSC triplet: -1 where row r holds column v.
+
+    A stable argsort of the flattened rows by column lists each column's
+    rows in ascending order, the canonical CSC form; HiGHS's vertex depends
+    on the form of the rows (see ``_cover_rows``).
+    """
+    flat = cols.ravel()
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(flat, minlength=n), out=start[1:])
+    index = (np.argsort(flat, kind="stable") // cols.shape[1]).astype(np.int32)
+    return start, index, np.full(len(flat), -1.0)
+
+
+def _cover_sums(y: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each row's cover sum, added column by column from the first.
+
+    The row generation ranks these sums, so their last bit must not depend
+    on k: this is the order of a sparse row product, while
+    ``y[cols].sum(axis=1)`` adds pairwise from k = 8 on.
+    """
+    at = y[cols]
+    sums = at[:, 0].copy()
+    for j in range(1, at.shape[1]):
+        sums += at[:, j]
+    return sums
 
 
 def _floored(x: np.ndarray) -> np.ndarray:
@@ -405,19 +428,21 @@ def _floored(x: np.ndarray) -> np.ndarray:
     return np.where(x > 1e-12, x, 0.0)
 
 
-def _cover_rows(neg_at: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, float, int, int, int]:
-    """Solve the cover LP on the rows of ``neg_at`` that bind, by row generation.
+def _cover_rows(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float, int, int, int]:
+    """Solve the cover LP on the edge rows that bind, by row generation.
 
-    Start from ``min(m, 4n)`` rows evenly spaced over the edge list; after
-    each solve, the edges left out whose cover sum is below ``1 - ROW_TOL``
-    join, most violated first, at most a batch of them (4n, doubling each
-    round). The loop ends when none joins, so the last y is a cover of every
-    edge up to ``ROW_TOL``. Returns (y, x, value, solves, rows, iterations):
-    the last solve's cover and value, its negated row duals spread over all
-    edges (0 on every edge left out), the number of HiGHS calls, the rows of
-    the last one and the simplex iterations of them all.
+    ``cols`` is the 0-based (m, k) vertex array (``_lp_columns``) and n the
+    vertex count. Start from ``min(m, 4n)`` rows evenly spaced over the edge
+    list; after each solve, the edges left out whose cover sum is below
+    ``1 - ROW_TOL`` join, most violated first, at most a batch of them (4n,
+    doubling each round). The loop ends when none joins, so the last y is a
+    cover of every edge up to ``ROW_TOL``. Returns (y, x, value, solves,
+    rows, iterations): the last solve's cover and value, its negated row
+    duals spread over all edges (0 on every edge left out), the number of
+    HiGHS calls, the rows of the last one and the simplex iterations of them
+    all.
     """
-    m, n = neg_at.shape
+    m = len(cols)
     active = np.zeros(m, dtype=bool)
     active[np.linspace(0, m - 1, min(m, 4 * n)).astype(np.intp)] = True
     batch, solves, iterations = 4 * n, 0, 0
@@ -426,13 +451,14 @@ def _cover_rows(neg_at: sparse.csr_array) -> tuple[np.ndarray, np.ndarray, float
         # -A^T y <= -1, not A^T y >= 1: HiGHS's optimal vertex, and so every
         # digit printed, depends on the form of the rows
         status, y, duals, tau, its = lp.highs_solve(
-            np.ones(n), neg_at[rows], np.full(len(rows), -np.inf), np.full(len(rows), -1.0)
+            np.ones(n), _cover_csc(cols[rows], n), np.full(len(rows), -np.inf),
+            np.full(len(rows), -1.0),
         )
         solves += 1
         iterations += its
         if status != lp.OPTIMAL:  # y = 1 is feasible and y >= 0 bounds the sum
             raise RuntimeError(f"cover LP came back {status}")
-        sums = -(neg_at @ y)
+        sums = _cover_sums(y, cols)
         short = np.flatnonzero(~active & (sums < 1 - ROW_TOL))
         if not short.size:
             x = np.zeros(m)
@@ -470,9 +496,9 @@ def _certified_numerators(h: Hypergraph) -> tuple[np.ndarray, int, list[int]] | 
     optimal. A failed check, a NaN or inf, or a HiGHS solve that fails or
     comes back other than optimal gives None.
     """
-    neg_at = _negated_incidence(h)
+    edges = _lp_columns(h)
     try:
-        y, x, _tau, *stats = _cover_rows(neg_at)
+        y, x, _tau, *stats = _cover_rows(edges, h.n)
     except RuntimeError:
         return None
     rounded = _over_common_denominator(np.concatenate([y, x]))
@@ -480,7 +506,6 @@ def _certified_numerators(h: Hypergraph) -> tuple[np.ndarray, int, list[int]] | 
         return None
     num, den = rounded
     yn, xn = num[:h.n], num[h.n:]
-    edges = neg_at.indices.reshape(-1, h.k)
     used = np.flatnonzero(xn)
     load = np.zeros(h.n, dtype=num.dtype)
     np.add.at(load, edges[used], xn[used, None])
@@ -530,12 +555,13 @@ def _highs_pair(
             ),
             FractionalAssignment("cover", fracs[:h.n], value, "rational", 0.0, LP_CERTIFIED, *stats),
         )
-    neg_at = _negated_incidence(h)
-    y, x, tau, *stats = _cover_rows(neg_at)
-    load = -(neg_at.T @ x)
+    cols = _lp_columns(h)
+    y, x, tau, *stats = _cover_rows(cols, h.n)
+    # each vertex's load added up in edge order
+    load = np.bincount(cols.ravel(), weights=np.repeat(x, h.k), minlength=h.n)
     # np.max, unlike the builtin, carries a NaN through to the residual
     resid_m = float(np.max([0.0, np.max(load, initial=1.0) - 1.0, np.max(-x, initial=0.0)]))
-    resid_c = float(np.max([0.0, np.max(neg_at @ y, initial=-1.0) + 1.0]))
+    resid_c = float(np.max([0.0, np.max(-_cover_sums(y, cols), initial=-1.0) + 1.0]))
     return (
         FractionalAssignment(
             "matching", _floored(x), float(x.sum()), "float", resid_m, LP_HIGHS, *stats
@@ -650,8 +676,11 @@ def fractional_perfect_matching(
             raise ValueError(f"objective has shape {c.shape}, the graph has {h.e()} edges")
     if h.e() == 0 or h.n == 0:
         return None
-    # the vertex x edge incidence as dense (n, m) rows (see notes/decisions.md)
-    a_eq = (-_negated_incidence(h)).T.toarray()
+    # the vertex x edge incidence as dense (n, m) rows (see notes/decisions.md),
+    # in column order: the residual's product a_eq @ x adds in the order of
+    # the array's layout
+    a_eq = np.zeros((h.n, h.e()), order="F")
+    a_eq[_lp_columns(h), np.arange(h.e())[:, None]] = 1.0
     status, x, _val, resid = lp.linprog_float(
         c, a_eq=a_eq, b_eq=[1.0] * h.n, maximize=objective is not None
     )

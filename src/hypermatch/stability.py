@@ -12,6 +12,14 @@ clique count trade places as s/n grows: the gap density is
     g(x) = (1 - (1-x)^3)/6 - 9 x^3 / 2,   g'(x) = (1 - 2x - 26 x^2)/2,
 
 positive for small x, with a single root (sqrt(321) - 3)/52 in (0, 1/3).
+
+The bound table also carries the prefix-overlap counts A_i (i = 2..k-1)
+and names every family at the paper's maximum, ties included. At k = 3,
+A_2 has density 2x^2 - 8x^3/3: below Hilton-Milner's for
+x < (15 - sqrt(21))/34 ~ 0.3064 and below the clique's for x > 12/43 ~ 0.2791,
+so it is never the maximum at leading order. Its wins are a small-n window:
+for n < 200 it is the strict maximum at (n, s) = (10, 2), (11, 2), (14, 3),
+(15, 3), (17, 4), (18, 4), (21, 5), (24, 6), (25, 6), (28, 7) and (35, 9).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .constructions import PartitionSpec, clique_count, cover_count, hm_count
+from .constructions import PartitionSpec, bound_report, clique_count, cover_count
 from .core import BudgetExceeded, Hypergraph
 
 EXHAUSTIVE_GUARD_N = 16
@@ -199,19 +207,23 @@ class BoundRow:
     cover_bound: int
     clique_bound: int
     hm_bound: int
-    argmax: str  # which of hm/clique attains the max
+    a_bounds: list[int]  # A_i for i = 2..k-1
+    max_nontrivial: int  # the paper's maximum: the largest of hm, clique and the A_i
+    argmax: str  # every family at that maximum, comma-separated: hm, clique, a2, ...
 
 
 def bound_table(n: int, k: int = 3, s_range=None) -> list[BoundRow]:
-    """Exact-integer bound values per s, with which bound wins."""
+    """Exact-integer bound values per s (``bound_report``'s), with every family at the maximum."""
     if s_range is None:
         s_range = range(1, (n - k + 1) // k + 1)
     rows = []
     for s in s_range:
-        cov = cover_count(n, k, s)
-        clq = clique_count(k, s)
-        hm = hm_count(n, k, s)
-        rows.append(BoundRow(s, cov, clq, hm, "clique" if clq > hm else "hm"))
+        rep = bound_report(n, k, s)
+        counts = {"hm": rep.hm_bound, "clique": rep.clique_bound,
+                  **{f"a{i}": a for i, a in enumerate(rep.a_bounds, 2)}}
+        top = ",".join(name for name, c in counts.items() if c == rep.max_nontrivial)
+        rows.append(BoundRow(s, rep.cover_bound, rep.clique_bound, rep.hm_bound,
+                             rep.a_bounds, rep.max_nontrivial, top))
     return rows
 
 

@@ -145,6 +145,11 @@ def test_crossover(capsys):
     assert code == 0
     assert len(out.strip().split("\n")) == 6  # s = 1..6
 
+    # s, cover, clique, hm, A_2, the maximum and every family at it
+    code, out = run(capsys, "crossover", "--n", "10", "--table")
+    assert code == 0
+    assert out.splitlines() == ["1\t36\t10\t22\t22\t22\thm,a2", "2\t64\t56\t55\t60\t60\ta2"]
+
     code, out = run(capsys, "crossover", "--n", "6")  # the clique never overtakes
     assert code == 0
     assert out.strip().split("\n")[-1] == "clique_overtakes_at\tnone"
@@ -426,8 +431,8 @@ def test_solve_float_lp_failure_is_a_solver_error(tmp_path, capsys, monkeypatch,
 def test_solve_exact_lp_falls_back_on_a_nan_from_highs(tmp_path, capsys, monkeypatch):
     real = optimize._cover_rows
 
-    def poisoned(neg_at):
-        y, *rest = real(neg_at)
+    def poisoned(cols, n):
+        y, *rest = real(cols, n)
         y = y.copy()
         y[0] = np.nan
         return (y, *rest)

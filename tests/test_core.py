@@ -551,6 +551,26 @@ def test_membership_with_object_codes(n, k):
     _membership_case(n, k, canon, rnd)
 
 
+@pytest.mark.parametrize("n, k", [(12, 3), (2**21, 3)])  # int64 and object codes
+def test_membership_codes_the_rows_once(monkeypatch, n, k):
+    rnd = random.Random(n)
+    h = Hypergraph(n, k, [rnd.sample(range(1, n + 1), k) for _ in range(40)])
+    asked = [*h.edges[::7], (1, 2, n), (n, 2, 1), (1, 2), (0, 1, 2)]
+    want = [tuple(sorted(e)) in h.edge_set for e in asked]
+    real, rows_coded = core.lex_codes, []
+
+    def spy(rows, n):
+        if rows is h.vertex_array():
+            rows_coded.append(len(rows))
+        return real(rows, n)
+
+    monkeypatch.setattr(core, "lex_codes", spy)
+    for _ in range(3):
+        assert [e in h for e in asked] == want
+        assert h.has_edges(asked) == want
+    assert rows_coded == [h.e()]
+
+
 def _assert_vertex_array(h: Hypergraph) -> None:
     """``vertex_array()`` is the one intp array the graph holds: read-only,
     its rows ascending k-sets of [n] in strict lex order, equal to ``edges``."""

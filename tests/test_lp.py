@@ -21,8 +21,15 @@ from hypermatch.lp import (
     OPTIMAL,
     UNBOUNDED,
     highs_solve,
+    csc_of_dense,
     simplex_rational,
 )
+
+
+def _triplet(a):
+    """The CSC triplet of a scipy.sparse matrix or dense rows, as scipy forms it."""
+    a = sparse.csc_array(a)
+    return a.indptr, a.indices, a.data
 
 
 def test_tiny_max():
@@ -112,7 +119,7 @@ def test_sparse_solve_returns_row_duals():
     # value 3/2, row duals -1 and -1
     a = sparse.csr_array(np.array([[-1.0, -1.0], [0.0, -1.0]]))
     status, y, duals, value, iterations = highs_solve(
-        np.array([1.0, 2.0]), a, np.full(2, -np.inf), np.array([-1.0, -0.5])
+        np.array([1.0, 2.0]), _triplet(a), np.full(2, -np.inf), np.array([-1.0, -0.5])
     )
     assert status == OPTIMAL
     assert np.allclose(y, [0.5, 0.5]) and abs(value - 1.5) < 1e-12
@@ -122,7 +129,9 @@ def test_sparse_solve_returns_row_duals():
 
 def test_sparse_solve_with_no_rows():
     a = sparse.csr_array((0, 3))
-    status, y, duals, value, iterations = highs_solve(np.ones(3), a, np.zeros(0), np.zeros(0))
+    status, y, duals, value, iterations = highs_solve(
+        np.ones(3), _triplet(a), np.zeros(0), np.zeros(0)
+    )
     assert status == OPTIMAL and value == 0 and len(duals) == 0
     assert np.array_equal(y, np.zeros(3))
     assert iterations == 0
@@ -131,14 +140,14 @@ def test_sparse_solve_with_no_rows():
 def test_sparse_solve_reports_infeasible():
     # y1 <= -1 with y1 >= 0
     a = sparse.csr_array(np.array([[1.0]]))
-    status, *rest = highs_solve(np.ones(1), a, np.array([-np.inf]), np.array([-1.0]))
+    status, *rest = highs_solve(np.ones(1), _triplet(a), np.array([-np.inf]), np.array([-1.0]))
     assert status == INFEASIBLE
     assert rest[:3] == [None, None, None]
 
 
 def test_unbounded_reported():
     # min -x1 - x2 st x1 - x2 <= 1: x2 grows without bound
-    status, *rest = highs_solve([-1.0, -1.0], [[1.0, -1.0]], [-np.inf], [1.0])
+    status, *rest = highs_solve([-1.0, -1.0], _triplet([[1.0, -1.0]]), [-np.inf], [1.0])
     assert status == UNBOUNDED
     assert rest[:3] == [None, None, None]
 
@@ -172,9 +181,9 @@ def test_random_lps_match_linprog(seed, as_sparse):
         method="highs",
     )
     a = np.vstack([a_ub, a_eq])
-    if as_sparse:
-        a = sparse.csr_array(a)
-    args = (c, a, np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
+    # dense rows through the package's own conversion, sparse ones through scipy's
+    csc = _triplet(sparse.csr_array(a)) if as_sparse else csc_of_dense(a)
+    args = (c, csc, np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
             np.concatenate([b_ub, b_eq]), col_upper)
     if res.status == 4:  # HiGHS could not tell infeasible from unbounded
         with pytest.raises(RuntimeError, match="LP solver failed"):
@@ -204,7 +213,7 @@ def test_random_lps_cover_every_status():
         lower = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
         upper = np.concatenate([b_ub, b_eq])
         try:
-            seen.add(highs_solve(c, a, lower, upper, col_upper)[0])
+            seen.add(highs_solve(c, csc_of_dense(a), lower, upper, col_upper)[0])
         except RuntimeError:
             seen.add("error")
     assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= seen
@@ -229,29 +238,101 @@ def test_other_model_statuses_raise_naming_the_status(monkeypatch, model_status)
     monkeypatch.setattr(lp._core, "_Highs", Stub)
     name = real().modelStatusToString(wanted)
     with pytest.raises(RuntimeError, match=f"LP solver failed: model status {name}"):
-        highs_solve([1.0], [[1.0]], [-np.inf], [1.0])
+        highs_solve([1.0], _triplet([[1.0]]), [-np.inf], [1.0])
 
 
-def test_missing_bindings_fail_loudly():
-    # scipy.optimize loads the bindings eagerly, so the subprocess removes
-    # them from the package and from sys.modules after importing it
-    code = textwrap.dedent("""
+def _run(code: str, *path: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter with the package, after ``path``, importable."""
+    src = os.path.dirname(os.path.dirname(hypermatch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [*path, src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_missing_bindings_fail_loudly(tmp_path):
+    # a scipy package with no optimize/_highspy/_core extension file, first
+    # on the path, stands for a release that moved the bindings
+    (tmp_path / "scipy" / "optimize" / "_highspy").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "0.0.stub"\n')
+    (tmp_path / "scipy" / "optimize" / "_highspy" / "__init__.py").write_text("")
+    done = _run("""
         import sys
-        import scipy.optimize
-        del scipy.optimize._highspy._core
-        sys.modules["scipy.optimize._highspy._core"] = None
         try:
             import hypermatch.lp
         except ImportError as exc:
             print(exc)
         else:
             print("imported")
-    """)
-    src = os.path.dirname(os.path.dirname(hypermatch.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+        print(sorted(m for m in sys.modules if m.startswith("scipy.")))
+    """, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert "scipy's private HiGHS bindings" in done.stdout
     assert "scipy.optimize._highspy._core" in done.stdout
     assert "1.17.1" in done.stdout
+    assert "the installed scipy 0.0.stub has none" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"  # nothing half-registered
+
+
+def test_the_package_imports_no_scipy_optimize_or_sparse():
+    done = _run("""
+        import sys
+        import hypermatch.cli
+        print(sorted(m for m in ("scipy.optimize", "scipy.sparse", "scipy.special")
+                     if m in sys.modules))
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("first", ["hypermatch", "scipy"])
+def test_highs_solve_and_linprog_share_one_extension(first):
+    # pybind11 registers the extension's types once per process: a second
+    # load of the file would raise "generic_type: type ... is already registered"
+    done = _run(f"""
+        import sys
+        import numpy as np
+        if {first!r} == "scipy":
+            from scipy.optimize import linprog
+        from hypermatch import lp
+        assert ("scipy.optimize" in sys.modules) == ({first!r} == "scipy")
+        from scipy.optimize import linprog
+        from scipy.optimize._highspy import _core
+        assert lp._core is _core is sys.modules["scipy.optimize._highspy._core"]
+        a = np.array([[-1.0, -1.0], [0.0, -1.0]])
+        for _ in range(2):
+            res = linprog([1.0, 2.0], A_ub=a, b_ub=[-1.0, -0.5], method="highs")
+            status, y, duals, value, its = lp.highs_solve(
+                [1.0, 2.0], lp.csc_of_dense(a), [-np.inf, -np.inf], [-1.0, -0.5])
+            assert status == lp.OPTIMAL and res.status == 0
+            assert np.array_equal(y, res.x) and value == res.fun and its == res.nit
+            assert np.array_equal(duals, res.ineqlin.marginals)
+        print("solved", value)
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "solved 1.5"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dense_rows_become_scipys_csc(seed):
+    # HiGHS's vertex depends on the form of the matrix: the triplet must be
+    # the one scipy.sparse made of the same rows, entry for entry
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2, 3, (int(rng.integers(0, 6)), int(rng.integers(1, 7)))).astype(float)
+    a[rng.random(a.shape) < 0.2] = np.nan if seed % 2 else 0.5
+    for rows in (a, np.asfortranarray(a)):
+        start, index, value = csc_of_dense(rows)
+        want = sparse.csc_array(rows)
+        assert start.tolist() == want.indptr.tolist()
+        assert index.tolist() == want.indices.tolist()
+        assert value.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("csc", [
+    (np.array([0, 1]), np.array([0]), np.array([1.0])),  # one start short
+    (np.array([0, 1, 2]), np.array([0]), np.array([1.0])),  # start[-1] past the entries
+    (np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0])),  # a row with no value
+])
+def test_a_triplet_that_does_not_fit_is_refused(csc):
+    with pytest.raises(ValueError, match="CSC triplet for 2 columns"):
+        highs_solve([1.0, 1.0], csc, [1.0], [np.inf])

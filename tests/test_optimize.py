@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,9 @@ from hypermatch.optimize import (
     _greedy_matching,
     _highs_pair,
     _matching_ceiling,
-    _negated_incidence,
+    _cover_csc,
+    _cover_sums,
+    _lp_columns,
     _over_common_denominator,
     check_lp_duality,
     fractional_cover,
@@ -175,8 +178,8 @@ class TestMatchingCeiling:
         h = cover_family(13, 3, 3)
         real = optimize._cover_rows
 
-        def halved(neg_at):
-            y, *rest = real(neg_at)
+        def halved(cols, n):
+            y, *rest = real(cols, n)
             return (y / 2, *rest)
 
         monkeypatch.setattr(optimize, "_cover_rows", halved)
@@ -225,9 +228,9 @@ def _count_lp_solves(monkeypatch) -> list:
     """Record every ``lp.highs_solve`` call; the ceiling makes one or more."""
     real, seen = lp.highs_solve, []
 
-    def counting(c, a, *bounds):
-        seen.append(a.shape)
-        return real(c, a, *bounds)
+    def counting(c, csc, row_lower, *bounds):
+        seen.append((len(row_lower), len(c)))
+        return real(c, csc, row_lower, *bounds)
 
     monkeypatch.setattr(lp, "highs_solve", counting)
     return seen
@@ -619,7 +622,7 @@ def _reference_accepts(h: Hypergraph, x: np.ndarray, y: np.ndarray) -> bool:
 
 def _fixed_rows(monkeypatch, y: np.ndarray, x: np.ndarray) -> None:
     """Make the HiGHS solve return the cover y and the matching x."""
-    monkeypatch.setattr(optimize, "_cover_rows", lambda neg_at: (y, x, float(y.sum()), 1, len(x)))
+    monkeypatch.setattr(optimize, "_cover_rows", lambda cols, n: (y, x, float(y.sum()), 1, len(x)))
 
 
 class TestIntegerCertificate:
@@ -634,7 +637,7 @@ class TestIntegerCertificate:
     @example(complete_graph(5, 3), "halved", random.Random(0))
     @settings(max_examples=150, deadline=None)
     def test_accepts_exactly_what_validate_accepts(self, h, change, rnd):
-        y, x, *_ = optimize._cover_rows(_negated_incidence(h))
+        y, x, *_ = optimize._cover_rows(_lp_columns(h), h.n)
         y, x = y.copy(), x.copy()
         held = np.flatnonzero(y > 1e-9)
         if change == "y_low" and held.size:
@@ -648,7 +651,7 @@ class TestIntegerCertificate:
         elif change == "x_over" and h.e():
             # one edge's weight grows until a vertex of it carries 1.25
             i = rnd.randrange(h.e())
-            load = -(_negated_incidence(h).T @ x)
+            load = np.bincount(_lp_columns(h).ravel(), weights=np.repeat(x, h.k), minlength=h.n)
             x[i] += 1.25 - max(load[v - 1] for v in h.edges[i])
         elif change == "x_moved" and x.any():
             # an edge's weight moves to another edge: a load may pass 1
@@ -724,8 +727,8 @@ class TestIntegerCertificate:
         h = clique_family(5, 3, 1)
         real = optimize._cover_rows
 
-        def poisoned(neg_at):
-            got = list(real(neg_at))
+        def poisoned(cols, n):
+            got = list(real(cols, n))
             got[side] = got[side].copy()
             got[side][0] = bad
             return tuple(got)
@@ -765,7 +768,8 @@ def _hub_skewed() -> Hypergraph:
 def _all_rows_value(h: Hypergraph) -> float:
     """The cover LP's optimum from one HiGHS solve on every edge row."""
     status, _y, _duals, value, _its = lp.highs_solve(
-        np.ones(h.n), _negated_incidence(h), np.full(h.e(), -np.inf), np.full(h.e(), -1.0)
+        np.ones(h.n), _cover_csc(_lp_columns(h), h.n), np.full(h.e(), -np.inf),
+        np.full(h.e(), -1.0),
     )
     assert status == lp.OPTIMAL
     return value
@@ -854,9 +858,9 @@ class TestRowGeneration:
         real = lp.highs_solve
         seen = []
 
-        def counting(c, a, *bounds):
-            seen.append(a.shape[0])
-            return real(c, a, *bounds)
+        def counting(c, csc, row_lower, *bounds):
+            seen.append(len(row_lower))
+            return real(c, csc, row_lower, *bounds)
 
         monkeypatch.setattr(lp, "highs_solve", counting)
         fm = fractional_matching(h, mode)
@@ -870,6 +874,32 @@ class TestRowGeneration:
         rep = check_lp_duality(h, "float")
         assert rep.matching.residual <= 1e-9 and rep.cover.residual <= 1e-9
         assert rep.cover.lp_solves <= 2 and rep.cover.lp_rows < h.e()
+
+    @given(
+        st.integers(2, 9).flatmap(lambda k: hypergraphs(min_n=k, max_n=13, k=k, max_edges=60)),
+        st.randoms(use_true_random=False),
+    )
+    @example(Hypergraph(12, 8, [range(1, 9), range(5, 13), range(2, 10)]), random.Random(0))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_and_sums_are_scipys_bit_for_bit(self, h, rnd):
+        # HiGHS's vertex depends on the form of the rows: each solve gets the
+        # CSC scipy made of the CSR row slice, and the cover sums are the
+        # CSR product's, also at k >= 8, where numpy's sum adds in another order
+        cols = _lp_columns(h)
+        m, k = cols.shape
+        neg_at = sparse.csr_array(
+            (np.full(m * k, -1.0), cols.ravel(), np.arange(0, m * k + 1, k)), shape=(m, h.n)
+        )
+        rows = np.array(sorted(rnd.sample(range(m), rnd.randint(0, m))), dtype=np.intp)
+        want = sparse.csc_array(neg_at[rows])
+        start, index, value = _cover_csc(cols[rows], h.n)
+        assert start.dtype == index.dtype == np.int32 and value.dtype == np.float64
+        assert start.tolist() == want.indptr.tolist()
+        assert index.tolist() == want.indices.tolist()
+        assert value.tobytes() == want.data.tobytes()
+        y = np.array([rnd.random() for _ in range(h.n)]) / rnd.randint(1, 9)
+        # equal as numbers: -(0 - 0) is -0.0 where the sum from the first is 0.0
+        assert np.array_equal(_cover_sums(y, cols), -(neg_at @ y))
 
 
 def _resized(weights, size):
@@ -953,8 +983,8 @@ class TestNaNWeights:
         h = complete_graph(5, 3)
         real = optimize._cover_rows
 
-        def poisoned(neg_at):
-            y, *rest = real(neg_at)
+        def poisoned(cols, n):
+            y, *rest = real(cols, n)
             y = y.copy()
             y[0] = np.nan
             return (y, *rest)

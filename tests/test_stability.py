@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from hypermatch import stability
 from hypermatch.constructions import (
+    bound_report,
     clique_count,
     clique_family,
     cover_family,
     hilton_milner_family,
+    prefix_overlap_count,
 )
 from hypermatch.core import BudgetExceeded, Hypergraph, complete_graph, edge_mask
 from hypermatch.stability import (
@@ -282,6 +284,39 @@ class TestBoundTable:
     def test_tie_at_six_one(self):
         row = bound_table(6)[0]
         assert row.s == 1 and row.hm_bound == row.clique_bound == 10
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_rows_carry_the_paper_maximum_and_every_family_at_it(self, k):
+        for n in range(2 * k - 1, 46):
+            for row in bound_table(n, k):
+                rep = bound_report(n, k, row.s)
+                assert (row.cover_bound, row.clique_bound, row.hm_bound, row.a_bounds) == (
+                    rep.cover_bound, rep.clique_bound, rep.hm_bound, rep.a_bounds)
+                assert row.max_nontrivial == rep.max_nontrivial
+                counts = [("hm", rep.hm_bound), ("clique", rep.clique_bound),
+                          *((f"a{i}", prefix_overlap_count(n, k, row.s, i)) for i in range(2, k))]
+                assert row.argmax.split(",") == [f for f, c in counts if c == rep.max_nontrivial]
+
+    @pytest.mark.parametrize("k, n, s, top", [
+        # A_2 alone is the maximum; its core has 2s + 1 vertices, and an edge
+        # takes two of them or more: C(2s+1, 2)(n-2s-1) + C(2s+1, 3) at k 3
+        (3, 10, 2, 10 * 5 + 10), (3, 11, 2, 10 * 6 + 10), (3, 14, 3, 21 * 7 + 35),
+        (3, 17, 4, 36 * 8 + 84),
+        # C(5, 2)C(8, 2) + C(5, 3)C(8, 1) + C(5, 4) at k 4
+        (4, 13, 2, 10 * 28 + 10 * 8 + 5),
+    ])
+    def test_a2_alone_is_the_maximum(self, k, n, s, top):
+        row = bound_table(n, k, [s])[0]
+        assert row.argmax == "a2" and row.a_bounds[0] == row.max_nontrivial == top
+        assert row.hm_bound < top and row.clique_bound < top
+
+    def test_hm_and_a2_tie(self):
+        # both are 3n - 8 at s 1, and both 80 at (12, 3, 2)
+        for n in range(7, 60):
+            row = bound_table(n)[0]
+            assert row.argmax == "hm,a2" and row.hm_bound == row.a_bounds[0] == 3 * n - 8
+        row = bound_table(12, 3, [2])[0]
+        assert row.argmax == "hm,a2" and row.max_nontrivial == 80
 
     def test_overtake_scan_oracle(self):
         n = 100
