@@ -1,18 +1,19 @@
 """Exact and fractional matching/cover solvers.
 
 Exact values come from one edge-bitset search kernel (``EdgeIndex``, shared
-with ``verify``) run by iterative deepening; a pure enumeration oracle (no
-pruning at all) sits behind ``exhaustive=True`` and is the ground truth in
-tests. The deepening for nu stops at floor(tau*) of the certified LP pair
-below, so the last, failing search is skipped whenever that floor is
-reached. The cover search skips, below the later branches of a node, every
-vertex whose own branch there failed; those branches could only fail, so it
-returns what the plain search returns. The fractional matching and cover
-numbers come together from one sparse HiGHS solve of the cover LP, on the
-edge rows that bind (row generation); in rational mode its answer is
-rounded over one common denominator and checked in integers over every
-edge, and the rational simplex (``_matching_simplex``, ``_cover_simplex``)
-is both the fallback and the ground truth in tests.
+with ``verify`` and ``rounding``) run by iterative deepening; a pure
+enumeration oracle (no pruning at all) sits behind ``exhaustive=True`` and
+is the ground truth in tests. The deepening for nu stops at floor(tau*) of
+the certified LP pair below, so the last, failing search is skipped
+whenever that floor is reached. The cover search skips, below the later
+branches of a node, every vertex whose own branch there failed; those
+branches could only fail, so it returns what the plain search returns. The
+fractional matching and cover numbers come together from one sparse HiGHS
+solve of the cover LP, on the edge rows that bind (row generation); in
+rational mode its answer is rounded over one common denominator and checked
+in integers over every edge, and the rational simplex
+(``_matching_simplex``, ``_cover_simplex``) is both the fallback and the
+ground truth in tests.
 """
 
 from __future__ import annotations
@@ -132,17 +133,18 @@ INC_BLOCK_BYTES = 1 << 20
 class EdgeIndex:
     """Edge bitsets over a fixed edge list: bit i of a set stands for edge i.
 
-    Edge i is row i of ``verts``, an (m, k) integer array, and the index
-    builds no Python object per edge: a search that reads many rows takes one
-    ``verts.tolist()`` per call. ``inc[v]`` holds the edges through vertex v
-    and ``disj[i]`` the edges disjoint from edge i (built by the first
-    ``disjoint_rows`` or ``packing`` call). ``packing`` and ``cover`` answer
-    the paper's two questions, nu <= s and tau > s, on any edge subset.
+    Edge i is row i of ``verts``, an (m, k) integer array over the vertices
+    1..n. ``inc[v]`` holds the edges through vertex v; ``disj[i]``, the edges
+    disjoint from edge i, and ``rows``, the edges' vertex lists, are built on
+    first use. ``packing`` and ``cover`` answer the paper's two questions,
+    nu <= s and tau > s, on any edge subset, and ``perfect`` finds the
+    rounding pipeline's perfect matchings. Only this class reads its tables.
     """
 
-    __slots__ = ("verts", "full", "inc", "disj")
+    __slots__ = ("n", "k", "verts", "full", "inc", "disj", "rows")
 
     def __init__(self, n: int, verts: np.ndarray):
+        self.n, self.k = n, verts.shape[1]
         self.verts = verts
         m = len(verts)
         self.full = (1 << m) - 1
@@ -159,6 +161,7 @@ class EdgeIndex:
         self.inc = [int.from_bytes(row, "little") for row in packed]
         # m^2 bits in all, so left to the first search that needs them
         self.disj: list[int] | None = None
+        self.rows: list[list[int]] | None = None
 
     def meeting(self, vs) -> int:
         """The edges through any of the vertices vs."""
@@ -167,10 +170,30 @@ class EdgeIndex:
             row |= inc[v]
         return row
 
+    def containing(self, vs) -> int:
+        """The edges through every one of the vertices vs."""
+        inc, row = self.inc, self.full
+        for v in vs:
+            row &= inc[v]
+        return row
+
+    def without_pairs(self, live: int, pairs) -> int:
+        """The edges of `live` that hold none of the vertex pairs."""
+        inc = self.inc
+        for x, y in pairs:
+            live &= ~(inc[x] & inc[y])
+        return live
+
+    def vertex_rows(self) -> list[list[int]]:
+        """``rows``, built on first use: row i lists the vertices of edge i."""
+        if self.rows is None:
+            self.rows = self.verts.tolist()
+        return self.rows
+
     def disjoint_rows(self) -> list[int]:
         """``disj``, built on first use: row i holds the edges disjoint from edge i."""
         if self.disj is None:
-            self.disj = [self.full & ~self.meeting(vs) for vs in self.verts.tolist()]
+            self.disj = [self.full & ~self.meeting(vs) for vs in self.vertex_rows()]
         return self.disj
 
     def packing(self, sub: int, need: int, nodes: int | None = None) -> list[int] | None:
@@ -207,20 +230,16 @@ class EdgeIndex:
         finally:
             del rec  # rec reaches itself through its cell: free it without the cyclic GC
 
-    def cover(self, sub: int, budget: int, rows: list | None = None) -> list[int] | None:
+    def cover(self, sub: int, budget: int) -> list[int] | None:
         """At most `budget` vertices meeting every edge of the subset, or None.
 
         The search branches on the vertices of the lowest edge left. Once the
         branch on v fails, no cover of the subset within the budget holds v,
         so the later branches and everything below them skip v: bit v of
         ``failed`` says so. Skipped branches can only fail, so the search
-        returns what it would without the skip. A caller that calls it
-        repeatedly passes ``rows``, the edges' vertices as ``verts.tolist()``
-        gives them, so they are listed once.
+        returns what it would without the skip.
         """
-        inc = self.inc
-        if rows is None:
-            rows = self.verts.tolist()
+        inc, rows = self.inc, self.vertex_rows()
 
         def rec(sub: int, budget: int, failed: int) -> list[int] | None:
             if sub == 0:
@@ -243,6 +262,60 @@ class EdgeIndex:
             return rec(sub, budget, 0)
         finally:
             del rec  # rec reaches itself through its cell: free it without the cyclic GC
+
+    def perfect(
+        self, live: int, free: list[int], nodes: int = 200_000
+    ) -> tuple[str, list[int] | None, int]:
+        """Edges of `live` that cover each vertex of `free` once and no other.
+
+        Branches on the vertex of `free` with the fewest live edges left (the
+        fewest-options rule of exact cover), the first such in `free`'s
+        order, trying its edges in index order; a vertex with none ends the
+        branch at once. Returns (outcome, edge ids ascending, nodes entered):
+        outcome "found", "none" when no such matching exists, or "budget"
+        when the search would enter more than `nodes` nodes.
+        """
+        if len(free) % self.k:
+            return "none", None, 0
+        inc, verts, meeting = self.inc, self.verts, self.meeting
+        live &= ~meeting(set(range(1, self.n + 1)).difference(free))
+        left = nodes + 1
+
+        def dfs(free: list[int], live: int) -> list[int] | None:
+            nonlocal left
+            left -= 1
+            if not left:
+                raise BudgetExceeded(f"perfect-matching search passed {nodes} nodes")
+            if not free:
+                return []
+            fewest = None
+            for v in free:
+                opts = live & inc[v]
+                c = opts.bit_count()
+                if c == 0:
+                    return None
+                if fewest is None or c < fewest:
+                    fewest, best = c, opts
+            while best:
+                low = best & -best
+                best ^= low
+                i = low.bit_length() - 1
+                vs = verts[i].tolist()
+                got = dfs([u for u in free if u not in vs], live & ~meeting(vs))
+                if got is not None:
+                    got.append(i)
+                    return got
+            return None
+
+        try:
+            picks = dfs(free, live)
+        except BudgetExceeded:
+            return "budget", None, nodes
+        finally:
+            del dfs  # dfs reaches itself through its cell: free it without the cyclic GC
+        if picks is None:
+            return "none", None, nodes + 1 - left
+        return "found", sorted(picks), nodes + 1 - left
 
 
 def _greedy_matching(edges: Iterable[Iterable[int]]) -> list[int]:
@@ -274,8 +347,10 @@ def max_matching(
     then goes on without a budget and stops at that bound, so it never runs
     the size that must fail. If the bound is not proven, the search alone
     decides. Every search that finishes returns the same witness, budget or
-    not.
+    not. A negative ``limit`` raises ``ValueError``.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit={limit} must be at least 0")
     if exhaustive:
         return _matching_oracle(h, limit)
     verts = h.vertex_array()
@@ -328,17 +403,18 @@ def min_vertex_cover(
     """Smallest vertex set meeting every edge.
 
     With ``limit``: if tau <= limit the exact value and witness come back,
-    otherwise (limit+1, None) signals tau > limit.
+    otherwise (limit+1, None) signals tau > limit. A negative ``limit``
+    raises ``ValueError``.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit={limit} must be at least 0")
     if exhaustive:
         return _cover_oracle(h, limit)
     cap = h.n if limit is None else limit
-    verts = h.vertex_array()
-    index = EdgeIndex(h.n, verts)
-    rows = verts.tolist()
+    index = EdgeIndex(h.n, h.vertex_array())
     # a matching needs one cover vertex per edge, so its size bounds tau below
-    for budget in range(len(_greedy_matching(rows)), cap + 1):
-        got = index.cover(index.full, budget, rows)
+    for budget in range(len(_greedy_matching(index.vertex_rows())), cap + 1):
+        got = index.cover(index.full, budget)
         if got is not None:
             return len(got), VertexCover(frozenset(got))
     return cap + 1, None

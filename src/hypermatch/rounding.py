@@ -36,7 +36,7 @@ from math import comb
 import numpy as np
 
 from .constructions import augment_universal
-from .core import BudgetExceeded, Hypergraph, edge_mask
+from .core import Hypergraph
 from .optimize import EdgeIndex, Matching, fractional_perfect_matching
 
 _EPS = 1e-12
@@ -99,7 +99,7 @@ class FPMFamily:
 
     def heavy_pairs_by_vertex(self) -> dict[int, int]:
         """How many threshold-crossing pairs each vertex belongs to."""
-        counts = (self.pair_load >= self.threshold - _EPS).sum(axis=1).tolist()
+        counts = _dead_pairs_by_vertex(self.pair_load, self.threshold)
         return dict(enumerate(counts[1:], start=1))
 
     def max_pair_load(self) -> float:
@@ -136,86 +136,15 @@ def _uniforms(rng: random.Random, m: int) -> np.ndarray:
     return (a * 67108864.0 + b) / 9007199254740992.0
 
 
-def _without_pairs(inc: list[int], live: int, pairs) -> int:
-    """The live edges that hold none of the vertex pairs, as a bitset."""
-    for x, y in pairs:
-        live &= ~(inc[x] & inc[y])  # inc[x] & inc[y]: the edges through x and y
-    return live
-
-
-def _find_perfect_matching(
-    index: EdgeIndex,
-    live: int,
-    n: int,
-    k: int,
-    covered0: int = 0,
-    budget: int = 200_000,
-) -> tuple[str, list[int] | None, int]:
-    """A matching of live edges covering exactly the vertices outside covered0.
-
-    Branches on the uncovered vertex with the fewest live edges left (the
-    fewest-options rule of exact cover), trying its edges in index order; a
-    vertex with none ends the branch at once. Returns (outcome, edge ids in
-    index order, nodes): outcome "found", "none" when no such matching
-    exists, or "budget" when the search gave up after `budget` nodes.
-    """
-    inc, verts, meeting = index.inc, index.verts, index.meeting
-    free = []
-    for v in range(1, n + 1):
-        if covered0 >> (v - 1) & 1:
-            live &= ~inc[v]
-        else:
-            free.append(v)
-    if len(free) % k != 0:
-        return "none", None, 0
-    nodes = 0
-
-    def dfs(free: list[int], live: int) -> list[int] | None:
-        nonlocal nodes
-        if nodes == budget:
-            raise BudgetExceeded(f"perfect-matching search passed {budget} nodes")
-        nodes += 1
-        if not free:
-            return []
-        fewest = None
-        for v in free:
-            opts = live & inc[v]
-            c = opts.bit_count()
-            if c == 0:
-                return None
-            if fewest is None or c < fewest:
-                fewest, best = c, opts
-        while best:
-            low = best & -best
-            best ^= low
-            i = low.bit_length() - 1
-            vs = verts[i].tolist()
-            got = dfs([u for u in free if u not in vs], live & ~meeting(vs))
-            if got is not None:
-                got.append(i)
-                return got
-        return None
-
-    try:
-        picks = dfs(free, live)
-    except BudgetExceeded:
-        return "budget", None, nodes
-    finally:
-        del dfs  # dfs reaches itself through its cell: free it without the cyclic GC
-    if picks is None:
-        return "none", None, nodes
-    return "found", sorted(picks), nodes
+def _dead_pairs_by_vertex(pair_load: np.ndarray, threshold: float) -> list[int]:
+    """Entry v counts the dead pairs through vertex v; entry 0 is unused."""
+    return (pair_load >= threshold - _EPS).sum(axis=1).tolist()
 
 
 def _pick_gadget_vertices(
-    n: int,
-    g: int,
-    heavy: list[int],
-    index: EdgeIndex,
-    live: int,
-    banned_mask: int = 0,
+    index: EdgeIndex, g: int, heavy: list[int], live: int, taken: tuple[int, ...] = ()
 ) -> tuple[str, tuple[int, ...] | None]:
-    """A g-set whose C(g,3) triples are all live.
+    """A g-set outside `taken` whose C(g,3) triples are all live.
 
     ``heavy[v]`` counts the dead pairs through vertex v; candidates are tried
     with the vertices in fewest dead pairs first. ``live`` holds no edge
@@ -224,29 +153,20 @@ def _pick_gadget_vertices(
     ("found", the set), ("none", None) once every candidate failed, or
     ("budget", None) after 5000 candidates.
     """
-    ranked = [
-        v
-        for v in sorted(range(1, n + 1), key=lambda u: (heavy[u], u))
-        if not banned_mask & (1 << (v - 1))
-    ]
-    inc = index.inc
+    order = sorted(range(1, index.n + 1), key=lambda u: (heavy[u], u))
+    ranked = [v for v in order if v not in taken]
     tried = 0
     for cand in combinations(ranked, g):
         tried += 1
         if tried > 5000:
             return "budget", None
-        if all(inc[a] & inc[b] & inc[c] & live for a, b, c in combinations(cand, 3)):
+        if all(index.containing(t) & live for t in combinations(cand, 3)):
             return "found", cand
     return "none", None
 
 
 def _near_integral_round(
-    n: int,
-    index: EdgeIndex,
-    perm: list[int],
-    live: int,
-    pair_load: np.ndarray,
-    threshold: float,
+    index: EdgeIndex, perm: list[int], live: int, pair_load: np.ndarray, threshold: float,
     rec: RoundRecord,
 ) -> np.ndarray | None:
     """An integral matching on most vertices plus uniform 4-blocks on the rest.
@@ -261,23 +181,24 @@ def _near_integral_round(
     The search outcomes go into ``rec``. Edge i of the index is edge
     ``perm[i]`` of the member vector.
     """
+    n = index.n
     rem = n % 3
     blocks = [4] * rem
     if (n - 4 * rem) // 3 + rem < 4 and rem:
         return None  # too few blocks for a feasible follow-up round
     if blocks:  # each vertex's dead pairs rank the gadget candidates
-        heavy = (pair_load >= threshold - _EPS).sum(axis=1).tolist()
-    inc = index.inc
+        heavy = _dead_pairs_by_vertex(pair_load, threshold)
     weights = np.zeros(len(perm))
-    gmask = 0
+    taken: tuple[int, ...] = ()
     for g in blocks:
-        rec.gadget, gadget = _pick_gadget_vertices(n, g, heavy, index, live, banned_mask=gmask)
+        rec.gadget, gadget = _pick_gadget_vertices(index, g, heavy, live, taken)
         if gadget is None:
             return None
-        gmask |= edge_mask(gadget)
-        for a, b, c in combinations(gadget, 3):  # the one edge through a, b and c
-            weights[perm[(inc[a] & inc[b] & inc[c]).bit_length() - 1]] = 1.0 / 3.0
-    rec.matching, pm, rec.nodes = _find_perfect_matching(index, live, n, 3, gmask)
+        taken += gadget
+        for t in combinations(gadget, 3):  # the one edge through the triple
+            weights[perm[index.containing(t).bit_length() - 1]] = 1.0 / 3.0
+    free = [v for v in range(1, n + 1) if v not in taken]
+    rec.matching, pm, rec.nodes = index.perfect(live, free)
     if pm is None:
         return None
     weights[[perm[i] for i in pm]] = 1.0
@@ -368,7 +289,7 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         rounds.append(rec)
         weights: np.ndarray | None = None
         if k == 3:
-            weights = _near_integral_round(n, index, perm, live, pair_load, threshold, rec)
+            weights = _near_integral_round(index, perm, live, pair_load, threshold, rec)
         if weights is None:
             pos = sorted(perm[i] for i in _bits(live))
             v = allv[pos]
@@ -403,7 +324,7 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         newly = set(zip(x[died].tolist(), y[died].tolist()))
         n_dead += len(newly)
         before = live.bit_count()
-        live = _without_pairs(index.inc, live, newly)
+        live = index.without_pairs(live, newly)
         heavy_total.append(n_dead)
         removed_total.append(
             (removed_total[-1] if removed_total else 0) + before - live.bit_count()
@@ -545,7 +466,7 @@ def near_perfect_matching(
     near-perfectness is promised; the caller inspects the size.
     """
     index = EdgeIndex(h.n, h.vertex_array())
-    rows, meeting = index.verts.tolist(), index.meeting
+    rows, meeting = index.vertex_rows(), index.meeting
     live = index.full  # the edges disjoint from every chosen one
     chosen: list[int] = []
 

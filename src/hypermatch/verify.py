@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -58,8 +58,6 @@ class _Searcher:
     index, shared by both search methods."""
 
     def __init__(self, n: int, k: int, s: int, constraint: str):
-        if constraint not in (NU_LE_S, NU_LE_S_TAU_GT_S):
-            raise ValueError(f"unknown constraint {constraint!r}")
         self.n, self.k, self.s = n, k, s
         self.constraint = constraint
         verts = np.array(list(combinations(range(1, n + 1), k)), dtype=np.intp).reshape(-1, k)
@@ -87,12 +85,9 @@ class _Searcher:
         one of these masks holds the whole family: such a cover meets each
         of M0's s disjoint blocks, so it takes one vertex from each.
         """
-        inc, k = self.index.inc, self.k
-        hits = [0]
-        for j in range(self.s):
-            block = range(j * k + 1, j * k + k + 1)
-            hits = [hit | inc[v] for hit in hits for v in block]
-        return hits
+        k = self.k
+        blocks = [range(j * k + 1, j * k + k + 1) for j in range(self.s)]
+        return [self.index.meeting(t) for t in product(*blocks)]
 
     def to_graph(self, sub: int) -> Hypergraph:
         picked = [i for i in range(self.m) if sub >> i & 1]
@@ -124,18 +119,22 @@ def verify_extremal(
     # NaN would never trip the deadline, and a negative budget is no budget
     if budget_ms is not None and not (math.isfinite(budget_ms) and budget_ms >= 0):
         raise ValueError(f"budget_ms={budget_ms} must be a finite number >= 0")
-    searcher = _Searcher(n, k, s, constraint)
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    if constraint not in (NU_LE_S, NU_LE_S_TAU_GT_S):
+        raise ValueError(f"unknown constraint {constraint!r}")
     if method == "exhaustive":
-        if searcher.m > EXHAUSTIVE_EDGE_GUARD:
+        # refused before the k-sets and their index are built: both grow as C(n, k)
+        edges = math.comb(n, k)
+        if edges > EXHAUSTIVE_EDGE_GUARD:
             raise BudgetExceeded(
-                f"exhaustive search refuses C(n,k)={searcher.m} > {EXHAUSTIVE_EDGE_GUARD} edges"
+                f"exhaustive search refuses C(n,k)={edges} > {EXHAUSTIVE_EDGE_GUARD} edges"
             )
         search = _search_exhaustive
     elif method == "pruned":
         search = _search_maximal
     else:
         raise ValueError(f"unknown method {method!r}")
+    searcher = _Searcher(n, k, s, constraint)
+    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     max_edges, subs, checked, status = search(searcher, deadline)
     bound = _bound_target(n, k, s, constraint)
     return VerifyResult(

@@ -80,6 +80,13 @@ class TestMaxMatching:
         value, witness = max_matching(h, limit=2)
         assert value == 2 and witness.size == 2
 
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    @pytest.mark.parametrize("limit", [-1, -2])
+    def test_negative_limit_is_refused(self, limit, exhaustive):
+        # greedy[:-1] once reported nu = 2 on K_9^3, whose nu is 3
+        with pytest.raises(ValueError, match=f"limit={limit}"):
+            max_matching(complete_graph(9, 3), limit=limit, exhaustive=exhaustive)
+
     def test_empty(self):
         assert max_matching(Hypergraph(5, 3, []))[0] == 0
 
@@ -317,9 +324,10 @@ class TestMinVertexCover:
         h = cover_family(16, 3, 3)
         real, seen = EdgeIndex.cover, []
 
-        def spy(index, sub, budget, rows=None):
-            seen.append(rows)
-            return real(index, sub, budget, rows)
+        def spy(index, sub, budget):
+            got = real(index, sub, budget)
+            seen.append(index.vertex_rows())
+            return got
 
         monkeypatch.setattr(EdgeIndex, "cover", spy)
         assert min_vertex_cover(h)[0] == 3
@@ -336,6 +344,12 @@ class TestMinVertexCover:
         h = hilton_milner_family(10, 3, 2)
         value, witness = min_vertex_cover(h, limit=5)
         assert value == 3 and witness is not None
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_negative_limit_is_refused(self, exhaustive):
+        # limit -1 once came back as (0, None) on any graph
+        with pytest.raises(ValueError, match="limit=-1"):
+            min_vertex_cover(complete_graph(6, 3), limit=-1, exhaustive=exhaustive)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_oracle(self, seed):
@@ -423,6 +437,15 @@ class TestEdgeIndex:
         cover = index.cover(sub, tau)
         VertexCover(frozenset(cover)).validate(g)
         assert tau == 0 or index.cover(sub, tau - 1) is None
+
+    @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(max_n=9, k=k)), st.data())
+    def test_containing_and_meeting_match_the_per_edge_definitions(self, h, data):
+        index = EdgeIndex(h.n, h.vertex_array())
+        vs = data.draw(st.lists(st.integers(1, h.n), max_size=h.k + 1))
+        assert index.containing(vs) == sum(1 << i for i, e in enumerate(h.edges) if set(vs) <= set(e))
+        assert index.meeting(vs) == sum(1 << i for i, e in enumerate(h.edges) if set(vs) & set(e))
+        assert index.rows is None and index.vertex_rows() == [list(e) for e in h.edges]
+        assert index.vertex_rows() is index.rows
 
     def test_searches_leave_no_reference_cycles(self):
         # the recursive closures are freed by reference counting alone, found,

@@ -23,11 +23,9 @@ from hypermatch.core import (
 from hypermatch.optimize import EdgeIndex, max_matching
 from hypermatch.rounding import (
     ROUND_PATHS,
-    _find_perfect_matching,
     _pick_gadget_vertices,
     _uniform_round_budget,
     _uniforms,
-    _without_pairs,
     choose_augmentation,
     extract_fpm_family,
     mix_and_halve,
@@ -423,12 +421,17 @@ class TestPipeline:
         assert a.matching == b.matching and a.status == b.status
 
 
+def _free(n, covered):
+    """The vertices 1..n outside the bitmask `covered`, ascending."""
+    return [v for v in range(1, n + 1) if not covered >> (v - 1) & 1]
+
+
 class TestFindPerfectMatching:
     def test_covers_exactly_the_complement(self):
         h = complete_graph(10, 3)
         index = EdgeIndex(h.n, h.vertex_array())
         covered0 = edge_mask((2, 5, 9, 10))  # six vertices left: two edges
-        outcome, pm, _ = _find_perfect_matching(index, index.full, h.n, 3, covered0)
+        outcome, pm, _ = index.perfect(index.full, _free(h.n, covered0))
         assert outcome == "found"
         used = 0
         for i in pm:
@@ -441,7 +444,7 @@ class TestFindPerfectMatching:
         h = complete_graph(10, 3)
         index = EdgeIndex(h.n, h.vertex_array())
         covered0 = edge_mask((2, 5, 9))  # seven vertices left
-        assert _find_perfect_matching(index, index.full, h.n, 3, covered0) == ("none", None, 0)
+        assert index.perfect(index.full, _free(h.n, covered0)) == ("none", None, 0)
 
     @given(hypergraphs(max_n=9), st.data())
     def test_matches_the_exhaustive_oracle_on_small_graphs(self, h, data):
@@ -454,7 +457,7 @@ class TestFindPerfectMatching:
         else:  # leave a multiple of three vertices uncovered
             order = data.draw(st.permutations(range(1, h.n + 1)))
             covered0 = edge_mask(order[3 * data.draw(st.integers(0, h.n // 3)) :])
-        outcome, pm, _ = _find_perfect_matching(index, live, h.n, 3, covered0)
+        outcome, pm, _ = index.perfect(live, _free(h.n, covered0))
         usable = [
             e
             for i, e in enumerate(h.edges)
@@ -476,21 +479,21 @@ class TestFindPerfectMatching:
     def test_tiny_budget_is_budget_not_none(self):
         h = complete_graph(12, 3)
         index = EdgeIndex(h.n, h.vertex_array())
-        assert _find_perfect_matching(index, index.full, h.n, 3, budget=2) == ("budget", None, 2)
+        assert index.perfect(index.full, list(h.vertices()), nodes=2) == ("budget", None, 2)
         # an isolated vertex is a proof of none at the root, inside any budget
         h = Hypergraph(9, 3, [e for e in complete_graph(9, 3).edges if 9 not in e])
         index = EdgeIndex(h.n, h.vertex_array())
-        assert _find_perfect_matching(index, index.full, h.n, 3, budget=1) == ("none", None, 1)
+        assert index.perfect(index.full, list(h.vertices()), nodes=1) == ("none", None, 1)
 
     def test_leaves_no_reference_cycles(self):
         # the recursive dfs closure is freed by reference counting alone,
         # found or over the node budget
         h = complete_graph(9, 3)
         index = EdgeIndex(h.n, h.vertex_array())
-        found = lambda: _find_perfect_matching(index, index.full, h.n, 3)
+        found = lambda: index.perfect(index.full, list(h.vertices()))
         assert found()[0] == "found"
         assert cyclic_garbage(found) == 0
-        assert cyclic_garbage(lambda: _find_perfect_matching(index, index.full, h.n, 3, budget=2)) == 0
+        assert cyclic_garbage(lambda: index.perfect(index.full, list(h.vertices()), nodes=2)) == 0
 
 
 def _per_edge_uniform(h, rounds):
@@ -537,7 +540,7 @@ class TestExtractionIndex:
             assert len(set(loads)) == 1
             assert all(abs(load - want) < 1e-12 for load in loads)
 
-    @given(hypergraphs(max_n=9), st.data())
+    @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(max_n=9, k=k)), st.data())
     def test_dead_pair_kill_matches_the_per_edge_definition(self, h, data):
         index = EdgeIndex(h.n, h.vertex_array())
         live = data.draw(st.integers(0, index.full))
@@ -548,7 +551,7 @@ class TestExtractionIndex:
             for i, e in enumerate(h.edges)
             if live >> i & 1 and not any(set(p) <= set(e) for p in pairs)
         )
-        assert _without_pairs(index.inc, live, pairs) == want
+        assert index.without_pairs(live, pairs) == want
 
     @pytest.mark.parametrize(
         "h, t",
@@ -598,22 +601,24 @@ class TestPickGadget:
         h = complete_graph(20, 3)
         index = EdgeIndex(h.n, h.vertex_array())
         heavy = [0] * 21  # no live triple: C(20, 4) = 4845 candidates
-        assert _pick_gadget_vertices(20, 4, heavy, index, 0) == ("none", None)
+        assert _pick_gadget_vertices(index, 4, heavy, 0) == ("none", None)
 
     def test_budget_after_five_thousand_candidates(self):
         h = complete_graph(21, 3)
         index = EdgeIndex(h.n, h.vertex_array())
         heavy = [0] * 22  # no live triple: C(21, 4) = 5985 candidates
-        assert _pick_gadget_vertices(21, 4, heavy, index, 0) == ("budget", None)
+        assert _pick_gadget_vertices(index, 4, heavy, 0) == ("budget", None)
 
     def test_found_needs_live_triples(self):
         h = complete_graph(10, 3)
         index = EdgeIndex(h.n, h.vertex_array())
         heavy = [0] * 11
-        outcome, cand = _pick_gadget_vertices(10, 4, heavy, index, index.full)
+        outcome, cand = _pick_gadget_vertices(index, 4, heavy, index.full)
         assert (outcome, cand) == ("found", (1, 2, 3, 4))
         live = index.full & ~(1 << h.edges.index((1, 2, 3)))
-        assert _pick_gadget_vertices(10, 4, heavy, index, live) == ("found", (1, 2, 4, 5))
+        assert _pick_gadget_vertices(index, 4, heavy, live) == ("found", (1, 2, 4, 5))
+        # vertices already taken are never picked
+        assert _pick_gadget_vertices(index, 4, heavy, live, (2,)) == ("found", (1, 3, 4, 5))
 
 
 def _diag(r, t, n_aug, status, members, attempts, paths, nodes, load, rest=None):

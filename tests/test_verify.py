@@ -174,6 +174,17 @@ class TestVerifyExtremal:
         with pytest.raises(BudgetExceeded):
             verify_extremal(8, 3, 2)  # C(8,3) = 56 edges
 
+    def test_guard_refuses_before_the_k_sets_are_built(self, monkeypatch):
+        # the edge list and its index grow as C(n, k): n 200 once took 0.8 s
+        # and 166 MiB to build before the guard refused it
+        built = []
+        monkeypatch.setattr(verify, "_Searcher", lambda *args: built.append(args))
+        with pytest.raises(BudgetExceeded, match="C\\(n,k\\)=1331334000 > 24"):
+            verify_extremal(2000, 3, 1)
+        with pytest.raises(ValueError, match="unknown constraint"):
+            verify_extremal(2000, 3, 1, "tau_le_s")
+        assert built == []
+
     def test_budget_refusal(self):
         res = verify_extremal(6, 3, 1, NU_LE_S_TAU_GT_S, budget_ms=0.001)
         assert res.status.startswith("budget refusal")
