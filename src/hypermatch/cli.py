@@ -47,18 +47,12 @@ def to_jsonable(obj):
             for f in dataclasses.fields(obj)
         }
     if isinstance(obj, dict):
-        return {_key(k): to_jsonable(v) for k, v in obj.items()}
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):
         return [to_jsonable(v) for v in sorted(obj)]
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     return obj
-
-
-def _key(k):
-    if isinstance(k, tuple):
-        return " ".join(map(str, k))
-    return str(k)
 
 
 def _tsv_cell(v) -> str:

@@ -6,7 +6,7 @@ so n and every id must fit intp. The edge tuples and the edge set are views
 built on first read; they serve the enumeration oracles and the reference
 routines. ``edge_mask`` gives an edge's vertex bitmask (bit v-1 for vertex
 v) to the routines that test disjointness and containment as integer
-operations, exactly for any n.
+operations, exactly for any n; ``bit_positions`` reads such bitsets back.
 """
 
 from __future__ import annotations
@@ -33,6 +33,18 @@ def edge_mask(e: Iterable[int]) -> int:
     for v in e:
         m |= 1 << (v - 1)
     return m
+
+
+def bit_positions(masks: Iterable[int], width: int) -> np.ndarray:
+    """The set bits of each Python-int bitset, mask after mask, each ascending,
+    as one intp array: the package's one bitset decoder. Bit i is bit i & 7 of
+    byte i >> 3 of a mask's ceil(width / 8) little-endian bytes; a wider mask
+    raises OverflowError. A Python int past int64 cannot shift by a numpy
+    integer, so callers that shift convert the positions with ``tolist()``."""
+    nbytes = max(1, (width + 7) >> 3)
+    data = b"".join([x.to_bytes(nbytes, "little") for x in masks])
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+    return np.nonzero(bits.reshape(-1, 8 * nbytes))[1]
 
 
 # a vertex array is intp, so every id, and n, must fit one
@@ -171,7 +183,8 @@ class Hypergraph:
         ts = [tuple(sorted(e)) for e in es]
         n, k, verts = self.n, self.k, self._verts
         out = [False] * len(ts)
-        # only k ids inside 1..n have a code; the row a code finds must equal t
+        # only k ids inside 1..n have a code; codes are injective on such
+        # k-tuples, repeats included, so the code a search finds must equal t's
         asked = [i for i, t in enumerate(ts) if len(t) == k and 1 <= t[0] and t[-1] <= n]
         if asked and len(verts):
             if self._codes is None:
@@ -179,9 +192,9 @@ class Hypergraph:
                 self._codes.flags.writeable = False
             codes = self._codes
             want = lex_codes(np.array([ts[i] for i in asked], dtype=codes.dtype), n)
-            pos = np.minimum(np.searchsorted(codes, want), len(codes) - 1).tolist()
-            for i, p in zip(asked, pos):
-                out[i] = tuple(verts[p].tolist()) == ts[i]
+            pos = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+            for i, hit in zip(asked, (codes[pos] == want).tolist()):
+                out[i] = hit
         return out
 
     def __eq__(self, other) -> bool:

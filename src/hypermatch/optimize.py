@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import lp
-from .core import BudgetExceeded, Edge, Hypergraph, edge_mask
+from .core import BudgetExceeded, Edge, Hypergraph, bit_positions, edge_mask
 
 ORACLE_GUARD = 20_000_000
 
@@ -162,6 +162,10 @@ class EdgeIndex:
         # m^2 bits in all, so left to the first search that needs them
         self.disj: list[int] | None = None
         self.rows: list[list[int]] | None = None
+
+    def ids(self, bits: int) -> list[int]:
+        """The edges of the bitset, ascending, as Python ints."""
+        return bit_positions((bits,), len(self.verts)).tolist()
 
     def meeting(self, vs) -> int:
         """The edges through any of the vertices vs."""

@@ -116,11 +116,6 @@ def _uniform_round_budget(n: int, k: int, threshold: float) -> int:
     return u
 
 
-def _bits(x: int) -> list[int]:
-    """The set bits of x, ascending."""
-    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
-
-
 def _uniforms(rng: random.Random, m: int) -> np.ndarray:
     """The next m values of ``rng.random()``, in order, from one draw.
 
@@ -291,7 +286,7 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         if k == 3:
             weights = _near_integral_round(index, perm, live, pair_load, threshold, rec)
         if weights is None:
-            pos = sorted(perm[i] for i in _bits(live))
+            pos = sorted(perm[i] for i in index.ids(live))
             v = allv[pos]
             sub = Hypergraph(n, k, v)
             objective = None
@@ -466,7 +461,7 @@ def near_perfect_matching(
     near-perfectness is promised; the caller inspects the size.
     """
     index = EdgeIndex(h.n, h.vertex_array())
-    rows, meeting = index.vertex_rows(), index.meeting
+    rows, meeting, ids = index.vertex_rows(), index.meeting, index.ids
     live = index.full  # the edges disjoint from every chosen one
     chosen: list[int] = []
 
@@ -477,18 +472,18 @@ def near_perfect_matching(
 
     if strategy == "greedy":
         while live:
-            take(min(_bits(live), key=lambda i: (live & meeting(rows[i])).bit_count()))
+            take(min(ids(live), key=lambda i: (live & meeting(rows[i])).bit_count()))
     elif strategy == "nibble":
         rng = random.Random(seed)
         for _ in range(math.ceil(10 * math.log(max(h.n, 2)))):
             if not live:
                 break
-            bite = [i for i in _bits(live) if rng.random() < _BITE_FRACTION]
+            bite = [i for i in ids(live) if rng.random() < _BITE_FRACTION]
             rng.shuffle(bite)  # first-come in random order settles conflicts
             for i in bite:
                 if live >> i & 1:
                     take(i)
-        for i in _bits(live):  # lex-first cleanup pass
+        for i in ids(live):  # lex-first cleanup pass
             if live >> i & 1:
                 take(i)
     else:

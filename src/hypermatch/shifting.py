@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import Edge, Hypergraph, edge_mask
+from .core import Edge, Hypergraph, bit_positions, edge_mask
 
 
 @dataclass
@@ -53,16 +53,6 @@ def shift_graph(h: Hypergraph, i: int, j: int) -> Hypergraph:
 
 def _label_sum(h: Hypergraph) -> int:
     return int(h.vertex_array().sum())
-
-
-def _mask_edge(m: int) -> Edge:
-    """Ascending vertex tuple of an edge bitmask (bit v-1 for vertex v)."""
-    e = []
-    while m:
-        low = m & -m
-        e.append(low.bit_length())
-        m ^= low
-    return tuple(e)
 
 
 def _closed(masks) -> bool:
@@ -113,7 +103,7 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, ShiftTrace]:
             trace.steps.extend(
                 (i, j, 0) for i in range(1, h.n) for j in range(i + 1, h.n + 1)
             )
-            out = Hypergraph(h.n, h.k, map(_mask_edge, masks))
+            out = Hypergraph(h.n, h.k, bit_positions(masks, h.n).reshape(-1, h.k) + 1)
             assert out.e() == h.e(), "shifts must preserve the edge count"
             assert _label_sum(out) == potential, "label sum must drop by j - i per move"
             return out, trace

@@ -15,7 +15,8 @@ its largest family passes that test. Below n = ks no family reaches
 nu = s, and K_n^k is the one family checked. Once it holds WITNESS_CAP
 families of the best size, it cuts every subtree that can only tie that
 size, since no such leaf would be reported; ``subsets_checked`` counts the
-maximal families it still visits.
+maximal families it still visits. Both paths refuse, before they list a
+k-set, a C(n, k) past their guard.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .core import BudgetExceeded, Hypergraph, _check_shape, lex_codes
 from .optimize import EdgeIndex, max_matching, min_vertex_cover
 
 EXHAUSTIVE_EDGE_GUARD = 24
+# the pruned search's disjointness table holds C(n, k)^2 bits: 32 MiB here
+PRUNED_EDGE_GUARD = 16384
 WITNESS_CAP = 4  # extremal families reported per call
 
 NU_LE_S = "nu_le_s"
@@ -90,8 +93,7 @@ class _Searcher:
         return [self.index.meeting(t) for t in product(*blocks)]
 
     def to_graph(self, sub: int) -> Hypergraph:
-        picked = [i for i in range(self.m) if sub >> i & 1]
-        return Hypergraph(self.n, self.k, self.index.verts[picked])
+        return Hypergraph(self.n, self.k, self.index.verts[self.index.ids(sub)])
 
 
 def _bound_target(n: int, k: int, s: int, constraint: str) -> int | None:
@@ -122,17 +124,16 @@ def verify_extremal(
     if constraint not in (NU_LE_S, NU_LE_S_TAU_GT_S):
         raise ValueError(f"unknown constraint {constraint!r}")
     if method == "exhaustive":
-        # refused before the k-sets and their index are built: both grow as C(n, k)
-        edges = math.comb(n, k)
-        if edges > EXHAUSTIVE_EDGE_GUARD:
-            raise BudgetExceeded(
-                f"exhaustive search refuses C(n,k)={edges} > {EXHAUSTIVE_EDGE_GUARD} edges"
-            )
-        search = _search_exhaustive
+        search, guard = _search_exhaustive, EXHAUSTIVE_EDGE_GUARD
     elif method == "pruned":
-        search = _search_maximal
+        search, guard = _search_maximal, PRUNED_EDGE_GUARD
     else:
         raise ValueError(f"unknown method {method!r}")
+    # refused before the k-sets and their index are built, and before the
+    # budget's clock starts: both grow as C(n, k)
+    edges = math.comb(n, k)
+    if edges > guard:
+        raise BudgetExceeded(f"{method} search refuses C(n,k)={edges} > {guard} edges")
     searcher = _Searcher(n, k, s, constraint)
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     max_edges, subs, checked, status = search(searcher, deadline)

@@ -192,6 +192,16 @@ def test_verify_exhaustive_refuses_large_n_without_building_it(capsys, monkeypat
     assert capsys.readouterr().err.startswith("budget refusal: exhaustive search refuses")
 
 
+def test_verify_pruned_refuses_large_n_without_building_it(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the k-sets were built")
+
+    monkeypatch.setattr(verify, "_Searcher", refuse)
+    argv = ["verify", "--n", "2000", "--k", "3", "--s", "1", "--pruned", "--budget-ms", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("budget refusal: pruned search refuses")
+
+
 def test_verify_budget_refusal(capsys):
     code, _ = run(capsys, "verify", "--n", "6", "--k", "3", "--s", "1", "--budget-ms", "0.001")
     assert code == 2

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from hypermatch import core
 from hypermatch.core import (
     Hypergraph,
+    bit_positions,
     complete_graph,
+    edge_mask,
     from_json_dict,
     random_hypergraph,
     read_hg,
@@ -489,9 +491,33 @@ def test_membership_agrees_with_the_edge_set(case, rnd):
     h = Hypergraph(n, k, lines)
     probes = [rnd.sample(range(1, n + 1), k) for _ in range(20)]  # edges and non-edges, any order
     probes += [e[::-1] for e in h.edges] + [(0,) * k, (n + 1,) * k, (1,), tuple(range(1, n + 1))]
+    probes.append((1,) + tuple(range(1, k)))  # a repeated vertex, such as (1, 1, 2)
     got = [p in h for p in probes]
     assert h._edge_set is None  # answered without building the set
     assert got == [tuple(sorted(p)) in h.edge_set for p in probes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 200).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.sets(st.integers(0, w - 1) if w else st.nothing()), max_size=4))
+))
+def test_bit_positions_round_trip(case):
+    """Widths 0 to 200, most of them not a multiple of 8: the decoder reads
+    back the positions ``edge_mask`` packed, as per-bit reads see them."""
+    width, sets = case
+    masks = [edge_mask(v + 1 for v in s) for s in sets]
+    got = bit_positions(masks, width)
+    assert got.tolist() == [v for s in sets for v in sorted(s)]
+    assert got.tolist() == [i for m in masks for i in range(width) if m >> i & 1]
+    for s, m in zip(sets, masks):
+        one = bit_positions((m,), width).tolist()
+        assert edge_mask(v + 1 for v in one) == m and one == sorted(s)
+
+
+def test_bit_positions_refuse_a_mask_past_the_width():
+    assert bit_positions((1 << 7,), 8).tolist() == [7]
+    with pytest.raises(OverflowError):
+        bit_positions((1 << 8,), 8)
 
 
 def _matching_outcome(m: Matching, h: Hypergraph) -> str | None:
@@ -511,6 +537,7 @@ def _membership_case(n: int, k: int, canon: list, rnd: random.Random) -> None:
     edges = set(canon)
     probes = [tuple(rnd.sample(range(1, n + 1), k)) for _ in range(20)]
     probes += [e[::-1] for e in canon] + [(0,) * k, (n + 1,) * k, (1,), tuple(range(1, k + 2))]
+    probes.append((1,) + tuple(range(1, k)))  # a repeated vertex
     want = [tuple(sorted(p)) in edges for p in probes]
     assert [p in tuples for p in probes] == want
     assert [p in born for p in probes] == want

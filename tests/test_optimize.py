@@ -392,6 +392,18 @@ class TestEdgeIndex:
                 meets = sum(1 << j for j, mj in enumerate(masks) if mi & mj)
                 assert index.meeting(index.verts[i].tolist()) == meets
 
+    @pytest.mark.parametrize("n, k", [(5, 2), (9, 3), (12, 3)])  # 10, 84 and 220 edges
+    def test_ids_are_the_set_bits_as_python_ints(self, n, k):
+        index = EdgeIndex(n, complete_graph(n, k).vertex_array())
+        m = len(index.verts)
+        assert index.ids(0) == []
+        assert index.ids(index.full) == list(range(m))
+        live = index.meeting([1, n])
+        got = index.ids(live)
+        assert got == [i for i in range(m) if live >> i & 1]
+        assert all(type(i) is int for i in got)  # a Python int past int64 shifts by them
+        assert sum(1 << i for i in got) == live
+
     @pytest.mark.parametrize("budget", [1, 200, optimize.INC_BLOCK_BYTES])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_packed_rows_equal_the_per_edge_rows(self, monkeypatch, budget, k):

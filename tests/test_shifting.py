@@ -237,6 +237,19 @@ def test_stabilize_matches_shift_graph_reference(h):
     assert_matches_reference(h)
 
 
+def test_stabilize_decodes_masks_past_int64():
+    # a 2-star through vertex 70, relabeled at random: the final family is
+    # {1, 2, x} for x in 3..70, so its masks hold bits up to 69
+    n = 70
+    star = Hypergraph(n, 3, [(1, 2, x) for x in range(3, n + 1)])
+    perm = list(range(1, n + 1))
+    random.Random(0).shuffle(perm)
+    h = relabel_graph(star, dict(zip(range(1, n + 1), perm)))
+    out, trace = stabilize(h)
+    assert out == star and sum(moved for *_, moved in trace.steps) > 0
+    assert_matches_reference(h)
+
+
 @settings(max_examples=80, deadline=None)
 @given(hypergraphs(max_n=7))
 def test_is_stable_matches_definition(h):

@@ -181,6 +181,11 @@ class TestVerifyExtremal:
         monkeypatch.setattr(verify, "_Searcher", lambda *args: built.append(args))
         with pytest.raises(BudgetExceeded, match="C\\(n,k\\)=1331334000 > 24"):
             verify_extremal(2000, 3, 1)
+        # the pruned search's guard also runs before its budget's clock starts
+        with pytest.raises(BudgetExceeded, match="pruned search refuses C\\(n,k\\)=1331334000 > 16384"):
+            verify_extremal(2000, 3, 1, method="pruned", budget_ms=1)
+        with pytest.raises(BudgetExceeded, match="C\\(n,k\\)=16471 > 16384"):
+            verify_extremal(182, 2, 1, method="pruned")  # the smallest n at k 2 past it
         with pytest.raises(ValueError, match="unknown constraint"):
             verify_extremal(2000, 3, 1, "tau_le_s")
         assert built == []
