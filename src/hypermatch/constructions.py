@@ -24,10 +24,7 @@ from .core import Hypergraph, _check_shape, lex_codes
 
 
 def _check_range(n: int, k: int, s: int) -> None:
-    if k < 2:
-        raise ValueError(f"k={k} must be at least 2")
-    if n < k:
-        raise ValueError(f"n={n} smaller than k={k}")
+    _check_shape(n, k)
     if s < 0:
         raise ValueError(f"s={s} must be nonnegative")
 

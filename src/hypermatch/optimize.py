@@ -137,7 +137,8 @@ class EdgeIndex:
     1..n. ``inc[v]`` holds the edges through vertex v; ``disj[i]``, the edges
     disjoint from edge i, and ``rows``, the edges' vertex lists, are built on
     first use. ``packing`` and ``cover`` answer the paper's two questions,
-    nu <= s and tau > s, on any edge subset, and ``perfect`` finds the
+    nu <= s and tau > s, on any edge subset, ``addable_after`` keeps
+    ``verify``'s walk below a matching ceiling, and ``perfect`` finds the
     rounding pipeline's perfect matchings. Only this class reads its tables.
     """
 
@@ -233,6 +234,37 @@ class EdgeIndex:
             return rec(sub, need)
         finally:
             del rec  # rec reaches itself through its cell: free it without the cyclic GC
+
+    def addable_after(self, s: int, sub: int, i: int, pool: int) -> int:
+        """The edges of `pool` that stay addable once edge i joins `sub`.
+
+        Assumes nu(sub | i) <= s and nu(sub | j) <= s for every j in `pool`.
+        A matching of s+1 edges in sub | i | j must then use both i and j, so j
+        stays addable unless it is disjoint from i and ``sub & disj[i] & disj[j]``
+        holds s-1 disjoint edges.
+        """
+        disj = self.disjoint_rows()
+        row = disj[i]
+        threatened = pool & row
+        if not threatened:
+            return pool
+        keep = pool & ~row
+        if s == 1:
+            return keep
+        if s == 2:
+            holds = bool  # any one edge is a packing of s-1 = 1
+        else:
+            def holds(edges: int) -> bool:
+                return self.packing(edges, s - 1) is not None
+        base = sub & row
+        if not holds(base):
+            return pool
+        while threatened:
+            low = threatened & -threatened
+            threatened ^= low
+            if not holds(base & disj[low.bit_length() - 1]):
+                keep |= low
+        return keep
 
     def cover(self, sub: int, budget: int) -> list[int] | None:
         """At most `budget` vertices meeting every edge of the subset, or None.

@@ -2,8 +2,11 @@
 
 verify_extremal maximizes e(H) over every H on [n] that satisfies the
 requested matching/cover constraint, then compares against the closed-form
-bounds. The default path enumerates all 2^C(n,k) edge subsets from the
-densest down and is the ground-truth oracle; the pruned path walks maximal
+bounds. Both paths are clients of one ``EdgeIndex`` over the k-sets of [n]
+and test families with its ``packing`` and ``cover`` kernel. The default
+path enumerates all 2^C(n,k) edge subsets from the densest down and is the
+reference for the pruned path's enumeration; ``revalidate_witnesses`` is the
+audit that shares no code with the kernel. The pruned path walks maximal
 constraint-satisfying families instead (the maximum is attained at one).
 For n >= ks it walks only the families that contain the fixed s-matching
 M0 = {1..k}, ..., {(s-1)k+1..sk}: every maximal family there has nu = s,
@@ -16,7 +19,8 @@ nu = s, and K_n^k is the one family checked. Once it holds WITNESS_CAP
 families of the best size, it cuts every subtree that can only tie that
 size, since no such leaf would be reported; ``subsets_checked`` counts the
 maximal families it still visits. Both paths refuse, before they list a
-k-set, a C(n, k) past their guard.
+k-set, a C(n, k) past their guard; the pruned path under the tau floor
+also refuses k^s > C(n, k) transversal masks at n >= ks.
 """
 
 from __future__ import annotations
@@ -26,10 +30,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-import numpy as np
-
 from .constructions import bound_report
-from .core import BudgetExceeded, Hypergraph, _check_shape, lex_codes
+from .core import BudgetExceeded, Hypergraph, _check_shape, complete_graph
 from .optimize import EdgeIndex, max_matching, min_vertex_cover
 
 EXHAUSTIVE_EDGE_GUARD = 24
@@ -54,46 +56,6 @@ class VerifyResult:
     method: str = "exhaustive"
     subsets_checked: int = 0
     status: str = "complete"
-
-
-class _Searcher:
-    """The k-sets of [n] as one vertex array in lex order, and its bitset
-    index, shared by both search methods."""
-
-    def __init__(self, n: int, k: int, s: int, constraint: str):
-        self.n, self.k, self.s = n, k, s
-        self.constraint = constraint
-        verts = np.array(list(combinations(range(1, n + 1), k)), dtype=np.intp).reshape(-1, k)
-        self.m = len(verts)
-        self.index = EdgeIndex(n, verts)
-
-    def satisfies(self, sub: int) -> bool:
-        if self.index.packing(sub, self.s + 1) is not None:
-            return False
-        if self.constraint == NU_LE_S_TAU_GT_S and self.index.cover(sub, self.s) is not None:
-            return False
-        return True
-
-    def fixed_matching(self) -> int:
-        """M0 = {1..k}, {k+1..2k}, ..., {(s-1)k+1..sk} as an edge bitset (n >= ks)."""
-        blocks = np.arange(1, self.k * self.s + 1).reshape(self.s, self.k)
-        # the rows are in lex order, which is the order of their lex codes
-        rows = np.searchsorted(lex_codes(self.index.verts, self.n), lex_codes(blocks, self.n))
-        return sum(1 << i for i in rows.tolist())
-
-    def transversal_hits(self) -> list[int]:
-        """The edges meeting T, for each transversal T of M0's blocks (n >= ks).
-
-        A family holding M0 has a cover of at most s vertices exactly when
-        one of these masks holds the whole family: such a cover meets each
-        of M0's s disjoint blocks, so it takes one vertex from each.
-        """
-        k = self.k
-        blocks = [range(j * k + 1, j * k + k + 1) for j in range(self.s)]
-        return [self.index.meeting(t) for t in product(*blocks)]
-
-    def to_graph(self, sub: int) -> Hypergraph:
-        return Hypergraph(self.n, self.k, self.index.verts[self.index.ids(sub)])
 
 
 def _bound_target(n: int, k: int, s: int, constraint: str) -> int | None:
@@ -134,12 +96,20 @@ def verify_extremal(
     edges = math.comb(n, k)
     if edges > guard:
         raise BudgetExceeded(f"{method} search refuses C(n,k)={edges} > {guard} edges")
-    searcher = _Searcher(n, k, s, constraint)
+    tau_floor = constraint == NU_LE_S_TAU_GT_S
+    # the tau floor's k^s transversal masks of C(n, k) bits each would
+    # outgrow the disjointness table the guard above bounds
+    if method == "pruned" and tau_floor and n >= k * s and k**s > edges:
+        raise BudgetExceeded(
+            f"pruned search refuses k^s={k**s} transversal masks > C(n,k)={edges} edges"
+        )
+    index = EdgeIndex(n, complete_graph(n, k).vertex_array())
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    max_edges, subs, checked, status = search(searcher, deadline)
+    max_edges, subs, checked, status = search(index, s, tau_floor, deadline)
+    witnesses = [Hypergraph(n, k, index.verts[index.ids(sub)]) for sub in subs]
     bound = _bound_target(n, k, s, constraint)
     return VerifyResult(
-        n, k, s, constraint, max_edges, [searcher.to_graph(sub) for sub in subs],
+        n, k, s, constraint, max_edges, witnesses,
         None if bound is None or max_edges is None else max_edges == bound,
         bound, method, checked, status,
     )
@@ -150,8 +120,8 @@ def verify_extremal(
 _Found = tuple[int | None, list[int], int, str]
 
 
-def _search_exhaustive(searcher: _Searcher, deadline: float | None) -> _Found:
-    m = searcher.m
+def _search_exhaustive(index: EdgeIndex, s: int, tau_floor: bool, deadline: float | None) -> _Found:
+    m = len(index.verts)
     checked = 0
     for size in range(m, -1, -1):
         hits: list[int] = []
@@ -162,48 +132,30 @@ def _search_exhaustive(searcher: _Searcher, deadline: float | None) -> _Found:
             sub = 0
             for i in combo:
                 sub |= 1 << i
-            if searcher.satisfies(sub):
-                hits.append(sub)
-                if len(hits) >= WITNESS_CAP:
-                    break
+            if index.packing(sub, s + 1) is not None:
+                continue
+            if tau_floor and index.cover(sub, s) is not None:
+                continue
+            hits.append(sub)
+            if len(hits) >= WITNESS_CAP:
+                break
         if hits:
             return size, hits, checked, "complete"
     return None, [], checked, "complete"
 
 
-def _addable_after(index: EdgeIndex, s: int, sub: int, i: int, pool: int) -> int:
-    """The edges of `pool` that stay addable once edge i joins `sub`.
+def _transversal_hits(index: EdgeIndex, k: int, s: int) -> list[int]:
+    """The edges meeting T, for each transversal T of M0's blocks (n >= ks).
 
-    Assumes nu(sub | i) <= s and nu(sub | j) <= s for every j in `pool`.
-    A matching of s+1 edges in sub | i | j must then use both i and j, so j
-    stays addable unless it is disjoint from i and ``sub & disj[i] & disj[j]``
-    holds s-1 disjoint edges.
+    A family holding M0 has a cover of at most s vertices exactly when
+    one of these masks holds the whole family: such a cover meets each
+    of M0's s disjoint blocks, so it takes one vertex from each.
     """
-    disj = index.disjoint_rows()
-    row = disj[i]
-    threatened = pool & row
-    if not threatened:
-        return pool
-    keep = pool & ~row
-    if s == 1:
-        return keep
-    if s == 2:
-        holds = bool  # any one edge is a packing of s-1 = 1
-    else:
-        def holds(edges: int) -> bool:
-            return index.packing(edges, s - 1) is not None
-    base = sub & row
-    if not holds(base):
-        return pool
-    while threatened:
-        low = threatened & -threatened
-        threatened ^= low
-        if not holds(base & disj[low.bit_length() - 1]):
-            keep |= low
-    return keep
+    blocks = [range(j * k + 1, j * k + k + 1) for j in range(s)]
+    return [index.meeting(t) for t in product(*blocks)]
 
 
-def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
+def _search_maximal(index: EdgeIndex, s: int, tau_floor: bool, deadline: float | None) -> _Found:
     """Walk maximal constraint-satisfying families.
 
     The edge-count maximum under a matching ceiling plus a cover floor is
@@ -213,34 +165,33 @@ def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
     Below n = ks every family has nu <= floor(n/k) < s, so K_n^k is the one
     maximal family and is checked directly.
 
-    For n >= ks the search starts at `sub` = M0 (`_Searcher.fixed_matching`)
-    with `cand` the edges that meet [ks]: a maximal family has nu = s, and a
-    relabeling of [n] moves any of its s-matchings onto M0 and keeps both
-    constraints, so the maximum is attained at a family holding M0. The
-    edges addable to M0 are exactly those meeting [ks], so the invariants
-    below hold at the root. The witnesses are extremal families holding M0.
+    For n >= ks the search starts at `sub` = M0 (each block of M0 is the one
+    edge containing all its vertices) with `cand` the edges that meet [ks]:
+    a maximal family has nu = s, and a relabeling of [n] moves any of its
+    s-matchings onto M0 and keeps both constraints, so the maximum is
+    attained at a family holding M0. The edges addable to M0 are exactly
+    those meeting [ks], so the invariants below hold at the root. The
+    witnesses are extremal families holding M0.
 
     `cand` and `banned` are edge bitsets, taken lowest bit first. The
     search keeps two invariants: the family `sub` has nu <= s, and every
     edge in `cand` or `banned` can be added to `sub` keeping nu <= s. So
-    adding an edge filters both sets with `_addable_after` alone, and a
-    leaf (`cand` empty) is maximal exactly when `banned` is empty. Every
-    leaf is a different family, so the witnesses are distinct.
+    adding an edge filters both sets with `EdgeIndex.addable_after` alone,
+    and a leaf (`cand` empty) is maximal exactly when `banned` is empty.
+    Every leaf is a different family, so the witnesses are distinct.
 
     Under the tau floor every node is cut when ``sub | cand`` has a cover
     of s vertices, which is then a transversal of M0
-    (`_Searcher.transversal_hits`): every leaf below is a subset of it, and
+    (`_transversal_hits`): every leaf below is a subset of it, and
     tau never drops as edges are added, so none of them has tau > s. At a
     leaf ``sub | cand`` is `sub`, so the same test decides the leaf.
     """
-    index = searcher.index
-    s = searcher.s
-    tau_floor = searcher.constraint == NU_LE_S_TAU_GT_S
-    if searcher.n < searcher.k * s:
+    k = index.k
+    if index.n < k * s:
         if tau_floor and index.cover(index.full, s) is not None:
             return None, [], 1, "complete"
-        return searcher.m, [index.full], 1, "complete"
-    hits = searcher.transversal_hits() if tau_floor else []
+        return len(index.verts), [index.full], 1, "complete"
+    hits = _transversal_hits(index, k, s) if tau_floor else []
     best_size = -1
     best_subs: list[int] = []
     checked = 0
@@ -267,12 +218,12 @@ def _search_maximal(searcher: _Searcher, deadline: float | None) -> _Found:
             return
         low = cand & -cand
         rest = cand ^ low
-        kept = _addable_after(index, s, sub, low.bit_length() - 1, rest | banned)
+        kept = index.addable_after(s, sub, low.bit_length() - 1, rest | banned)
         expand(sub | low, size + 1, kept & rest, kept & banned)
         expand(sub, size, rest, banned | low)
 
-    fixed = searcher.fixed_matching()
-    meets = index.meeting(range(1, searcher.k * s + 1))
+    fixed = sum(index.containing(range(j * k + 1, j * k + k + 1)) for j in range(s))
+    meets = index.meeting(range(1, k * s + 1))
     try:
         expand(fixed, s, meets & ~fixed, 0)
     except BudgetExceeded:

@@ -187,7 +187,7 @@ def test_verify_exhaustive_refuses_large_n_without_building_it(capsys, monkeypat
     def refuse(*args):
         raise AssertionError("the k-sets were built")
 
-    monkeypatch.setattr(verify, "_Searcher", refuse)
+    monkeypatch.setattr(verify, "complete_graph", refuse)
     assert main(["verify", "--n", "2000", "--k", "3", "--s", "1"]) == 2
     assert capsys.readouterr().err.startswith("budget refusal: exhaustive search refuses")
 
@@ -196,10 +196,14 @@ def test_verify_pruned_refuses_large_n_without_building_it(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the k-sets were built")
 
-    monkeypatch.setattr(verify, "_Searcher", refuse)
+    monkeypatch.setattr(verify, "complete_graph", refuse)
     argv = ["verify", "--n", "2000", "--k", "3", "--s", "1", "--pruned", "--budget-ms", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("budget refusal: pruned search refuses")
+    # under the tau floor, 2^18 transversal masks against C(40, 2) = 780 edges
+    argv = ["verify", "--n", "40", "--k", "2", "--s", "18", "--pruned", "--budget-ms", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("budget refusal: pruned search refuses k^s=262144")
 
 
 def test_verify_budget_refusal(capsys):
@@ -553,7 +557,8 @@ def test_gen_unwritable_output_is_an_output_error(tmp_path, capsys):
     [
         (["closeness", "--target", "clique", "--s", "5"], "clique core k(s+1)-1 = 17 exceeds n=8"),
         (["bounds", "--n", "10", "--k", "3", "--s", "0"], "s=0 must be at least 1"),
-        (["gen", "--family", "cover", "--n", "3", "--k", "5", "--s", "1"], "n=3 smaller than k=5"),
+        (["gen", "--family", "cover", "--n", "3", "--k", "5", "--s", "1"],
+         "uniformity k=5 exceeds vertex count n=3"),
         (["round", "--s", "1", "--t", "0"], "--t 0: need t >= 1 rounds"),
         (["verify", "--n", "5", "--k", "3", "--s", "0"], "s=0 must be at least 1"),
         (["verify", "--n", "5", "--k", "3", "--s", "0", "--pruned"], "s=0 must be at least 1"),

@@ -2,20 +2,20 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermatch.cli import render_report, to_jsonable
 from hypermatch.constructions import clique_family, hilton_milner_family
-from hypermatch.core import BudgetExceeded, Hypergraph
+from hypermatch.core import BudgetExceeded, Hypergraph, complete_graph, lex_codes
 from hypermatch.optimize import EdgeIndex, max_matching, min_vertex_cover
 import hypermatch.verify as verify
 from hypermatch.verify import (
     NU_LE_S,
     NU_LE_S_TAU_GT_S,
     WITNESS_CAP,
-    _addable_after,
     revalidate_witnesses,
     verify_extremal,
 )
@@ -178,7 +178,7 @@ class TestVerifyExtremal:
         # the edge list and its index grow as C(n, k): n 200 once took 0.8 s
         # and 166 MiB to build before the guard refused it
         built = []
-        monkeypatch.setattr(verify, "_Searcher", lambda *args: built.append(args))
+        monkeypatch.setattr(verify, "complete_graph", lambda *args: built.append(args))
         with pytest.raises(BudgetExceeded, match="C\\(n,k\\)=1331334000 > 24"):
             verify_extremal(2000, 3, 1)
         # the pruned search's guard also runs before its budget's clock starts
@@ -189,6 +189,30 @@ class TestVerifyExtremal:
         with pytest.raises(ValueError, match="unknown constraint"):
             verify_extremal(2000, 3, 1, "tau_le_s")
         assert built == []
+
+    @pytest.mark.parametrize("n,k,s", [(40, 2, 18), (20, 2, 8)])
+    def test_tau_floor_refuses_more_transversal_masks_than_edges(self, monkeypatch, n, k, s):
+        # 2^18 = 262144 > C(40,2) = 780 and 256 > 190: the masks would outgrow
+        # the disjointness table the C(n, k) guard bounds, so none is listed
+        listed = []
+        monkeypatch.setattr(verify, "_transversal_hits", lambda *args: listed.append(args))
+        monkeypatch.setattr(verify, "complete_graph", lambda *args: listed.append(args))
+        with pytest.raises(BudgetExceeded, match=f"k\\^s={k**s} transversal masks > C\\(n,k\\)="):
+            verify_extremal(n, k, s, NU_LE_S_TAU_GT_S, method="pruned", budget_ms=1)
+        assert listed == []
+
+    @pytest.mark.parametrize(
+        "n,k,s,constraint",
+        [
+            (20, 2, 7, NU_LE_S_TAU_GT_S),  # 128 masks <= 190 edges
+            (40, 2, 18, NU_LE_S),  # no tau floor, no masks
+            (20, 2, 8, NU_LE_S),
+        ],
+    )
+    def test_transversal_guard_spares_cells_it_does_not_bound(self, n, k, s, constraint):
+        # these run until their budget stops them
+        res = verify_extremal(n, k, s, constraint, method="pruned", budget_ms=1)
+        assert res.status == "budget refusal"
 
     def test_budget_refusal(self):
         res = verify_extremal(6, 3, 1, NU_LE_S_TAU_GT_S, budget_ms=0.001)
@@ -241,6 +265,10 @@ class TestPrunedSearch:
             pytest.param(5, 2, 3, NU_LE_S, 10, 1, (0x3FF,), id="5-2-3-nu"),
             # tau(K_5^3) = 3 <= s, so K_5^3 is checked and no family qualifies
             pytest.param(5, 3, 3, NU_LE_S_TAU_GT_S, None, 1, (), id="5-3-3-nutau"),
+            # k^s > C(n, k) (27 > 20, 64 > 55), yet no transversal mask is
+            # listed below n = ks, so the pruned search does not refuse them
+            pytest.param(6, 3, 3, NU_LE_S_TAU_GT_S, 20, 1, ((1 << 20) - 1,), id="6-3-3-nutau"),
+            pytest.param(11, 2, 6, NU_LE_S_TAU_GT_S, 55, 1, ((1 << 55) - 1,), id="11-2-6-nutau"),
         ],
     )
     def test_below_ks_the_search_starts_from_the_empty_family(
@@ -259,21 +287,34 @@ class TestPrunedSearch:
         # on families holding M0, some transversal's mask holds the family
         # exactly when the cover search finds s vertices, and exactly when
         # the enumeration oracle puts tau at most s
-        searcher = verify._Searcher(n, k, s, NU_LE_S_TAU_GT_S)
-        index, hits = searcher.index, searcher.transversal_hits()
+        index = EdgeIndex(n, complete_graph(n, k).vertex_array())
+        hits = verify._transversal_hits(index, k, s)
         assert len(hits) == k**s
-        fixed = searcher.fixed_matching()
+        fixed = sum(index.containing(block) for block in _fixed_matching(n, k, s))
         rnd = random.Random(n * 100 + k * 10 + s)
         seen = set()
         for trial in range(60):
             p = (trial % 6 + 1) / 16  # sparse draws often have tau <= s
-            fam = fixed | sum(1 << i for i in range(searcher.m) if rnd.random() < p)
+            fam = fixed | sum(1 << i for i in range(len(index.verts)) if rnd.random() < p)
             by_hits = any(fam & hit == fam for hit in hits)
             assert by_hits == (index.cover(fam, s) is not None)
-            tau, _ = min_vertex_cover(searcher.to_graph(fam), limit=s, exhaustive=True)
+            w = Hypergraph(n, k, index.verts[index.ids(fam)])
+            tau, _ = min_vertex_cover(w, limit=s, exhaustive=True)
             assert by_hits == (tau <= s)
             seen.add(by_hits)
         assert seen == {True, False}
+
+    def test_m0_from_containing_is_the_lex_code_lookup(self):
+        # each block of M0 is the one k-set holding all its vertices, so the
+        # incidence rows find M0 as the lex-code search through K_n^k did
+        for k in range(2, 5):
+            for n in range(k, 11):
+                index = EdgeIndex(n, complete_graph(n, k).vertex_array())
+                for s in range(1, n // k + 1):
+                    blocks = _fixed_matching(n, k, s)
+                    rows = np.searchsorted(lex_codes(index.verts, n), lex_codes(np.array(blocks), n))
+                    want = sum(1 << i for i in rows.tolist())
+                    assert sum(index.containing(block) for block in blocks) == want
 
     @pytest.mark.parametrize(
         "n,k,s,tests", [(6, 3, 1, 521), (7, 3, 1, 3718), (7, 2, 2, 441), (8, 2, 2, 1062)]
@@ -293,8 +334,8 @@ class TestPrunedSearch:
         def refuse(index, sub, budget):
             raise AssertionError("a cover search ran")
 
-        hits = verify._Searcher.transversal_hits
-        monkeypatch.setattr(verify._Searcher, "transversal_hits", lambda sr: CountingHits(hits(sr)))
+        hits = verify._transversal_hits
+        monkeypatch.setattr(verify, "_transversal_hits", lambda *args: CountingHits(hits(*args)))
         monkeypatch.setattr(EdgeIndex, "cover", refuse)
         res = verify_extremal(n, k, s, NU_LE_S_TAU_GT_S, method="pruned")
         assert res.status == "complete" and res.extremal_witnesses
@@ -310,8 +351,8 @@ class TestPrunedSearch:
         sub = sum(bit[(2 * t + 1, 2 * t + 2)] for t in range(s - 1))
         i = h.edges.index((2 * s - 1, 2 * s))
         far, near = bit[(2 * s + 1, 2 * s + 2)], bit[(2 * s, 2 * s + 1)]
-        assert _addable_after(index, s, sub, i, far | near) == near
-        assert _addable_after(index, s + 1, sub, i, far | near) == far | near
+        assert index.addable_after(s, sub, i, far | near) == near
+        assert index.addable_after(s + 1, sub, i, far | near) == far | near
 
     @settings(max_examples=200, deadline=None)
     @given(_family_cases())
@@ -328,7 +369,7 @@ class TestPrunedSearch:
                 1 << j for j in others
                 if index.packing(sub | 1 << i | 1 << j, s + 1) is None
             )
-            assert _addable_after(index, s, sub, i, sum(1 << j for j in others)) == want
+            assert index.addable_after(s, sub, i, sum(1 << j for j in others)) == want
 
     def test_search_leaves_no_reference_cycles(self):
         # the recursive expand closure is freed by reference counting alone,
