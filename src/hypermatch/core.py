@@ -301,11 +301,23 @@ def random_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
 # first bad line.
 
 
+# rows per formatted block of ``write_hg``: a K150 write builds no tuple of 1.65M ids
+_WRITE_ROWS = 65536
+
+
 def write_hg(h: Hypergraph, path: str) -> None:
+    """Write h as a `.hg` file: the header, then the vertex array's rows in order.
+
+    Each block of at most ``_WRITE_ROWS`` rows is written as one ``%`` of a
+    line template over the block's ids.
+    """
+    verts = h.vertex_array()
+    line = " ".join(["%d"] * h.k) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{h.k} {h.n} {h.e()}\n")
-        for e in h.vertex_array().tolist():
-            fh.write(" ".join(map(str, e)) + "\n")
+        for lo in range(0, len(verts), _WRITE_ROWS):
+            block = verts[lo:lo + _WRITE_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_hg(path: str) -> Hypergraph:

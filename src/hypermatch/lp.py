@@ -14,12 +14,14 @@ HiGHS is reached through scipy's compiled bindings to it, the extension
 module ``scipy.optimize._highspy._core``. This module loads that one file
 and nothing else of scipy's: importing ``scipy.optimize`` or
 ``scipy.sparse`` would take most of a fresh process's start-up. The
-extension is loaded once per process and shared with scipy, whichever of
-the two loads it first.
+extension is loaded on the first ``highs_solve`` call, not on import, so a
+process that solves no LP never maps it; it is loaded once per process and
+shared with scipy, whichever of the two loads it first.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -73,8 +75,6 @@ def _load_core():
         ) from exc
     return core
 
-
-_core = _load_core()
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -150,20 +150,27 @@ def simplex_rational(
     return OPTIMAL, x, value
 
 
-# The options linprog(method="highs") hands HiGHS, so that HiGHS sees the
-# same model under the same settings and stops at the same optimal vertex.
-_OPTIONS = _core.HighsOptions()
-_OPTIONS.output_flag = False
-_OPTIONS.log_to_console = False
-_OPTIONS.presolve = "on"
-_OPTIONS.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-_OPTIONS.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+@functools.cache
+def _highs():
+    """(extension, options, status map) for ``highs_solve``, built on the first call.
 
-_STATUS = {
-    _core.HighsModelStatus.kOptimal: OPTIMAL,
-    _core.HighsModelStatus.kInfeasible: INFEASIBLE,
-    _core.HighsModelStatus.kUnbounded: UNBOUNDED,
-}
+    The options are those ``linprog(method="highs")`` hands HiGHS, so that
+    HiGHS sees the same model under the same settings and stops at the same
+    optimal vertex. A failed load is not cached: each call raises again.
+    """
+    core = _load_core()
+    options = core.HighsOptions()
+    options.output_flag = False
+    options.log_to_console = False
+    options.presolve = "on"
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    statuses = {
+        core.HighsModelStatus.kOptimal: OPTIMAL,
+        core.HighsModelStatus.kInfeasible: INFEASIBLE,
+        core.HighsModelStatus.kUnbounded: UNBOUNDED,
+    }
+    return core, options, statuses
 
 
 def highs_solve(c, csc, row_lower, row_upper, col_upper=None):
@@ -178,8 +185,11 @@ def highs_solve(c, csc, row_lower, row_upper, col_upper=None):
     and value are None unless OPTIMAL. ``row_duals`` are d(value)/d(bound)
     of each row, linprog's marginals, and ``iterations`` the simplex
     iterations. A triplet that does not fit the shape raises ValueError; any
-    other outcome raises RuntimeError naming HiGHS's model status.
+    other outcome raises RuntimeError naming HiGHS's model status. The first
+    call loads HiGHS (see ``_load_core``), and raises its ImportError if
+    scipy has no bindings.
     """
+    core, options, statuses = _highs()
     start, index, value = csc
     ncol, nrow = len(c), len(row_lower)
     if len(start) != ncol + 1 or not len(index) == len(value) == start[-1]:
@@ -187,7 +197,7 @@ def highs_solve(c, csc, row_lower, row_upper, col_upper=None):
             f"a CSC triplet for {ncol} columns needs {ncol + 1} starts and start[-1] "
             f"entries; got {len(start)} starts, {len(index)} rows and {len(value)} values"
         )
-    lp = _core.HighsLp()
+    lp = core.HighsLp()
     lp.num_col_ = ncol
     lp.num_row_ = nrow
     lp.col_cost_ = np.asarray(c, dtype=np.float64)
@@ -198,19 +208,19 @@ def highs_solve(c, csc, row_lower, row_upper, col_upper=None):
     lp.row_lower_ = np.asarray(row_lower, dtype=np.float64)
     lp.row_upper_ = np.asarray(row_upper, dtype=np.float64)
     mat = lp.a_matrix_
-    mat.format_ = _core.MatrixFormat.kColwise
+    mat.format_ = core.MatrixFormat.kColwise
     mat.num_col_ = ncol
     mat.num_row_ = nrow
     mat.start_ = start
     mat.index_ = index
     mat.value_ = value
-    highs = _core._Highs()
-    highs.passOptions(_OPTIONS)
-    if highs.passModel(lp) == _core.HighsStatus.kError:
+    highs = core._Highs()
+    highs.passOptions(options)
+    if highs.passModel(lp) == core.HighsStatus.kError:
         raise RuntimeError("LP solver failed: HiGHS refused the model")
     highs.run()
     model_status = highs.getModelStatus()
-    status = _STATUS.get(model_status)
+    status = statuses.get(model_status)
     if status is None:
         name = highs.modelStatusToString(model_status)
         raise RuntimeError(f"LP solver failed: model status {name}")

@@ -5,6 +5,7 @@ import random
 import re
 import tracemalloc
 from itertools import combinations, islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -408,6 +409,36 @@ def test_file_and_json_round_trip(tmp_path_factory, h):
     write_hg(h, path)
     assert read_hg(path) == h
     assert from_json_dict(json.loads(json.dumps(to_json_dict(h)))) == h
+
+
+def _per_line_bytes(h):
+    """A `.hg` file as the per-line writer made it: one join and one write per edge."""
+    lines = [f"{h.k} {h.n} {h.e()}\n"]
+    lines += [" ".join(map(str, e)) + "\n" for e in h.vertex_array().tolist()]
+    return "".join(lines).encode()
+
+
+@st.composite
+def _graphs_to_write(draw):
+    """Graphs with k 2-5, m from 0, on few vertices or with ids past 2**31."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.one_of(st.integers(k, 9), st.integers(2**31 + k, 2**40)))
+    ids = st.one_of(st.integers(1, min(n, 9)), st.integers(max(1, n - 9), n))
+    edge = st.lists(ids, min_size=k, max_size=k, unique=True)
+    return Hypergraph(n, k, draw(st.lists(edge, max_size=12)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_graphs_to_write(), st.sampled_from([1, 2, 3, core._WRITE_ROWS]))
+@example(Hypergraph(6, 4, []), core._WRITE_ROWS)
+@example(Hypergraph(2**40, 3, [(1, 2**31, 2**40), (2, 3, 2**31)]), 1)
+def test_write_hg_writes_the_per_line_bytes(tmp_path_factory, h, rows):
+    # blocks of 1-3 rows put block edges inside the graph; the default never does here
+    path = tmp_path_factory.mktemp("w") / "g.hg"
+    with mock.patch.object(core, "_WRITE_ROWS", rows):
+        write_hg(h, str(path))
+    assert path.read_bytes() == _per_line_bytes(h)
+    assert read_hg(str(path)) == h
 
 
 _TOKEN = st.sampled_from(["0", "1", "2", "3", "4", "5", "7", "-1", "x", "2.0", "#", ""])

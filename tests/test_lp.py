@@ -222,8 +222,9 @@ def test_random_lps_cover_every_status():
 @pytest.mark.parametrize("model_status", ["kTimeLimit", "kIterationLimit",
                                           "kUnboundedOrInfeasible", "kSolveError"])
 def test_other_model_statuses_raise_naming_the_status(monkeypatch, model_status):
-    real = lp._core._Highs
-    wanted = getattr(lp._core.HighsModelStatus, model_status)
+    core = lp._highs()[0]
+    real = core._Highs
+    wanted = getattr(core.HighsModelStatus, model_status)
 
     class Stub:
         def __init__(self):
@@ -235,7 +236,7 @@ def test_other_model_statuses_raise_naming_the_status(monkeypatch, model_status)
         def getModelStatus(self):
             return wanted
 
-    monkeypatch.setattr(lp._core, "_Highs", Stub)
+    monkeypatch.setattr(core, "_Highs", Stub)
     name = real().modelStatusToString(wanted)
     with pytest.raises(RuntimeError, match=f"LP solver failed: model status {name}"):
         highs_solve([1.0], _triplet([[1.0]]), [-np.inf], [1.0])
@@ -252,19 +253,23 @@ def _run(code: str, *path: str) -> subprocess.CompletedProcess:
 
 def test_missing_bindings_fail_loudly(tmp_path):
     # a scipy package with no optimize/_highspy/_core extension file, first
-    # on the path, stands for a release that moved the bindings
+    # on the path, stands for a release that moved the bindings. The package
+    # imports, and every solve raises
     (tmp_path / "scipy" / "optimize" / "_highspy").mkdir(parents=True)
     (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "0.0.stub"\n')
     (tmp_path / "scipy" / "optimize" / "_highspy" / "__init__.py").write_text("")
     done = _run("""
         import sys
-        try:
-            import hypermatch.lp
-        except ImportError as exc:
-            print(exc)
-        else:
-            print("imported")
-        print(sorted(m for m in sys.modules if m.startswith("scipy.")))
+        import hypermatch.lp
+        print("imported")
+        for _ in range(2):
+            try:
+                hypermatch.lp.highs_solve([1.0], ([0, 1], [0], [1.0]), [1.0], [2.0])
+            except ImportError as exc:
+                print(exc)
+            else:
+                print("solved")
+            print(sorted(m for m in sys.modules if m.startswith("scipy.")))
     """, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert "scipy's private HiGHS bindings" in done.stdout
@@ -272,6 +277,10 @@ def test_missing_bindings_fail_loudly(tmp_path):
     assert "1.17.1" in done.stdout
     assert "the installed scipy 0.0.stub has none" in done.stdout
     assert done.stdout.splitlines()[-1] == "[]"  # nothing half-registered
+    lines = done.stdout.splitlines()
+    assert lines[0] == "imported"
+    assert lines[1] == lines[3] and "scipy's private HiGHS bindings" in lines[1]  # raised again
+    assert lines[2] == lines[4] == "[]"
 
 
 def test_the_package_imports_no_scipy_optimize_or_sparse():
@@ -285,28 +294,66 @@ def test_the_package_imports_no_scipy_optimize_or_sparse():
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("first", ["hypermatch", "scipy"])
+def test_only_a_solve_loads_the_extension(tmp_path):
+    # the commands that solve no LP, on K_6^3, leave HiGHS's extension
+    # unloaded; round's seeded run finds no matching past s and exits 1
+    done = _run(f"""
+        import sys
+        from hypermatch.cli import main
+        from hypermatch.core import complete_graph, write_hg
+        CORE = "scipy.optimize._highspy._core"
+        k6 = {str(tmp_path / "k6.hg")!r}
+        write_hg(complete_graph(6, 3), k6)
+        codes = [main(argv) for argv in (
+            ["gen", "--family", "hm", "--n", "6", "--k", "3", "--s", "1",
+             "--out", {str(tmp_path / "hm.hg")!r}],
+            ["bounds", "--n", "6", "--k", "3", "--s", "1"],
+            ["shift", "--in", k6, "--out", {str(tmp_path / "shifted.hg")!r}],
+            ["closeness", "--in", k6, "--target", "clique", "--s", "1", "--exhaustive"],
+            ["verify", "--n", "6", "--k", "3", "--s", "1", "--pruned"],
+            ["round", "--in", k6, "--s", "1", "--seed", "1"],
+        )]
+        print(codes, CORE in sys.modules, file=sys.stderr)
+        code = main(["solve", "--what", "nustar", "--in", k6])
+        print(code, CORE in sys.modules, file=sys.stderr)
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 1] False", "0 True"]
+
+
+@pytest.mark.parametrize("first", ["hypermatch", "scipy", "cli"])
 def test_highs_solve_and_linprog_share_one_extension(first):
     # pybind11 registers the extension's types once per process: a second
-    # load of the file would raise "generic_type: type ... is already registered"
+    # load of the file would raise "generic_type: type ... is already registered".
+    # "hypermatch" solves before scipy.optimize is imported, so scipy must
+    # reuse the package's copy; "scipy" and "cli" import scipy.optimize
+    # before the first solve, which must reuse scipy's
     done = _run(f"""
         import sys
         import numpy as np
+        CORE = "scipy.optimize._highspy._core"
         if {first!r} == "scipy":
             from scipy.optimize import linprog
+        if {first!r} == "cli":
+            import hypermatch.cli
         from hypermatch import lp
         assert ("scipy.optimize" in sys.modules) == ({first!r} == "scipy")
+        assert (CORE in sys.modules) == ({first!r} == "scipy")
+        a = np.array([[-1.0, -1.0], [0.0, -1.0]])
+        solve = lambda: lp.highs_solve(
+            [1.0, 2.0], lp.csc_of_dense(a), [-np.inf, -np.inf], [-1.0, -0.5])
+        if {first!r} == "hypermatch":
+            solve()
+            assert CORE in sys.modules and "scipy.optimize" not in sys.modules
         from scipy.optimize import linprog
         from scipy.optimize._highspy import _core
-        assert lp._core is _core is sys.modules["scipy.optimize._highspy._core"]
-        a = np.array([[-1.0, -1.0], [0.0, -1.0]])
         for _ in range(2):
             res = linprog([1.0, 2.0], A_ub=a, b_ub=[-1.0, -0.5], method="highs")
-            status, y, duals, value, its = lp.highs_solve(
-                [1.0, 2.0], lp.csc_of_dense(a), [-np.inf, -np.inf], [-1.0, -0.5])
+            status, y, duals, value, its = solve()
             assert status == lp.OPTIMAL and res.status == 0
             assert np.array_equal(y, res.x) and value == res.fun and its == res.nit
             assert np.array_equal(duals, res.ineqlin.marginals)
+        assert lp._highs()[0] is _core is sys.modules[CORE]
         print("solved", value)
     """)
     assert done.returncode == 0, done.stderr
