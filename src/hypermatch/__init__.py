@@ -7,7 +7,6 @@ fractional-to-integral rounding pipeline, all at desk scale.
 
 from .constructions import (
     BoundReport,
-    PartitionSpec,
     augment_universal,
     bound_report,
     clique_family,

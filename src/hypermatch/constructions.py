@@ -9,40 +9,26 @@ Four families on [n], all with matching number s:
 * prefix overlap family (index i) -- edges meeting [(s+1)i-1] in >= i vertices
 
 plus the universal-vertex augmentation that adds r new vertices adjacent to
-everything. Counts are exact integers throughout.
+everything. Each family is its definition written as a row mask over
+``core.k_sets``, the k-sets of [n] in lex order, so its rows come out in
+canonical order; the clique family maps the k-sets of [|U|] into U. Counts
+are exact integers throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .core import Hypergraph, _check_shape, lex_codes
+from .core import Hypergraph, _check_shape, k_sets, lex_codes
 
 
 def _check_range(n: int, k: int, s: int) -> None:
     _check_shape(n, k)
     if s < 0:
         raise ValueError(f"s={s} must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """A two-block split of [n]; the second block is the complement of w."""
-
-    n: int
-    w: frozenset
-
-    def __post_init__(self):
-        if not all(1 <= v <= self.n for v in self.w):
-            raise ValueError(f"W={sorted(self.w)} leaves 1..{self.n}")
-
-    @property
-    def u(self) -> frozenset:
-        return frozenset(v for v in range(1, self.n + 1) if v not in self.w)
 
 
 # -- generators -------------------------------------------------------------
@@ -56,9 +42,8 @@ def cover_family(n: int, k: int, s: int, w: tuple[int, ...] | None = None) -> Hy
         raise ValueError(f"W must have exactly s={s} distinct vertices, got {w}")
     if w and (w[0] < 1 or w[-1] > n):
         raise ValueError(f"W={w} leaves 1..{n}")
-    wset = set(w)
-    edges = [e for e in combinations(range(1, n + 1), k) if wset.intersection(e)]
-    return Hypergraph(n, k, edges)
+    v = k_sets(n, k)
+    return Hypergraph(n, k, v[np.isin(v, w).any(1)])
 
 
 def clique_family(n: int, k: int, s: int, u: tuple[int, ...] | None = None) -> Hypergraph:
@@ -72,7 +57,7 @@ def clique_family(n: int, k: int, s: int, u: tuple[int, ...] | None = None) -> H
         raise ValueError(f"|U|={size} exceeds n={n}")
     if u[0] < 1 or u[-1] > n:
         raise ValueError(f"U={u} leaves 1..{n}")
-    return Hypergraph(n, k, combinations(u, k))
+    return Hypergraph(n, k, np.asarray(u)[k_sets(size, k) - 1])
 
 
 def hilton_milner_family(n: int, k: int, s: int) -> Hypergraph:
@@ -82,16 +67,10 @@ def hilton_milner_family(n: int, k: int, s: int) -> Hypergraph:
         raise ValueError("Hilton-Milner family needs s >= 1")
     if n < s + k:
         raise ValueError(f"n={n} too small: need n >= s+k = {s + k}")
-    head = set(range(1, s))
-    block = tuple(range(s + 1, s + k + 1))
-    block_set = set(block)
-    edges = [block]
-    for e in combinations(range(1, n + 1), k):
-        if head.intersection(e):
-            edges.append(e)
-        elif s in e and block_set.intersection(e):
-            edges.append(e)
-    return Hypergraph(n, k, edges)
+    v = k_sets(n, k)
+    block = np.arange(s + 1, s + k + 1)
+    keep = (v < s).any(1) | ((v == s).any(1) & ((v > s) & (v <= s + k)).any(1))
+    return Hypergraph(n, k, v[keep | (v == block).all(1)])
 
 
 def prefix_overlap_family(n: int, k: int, s: int, i: int) -> Hypergraph:
@@ -102,21 +81,8 @@ def prefix_overlap_family(n: int, k: int, s: int, i: int) -> Hypergraph:
     size = (s + 1) * i - 1
     if size > n:
         raise ValueError(f"prefix size (s+1)i-1 = {size} exceeds n={n}")
-    prefix = set(range(1, size + 1))
-    edges = [e for e in combinations(range(1, n + 1), k) if len(prefix.intersection(e)) >= i]
-    return Hypergraph(n, k, edges)
-
-
-def _with_tops(prev: np.ndarray, j: int, tops: range) -> np.ndarray:
-    """The j-sets whose top vertex is in ``tops``, in colex order.
-
-    ``prev`` holds the (j-1)-sets in colex order, where the (j-1)-sets of
-    [x-1] are the first C(x-1, j-1) rows; each is extended by its top x.
-    """
-    counts = [comb(x - 1, j - 1) for x in tops]
-    first = np.repeat(np.cumsum(counts) - counts, counts)  # where each top's rows start
-    rows = np.arange(len(first)) - first
-    return np.column_stack([prev[rows], np.repeat(np.arange(tops.start, tops.stop), counts)])
+    v = k_sets(n, k)
+    return Hypergraph(n, k, v[(v <= size).sum(1) >= i])
 
 
 def augment_universal(h: Hypergraph, r: int) -> Hypergraph:
@@ -125,27 +91,12 @@ def augment_universal(h: Hypergraph, r: int) -> Hypergraph:
         raise ValueError(f"r={r} must be nonnegative")
     if r == 0:
         return h
-    n, k, top, allv = h.n, h.k, h.n + r, h.vertex_array()
-    # a k-set meets a universal vertex iff its top vertex t exceeds n: it is
-    # a (k-1)-set of [t-1] plus t
-    low = np.zeros((1, 0), dtype=np.intp)
-    for j in range(1, k):
-        low = _with_tops(low, j, range(j, top))
-    new = _with_tops(low, k, range(n + 1, top + 1))
-    # lex order on k-sets of [top] is the order of their codes
-    old_codes, new_codes = lex_codes(allv, top), lex_codes(new, top)
-    order = np.argsort(new_codes)
-    new, new_codes = new[order], new_codes[order]
-    # h's edges are in lex order too; the new rows land between them
-    is_new = np.zeros(len(allv) + len(new), dtype=bool)
-    is_new[np.searchsorted(old_codes, new_codes) + np.arange(len(new))] = True
-    is_old = ~is_new
-    verts = np.empty((len(is_new), k), dtype=np.intp)
-    col = np.empty(len(is_new), dtype=np.intp)
-    for j in range(k):  # column by column: 1-D masked writes are the fast ones
-        col[is_new], col[is_old] = new[:, j], allv[:, j]
-        verts[:, j] = col
-    return Hypergraph(top, k, verts)
+    n, k, top = h.n, h.k, h.n + r
+    v = k_sets(top, k)
+    keep = v[:, -1] > n  # a k-set meets a universal vertex iff its top vertex does
+    # h's edges are k-sets of [top] too: one search of lex codes finds their rows
+    keep[np.searchsorted(lex_codes(v, top), lex_codes(h.vertex_array(), top))] = True
+    return Hypergraph(top, k, v[keep])
 
 
 # -- closed-form counts ------------------------------------------------------

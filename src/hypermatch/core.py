@@ -15,6 +15,7 @@ import io
 import random
 import re
 from itertools import combinations
+from math import comb
 from numbers import Integral
 from operator import lt
 from typing import Iterable
@@ -270,8 +271,38 @@ class Hypergraph:
         return Hypergraph(self.n, self.k, remaining), ignored
 
 
+# the most rows ``k_sets`` lists: 16.8M rows, 400 MiB of intp ids at k 3
+K_SETS_GUARD = 1 << 24
+
+
+def k_sets(n: int, k: int) -> np.ndarray:
+    """The k-sets of [n] as one (C(n,k), k) intp array, rows ascending, in lex order.
+
+    The package's one k-set enumerator: every generated graph is a row mask
+    over it. Past ``K_SETS_GUARD`` rows it raises BudgetExceeded before
+    anything is allocated. Level j lists the j-sets of {k-j+1..n}, at most
+    C(n,k) rows, one array per column. In lex order the (j-1)-sets whose
+    least vertex exceeds a are the last C(n-a, j-1) rows of level j-1, so
+    level j is each first vertex a followed by such a suffix.
+    """
+    rows = comb(n, k)
+    if rows > K_SETS_GUARD:
+        raise BudgetExceeded(f"listing C({n},{k})={rows} k-sets refuses past {K_SETS_GUARD} rows")
+    if k > n:
+        return np.empty((0, k), np.intp)
+    cols = [np.arange(k, n + 1, dtype=np.intp)]
+    for j in range(2, k + 1):
+        firsts = range(k - j + 1, n - j + 2)
+        sizes = [comb(n - a, j - 1) for a in firsts]
+        total = len(cols[0])
+        cols = [np.repeat(np.arange(firsts.start, firsts.stop, dtype=np.intp), sizes)] + [
+            np.concatenate([c[total - size:] for size in sizes]) for c in cols
+        ]
+    return np.column_stack(cols)
+
+
 def complete_graph(n: int, k: int) -> Hypergraph:
-    return Hypergraph(n, k, combinations(range(1, n + 1), k))
+    return Hypergraph(n, k, k_sets(n, k))
 
 
 def relabel_graph(h: Hypergraph, mapping: dict[int, int]) -> Hypergraph:
@@ -281,13 +312,30 @@ def relabel_graph(h: Hypergraph, mapping: dict[int, int]) -> Hypergraph:
     return Hypergraph(h.n, h.k, [tuple(mapping[v] for v in e) for e in h.edges])
 
 
+def _uniforms(rng: random.Random, m: int) -> np.ndarray:
+    """The next m values of ``rng.random()``, in order, from one draw.
+
+    CPython's ``random()`` is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for two
+    consecutive 32-bit outputs a, b of its Mersenne Twister, and
+    ``getrandbits(64 m)`` returns 2m such outputs, the first in the least
+    significant word. So the array equals m calls of ``random()`` bit for
+    bit, and leaves ``rng`` where those calls would. This is an
+    implementation detail of CPython; a test pins it against the calls.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u4")
+    a, b = words[0::2] >> 5, words[1::2] >> 6
+    return (a * 67108864.0 + b) / 9007199254740992.0
+
+
 def random_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
-    """Each k-set appears independently with probability p; fixed by seed."""
+    """Each k-set appears independently with probability p; fixed by seed.
+
+    The k-sets draw ``random()`` in lex order, one call each.
+    """
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0, 1]")
-    rng = random.Random(seed)
-    edges = [e for e in combinations(range(1, n + 1), k) if rng.random() < p]
-    return Hypergraph(n, k, edges)
+    v = k_sets(n, k)
+    return Hypergraph(n, k, v[_uniforms(random.Random(seed), len(v)) < p])
 
 
 # -- file formats ---------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import lp
-from .core import BudgetExceeded, Edge, Hypergraph, bit_positions, edge_mask
+from .core import BudgetExceeded, Edge, Hypergraph, bit_positions, edge_mask, k_sets
 
 ORACLE_GUARD = 20_000_000
 
@@ -849,14 +849,14 @@ def threshold_cover_graph(
     w = cover.weights
     order = sorted(h.vertices(), key=lambda v: (-w[v - 1], v))
     old_to_new = {v: i + 1 for i, v in enumerate(order)}
-    w_new = [w[v - 1] for v in order]  # indexed by new label - 1
+    # indexed by new label - 1; Fractions sum exactly in an object array
+    w_new = np.array([w[v - 1] for v in order], object if cover.mode == "rational" else float)
     floor = 1 if cover.mode == "rational" else 1 - tol
-    edges = [
-        e
-        for e in combinations(range(1, h.n + 1), h.k)
-        if sum(w_new[v - 1] for v in e) >= floor
-    ]
-    out = Hypergraph(h.n, h.k, edges)
+    sets = k_sets(h.n, h.k)
+    total = w_new[sets[:, 0] - 1]
+    for j in range(1, h.k):  # column by column: the order sum() adds an edge's weights in
+        total = total + w_new[sets[:, j] - 1]
+    out = Hypergraph(h.n, h.k, sets[total >= floor])
     kept = out.has_edges([old_to_new[v] for v in e] for e in h.edges)
     for e, hit in zip(h.edges, kept):
         if not hit:

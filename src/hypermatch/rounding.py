@@ -36,7 +36,7 @@ from math import comb
 import numpy as np
 
 from .constructions import augment_universal
-from .core import Hypergraph
+from .core import Hypergraph, _uniforms
 from .optimize import EdgeIndex, Matching, fractional_perfect_matching
 
 _EPS = 1e-12
@@ -114,21 +114,6 @@ def _uniform_round_budget(n: int, k: int, threshold: float) -> int:
     while (u + 1) * inc < Fraction(threshold):
         u += 1
     return u
-
-
-def _uniforms(rng: random.Random, m: int) -> np.ndarray:
-    """The next m values of ``rng.random()``, in order, from one draw.
-
-    CPython's ``random()`` is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for two
-    consecutive 32-bit outputs a, b of its Mersenne Twister, and
-    ``getrandbits(64 m)`` returns 2m such outputs, the first in the least
-    significant word. So the array equals m calls of ``random()`` bit for
-    bit, and leaves ``rng`` where those calls would. This is an
-    implementation detail of CPython; a test pins it against the calls.
-    """
-    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u4")
-    a, b = words[0::2] >> 5, words[1::2] >> 6
-    return (a * 67108864.0 + b) / 9007199254740992.0
 
 
 def _dead_pairs_by_vertex(pair_load: np.ndarray, threshold: float) -> list[int]:

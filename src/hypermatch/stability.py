@@ -30,7 +30,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .constructions import PartitionSpec, bound_report, clique_count, cover_count
+from .constructions import bound_report, clique_count, cover_count
 from .core import BudgetExceeded, Hypergraph
 
 EXHAUSTIVE_GUARD_N = 16
@@ -44,13 +44,6 @@ class ClosenessReport:
     epsilon_effective: float
     exhaustive: bool
     n: int = 0
-
-    def partition_spec(self) -> PartitionSpec:
-        """The full two-block split realizing the report."""
-        if self.target == "cover":
-            return PartitionSpec(self.n, frozenset(self.partition))
-        core = frozenset(self.partition)
-        return PartitionSpec(self.n, frozenset(range(1, self.n + 1)) - core)
 
 
 @dataclass
@@ -212,12 +205,10 @@ class BoundRow:
     argmax: str  # every family at that maximum, comma-separated: hm, clique, a2, ...
 
 
-def bound_table(n: int, k: int = 3, s_range=None) -> list[BoundRow]:
+def bound_table(n: int, k: int = 3) -> list[BoundRow]:
     """Exact-integer bound values per s (``bound_report``'s), with every family at the maximum."""
-    if s_range is None:
-        s_range = range(1, (n - k + 1) // k + 1)
     rows = []
-    for s in s_range:
+    for s in range(1, (n - k + 1) // k + 1):
         rep = bound_report(n, k, s)
         counts = {"hm": rep.hm_bound, "clique": rep.clique_bound,
                   **{f"a{i}": a for i, a in enumerate(rep.a_bounds, 2)}}

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .constructions import bound_report
-from .core import BudgetExceeded, Hypergraph, _check_shape, complete_graph
+from .core import BudgetExceeded, Hypergraph, _check_shape, k_sets
 from .optimize import EdgeIndex, max_matching, min_vertex_cover
 
 EXHAUSTIVE_EDGE_GUARD = 24
@@ -103,7 +103,7 @@ def verify_extremal(
         raise BudgetExceeded(
             f"pruned search refuses k^s={k**s} transversal masks > C(n,k)={edges} edges"
         )
-    index = EdgeIndex(n, complete_graph(n, k).vertex_array())
+    index = EdgeIndex(n, k_sets(n, k))
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     max_edges, subs, checked, status = search(index, s, tau_floor, deadline)
     witnesses = [Hypergraph(n, k, index.verts[index.ids(sub)]) for sub in subs]

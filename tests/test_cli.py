@@ -63,6 +63,27 @@ def test_gen_i_outside_its_family_is_a_usage_error(capsys, family, i, why):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("family, extra", [("cover", []), ("hm", []), ("a", ["--i", "2"])])
+def test_gen_refuses_too_many_k_sets_before_listing_them(tmp_path, capsys, family, extra):
+    # C(100000, 3) = 1.7e14 k-sets: a budget refusal, and no file is written
+    out = tmp_path / "big.hg"
+    argv = ["gen", "--family", family, "--n", "100000", "--k", "3", "--s", "1", *extra]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "budget refusal: listing C(100000,3)=166661666700000 k-sets refuses past 16777216 rows\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
+def test_gen_clique_at_n_100000_lists_only_the_k_sets_of_u(tmp_path, capsys):
+    out = str(tmp_path / "clique.hg")
+    code, text = run(capsys, "gen", "--family", "clique", "--n", "100000", "--k", "3", "--s", "1",
+                     "--out", out)
+    assert code == 0 and text == f"wrote 100000 3 10 -> {out}\n"
+    assert read_hg(out) == clique_family(100000, 3, 1)
+
+
 def test_bounds_tsv(capsys):
     code, out = run(capsys, "bounds", "--n", "10", "--k", "3", "--s", "2")
     assert code == 0
@@ -187,7 +208,7 @@ def test_verify_exhaustive_refuses_large_n_without_building_it(capsys, monkeypat
     def refuse(*args):
         raise AssertionError("the k-sets were built")
 
-    monkeypatch.setattr(verify, "complete_graph", refuse)
+    monkeypatch.setattr(verify, "k_sets", refuse)
     assert main(["verify", "--n", "2000", "--k", "3", "--s", "1"]) == 2
     assert capsys.readouterr().err.startswith("budget refusal: exhaustive search refuses")
 
@@ -196,7 +217,7 @@ def test_verify_pruned_refuses_large_n_without_building_it(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the k-sets were built")
 
-    monkeypatch.setattr(verify, "complete_graph", refuse)
+    monkeypatch.setattr(verify, "k_sets", refuse)
     argv = ["verify", "--n", "2000", "--k", "3", "--s", "1", "--pruned", "--budget-ms", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("budget refusal: pruned search refuses")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermatch.constructions import (
-    PartitionSpec,
     augment_universal,
     bound_report,
     clique_count,
@@ -244,25 +243,6 @@ class TestBoundReport:
             bound_report(7, 3, 2)  # needs n >= 8
 
 
-class TestPartitionSpec:
-    def test_blocks_partition_everything(self):
-        ps = PartitionSpec(7, frozenset({2, 5}))
-        assert ps.u | ps.w == set(range(1, 8))
-        assert not ps.u & ps.w
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(5, frozenset({6}))
-
-    def test_closeness_report_materializes_partition(self):
-        from hypermatch.stability import closeness_to_cover
-
-        rep = closeness_to_cover(hilton_milner_family(10, 3, 2), 2)
-        ps = rep.partition_spec()
-        assert ps.w == frozenset({1, 2})
-        assert len(ps.u) == 8
-
-
 def test_counts_match_generators_small_grid():
     for k in (2, 3, 4):
         for n in range(k, 11):
@@ -280,3 +260,71 @@ def test_counts_match_generators_small_grid():
                     if (s + 1) * i - 1 <= n:
                         h = prefix_overlap_family(n, k, s, i)
                         assert h.e() == prefix_overlap_count(n, k, s, i)
+
+
+# -- each generator against its definition, written over combinations --------
+
+
+def _k_sets(n, k):
+    return combinations(range(1, n + 1), k)
+
+
+@st.composite
+def _shapes(draw, max_n=12, room=0):
+    """(n, k) with k in 2..4 and n in k+room..max_n."""
+    k = draw(st.integers(2, 4))
+    return draw(st.integers(k + room, max_n)), k
+
+
+class TestGeneratorsEqualTheirDefinitions:
+    @settings(max_examples=80, deadline=None)
+    @given(_shapes(), st.data())
+    def test_cover(self, shape, data):
+        n, k = shape
+        s = data.draw(st.integers(0, n))
+        assert cover_family(n, k, s).edges == tuple(
+            e for e in _k_sets(n, k) if set(range(1, s + 1)) & set(e))
+        w = data.draw(st.sets(st.integers(1, n), max_size=n))
+        assert cover_family(n, k, len(w), w=tuple(w)).edges == tuple(
+            e for e in _k_sets(n, k) if w & set(e))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_shapes(max_n=14), st.data())
+    def test_clique(self, shape, data):
+        n, k = shape
+        s = data.draw(st.integers(0, (n + 1) // k - 1))
+        size = k * (s + 1) - 1
+        u = data.draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True))
+        assert clique_family(n, k, s).edges == tuple(combinations(range(1, size + 1), k))
+        assert clique_family(n, k, s, u=tuple(u)).edges == tuple(combinations(sorted(u), k))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_shapes(room=1), st.data())
+    def test_hilton_milner(self, shape, data):
+        n, k = shape
+        s = data.draw(st.integers(1, n - k))
+        block = tuple(range(s + 1, s + k + 1))
+        want = sorted([block] + [
+            e for e in _k_sets(n, k)
+            if set(range(1, s)) & set(e) or s in e and set(block) & set(e)
+        ])
+        assert hilton_milner_family(n, k, s).edges == tuple(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_shapes(), st.data())
+    def test_prefix_overlap_at_every_i(self, shape, data):
+        n, k = shape
+        for i in range(2, k + 1):
+            for s in range(0, (n + 1) // i):
+                prefix = set(range(1, (s + 1) * i))
+                assert prefix_overlap_family(n, k, s, i).edges == tuple(
+                    e for e in _k_sets(n, k) if len(prefix & set(e)) >= i)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_shapes(max_n=10), st.integers(1, 5), st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 99))
+    def test_augment_universal(self, shape, r, p, seed):
+        n, k = shape
+        base = random_hypergraph(n, k, p, seed)  # p 1 is the complete graph
+        old = set(base.edges)
+        assert augment_universal(base, r).edges == tuple(
+            e for e in _k_sets(n + r, k) if e[-1] > n or e in old)

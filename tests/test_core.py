@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from hypermatch import core
 from hypermatch.core import (
+    BudgetExceeded,
     Hypergraph,
     bit_positions,
     complete_graph,
     edge_mask,
     from_json_dict,
+    k_sets,
     random_hypergraph,
     read_hg,
     relabel_graph,
@@ -344,6 +346,62 @@ class TestFiles:
         assert h.edges == () and h.vertex_array().shape == (0, 10**18 - 1)
 
 
+class TestKSets:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_lex_order_equals_combinations(self, k):
+        for n in range(0, 15):
+            want = list(combinations(range(1, n + 1), k))
+            v = k_sets(n, k)
+            assert v.dtype == np.intp and v.shape == (math.comb(n, k), k)
+            assert v.tolist() == [list(e) for e in want]
+            if n >= k:
+                assert complete_graph(n, k).edges == tuple(want)
+
+    def test_k_near_n_lists_no_wider_level(self):
+        # level j lists the j-sets of {k-j+1..n}: C(40, 20) = 1.4e11 rows
+        # would be listed on the way to C(40, 38) = 780 otherwise
+        tracemalloc.start()
+        try:
+            v = k_sets(40, 38)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.tolist() == [list(e) for e in combinations(range(1, 41), 38)]
+        assert peak < 1 << 20
+
+    def test_guard_refuses_before_allocating(self):
+        # C(100000, 3) = 1.7e14 rows; the refusal names the count and lists none
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=r"C\(100000,3\)=166661666700000 k-sets"):
+                k_sets(100000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        for make in (
+            lambda: complete_graph(100000, 3),
+            lambda: random_hypergraph(100000, 3, 0.5, seed=1),
+            lambda: cover_family(100000, 3, 1),
+            lambda: hilton_milner_family(100000, 3, 1),
+            lambda: prefix_overlap_family(100000, 3, 1, 2),
+            lambda: augment_universal(Hypergraph(100000, 3, [(1, 2, 3)]), 1),
+        ):
+            with pytest.raises(BudgetExceeded):
+                make()
+        # the clique family lists the k-sets of U alone
+        assert clique_family(100000, 3, 1).edges == tuple(combinations(range(1, 6), 3))
+
+    def test_guard_is_at_its_constant(self, monkeypatch):
+        # K300's 4.46M rows stay inside the real guard; the boundary is read
+        # off a small stand-in rather than listed
+        assert math.comb(300, 3) <= core.K_SETS_GUARD < math.comb(100000, 3)
+        monkeypatch.setattr(core, "K_SETS_GUARD", math.comb(10, 3))
+        assert len(k_sets(10, 3)) == 120
+        with pytest.raises(BudgetExceeded, match="refuses past 120 rows"):
+            k_sets(11, 3)
+
+
 class TestRandom:
     def test_p_zero(self):
         assert random_hypergraph(8, 3, 0.0, seed=1).e() == 0
@@ -365,6 +423,24 @@ class TestRandom:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             random_hypergraph(5, 3, 1.5, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(lambda k: st.tuples(st.integers(k, 12), st.just(k))),
+        st.sampled_from([0.0, 0.1, 0.5, 0.93, 1.0]),
+        st.integers(0, 2**32),
+    )
+    def test_equals_one_draw_per_k_set_in_lex_order(self, nk, p, seed):
+        n, k = nk
+        rng = random.Random(seed)
+        want = [e for e in combinations(range(1, n + 1), k) if rng.random() < p]
+        assert random_hypergraph(n, k, p, seed).edges == tuple(want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 7, 11, 42])
+    def test_seeds_the_tests_use(self, seed):
+        rng = random.Random(seed)
+        want = [e for e in combinations(range(1, 31), 3) if rng.random() < 0.3]
+        assert random_hypergraph(30, 3, 0.3, seed).edges == tuple(want)
 
 
 @settings(max_examples=60, deadline=None)

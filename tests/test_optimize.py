@@ -1270,3 +1270,20 @@ class TestThresholdCoverGraph:
             h, "rational"
         ).value
         assert is_stable(out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(min_n=k, max_n=9, k=k)),
+           st.sampled_from(["float", "rational"]))
+    def test_equals_the_per_k_set_sum(self, h, mode):
+        # the definition: relabel by nonincreasing weight, then keep each
+        # k-set whose weights, summed by sum() in vertex order, reach the floor
+        omega = fractional_cover(h, mode)
+        w = omega.weights
+        order = sorted(h.vertices(), key=lambda v: (-w[v - 1], v))
+        w_new = [w[v - 1] for v in order]
+        floor = 1 if mode == "rational" else 1 - 1e-9
+        want = [e for e in combinations(range(1, h.n + 1), h.k)
+                if sum(w_new[v - 1] for v in e) >= floor]
+        out, relabel = threshold_cover_graph(h, omega)
+        assert out.edges == tuple(want)
+        assert relabel == {v: i + 1 for i, v in enumerate(order)}

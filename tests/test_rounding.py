@@ -14,6 +14,7 @@ from hypermatch.constructions import augment_universal, cover_family
 from hypermatch import rounding
 from hypermatch.core import (
     Hypergraph,
+    _uniforms,
     complete_graph,
     edge_mask,
     random_hypergraph,
@@ -25,7 +26,6 @@ from hypermatch.rounding import (
     ROUND_PATHS,
     _pick_gadget_vertices,
     _uniform_round_budget,
-    _uniforms,
     choose_augmentation,
     extract_fpm_family,
     mix_and_halve,

@@ -306,7 +306,8 @@ class TestBoundTable:
         (4, 13, 2, 10 * 28 + 10 * 8 + 5),
     ])
     def test_a2_alone_is_the_maximum(self, k, n, s, top):
-        row = bound_table(n, k, [s])[0]
+        row = bound_table(n, k)[s - 1]  # the rows run over s = 1, 2, ...
+        assert row.s == s
         assert row.argmax == "a2" and row.a_bounds[0] == row.max_nontrivial == top
         assert row.hm_bound < top and row.clique_bound < top
 
@@ -315,7 +316,8 @@ class TestBoundTable:
         for n in range(7, 60):
             row = bound_table(n)[0]
             assert row.argmax == "hm,a2" and row.hm_bound == row.a_bounds[0] == 3 * n - 8
-        row = bound_table(12, 3, [2])[0]
+        row = bound_table(12, 3)[1]
+        assert row.s == 2
         assert row.argmax == "hm,a2" and row.max_nontrivial == 80
 
     def test_overtake_scan_oracle(self):

@@ -178,7 +178,7 @@ class TestVerifyExtremal:
         # the edge list and its index grow as C(n, k): n 200 once took 0.8 s
         # and 166 MiB to build before the guard refused it
         built = []
-        monkeypatch.setattr(verify, "complete_graph", lambda *args: built.append(args))
+        monkeypatch.setattr(verify, "k_sets", lambda *args: built.append(args))
         with pytest.raises(BudgetExceeded, match="C\\(n,k\\)=1331334000 > 24"):
             verify_extremal(2000, 3, 1)
         # the pruned search's guard also runs before its budget's clock starts
@@ -196,7 +196,7 @@ class TestVerifyExtremal:
         # the disjointness table the C(n, k) guard bounds, so none is listed
         listed = []
         monkeypatch.setattr(verify, "_transversal_hits", lambda *args: listed.append(args))
-        monkeypatch.setattr(verify, "complete_graph", lambda *args: listed.append(args))
+        monkeypatch.setattr(verify, "k_sets", lambda *args: listed.append(args))
         with pytest.raises(BudgetExceeded, match=f"k\\^s={k**s} transversal masks > C\\(n,k\\)="):
             verify_extremal(n, k, s, NU_LE_S_TAU_GT_S, method="pruned", budget_ms=1)
         assert listed == []
