@@ -35,24 +35,22 @@ from .optimize import (
 )
 
 
-def to_jsonable(obj):
-    """Recursively convert package objects into JSON-serializable data."""
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name, in field order; values are not copied."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _json_default(obj):
+    """json's ``default`` hook for the package objects in a report; json walks the rest."""
     if isinstance(obj, Hypergraph):
         return to_json_dict(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return _fields(obj)
     if isinstance(obj, (set, frozenset)):
-        return [to_jsonable(v) for v in sorted(obj)]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
+        return sorted(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _tsv_cell(v) -> str:
@@ -61,22 +59,20 @@ def _tsv_cell(v) -> str:
     if isinstance(v, Hypergraph):
         return f"graph(n={v.n},k={v.k},e={v.e()})"
     if isinstance(v, dict):
-        return json.dumps(to_jsonable(v), separators=(",", ":"))
+        return json.dumps(v, separators=(",", ":"), default=_json_default)
     return str(v)
 
 
 def render_report(obj, fmt: str = "json") -> str:
     """Stable-order report text; JSON round-trips through json.loads."""
     if fmt == "json":
-        return json.dumps(to_jsonable(obj), indent=2, sort_keys=False)
+        return json.dumps(obj, indent=2, default=_json_default)
     if fmt != "tsv":
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(obj, list):
         return "\n".join(render_report(x, "tsv") for x in obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return "\t".join(
-            _tsv_cell(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        )
+        obj = _fields(obj)
     if isinstance(obj, dict):
         return "\t".join(_tsv_cell(v) for v in obj.values())
     return str(obj)
@@ -122,7 +118,7 @@ def _probe_outputs(*paths: str | None) -> None:
 def _write_json(path: str, obj, indent: int | None = None) -> None:
     # dumps takes the C encoder at indent=None, dump never does; the bytes are the same
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=indent))
+        fh.write(json.dumps(obj, indent=indent, default=_json_default))
 
 
 def _usage_error(why) -> int:
@@ -187,13 +183,13 @@ def _cmd_solve(args) -> int:
     fa = None
     if what == "nu":
         value, witness = max_matching(h, limit=args.limit)
-        cert = {"edges": [list(e) for e in witness.edges]}
+        cert = {"edges": witness.edges}
     elif what == "tau":
         value, witness = min_vertex_cover(h, limit=args.limit)
-        cert = {"vertices": sorted(witness.vertices) if witness else None}
+        cert = {"vertices": witness.vertices if witness else None}
     elif what == "alpha":
         value, wset = max_independent_set(h)
-        cert = {"vertices": sorted(wset)}
+        cert = {"vertices": wset}
     elif what in ("nustar", "taustar"):
         try:  # exact mode falls back to the simplex; float mode has no fallback
             fa = (fractional_matching if what == "nustar" else fractional_cover)(h, mode)
@@ -206,17 +202,17 @@ def _cmd_solve(args) -> int:
             w = fa.weights  # float64 array, or a list of Fractions in rational mode
             nz = np.flatnonzero(w).tolist() if mode == "float" else [i for i, x in enumerate(w) if x]
             rows = h.vertex_array()[nz].tolist()
-            cert = {"weights": {" ".join(map(str, e)): to_jsonable(w[i]) for e, i in zip(rows, nz)}}
+            cert = {"weights": {" ".join(map(str, e)): w[i] for e, i in zip(rows, nz)}}
         else:
-            cert = {"weights": {str(v): to_jsonable(w) for v, w in zip(h.vertices(), fa.weights)}}
+            cert = {"weights": dict(zip(h.vertices(), fa.weights))}
     else:
         raise AssertionError(what)
-    out = {"what": what, "value": to_jsonable(value)}
+    out = {"what": what, "value": value}
     if fa is not None:
         out.update(lp_path=fa.lp_path, lp_solves=fa.lp_solves, lp_rows=fa.lp_rows,
                    lp_iterations=fa.lp_iterations)
     out["certificate"] = cert
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, default=_json_default))
     return 0
 
 
@@ -287,7 +283,7 @@ def _cmd_round(args) -> int:
         matching_strategy=args.strategy,
     )
     if args.report:
-        _save(args.report, lambda path: _write_json(path, to_jsonable(res), indent=2))
+        _save(args.report, lambda path: _write_json(path, res, indent=2))
     print(f"{res.status} matching_size={res.matching.size} r={res.r} t={res.t}")
     return 0 if res.success else 1
 

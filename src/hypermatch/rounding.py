@@ -303,12 +303,9 @@ def _extract_once(h: Hypergraph, t: int, rng: random.Random | None) -> FPMFamily
         died = (prev < threshold - _EPS) & (now >= threshold - _EPS)
         newly = set(zip(x[died].tolist(), y[died].tolist()))
         n_dead += len(newly)
-        before = live.bit_count()
         live = index.without_pairs(live, newly)
         heavy_total.append(n_dead)
-        removed_total.append(
-            (removed_total[-1] if removed_total else 0) + before - live.bit_count()
-        )
+        removed_total.append(m - live.bit_count())  # only without_pairs shrinks live
 
     return FPMFamily(
         members=members,

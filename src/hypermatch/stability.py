@@ -30,8 +30,8 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .constructions import bound_report, clique_count, cover_count
-from .core import BudgetExceeded, Hypergraph
+from .constructions import bound_report, clique_count, cover_count, hm_count
+from .core import BudgetExceeded, Hypergraph, _check_shape
 
 EXHAUSTIVE_GUARD_N = 16
 
@@ -219,8 +219,12 @@ def bound_table(n: int, k: int = 3) -> list[BoundRow]:
 
 
 def clique_overtakes_at(n: int, k: int = 3) -> int | None:
-    """Smallest s with clique count strictly above the Hilton-Milner count."""
-    for row in bound_table(n, k):
-        if row.clique_bound > row.hm_bound:
-            return row.s
+    """Smallest s of ``bound_table``'s range with clique count strictly above the
+    Hilton-Milner count; stops there, holding no table."""
+    top = (n - k + 1) // k
+    if top >= 1:
+        _check_shape(n, k)  # bound_report's refusal, for any table with a row
+    for s in range(1, top + 1):
+        if clique_count(k, s) > hm_count(n, k, s):
+            return s
     return None

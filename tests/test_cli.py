@@ -1,11 +1,14 @@
+import dataclasses
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
 import numpy as np
 
-from hypermatch import cli, lp, optimize, rounding, shifting, verify
-from hypermatch.cli import main, to_jsonable
+from hypermatch import cli, lp, optimize, rounding, shifting, stability, verify
+from hypermatch.cli import main, render_report
 from hypermatch.core import (
     BudgetExceeded,
     Hypergraph,
@@ -14,9 +17,16 @@ from hypermatch.core import (
     from_json_dict,
     random_hypergraph,
     read_hg,
+    to_json_dict,
     write_hg,
 )
-from hypermatch.constructions import clique_family, hilton_milner_family, prefix_overlap_family
+from hypermatch.constructions import (
+    bound_report,
+    clique_family,
+    cover_family,
+    hilton_milner_family,
+    prefix_overlap_family,
+)
 
 
 def run(capsys, *argv):
@@ -129,7 +139,7 @@ def test_shift_output_and_trace_are_pinned(tmp_path, capsys):
 
 def _json_cases():
     _, trace = shifting.stabilize(random_hypergraph(9, 3, 0.4, seed=3))
-    report = to_jsonable(rounding.pipeline(complete_graph(12, 3), 3, t=9, seed=1))
+    report = json.loads(render_report(rounding.pipeline(complete_graph(12, 3), 3, t=9, seed=1)))
     odd = {"x": [0.1, 1e-300, float("inf"), float("nan"), -0.0, 2**70], "s": "é\n\"", "3": None}
     return [
         ({"rounds": trace.rounds, "steps": trace.steps}, None),  # as shift --trace writes it
@@ -145,6 +155,139 @@ def test_write_json_writes_the_bytes_of_json_dump(tmp_path, obj, indent):
         json.dump(obj, fh, indent=indent)
     cli._write_json(str(tmp_path / "ours.json"), obj, indent)
     assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
+
+
+# -- reports through json's default hook, against the walker it replaced --------
+
+
+def reference_jsonable(obj):
+    """The recursive converter the CLI once ran before json.dumps: a copy of each report."""
+    if isinstance(obj, Hypergraph):
+        return to_json_dict(obj)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: reference_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (set, frozenset)):
+        return [reference_jsonable(v) for v in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    return obj
+
+
+def _reference_cell(v) -> str:
+    if isinstance(v, (list, tuple)):
+        return "\t".join(_reference_cell(x) for x in v) if v else "-"
+    if isinstance(v, Hypergraph):
+        return f"graph(n={v.n},k={v.k},e={v.e()})"
+    if isinstance(v, dict):
+        return json.dumps(reference_jsonable(v), separators=(",", ":"))
+    return str(v)
+
+
+def reference_render(obj, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(reference_jsonable(obj), indent=2)
+    if isinstance(obj, list):
+        return "\n".join(reference_render(x, "tsv") for x in obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return "\t".join(_reference_cell(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, dict):
+        return "\t".join(_reference_cell(v) for v in obj.values())
+    return str(obj)
+
+
+def _solve_dict(h, what, mode):
+    """solve's fractional report as the command builds it: raw values, encoded by the hook."""
+    fa = (optimize.fractional_matching if what == "nustar" else optimize.fractional_cover)(h, mode)
+    if what == "nustar":
+        weights = {" ".join(map(str, e)): w for e, w in zip(h.edges, fa.weights) if w}
+    else:
+        weights = dict(zip(h.vertices(), fa.weights))
+    return {"what": what, "value": fa.value, "lp_path": fa.lp_path, "lp_solves": fa.lp_solves,
+            "lp_rows": fa.lp_rows, "lp_iterations": fa.lp_iterations,
+            "certificate": {"weights": weights}}
+
+
+def _report_cases():
+    hm = hilton_milner_family(10, 3, 2)
+    r9 = random_hypergraph(9, 3, 0.5, seed=2)
+    cases = {
+        "pipeline-ok": rounding.pipeline(complete_graph(12, 3), 3, t=9, seed=1),
+        "pipeline-failed": rounding.pipeline(cover_family(12, 3, 2), 2, t=8, seed=0),
+        "verify-witnesses": verify.verify_extremal(8, 3, 1, method="pruned"),
+        "verify-null-bound": verify.verify_extremal(4, 3, 1),
+        "closeness": stability.closeness_to_cover(hm, 2, "exhaustive"),
+        "goodness": stability.goodness_partition(r9, cover_family(9, 3, 2), 0.05),
+        # a set that iterates out of order, and int keys out of order
+        "goodness-unordered": stability.GoodnessReport(
+            0.5, frozenset({5, 100}), frozenset(), {100: 0, 5: 1}),
+        "bounds": bound_report(20, 5, 2),
+        "bound-table": stability.bound_table(40),
+        "graph": hm,
+        "solve-nu": {"certificate": {"edges": optimize.max_matching(hm)[1].edges}},
+        "solve-tau": {"certificate": {"vertices": optimize.min_vertex_cover(hm)[1].vertices}},
+    }
+    for what in ("nustar", "taustar"):
+        for mode in ("rational", "float"):
+            cases[f"solve-{what}-{mode}"] = _solve_dict(r9, what, mode)
+    assert cases["pipeline-ok"].success and not cases["pipeline-failed"].success
+    assert cases["verify-witnesses"].extremal_witnesses
+    assert cases["verify-null-bound"].bound_value is None
+    assert list(cases["goodness-unordered"].good) == [100, 5]
+    assert isinstance(cases["solve-taustar-rational"]["value"], Fraction)
+    assert isinstance(cases["solve-taustar-float"]["certificate"]["weights"][1], np.float64)
+    return cases
+
+
+REPORT_CASES = _report_cases()
+
+
+@pytest.mark.parametrize("name", list(REPORT_CASES))
+def test_reports_encode_to_the_bytes_of_the_reference_walker(tmp_path, name):
+    obj = REPORT_CASES[name]
+    for fmt in ("json", "tsv"):
+        assert render_report(obj, fmt) == reference_render(obj, fmt)
+    for indent in (None, 2):
+        cli._write_json(str(tmp_path / "ours.json"), obj, indent)
+        want = json.dumps(reference_jsonable(obj), indent=indent)
+        assert (tmp_path / "ours.json").read_text() == want
+
+
+@pytest.mark.parametrize("what, flags", [(w, []) for w in ("nu", "tau", "alpha", "nustar", "taustar")]
+                         + [("nustar", ["--exact-lp"]), ("taustar", ["--exact-lp"])])
+def test_solve_prints_the_bytes_of_the_reference_walker(tmp_path, capsys, what, flags):
+    h = random_hypergraph(9, 3, 0.5, seed=2)
+    path = str(tmp_path / "g.hg")
+    write_hg(h, path)
+    if what == "nu":
+        value, witness = optimize.max_matching(h)
+        out = {"what": what, "value": value, "certificate": {"edges": witness.edges}}
+    elif what == "tau":
+        value, witness = optimize.min_vertex_cover(h)
+        out = {"what": what, "value": value, "certificate": {"vertices": witness.vertices}}
+    elif what == "alpha":
+        value, wset = optimize.max_independent_set(h)
+        out = {"what": what, "value": value, "certificate": {"vertices": wset}}
+    else:
+        out = _solve_dict(h, what, "rational" if flags else "float")
+    code, printed = run(capsys, "solve", "--what", what, "--in", path, *flags)
+    assert code == 0
+    assert printed == json.dumps(reference_jsonable(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [object(), np.int64(3), b"x"])
+def test_an_unknown_type_still_raises_jsons_own_type_error(tmp_path, value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value)
+    assert str(want.value) == f"Object of type {type(value).__name__} is not JSON serializable"
+    for encode in (lambda o: render_report(o, "json"), lambda o: render_report(o, "tsv"),
+                   lambda o: cli._write_json(str(tmp_path / "x.json"), o),
+                   lambda o: cli._write_json(str(tmp_path / "x.json"), o, 2)):
+        with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+            encode({"report": {"x": [value]}})
 
 
 def test_closeness(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermatch.cli import to_jsonable
+from hypermatch.cli import render_report
 from hypermatch.constructions import augment_universal, cover_family
 from hypermatch import rounding
 from hypermatch.core import (
@@ -683,7 +684,7 @@ SEEDED_PIPELINE_REPORTS = [
 
 @pytest.mark.parametrize("h, kwargs, status, edges, diag", SEEDED_PIPELINE_REPORTS)
 def test_seeded_pipeline_reports_are_pinned(h, kwargs, status, edges, diag):
-    got = to_jsonable(pipeline(h, **kwargs))
+    got = json.loads(render_report(pipeline(h, **kwargs)))
     assert got == {
         "status": status,
         "success": status == "ok",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
@@ -331,6 +332,30 @@ class TestBoundTable:
                 expect = s
                 break
         assert clique_overtakes_at(n) == expect is not None
+
+    def test_overtake_equals_the_table_scan(self):
+        # the first overtake or None, and the table's refusals (k 1) alike
+        def outcome(call):
+            try:
+                return call()
+            except ValueError as exc:
+                return str(exc)
+
+        for k, top in ((1, 20), (2, 60), (3, 300), (4, 151), (5, 151)):
+            for n in range(top):
+                scan = lambda: next(
+                    (r.s for r in bound_table(n, k) if r.clique_bound > r.hm_bound), None)
+                assert outcome(lambda: clique_overtakes_at(n, k)) == outcome(scan), (n, k)
+
+    def test_overtake_holds_no_table(self):
+        # the table at n 200 000 has 66 666 rows; the scan stops at s 57 371
+        tracemalloc.start()
+        try:
+            assert clique_overtakes_at(200_000) == 57371
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_clique_dominates_at_full_core(self):
         n = 14

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from itertools import combinations
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermatch.cli import render_report, to_jsonable
+from hypermatch.cli import render_report
 from hypermatch.constructions import clique_family, hilton_milner_family
-from hypermatch.core import BudgetExceeded, Hypergraph, complete_graph, lex_codes
+from hypermatch.core import BudgetExceeded, Hypergraph, complete_graph, lex_codes, to_json_dict
 from hypermatch.optimize import EdgeIndex, max_matching, min_vertex_cover
 import hypermatch.verify as verify
 from hypermatch.verify import (
@@ -386,7 +387,10 @@ class TestReportRendering:
         res = verify_extremal(5, 3, 1, NU_LE_S)
         text = render_report(res, "json")
         parsed = json.loads(text)
-        assert parsed == to_jsonable(res)
+        assert parsed == {
+            **{f.name: getattr(res, f.name) for f in dataclasses.fields(res)},
+            "extremal_witnesses": [to_json_dict(w) for w in res.extremal_witnesses],
+        }
         assert parsed["max_edges_found"] == 10
         assert list(parsed)[0] == "n"  # stable field order
 
