@@ -96,7 +96,8 @@ def augment_universal(h: Hypergraph, r: int) -> Hypergraph:
     keep = v[:, -1] > n  # a k-set meets a universal vertex iff its top vertex does
     # h's edges are k-sets of [top] too: one search of lex codes finds their rows
     keep[np.searchsorted(lex_codes(v, top), lex_codes(h.vertex_array(), top))] = True
-    return Hypergraph(top, k, v[keep])
+    # h complete: every k-set of [top] is kept, so the array is handed over, not copied
+    return Hypergraph(top, k, v if keep.all() else v[keep])
 
 
 # -- closed-form counts ------------------------------------------------------

@@ -36,7 +36,7 @@ from math import comb
 import numpy as np
 
 from .constructions import augment_universal
-from .core import Hypergraph, _uniforms
+from .core import BudgetExceeded, Hypergraph, _uniforms
 from .optimize import EdgeIndex, Matching, fractional_perfect_matching
 
 _EPS = 1e-12
@@ -108,12 +108,9 @@ class FPMFamily:
 
 def _uniform_round_budget(n: int, k: int, threshold: float) -> int:
     # uniform weight 1/C(n-1,k-1) puts (k-1)/(n-1) on every pair per round;
-    # the comparison is exact, so the float threshold alone fixes the count
-    inc = Fraction(k - 1, n - 1)
-    u = 0
-    while (u + 1) * inc < Fraction(threshold):
-        u += 1
-    return u
+    # the budget is the most rounds u with u(k-1)/(n-1) < threshold, in exact
+    # arithmetic, so the float threshold alone fixes the count
+    return max(0, math.ceil(Fraction(threshold) / Fraction(k - 1, n - 1)) - 1)
 
 
 def _dead_pairs_by_vertex(pair_load: np.ndarray, threshold: float) -> list[int]:
@@ -383,9 +380,13 @@ def sample_binomial_subgraph(
     kept_v = allv[kept]
     sampled = Hypergraph(n, k, kept_v)
 
-    nz = np.flatnonzero(p)
-    w = p[nz]
-    verts = allv[nz]
+    # a zero weight adds nothing, so the sums may skip it or not: with every
+    # edge weighted p and allv are read in place, else only the weighted rows
+    # are read (round's p is ~99 % zeros on inputs that are not complete)
+    w, verts = p, allv
+    if not p.all():
+        nz = np.flatnonzero(p)
+        w, verts = p[nz], allv[nz]
     # astype: with no weighted edge bincount returns integer zeros
     expected_arr = np.bincount(verts.ravel(), np.repeat(w, k), minlength=n + 1).astype(float)
     expected = dict(zip(h.vertices(), expected_arr[1:].tolist()))
@@ -393,7 +394,11 @@ def sample_binomial_subgraph(
 
     def pair_codes(rows: np.ndarray) -> np.ndarray:
         """Each row's vertex pairs a < b as a * (n + 1) + b, row by row."""
-        return np.stack([rows[:, a] * (n + 1) + rows[:, b] for a, b in cols], axis=1).ravel()
+        codes = np.empty((len(rows), len(cols)), np.intp)
+        for j, (a, b) in enumerate(cols):
+            np.multiply(rows[:, a], n + 1, out=codes[:, j])
+            codes[:, j] += rows[:, b]
+        return codes.ravel()
 
     pairs = pair_codes(verts)
     pair_expected = np.bincount(pairs, np.repeat(w, len(cols)), minlength=(n + 1) ** 2)
@@ -447,14 +452,17 @@ def near_perfect_matching(
     live = index.full  # the edges disjoint from every chosen one
     chosen: list[int] = []
 
-    def take(i: int) -> None:
+    def take(i: int, met: int) -> None:
+        """Choose edge i, which meets the edges of ``met``."""
         nonlocal live
         chosen.append(i)
-        live &= ~meeting(rows[i])
+        live &= ~met
 
     if strategy == "greedy":
+        meets = [meeting(row) for row in rows]  # each edge's mask, built once
         while live:
-            take(min(ids(live), key=lambda i: (live & meeting(rows[i])).bit_count()))
+            i = min(ids(live), key=lambda i: (live & meets[i]).bit_count())
+            take(i, meets[i])
     elif strategy == "nibble":
         rng = random.Random(seed)
         for _ in range(math.ceil(10 * math.log(max(h.n, 2)))):
@@ -464,10 +472,10 @@ def near_perfect_matching(
             rng.shuffle(bite)  # first-come in random order settles conflicts
             for i in bite:
                 if live >> i & 1:
-                    take(i)
+                    take(i, meeting(rows[i]))
         for i in ids(live):  # lex-first cleanup pass
             if live >> i & 1:
-                take(i)
+                take(i, meeting(rows[i]))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -523,7 +531,10 @@ def pipeline(
         raise ValueError("the rounding pipeline is for 3-graphs")
     if r is None:
         r = choose_augmentation(h.n, s)
-    hr = augment_universal(h, r)
+    try:
+        hr = augment_universal(h, r)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"round augments n={h.n} by r={r} universal vertices; {exc}") from None
     if t is None:
         t = max(2, round(hr.n**0.2))
     diag: dict = {"r": r, "t": t, "n_augmented": hr.n}
@@ -542,7 +553,9 @@ def pipeline(
         )
 
     p = mix_and_halve(fam)
-    diag["mixed_total_weight"] = sum(p.tolist(), 0.0)
+    # the sum in edge order, one addition at a time: accumulate never pairs
+    # or compensates, where sum() of floats compensates from Python 3.12 on
+    diag["mixed_total_weight"] = float(np.add.accumulate(p)[-1])
 
     report = sample_binomial_subgraph(hr, p, seed)
     diag["sample_edges"] = report.sampled.e()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -368,6 +369,25 @@ def test_verify_pruned_refuses_large_n_without_building_it(capsys, monkeypatch):
     argv = ["verify", "--n", "40", "--k", "2", "--s", "18", "--pruned", "--budget-ms", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("budget refusal: pruned search refuses k^s=262144")
+
+
+def test_round_refusal_names_the_augmentation(tmp_path, capsys):
+    # 2000 random edges at n 470 and s 3: the pipeline picks r 184, and the
+    # augmented graph would list every 3-set of [654]
+    rng = random.Random(1)
+    edges = set()
+    while len(edges) < 2000:
+        edges.add(tuple(sorted(rng.sample(range(1, 471), 3))))
+    path = str(tmp_path / "sparse470.hg")
+    write_hg(Hypergraph(470, 3, sorted(edges)), path)
+    report = tmp_path / "r.json"
+    assert main(["round", "--in", path, "--s", "3", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "budget refusal: round augments n=470 by r=184 universal vertices; "
+        "listing C(654,3)=46407404 k-sets refuses past 16777216 rows\n"
+    )
+    assert captured.out == "" and not report.exists()
 
 
 def test_verify_budget_refusal(capsys):

@@ -1,10 +1,12 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypermatch import constructions
 from hypermatch.constructions import (
     augment_universal,
     bound_report,
@@ -17,7 +19,7 @@ from hypermatch.constructions import (
     prefix_overlap_count,
     prefix_overlap_family,
 )
-from hypermatch.core import Hypergraph, complete_graph, random_hypergraph
+from hypermatch.core import Hypergraph, complete_graph, k_sets, random_hypergraph
 from hypermatch.optimize import max_matching, min_vertex_cover
 
 
@@ -152,6 +154,37 @@ class TestAugment:
         h = augment_universal(Hypergraph(3, 3, []), 1)
         assert h.n == 4
         assert h.edges == ((1, 2, 4), (1, 3, 4), (2, 3, 4))
+
+    @pytest.fixture
+    def listed(self, monkeypatch):
+        """The arrays augment_universal gets from k_sets, in call order."""
+        arrays = []
+
+        def spy(n, k):
+            arrays.append(k_sets(n, k))
+            return arrays[-1]
+
+        monkeypatch.setattr(constructions, "k_sets", spy)
+        return arrays
+
+    @pytest.mark.parametrize("n, r", [(3, 1), (9, 3), (12, 5)])
+    def test_complete_base_hands_over_the_k_set_array(self, listed, n, r):
+        got = augment_universal(complete_graph(n, 3), r)
+        assert got == complete_graph(n + r, 3)
+        assert got.vertex_array().tolist() == [list(e) for e in combinations(range(1, n + r + 1), 3)]
+        (v,) = listed
+        assert np.shares_memory(got.vertex_array(), v)  # not copied
+        assert not got.vertex_array().flags.writeable
+        with pytest.raises(ValueError):
+            got.vertex_array()[0, 0] = 2
+
+    def test_partial_base_copies_the_kept_rows(self, listed):
+        base = Hypergraph(9, 3, complete_graph(9, 3).edges[1:])  # K9 less {1, 2, 3}
+        got = augment_universal(base, 3)
+        assert got == Hypergraph(12, 3, complete_graph(12, 3).edges[1:])
+        (v,) = listed
+        assert not np.shares_memory(got.vertex_array(), v)
+        assert not got.vertex_array().flags.writeable
 
     def test_edge_count_formula(self):
         base = random_hypergraph(7, 3, 0.4, seed=3)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 
@@ -178,13 +179,20 @@ def test_bulk_draws_equal_the_per_edge_loop(seed, m):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_sampler_on_five_thousand_edges_equals_the_per_edge_reference(seed):
     h = complete_graph(32, 3)  # 4960 edges
-    p = np.random.default_rng(seed).random(h.e())
-    p[::5] = 0.0
-    rep = sample_binomial_subgraph(h, p, seed)
-    kept = _sample_reference(h, p.tolist(), seed, 1.0)[0]
-    assert rep.sampled.edges == tuple(kept)
-    assert rep.sampled.vertex_array().tolist() == [list(e) for e in kept]
-    assert rep.realized_degrees == {v: sum(v in e for e in kept) for v in h.vertices()}
+    weighted = np.random.default_rng(seed).random(h.e())
+    with_zeros = weighted.copy()
+    with_zeros[::5] = 0.0
+    # every edge weighted: the sums read p in place; with zeros: only its weighted rows
+    for p in (weighted, with_zeros):
+        rep = sample_binomial_subgraph(h, p, seed)
+        kept, expected, max_pair = _sample_reference(h, p.tolist(), seed, 1.0)[:3]
+        assert rep.sampled.edges == tuple(kept)
+        assert rep.sampled.vertex_array().tolist() == [list(e) for e in kept]
+        assert rep.realized_degrees == {v: sum(v in e for e in kept) for v in h.vertices()}
+        assert [x.hex() for x in rep.expected_degrees.values()] == [
+            x.hex() for x in expected.values()
+        ]
+        assert rep.max_expected_pair_degree.hex() == max_pair.hex()
 
 
 class TestSample:
@@ -541,6 +549,33 @@ class TestExtractionIndex:
             assert len(set(loads)) == 1
             assert all(abs(load - want) < 1e-12 for load in loads)
 
+    def test_round_budget_equals_its_loop_definition(self):
+        # the most rounds u with u(k-1)/(n-1) < threshold, counted one by one;
+        # a threshold that is an exact multiple of the increment is where
+        # the strict < decides, so those and their float neighbours are covered
+        def loop(n, k, threshold):
+            inc = Fraction(k - 1, n - 1)
+            u = 0
+            while (u + 1) * inc < Fraction(threshold):
+                u += 1
+            return u
+
+        multiples = 0
+        for k in range(2, 6):
+            for n in range(k, 401):
+                inc = Fraction(k - 1, n - 1)
+                thresholds = [1.0, 0.5, 0.3, 1e-3]
+                for j in (1, 2, 3):
+                    f = float(j * inc)
+                    if Fraction(f) == j * inc:
+                        multiples += 1
+                        thresholds += [f, math.nextafter(f, 0.0), math.nextafter(f, 3.0)]
+                for threshold in thresholds:
+                    assert _uniform_round_budget(n, k, threshold) == loop(n, k, threshold), (
+                        n, k, threshold
+                    )
+        assert multiples > 100
+
     @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(max_n=9, k=k)), st.data())
     def test_dead_pair_kill_matches_the_per_edge_definition(self, h, data):
         index = EdgeIndex(h.n, h.vertex_array())
@@ -696,6 +731,69 @@ def test_seeded_pipeline_reports_are_pinned(h, kwargs, status, edges, diag):
         "diagnostics": diag,
     }
     assert list(got["diagnostics"]) == list(diag)  # the report's key order too
+
+
+def _sequential_sum(p):
+    """The definition of ``mixed_total_weight``: the entries added in edge order."""
+    total = 0.0
+    for x in p.tolist():
+        total += x
+    return total
+
+
+def _pipeline_with_mixed(monkeypatch, h, **kwargs):
+    """Run the pipeline; also return the mixed probability it summed, or None."""
+    mixed = []
+
+    def spy(fam):
+        mixed.append(mix_and_halve(fam))
+        return mixed[-1]
+
+    monkeypatch.setattr(rounding, "mix_and_halve", spy)
+    return pipeline(h, **kwargs), (mixed[0] if mixed else None)
+
+
+@pytest.mark.parametrize("h, kwargs, status, edges, diag", SEEDED_PIPELINE_REPORTS)
+def test_mixed_total_weight_is_the_sum_in_edge_order(monkeypatch, h, kwargs, status, edges, diag):
+    res, p = _pipeline_with_mixed(monkeypatch, h, **kwargs)
+    if p is None:
+        assert "mixed_total_weight" not in res.diagnostics
+        return
+    assert res.diagnostics["mixed_total_weight"].hex() == _sequential_sum(p).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.integers(9, 15).map(lambda n: complete_graph(n, 3)),
+        st.builds(
+            lambda n, seed: random_hypergraph(n, 3, 0.6, seed=seed),
+            st.integers(9, 13),
+            st.integers(0, 99),
+        ),
+    ),
+    st.integers(0, 3),
+    st.integers(1, 9),
+    st.integers(0, 50),
+)
+def test_mixed_total_weight_is_the_sum_in_edge_order_on_drawn_inputs(h, r, t, seed):
+    # complete inputs run uniform rounds and then integral or gadget ones,
+    # random inputs integral, gadget and LP rounds
+    with pytest.MonkeyPatch.context() as mp:
+        res, p = _pipeline_with_mixed(mp, h, s=1, t=t, seed=seed, r=r)
+    if p is not None:
+        assert res.diagnostics["mixed_total_weight"].hex() == _sequential_sum(p).hex()
+
+
+def test_mixed_total_weight_does_not_compensate(monkeypatch):
+    # 220 entries of 0.1 add up to 22.000000000000014 one at a time, where a
+    # compensated sum (Python 3.12's sum() of floats, or math.fsum) gives 22.0
+    h = complete_graph(12, 3)
+    p = np.full(h.e(), 0.1)
+    assert _sequential_sum(p) != math.fsum(p.tolist())
+    monkeypatch.setattr(rounding, "mix_and_halve", lambda fam: p)
+    res = pipeline(h, 3, t=9, seed=1)
+    assert res.diagnostics["mixed_total_weight"].hex() == _sequential_sum(p).hex()
 
 
 def _per_edge_loads(h, members):
