@@ -288,6 +288,8 @@ def k_sets(n: int, k: int) -> np.ndarray:
     rows = comb(n, k)
     if rows > K_SETS_GUARD:
         raise BudgetExceeded(f"listing C({n},{k})={rows} k-sets refuses past {K_SETS_GUARD} rows")
+    if k == 0:
+        return np.empty((1, 0), np.intp)  # C(n, 0) = 1: the empty set
     if k > n:
         return np.empty((0, k), np.intp)
     cols = [np.arange(k, n + 1, dtype=np.intp)]

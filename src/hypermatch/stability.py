@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
 
 import numpy as np
 
 from .constructions import bound_report, clique_count, cover_count, hm_count
-from .core import BudgetExceeded, Hypergraph, _check_shape
+from .core import BudgetExceeded, Hypergraph, _check_shape, k_sets
 
 EXHAUSTIVE_GUARD_N = 16
 
@@ -77,13 +76,29 @@ def _inside(h: Hypergraph, vertices: set[int]) -> int:
 def _subset_counts(h: Hypergraph) -> np.ndarray:
     """f[S] = the number of edges inside S, for every vertex bitmask S (bit v-1 for v).
 
-    A 1 at each edge mask (the sum of a row's bits; the edges are distinct), then
-    the subset-sum (zeta) transform: the pass for bit b adds f[S] into f[S | b]
-    for every S without b. Every count is at most C(n, k) < 2**31.
+    A 1 at each edge mask (the edges are distinct), then the subset-sum (zeta)
+    transform: the pass for bit b adds f[S] into f[S | b] for every S without
+    b. The passes commute, so they run in two blocks. Seen as a (2^hi, 2^lo)
+    matrix, lo = n // 2, the table indexes rows by S's high bits and columns
+    by its low bits. The 1s go into its transpose, where the low bits' passes
+    run; one contiguous copy turns it back for the high bits' passes. So
+    every pass adds runs of at least 2^lo entries. No count exceeds
+    C(n, n // 2) <= C(16, 8) = 12 870 under the guard, so the counts are int16.
     """
-    f = np.zeros(1 << h.n, dtype=np.int32)
-    f[(np.int64(1) << (h.vertex_array() - 1)).sum(axis=1)] = 1
-    for b in range(h.n):
+    n = h.n
+    if n > EXHAUSTIVE_GUARD_N:
+        raise BudgetExceeded(f"exhaustive closeness capped at n={EXHAUSTIVE_GUARD_N}")
+    lo = n // 2
+    hi = n - lo
+    # vertex v's bit in the transposed layout, whose index is S's low bits above its high ones
+    shift = np.concatenate([np.arange(hi, n), np.arange(hi)]).astype(np.int64)
+    t = np.zeros(1 << n, dtype=np.int16)
+    t[(np.int64(1) << shift[h.vertex_array() - 1]).sum(axis=1)] = 1
+    for b in range(hi, n):
+        pairs = t.reshape(-1, 2, 1 << b)
+        pairs[:, 1] += pairs[:, 0]
+    f = t.reshape(1 << lo, 1 << hi).T.ravel()  # a copy: the transpose is not contiguous
+    for b in range(lo, n):
         pairs = f.reshape(-1, 2, 1 << b)
         pairs[:, 1] += pairs[:, 0]
     return f
@@ -96,8 +111,10 @@ def _closest(h: Hypergraph, target: str, size: int, search: str) -> ClosenessRep
     clique_count - inside(U) clique edges, where inside(S) counts the edges
     inside S. The heuristic takes the highest-degree vertices and counts
     with `_inside`. The exhaustive search reads every placement's count off
-    one subset-count table f, f[S] = inside(S); placements run in lex order
-    and argmin keeps the first of the fewest.
+    one subset-count table f, f[S] = inside(S). Its placements are masks in
+    lex order, listed by `k_sets` on the smaller side: the size-sets, or
+    their complements reversed (complementing reverses lex order), and
+    argmin keeps the first of the fewest.
     """
     def misses(inside):
         if target == "cover":
@@ -110,18 +127,18 @@ def _closest(h: Hypergraph, target: str, size: int, search: str) -> ClosenessRep
         miss = misses(_inside(h, kept))
     elif search != "exhaustive":
         raise ValueError(f"unknown search mode {search!r}")
-    elif h.n > EXHAUSTIVE_GUARD_N:
-        raise BudgetExceeded(f"exhaustive closeness capped at n={EXHAUSTIVE_GUARD_N}")
     else:
-        f = _subset_counts(h)
-        bits = [1 << v for v in range(h.n)]
-        places = np.fromiter(
-            map(sum, combinations(bits, size)), dtype=np.int64, count=math.comb(h.n, size)
-        )
-        every = misses(f[((1 << h.n) - 1) ^ places] if target == "cover" else f[places])
+        f = _subset_counts(h)  # refuses n past EXHAUSTIVE_GUARD_N
+        full = (1 << h.n) - 1
+        flip = 2 * size > h.n
+        places = (np.int64(1) << (k_sets(h.n, h.n - size if flip else size) - 1)).sum(axis=1)
+        if flip:
+            places = full ^ places[::-1]
+        every = misses(f[full ^ places if target == "cover" else places].astype(np.int64))
         at = int(np.argmin(every))
         miss = int(every[at])
-        best = next(islice(combinations(range(1, h.n + 1), size), at, None))
+        mask = int(places[at])
+        best = tuple(v + 1 for v in range(h.n) if mask >> v & 1)
     return ClosenessReport(target, best, miss, miss / h.n**h.k, search == "exhaustive", h.n)
 
 

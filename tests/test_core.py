@@ -347,14 +347,15 @@ class TestFiles:
 
 
 class TestKSets:
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
     def test_lex_order_equals_combinations(self, k):
+        # k = 0 is one empty row, C(n, 0) = 1; graphs start at k = 2
         for n in range(0, 15):
             want = list(combinations(range(1, n + 1), k))
             v = k_sets(n, k)
             assert v.dtype == np.intp and v.shape == (math.comb(n, k), k)
             assert v.tolist() == [list(e) for e in want]
-            if n >= k:
+            if n >= k >= 2:
                 assert complete_graph(n, k).edges == tuple(want)
 
     def test_k_near_n_lists_no_wider_level(self):

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,9 @@ from hypermatch.constructions import (
     hilton_milner_family,
     prefix_overlap_count,
 )
-from hypermatch.core import BudgetExceeded, Hypergraph, complete_graph, edge_mask
+from hypermatch.core import BudgetExceeded, Hypergraph, complete_graph, edge_mask, random_hypergraph
 from hypermatch.stability import (
+    EXHAUSTIVE_GUARD_N,
     bound_table,
     clique_overtakes_at,
     closeness_to_clique,
@@ -206,6 +208,57 @@ class TestVertexArrayKernels:
             assert stability._inside(born, vertices) == inside
             assert f[mask] == inside == sum(1 for em in masks if em | mask == mask)
         assert born._edges is None
+
+
+def _zeta_reference(h):
+    """f[S] = the edges inside S: a 1 at each edge's mask, then one in-place
+    pass per vertex bit over the whole table, in int64."""
+    f = np.zeros(1 << h.n, dtype=np.int64)
+    f[[edge_mask(e) for e in h.edges]] = 1
+    for b in range(h.n):
+        pairs = f.reshape(-1, 2, 1 << b)
+        pairs[:, 1] += pairs[:, 0]
+    return f
+
+
+class TestSubsetCounts:
+    """The two-block int16 table against the one-pass-per-bit transform."""
+
+    @pytest.mark.parametrize("n", range(2, EXHAUSTIVE_GUARD_N + 1))
+    def test_equals_the_one_pass_per_bit_transform(self, n):
+        graphs = [Hypergraph(n, 2, [])]
+        for k in range(2, min(n, 4) + 1):
+            graphs.append(complete_graph(n, k))
+            graphs += [random_hypergraph(n, k, p, seed=n) for p in (0.1, 0.5)]
+        for h in graphs:
+            f = stability._subset_counts(h)
+            assert f.shape == (1 << n,)
+            assert np.array_equal(f, _zeta_reference(h))
+
+    def test_dtype_holds_the_largest_count_at_the_guard(self):
+        # no set holds more k-sets than C(n, n // 2), reached by K_16^8 on all 16 vertices
+        f = stability._subset_counts(complete_graph(16, 8))
+        assert f[-1] == math.comb(16, 8) == 12870
+        assert np.iinfo(f.dtype).max >= math.comb(EXHAUSTIVE_GUARD_N, EXHAUSTIVE_GUARD_N // 2)
+
+    def test_refuses_past_the_guard(self):
+        with pytest.raises(BudgetExceeded):
+            stability._subset_counts(Hypergraph(EXHAUSTIVE_GUARD_N + 1, 3, []))
+
+    @pytest.mark.parametrize("n", [3, 8, 11, 16])
+    def test_ties_on_the_complement_side_go_to_the_lex_first(self, n):
+        # every placement ties on the empty graph, and sizes past n / 2 are
+        # listed as complements
+        empty = Hypergraph(n, 3, [])
+        for s in range(n + 1):
+            assert closeness_to_cover(empty, s, "exhaustive").partition == tuple(range(1, s + 1))
+        for s in range((n + 1) // 3):
+            size = 3 * (s + 1) - 1
+            assert closeness_to_clique(empty, s, "exhaustive").partition == tuple(range(1, size + 1))
+        full = complete_graph(n, 3)
+        for s, want in ((0, ()), (n, tuple(range(1, n + 1)))):
+            rep = closeness_to_cover(full, s, "exhaustive")
+            assert (rep.partition, rep.missing_edges) == (want, 0)
 
 
 class TestGoodness:
