@@ -18,13 +18,14 @@ CASES = [
     (5, 3, 1, NU_LE_S_TAU_GT_S),
     (6, 3, 1, NU_LE_S_TAU_GT_S),
     # C(n,k) > 24 edges: the exhaustive method refuses these; the pruned one
-    # settles (9,3,1) in 1-2 s and each of the others in under 0.1 s on a
-    # 2-CPU container; (10,3,1) = 22 takes about 40 s, so CI runs it in a
+    # settles (10,3,1) = 22 in 1-2 s and each of the others in under 0.1 s
+    # on a 2-CPU container; (11,3,1) = 25 takes 12-13 s, so CI runs it in a
     # step of its own
     (8, 3, 1, NU_LE_S_TAU_GT_S),
     (9, 2, 2, NU_LE_S_TAU_GT_S),
     (9, 3, 1, NU_LE_S_TAU_GT_S),
     (10, 2, 2, NU_LE_S_TAU_GT_S),
+    (10, 3, 1, NU_LE_S_TAU_GT_S),
 ]
 
 
@@ -34,7 +35,7 @@ def main() -> None:
     args = ap.parse_args()
     method = "pruned" if args.pruned else "exhaustive"
 
-    print("n\tk\ts\tconstraint\tmax e\tbound\tmatch\tchecked\ttime")
+    print("n\tk\ts\tconstraint\tmax e\tbound\tmatch\tchecked\tnodes\ttime")
     for n, k, s, constraint in CASES:
         t0 = time.time()
         try:
@@ -45,7 +46,7 @@ def main() -> None:
         print(
             f"{n}\t{k}\t{s}\t{constraint}\t{res.max_edges_found}\t"
             f"{res.bound_value}\t{res.matches_bound}\t{res.subsets_checked}\t"
-            f"{time.time() - t0:.2f}s"
+            f"{res.search_nodes}\t{time.time() - t0:.2f}s"
         )
 
 

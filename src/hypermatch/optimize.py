@@ -138,7 +138,8 @@ class EdgeIndex:
     disjoint from edge i, and ``rows``, the edges' vertex lists, are built on
     first use. ``packing`` and ``cover`` answer the paper's two questions,
     nu <= s and tau > s, on any edge subset, ``addable_after`` keeps
-    ``verify``'s walk below a matching ceiling, and ``perfect`` finds the
+    ``verify``'s walk below a matching ceiling, ``meeting_counts`` gives it
+    the edge orbits of its symmetry group, and ``perfect`` finds the
     rounding pipeline's perfect matchings. Only this class reads its tables.
     """
 
@@ -181,6 +182,18 @@ class EdgeIndex:
         for v in vs:
             row &= inc[v]
         return row
+
+    def meeting_counts(self, vs) -> list[int]:
+        """Entry c holds the edges meeting the distinct vertices vs in exactly
+        c of them, for c = 0..k."""
+        inc, counts = self.inc, [self.full] + [0] * self.k
+        for v in vs:
+            row = inc[v]
+            # an edge through v moves up one entry, from the top entry down
+            for c in range(self.k, 0, -1):
+                counts[c] = counts[c] & ~row | counts[c - 1] & row
+            counts[0] &= ~row
+        return counts
 
     def without_pairs(self, live: int, pairs) -> int:
         """The edges of `live` that hold none of the vertex pairs."""

@@ -11,16 +11,24 @@ constraint-satisfying families instead (the maximum is attained at one).
 For n >= ks it walks only the families that contain the fixed s-matching
 M0 = {1..k}, ..., {(s-1)k+1..sk}: every maximal family there has nu = s,
 and relabeling moves any s-matching onto M0, so the maximum is the same
-and the witnesses are the extremal families holding M0. Such a family has
+and the witnesses are extremal families holding M0. The walk branches on
+edge orbits (orbital branching): the relabelings that map each of M0's
+blocks and [ks+1..n] onto itself map every node's families onto
+themselves, so a node either takes its lowest candidate edge or bans that
+edge's whole orbit, and each include branch refines the group to the
+edge's stabilizer. The maximum stays exact, and the witnesses are a
+non-empty subset of the extremal families holding M0 with, below
+WITNESS_CAP, at least one per class under that group. Such a family has
 a cover of s vertices exactly when one of the k^s transversals of M0's
 blocks is one, so under the tau floor every node, leaf or not, is cut when
 its largest family passes that test. Below n = ks no family reaches
 nu = s, and K_n^k is the one family checked. Once it holds WITNESS_CAP
 families of the best size, it cuts every subtree that can only tie that
 size, since no such leaf would be reported; ``subsets_checked`` counts the
-maximal families it still visits. Both paths refuse, before they list a
-k-set, a C(n, k) past their guard; the pruned path under the tau floor
-also refuses k^s > C(n, k) transversal masks at n >= ks.
+maximal families it still visits and ``search_nodes`` the nodes it enters.
+Both paths refuse, before they list a k-set, a C(n, k) past their guard;
+the pruned path under the tau floor also refuses k^s > C(n, k) transversal
+masks at n >= ks.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ class VerifyResult:
     bound_value: int | None = None
     method: str = "exhaustive"
     subsets_checked: int = 0
+    search_nodes: int = 0  # nodes the pruned walk entered; 0 for the exhaustive method
     status: str = "complete"
 
 
@@ -105,19 +114,20 @@ def verify_extremal(
         )
     index = EdgeIndex(n, k_sets(n, k))
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    max_edges, subs, checked, status = search(index, s, tau_floor, deadline)
+    max_edges, subs, checked, nodes, status = search(index, s, tau_floor, deadline)
     witnesses = [Hypergraph(n, k, index.verts[index.ids(sub)]) for sub in subs]
     bound = _bound_target(n, k, s, constraint)
     return VerifyResult(
         n, k, s, constraint, max_edges, witnesses,
         None if bound is None or max_edges is None else max_edges == bound,
-        bound, method, checked, status,
+        bound, method, checked, nodes, status,
     )
 
 
-# Both searches return (max_edges, witness subsets, subsets checked, status);
-# max_edges is None when no family qualifies or the budget ran out.
-_Found = tuple[int | None, list[int], int, str]
+# Both searches return (max_edges, witness subsets, subsets checked, search
+# nodes, status); max_edges is None when no family qualifies or the budget ran
+# out. The exhaustive search walks no tree, so its node count is 0.
+_Found = tuple[int | None, list[int], int, int, str]
 
 
 def _search_exhaustive(index: EdgeIndex, s: int, tau_floor: bool, deadline: float | None) -> _Found:
@@ -128,7 +138,7 @@ def _search_exhaustive(index: EdgeIndex, s: int, tau_floor: bool, deadline: floa
         for combo in combinations(range(m), size):
             checked += 1
             if deadline is not None and checked % 4096 == 0 and time.monotonic() > deadline:
-                return None, [], checked, f"budget refusal: stopped inside size {size} of {m}"
+                return None, [], checked, 0, f"budget refusal: stopped inside size {size} of {m}"
             sub = 0
             for i in combo:
                 sub |= 1 << i
@@ -140,8 +150,8 @@ def _search_exhaustive(index: EdgeIndex, s: int, tau_floor: bool, deadline: floa
             if len(hits) >= WITNESS_CAP:
                 break
         if hits:
-            return size, hits, checked, "complete"
-    return None, [], checked, "complete"
+            return size, hits, checked, 0, "complete"
+    return None, [], checked, 0, "complete"
 
 
 def _transversal_hits(index: EdgeIndex, k: int, s: int) -> list[int]:
@@ -156,7 +166,7 @@ def _transversal_hits(index: EdgeIndex, k: int, s: int) -> list[int]:
 
 
 def _search_maximal(index: EdgeIndex, s: int, tau_floor: bool, deadline: float | None) -> _Found:
-    """Walk maximal constraint-satisfying families.
+    """Walk maximal constraint-satisfying families, one edge orbit at a time.
 
     The edge-count maximum under a matching ceiling plus a cover floor is
     attained at a family maximal under the (downward-closed) matching
@@ -170,8 +180,7 @@ def _search_maximal(index: EdgeIndex, s: int, tau_floor: bool, deadline: float |
     a maximal family has nu = s, and a relabeling of [n] moves any of its
     s-matchings onto M0 and keeps both constraints, so the maximum is
     attained at a family holding M0. The edges addable to M0 are exactly
-    those meeting [ks], so the invariants below hold at the root. The
-    witnesses are extremal families holding M0.
+    those meeting [ks], so the invariants below hold at the root.
 
     `cand` and `banned` are edge bitsets, taken lowest bit first. The
     search keeps two invariants: the family `sub` has nu <= s, and every
@@ -180,24 +189,47 @@ def _search_maximal(index: EdgeIndex, s: int, tau_floor: bool, deadline: float |
     and a leaf (`cand` empty) is maximal exactly when `banned` is empty.
     Every leaf is a different family, so the witnesses are distinct.
 
+    Orbital branching: each node also carries `cells`, a partition of [n]
+    whose Young subgroup H (the relabelings that map every cell onto
+    itself) maps `sub`, `cand` and `banned` each onto itself. At the root
+    the cells are M0's s blocks and [ks+1..n]. A node takes the lowest edge
+    e of `cand` (the include branch) or bans e's whole H-orbit (the exclude
+    branch): the orbit is the edges meeting every cell C in |e & C|
+    vertices, the AND over the cells of `EdgeIndex.meeting_counts`. A leaf
+    below this node holding some f = h(e) of the orbit is mapped by h^-1,
+    which keeps the node's sets and both constraints, onto a leaf holding
+    e, so the include branch sees every leaf holding an orbit edge up to H
+    and the exclude branch every other leaf. The include branch splits
+    each cell C into C & e and C - e, whose Young subgroup is e's
+    stabilizer in H: it maps `sub | e` onto itself and, since the matching
+    ceiling is invariant under relabeling, the filtered `cand` and `banned`
+    too. Once every cell is one vertex, H is trivial, the orbit is e alone
+    and the node runs the plain walk (`cells` is None). So the maximum is
+    exact and the witnesses are extremal families holding M0: below
+    WITNESS_CAP, at least one per class under the root's H, which may list
+    one class more than once.
+
     Under the tau floor every node is cut when ``sub | cand`` has a cover
     of s vertices, which is then a transversal of M0
     (`_transversal_hits`): every leaf below is a subset of it, and
     tau never drops as edges are added, so none of them has tau > s. At a
     leaf ``sub | cand`` is `sub`, so the same test decides the leaf.
     """
-    k = index.k
-    if index.n < k * s:
+    k, n = index.k, index.n
+    if n < k * s:
         if tau_floor and index.cover(index.full, s) is not None:
-            return None, [], 1, "complete"
-        return len(index.verts), [index.full], 1, "complete"
+            return None, [], 1, 1, "complete"
+        return len(index.verts), [index.full], 1, 1, "complete"
     hits = _transversal_hits(index, k, s) if tau_floor else []
+    rows = index.vertex_rows()
+    counts: dict[int, list[int]] = {}  # cell (a vertex bitmask) -> its meeting_counts
     best_size = -1
     best_subs: list[int] = []
-    checked = 0
+    checked = nodes = 0
 
-    def expand(sub: int, size: int, cand: int, banned: int) -> None:
-        nonlocal best_size, best_subs, checked
+    def expand(sub: int, size: int, cand: int, banned: int, cells: list[int] | None) -> None:
+        nonlocal best_size, best_subs, checked, nodes
+        nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("pruned search ran over budget")
         # leaves below hold at most size + |cand| edges; once the witness list
@@ -217,22 +249,40 @@ def _search_maximal(index: EdgeIndex, s: int, tau_floor: bool, deadline: float |
                     best_subs.append(sub)
             return
         low = cand & -cand
+        i = low.bit_length() - 1
         rest = cand ^ low
-        kept = index.addable_after(s, sub, low.bit_length() - 1, rest | banned)
-        expand(sub | low, size + 1, kept & rest, kept & banned)
-        expand(sub, size, rest, banned | low)
+        kept = index.addable_after(s, sub, i, rest | banned)
+        if cells is None:
+            orbit, split = low, None
+        else:
+            e = sum(1 << v for v in rows[i])
+            orbit, split = index.full, []
+            for cell in cells:
+                got = counts.get(cell)
+                if got is None:
+                    got = counts[cell] = index.meeting_counts(v for v in range(1, n + 1) if cell >> v & 1)
+                inside = cell & e
+                orbit &= got[inside.bit_count()]
+                split += [part for part in (inside, cell ^ inside) if part]
+            if len(split) == n:
+                split = None
+        expand(sub | low, size + 1, kept & rest, kept & banned, split)
+        expand(sub, size, cand & ~orbit, banned | orbit, cells)
 
-    fixed = sum(index.containing(range(j * k + 1, j * k + k + 1)) for j in range(s))
+    blocks = [range(j * k + 1, j * k + k + 1) for j in range(s)]
+    fixed = sum(index.containing(block) for block in blocks)
     meets = index.meeting(range(1, k * s + 1))
+    # k >= 2, so no cell of the root is one vertex
+    cells = [sum(1 << v for v in cell) for cell in blocks + [range(k * s + 1, n + 1)] if cell]
     try:
-        expand(fixed, s, meets & ~fixed, 0)
+        expand(fixed, s, meets & ~fixed, 0, cells)
     except BudgetExceeded:
-        return None, [], checked, "budget refusal"
+        return None, [], checked, nodes, "budget refusal"
     finally:
         del expand  # expand reaches itself through its cell: free it without the cyclic GC
     if best_size < 0:
-        return None, [], checked, "complete"
-    return best_size, best_subs, checked, "complete"
+        return None, [], checked, nodes, "complete"
+    return best_size, best_subs, checked, nodes, "complete"
 
 
 def revalidate_witnesses(result: VerifyResult) -> bool:

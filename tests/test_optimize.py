@@ -459,6 +459,22 @@ class TestEdgeIndex:
         assert index.rows is None and index.vertex_rows() == [list(e) for e in h.edges]
         assert index.vertex_rows() is index.rows
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_meeting_counts_match_the_per_edge_definition(self, k):
+        rnd = random.Random(k)
+        for n in range(k, 10):
+            pool = list(combinations(range(1, n + 1), k))
+            h = Hypergraph(n, k, [e for e in pool if rnd.random() < 0.6])
+            index = EdgeIndex(h.n, h.vertex_array())
+            draws = [[], [1], [n]] + [rnd.sample(range(1, n + 1), rnd.randint(1, n)) for _ in range(12)]
+            for vs in draws:
+                counts = index.meeting_counts(vs)
+                assert counts == [
+                    sum(1 << i for i, e in enumerate(h.edges) if len(set(vs) & set(e)) == c)
+                    for c in range(k + 1)
+                ]
+                assert sum(counts) == index.full  # the entries split the edges
+
     def test_searches_leave_no_reference_cycles(self):
         # the recursive closures are freed by reference counting alone, found,
         # failed or over the node budget

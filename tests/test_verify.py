@@ -1,7 +1,8 @@
 import dataclasses
 import json
+import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -23,16 +24,19 @@ from hypermatch.verify import (
 
 from conftest import cyclic_garbage
 
-# (max_edges_found, subsets_checked, witnesses, witness masks) of the pruned
-# search, pinned. Every row has n >= ks, so the search starts from the fixed
-# s-matching M0 and reports only extremal families that hold it; (7,2,2)
-# under the tau floor and (8,3,1) under nu <= s have three such families, the
-# other rows at least WITNESS_CAP = 4. Once the witness list is full, the
-# search cuts every subtree that can only tie the best size, so
-# subsets_checked counts the maximal families it still visits; a faster
-# addability test must leave that count, and so the search tree, as it is.
-# Under the tau floor it counts only the maximal families that pass the
-# transversal test.
+# (max_edges_found, subsets_checked, witnesses, witness masks, search_nodes)
+# of the pruned search, pinned. Every row has n >= ks, so the search starts
+# from the fixed s-matching M0 and reports only extremal families that hold
+# it. It branches on edge orbits of the Young subgroup H of M0's blocks and
+# [ks+1..n]: (7,2,2) under the tau floor and (8,3,1) under nu <= s have one
+# extremal family up to H, and so one witness (the walk of one branch per
+# edge, `reference_search_maximal`, listed three); the other rows have at
+# least WITNESS_CAP = 4 and report the reference's four. Once the witness
+# list is full, the search cuts every subtree that can only tie the best
+# size, so subsets_checked counts the maximal families it still visits; a
+# faster addability test must leave that count, the node count and so the
+# search tree as they are. Under the tau floor it counts only the maximal
+# families that pass the transversal test.
 # The masks are the witnesses in the order the search reports them, bit i
 # standing for the i-th k-set of [n] in lex order; neither the tied-subtree
 # cut, the skipped failed cover vertices nor the tau-floor cut may move them
@@ -41,30 +45,124 @@ from conftest import cyclic_garbage
 # the test names stay as they were.
 PINNED_TREES = [
     pytest.param(
-        6, 3, 1, NU_LE_S_TAU_GT_S, 10, 4, 4, (0x5FF, 0xAFF, 0xCFF, 0x137F),
+        6, 3, 1, NU_LE_S_TAU_GT_S, 10, 4, 4, (0x5FF, 0xAFF, 0xCFF, 0x137F), 245,
         id="6-3-1-nu_le_s_and_tau_gt_s-10-1024",
     ),
     pytest.param(
-        7, 3, 1, NU_LE_S_TAU_GT_S, 13, 4, 4, (0x8FFF, 0x133FF, 0x255FF, 0x469FF),
+        7, 3, 1, NU_LE_S_TAU_GT_S, 13, 4, 4, (0x8FFF, 0x133FF, 0x255FF, 0x469FF), 1185,
         id="7-3-1-nu_le_s_and_tau_gt_s-13-182",
     ),
     pytest.param(
-        7, 2, 2, NU_LE_S_TAU_GT_S, 10, 7, 3, (0x99CF, 0x12AD7, 0x24CE7),
+        7, 2, 2, NU_LE_S_TAU_GT_S, 10, 5, 1, (0x99CF,), 201,
         id="7-2-2-nu_le_s_and_tau_gt_s-10-62",
     ),
     pytest.param(
-        8, 2, 2, NU_LE_S_TAU_GT_S, 10, 4, 4, (0x21FF, 0x4607F, 0x8A07F, 0x11207F),
+        8, 2, 2, NU_LE_S_TAU_GT_S, 10, 4, 4, (0x21FF, 0x4607F, 0x8A07F, 0x11207F), 267,
         id="8-2-2-nu_le_s_and_tau_gt_s-10-364",
     ),
     pytest.param(
-        8, 3, 1, NU_LE_S, 21, 3, 3, (0x1FFFFF, 0xFFFE0003F, 0x3FF003E007C1),
+        8, 3, 1, NU_LE_S, 21, 1, 1, (0x1FFFFF,), 1141,
         id="8-3-1-nu_le_s-21-8",
     ),
     pytest.param(
-        8, 3, 1, NU_LE_S_TAU_GT_S, 16, 4, 4, (0x207FFF, 0x438FFF, 0x8C97FF, 0x11527FF),
+        8, 3, 1, NU_LE_S_TAU_GT_S, 16, 4, 4, (0x207FFF, 0x438FFF, 0x8C97FF, 0x11527FF), 8901,
         id="8-3-1-nu_le_s_and_tau_gt_s-16-344",
     ),
 ]
+
+# The grid the orbit walk is compared on against the reference walk: k 2-4,
+# s 1-3, n >= ks and C(n, k) <= 200, under both constraints. Each
+# (k, s, constraint) series listed here stops at the largest n at which the
+# reference walk settles the cell within REFERENCE_NODES nodes; a series not
+# listed runs to the end.
+REFERENCE_NODES = 100_000
+REFERENCE_REACH = {
+    (2, 2, NU_LE_S): 14, (2, 2, NU_LE_S_TAU_GT_S): 12,
+    (2, 3, NU_LE_S): 10, (2, 3, NU_LE_S_TAU_GT_S): 9,
+    (3, 1, NU_LE_S): 9, (3, 1, NU_LE_S_TAU_GT_S): 8,
+    (3, 2, NU_LE_S): 8, (3, 2, NU_LE_S_TAU_GT_S): 8,
+    (4, 1, NU_LE_S): 7, (4, 1, NU_LE_S_TAU_GT_S): 7,
+}
+# The largest H whose images the completeness check lists.
+YOUNG_ORDER_CAP = 5040
+
+
+def reference_search_maximal(index, s, tau_floor, cap=WITNESS_CAP, nodes=None):
+    """The pruned walk before orbital branching: one branch per edge.
+
+    It takes the lowest candidate edge or leaves it out, with the same size
+    bound, tau-floor transversal test and invariants as
+    ``verify._search_maximal`` at n >= ks, and returns (max_edges, witness
+    subsets, subsets checked, nodes entered). ``cap`` None lists every leaf
+    of the best size: every extremal family holding M0. With ``nodes`` it
+    raises BudgetExceeded past that many nodes.
+    """
+    k = index.k
+    hits = verify._transversal_hits(index, k, s) if tau_floor else []
+    best_size = -1
+    best_subs = []
+    checked = entered = 0
+
+    def expand(sub, size, cand, banned):
+        nonlocal best_size, best_subs, checked, entered
+        entered += 1
+        if nodes is not None and entered > nodes:
+            raise BudgetExceeded(f"reference walk passed {nodes} nodes")
+        full = cap is not None and len(best_subs) >= cap
+        if size + cand.bit_count() < best_size + full:
+            return
+        top = sub | cand
+        for hit in hits:
+            if top & hit == top:
+                return
+        if not cand:
+            if not banned:
+                checked += 1
+                if size > best_size:
+                    best_size, best_subs = size, [sub]
+                else:
+                    best_subs.append(sub)
+            return
+        low = cand & -cand
+        rest = cand ^ low
+        kept = index.addable_after(s, sub, low.bit_length() - 1, rest | banned)
+        expand(sub | low, size + 1, kept & rest, kept & banned)
+        expand(sub, size, rest, banned | low)
+
+    fixed = sum(index.containing(range(j * k + 1, j * k + k + 1)) for j in range(s))
+    meets = index.meeting(range(1, k * s + 1))
+    try:
+        expand(fixed, s, meets & ~fixed, 0)
+    finally:
+        del expand
+    return (best_size if best_size >= 0 else None), best_subs, checked, entered
+
+
+def _young_images(n, k, s, family):
+    """Every image of the family under the Young subgroup H of M0's blocks
+    and [ks+1..n], the symmetry group the pruned walk branches on."""
+    cells = [range(j * k + 1, j * k + k + 1) for j in range(s)] + [range(k * s + 1, n + 1)]
+    images = set()
+    for perms in product(*(permutations(c) for c in cells)):
+        relabel = {}
+        for cell, perm in zip(cells, perms):
+            relabel.update(zip(cell, perm))
+        images.add(frozenset(tuple(sorted(relabel[v] for v in e)) for e in family))
+    return images
+
+
+def _grid_cells():
+    """The grid's cells within REFERENCE_REACH that the tau floor's
+    transversal guard lets through."""
+    for k in (2, 3, 4):
+        for s in (1, 2, 3):
+            for constraint in (NU_LE_S, NU_LE_S_TAU_GT_S):
+                n = k * s
+                last = REFERENCE_REACH.get((k, s, constraint), math.inf)
+                while n <= last and math.comb(n, k) <= 200:
+                    if constraint == NU_LE_S or k**s <= math.comb(n, k):
+                        yield n, k, s, constraint
+                    n += 1
 
 
 def _fixed_matching(n, k, s):
@@ -147,8 +245,13 @@ class TestVerifyExtremal:
         # holding M0: as many of them as there are, up to the cap
         every = _extremal_families_holding_m0(n, k, s, constraint, b.max_edges_found)
         got = [w.edge_set for w in b.extremal_witnesses]
-        assert len(got) == len(set(got)) == min(WITNESS_CAP, len(every))
+        # at least one and at most WITNESS_CAP distinct ones; below the cap,
+        # every one of them is an image of a witness under H
+        assert 1 <= len(got) == len(set(got)) <= WITNESS_CAP
         assert all(w in every for w in got)
+        if len(got) < WITNESS_CAP:
+            images = set().union(*(_young_images(n, k, s, w) for w in got))
+            assert set(every) <= images
 
     def test_pruned_agrees_at_twenty_edges(self):
         a = verify_extremal(6, 3, 1, NU_LE_S_TAU_GT_S)
@@ -234,10 +337,11 @@ class TestVerifyExtremal:
 
 
 class TestPrunedSearch:
-    @pytest.mark.parametrize("n,k,s,constraint,max_edges,checked,witnesses,masks", PINNED_TREES)
-    def test_search_tree_is_pinned(self, n, k, s, constraint, max_edges, checked, witnesses, masks):
+    @pytest.mark.parametrize("n,k,s,constraint,max_edges,checked,witnesses,masks,nodes", PINNED_TREES)
+    def test_search_tree_is_pinned(self, n, k, s, constraint, max_edges, checked, witnesses, masks, nodes):
         res = verify_extremal(n, k, s, constraint, method="pruned")
         assert (res.max_edges_found, res.subsets_checked) == (max_edges, checked)
+        assert res.search_nodes == nodes
         assert len(res.extremal_witnesses) == witnesses
         assert len({w.edge_set for w in res.extremal_witnesses}) == witnesses  # distinct
         assert all(w.e() == max_edges for w in res.extremal_witnesses)
@@ -317,8 +421,15 @@ class TestPrunedSearch:
                     want = sum(1 << i for i in rows.tolist())
                     assert sum(index.containing(block) for block in blocks) == want
 
+    # each id keeps the count of the walk before orbital branching
     @pytest.mark.parametrize(
-        "n,k,s,tests", [(6, 3, 1, 521), (7, 3, 1, 3718), (7, 2, 2, 441), (8, 2, 2, 1062)]
+        "n,k,s,tests",
+        [
+            pytest.param(6, 3, 1, 127, id="6-3-1-521"),
+            pytest.param(7, 3, 1, 613, id="7-3-1-3718"),
+            pytest.param(7, 2, 2, 118, id="7-2-2-441"),
+            pytest.param(8, 2, 2, 162, id="8-2-2-1062"),
+        ],
     )
     def test_one_tau_test_per_node_and_no_cover_search(self, monkeypatch, n, k, s, tests):
         # every node that passes the size bound reads the transversal masks
@@ -341,6 +452,44 @@ class TestPrunedSearch:
         res = verify_extremal(n, k, s, NU_LE_S_TAU_GT_S, method="pruned")
         assert res.status == "complete" and res.extremal_witnesses
         assert count == tests
+
+    def test_orbit_walk_agrees_with_the_reference_walk(self):
+        # the same maximum on every cell of the grid, in no more nodes than
+        # the reference walk enters
+        cells = list(_grid_cells())
+        assert len(cells) == 101
+        for n, k, s, constraint in cells:
+            index = EdgeIndex(n, complete_graph(n, k).vertex_array())
+            ref = reference_search_maximal(
+                index, s, constraint == NU_LE_S_TAU_GT_S, nodes=REFERENCE_NODES
+            )
+            res = verify_extremal(n, k, s, constraint, method="pruned")
+            assert res.status == "complete"
+            assert res.max_edges_found == ref[0], (n, k, s, constraint)
+            assert res.search_nodes <= ref[3], (n, k, s, constraint)
+
+    def test_witnesses_stand_for_every_extremal_family_up_to_h(self):
+        # the reference walk without a witness cap lists every extremal
+        # family holding M0 (on the grid's cells where it settles within
+        # REFERENCE_NODES nodes); the witnesses are among them and, below
+        # the cap, every one of them is an image of a witness under H
+        for n, k, s, constraint in _grid_cells():
+            index = EdgeIndex(n, complete_graph(n, k).vertex_array())
+            try:
+                ref = reference_search_maximal(
+                    index, s, constraint == NU_LE_S_TAU_GT_S, cap=None, nodes=REFERENCE_NODES
+                )
+            except BudgetExceeded:
+                continue
+            every = {frozenset(map(tuple, index.verts[index.ids(sub)].tolist())) for sub in ref[1]}
+            res = verify_extremal(n, k, s, constraint, method="pruned")
+            got = [w.edge_set for w in res.extremal_witnesses]
+            assert 1 <= len(got) == len(set(got)) <= WITNESS_CAP
+            assert set(got) <= every, (n, k, s, constraint)
+            order = math.factorial(k) ** s * math.factorial(n - k * s)
+            if len(got) < WITNESS_CAP and order <= YOUNG_ORDER_CAP:
+                images = set().union(*(_young_images(n, k, s, w) for w in got))
+                assert every <= images, (n, k, s, constraint)
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_addable_after_kills_the_edge_that_completes_a_matching(self, s):
@@ -399,6 +548,18 @@ class TestReportRendering:
 
         row = render_report(bound_report(10, 3, 2), "tsv")
         assert row.split("\t")[:6] == ["10", "3", "2", "64", "56", "55"]
+
+    def test_search_nodes_reach_both_reports(self):
+        res = verify_extremal(7, 3, 1, NU_LE_S_TAU_GT_S, method="pruned")
+        assert json.loads(render_report(res, "json"))["search_nodes"] == res.search_nodes == 1185
+        # the witness list spreads over one cell per witness, so count from the end
+        names = [f.name for f in dataclasses.fields(res)]
+        assert render_report(res, "tsv").split("\t")[names.index("search_nodes") - len(names)] == "1185"
+        # a refused walk reports the nodes it entered before its budget ran out
+        refused = verify_extremal(9, 3, 2, NU_LE_S, method="pruned", budget_ms=20)
+        assert refused.status == "budget refusal" and refused.search_nodes > 0
+        # the exhaustive method walks no tree
+        assert verify_extremal(5, 3, 1, NU_LE_S).search_nodes == 0
 
     def test_empty_witness_list_renders(self):
         res = verify_extremal(6, 3, 1, NU_LE_S_TAU_GT_S, budget_ms=0.001)
