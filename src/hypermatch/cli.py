@@ -55,7 +55,7 @@ def _json_default(obj):
 
 def _tsv_cell(v) -> str:
     if isinstance(v, (list, tuple)):
-        return "\t".join(_tsv_cell(x) for x in v) if v else "-"
+        return ",".join(_tsv_cell(x) for x in v) if v else "-"
     if isinstance(v, Hypergraph):
         return f"graph(n={v.n},k={v.k},e={v.e()})"
     if isinstance(v, dict):
@@ -212,7 +212,7 @@ def _cmd_solve(args) -> int:
         out.update(lp_path=fa.lp_path, lp_solves=fa.lp_solves, lp_rows=fa.lp_rows,
                    lp_iterations=fa.lp_iterations)
     out["certificate"] = cert
-    print(json.dumps(out, indent=2, default=_json_default))
+    print(render_report(out))
     return 0
 
 

@@ -17,7 +17,7 @@ are exact integers throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -125,8 +125,10 @@ class BoundReport:
     """The closed-form edge-count bounds for parameters (n, k, s).
 
     a_bounds holds the prefix-overlap counts for 2 <= i <= k-1 (a single
-    entry for k=3, more for k >= 4); max_nontrivial is the largest of the
-    Hilton-Milner, clique, and prefix-overlap counts.
+    entry for k=3, more for k >= 4); max_nontrivial is the paper's maximum,
+    the largest of the Hilton-Milner, clique, and prefix-overlap counts, and
+    argmax names every family at it, comma-separated in the order hm,
+    clique, a2, ..., a{k-1}, ties included (``hm,a2``).
     """
 
     n: int
@@ -135,8 +137,9 @@ class BoundReport:
     cover_bound: int
     clique_bound: int
     hm_bound: int
-    a_bounds: list[int] = field(default_factory=list)
-    max_nontrivial: int = 0
+    a_bounds: list[int]
+    max_nontrivial: int
+    argmax: str
 
 
 def bound_report(n: int, k: int, s: int) -> BoundReport:
@@ -146,15 +149,17 @@ def bound_report(n: int, k: int, s: int) -> BoundReport:
     if n < k * s + k - 1:
         raise ValueError(f"n={n} below k(s+1)-1 = {k * s + k - 1}")
     a_bounds = [prefix_overlap_count(n, k, s, i) for i in range(2, k)]
-    hm = hm_count(n, k, s)
-    clique = clique_count(k, s)
+    counts = {"hm": hm_count(n, k, s), "clique": clique_count(k, s),
+              **{f"a{i}": a for i, a in enumerate(a_bounds, 2)}}
+    top = max(counts.values())
     return BoundReport(
         n=n,
         k=k,
         s=s,
         cover_bound=cover_count(n, k, s),
-        clique_bound=clique,
-        hm_bound=hm,
+        clique_bound=counts["clique"],
+        hm_bound=counts["hm"],
         a_bounds=a_bounds,
-        max_nontrivial=max([hm, clique, *a_bounds]),
+        max_nontrivial=top,
+        argmax=",".join(name for name, c in counts.items() if c == top),
     )

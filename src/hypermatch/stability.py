@@ -13,9 +13,9 @@ clique count trade places as s/n grows: the gap density is
 
 positive for small x, with a single root (sqrt(321) - 3)/52 in (0, 1/3).
 
-The bound table also carries the prefix-overlap counts A_i (i = 2..k-1)
-and names every family at the paper's maximum, ties included. At k = 3,
-A_2 has density 2x^2 - 8x^3/3: below Hilton-Milner's for
+Each row of the bound table is one ``bound_report``, with the prefix-overlap
+counts A_i (i = 2..k-1) and every family at the paper's maximum, ties
+included. At k = 3, A_2 has density 2x^2 - 8x^3/3: below Hilton-Milner's for
 x < (15 - sqrt(21))/34 ~ 0.3064 and below the clique's for x > 12/43 ~ 0.2791,
 so it is never the maximum at leading order. Its wins are a small-n window:
 for n < 200 it is the strict maximum at (n, s) = (10, 2), (11, 2), (14, 3),
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constructions import bound_report, clique_count, cover_count, hm_count
+from .constructions import BoundReport, bound_report, clique_count, cover_count, hm_count
 from .core import BudgetExceeded, Hypergraph, _check_shape, k_sets
 
 EXHAUSTIVE_GUARD_N = 16
@@ -211,28 +211,9 @@ def crossover_root_closed_form() -> float:
     return (math.sqrt(321) - 3) / 52
 
 
-@dataclass
-class BoundRow:
-    s: int
-    cover_bound: int
-    clique_bound: int
-    hm_bound: int
-    a_bounds: list[int]  # A_i for i = 2..k-1
-    max_nontrivial: int  # the paper's maximum: the largest of hm, clique and the A_i
-    argmax: str  # every family at that maximum, comma-separated: hm, clique, a2, ...
-
-
-def bound_table(n: int, k: int = 3) -> list[BoundRow]:
-    """Exact-integer bound values per s (``bound_report``'s), with every family at the maximum."""
-    rows = []
-    for s in range(1, (n - k + 1) // k + 1):
-        rep = bound_report(n, k, s)
-        counts = {"hm": rep.hm_bound, "clique": rep.clique_bound,
-                  **{f"a{i}": a for i, a in enumerate(rep.a_bounds, 2)}}
-        top = ",".join(name for name, c in counts.items() if c == rep.max_nontrivial)
-        rows.append(BoundRow(s, rep.cover_bound, rep.clique_bound, rep.hm_bound,
-                             rep.a_bounds, rep.max_nontrivial, top))
-    return rows
+def bound_table(n: int, k: int = 3) -> list[BoundReport]:
+    """``bound_report(n, k, s)`` for every s with a row, s = 1..(n-k+1)//k."""
+    return [bound_report(n, k, s) for s in range(1, (n - k + 1) // k + 1)]
 
 
 def clique_overtakes_at(n: int, k: int = 3) -> int | None:

@@ -8,12 +8,12 @@ path enumerates all 2^C(n,k) edge subsets from the densest down and is the
 reference for the pruned path's enumeration; ``revalidate_witnesses`` is the
 audit that shares no code with the kernel. The pruned path walks maximal
 constraint-satisfying families instead (the maximum is attained at one).
-For n >= ks it walks only the families that contain the fixed s-matching
-M0 = {1..k}, ..., {(s-1)k+1..sk}: every maximal family there has nu = s,
-and relabeling moves any s-matching onto M0, so the maximum is the same
-and the witnesses are extremal families holding M0. The walk branches on
-edge orbits (orbital branching): the relabelings that map each of M0's
-blocks and [ks+1..n] onto itself map every node's families onto
+For n >= k(s+1) it walks only the families that contain the fixed
+s-matching M0 = {1..k}, ..., {(s-1)k+1..sk}: every maximal family there
+has nu = s, and relabeling moves any s-matching onto M0, so the maximum
+is the same and the witnesses are extremal families holding M0. The walk
+branches on edge orbits (orbital branching): the relabelings that map each
+of M0's blocks and [ks+1..n] onto itself map every node's families onto
 themselves, so a node either takes its lowest candidate edge or bans that
 edge's whole orbit, and each include branch refines the group to the
 edge's stabilizer. The maximum stays exact, and the witnesses are a
@@ -21,14 +21,15 @@ non-empty subset of the extremal families holding M0 with, below
 WITNESS_CAP, at least one per class under that group. Such a family has
 a cover of s vertices exactly when one of the k^s transversals of M0's
 blocks is one, so under the tau floor every node, leaf or not, is cut when
-its largest family passes that test. Below n = ks no family reaches
-nu = s, and K_n^k is the one family checked. Once it holds WITNESS_CAP
+its largest family passes that test. Once the walk holds WITNESS_CAP
 families of the best size, it cuts every subtree that can only tie that
 size, since no such leaf would be reported; ``subsets_checked`` counts the
 maximal families it still visits and ``search_nodes`` the nodes it enters.
+Below n = k(s+1), nu(K_n^k) = floor(n/k) <= s, so K_n^k is the one
+maximal family, and the one checked.
 Both paths refuse, before they list a k-set, a C(n, k) past their guard;
 the pruned path under the tau floor also refuses k^s > C(n, k) transversal
-masks at n >= ks.
+masks at n >= k(s+1).
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def verify_extremal(
     tau_floor = constraint == NU_LE_S_TAU_GT_S
     # the tau floor's k^s transversal masks of C(n, k) bits each would
     # outgrow the disjointness table the guard above bounds
-    if method == "pruned" and tau_floor and n >= k * s and k**s > edges:
+    if method == "pruned" and tau_floor and n >= k * (s + 1) and k**s > edges:
         raise BudgetExceeded(
             f"pruned search refuses k^s={k**s} transversal masks > C(n,k)={edges} edges"
         )
@@ -155,7 +156,7 @@ def _search_exhaustive(index: EdgeIndex, s: int, tau_floor: bool, deadline: floa
 
 
 def _transversal_hits(index: EdgeIndex, k: int, s: int) -> list[int]:
-    """The edges meeting T, for each transversal T of M0's blocks (n >= ks).
+    """The edges meeting T, for each transversal T of M0's blocks (n >= k(s+1)).
 
     A family holding M0 has a cover of at most s vertices exactly when
     one of these masks holds the whole family: such a cover meets each
@@ -172,10 +173,10 @@ def _search_maximal(index: EdgeIndex, s: int, tau_floor: bool, deadline: float |
     attained at a family maximal under the (downward-closed) matching
     ceiling, because enlarging a family never lowers its cover number.
 
-    Below n = ks every family has nu <= floor(n/k) < s, so K_n^k is the one
+    Below n = k(s+1), nu(K_n^k) = floor(n/k) <= s, so K_n^k is the one
     maximal family and is checked directly.
 
-    For n >= ks the search starts at `sub` = M0 (each block of M0 is the one
+    For n >= k(s+1) the search starts at `sub` = M0 (each block of M0 is the one
     edge containing all its vertices) with `cand` the edges that meet [ks]:
     a maximal family has nu = s, and a relabeling of [n] moves any of its
     s-matchings onto M0 and keeps both constraints, so the maximum is
@@ -216,7 +217,7 @@ def _search_maximal(index: EdgeIndex, s: int, tau_floor: bool, deadline: float |
     leaf ``sub | cand`` is `sub`, so the same test decides the leaf.
     """
     k, n = index.k, index.n
-    if n < k * s:
+    if n < k * (s + 1):
         if tau_floor and index.cover(index.full, s) is not None:
             return None, [], 1, 1, "complete"
         return len(index.verts), [index.full], 1, 1, "complete"

@@ -98,13 +98,16 @@ def test_gen_clique_at_n_100000_lists_only_the_k_sets_of_u(tmp_path, capsys):
 def test_bounds_tsv(capsys):
     code, out = run(capsys, "bounds", "--n", "10", "--k", "3", "--s", "2")
     assert code == 0
-    assert out.split("\n")[0].split("\t")[:6] == ["10", "3", "2", "64", "56", "55"]
+    # n k s cover clique hm A_2, the maximum and every family at it
+    assert out == "10\t3\t2\t64\t56\t55\t60\t60\ta2\n"
 
 
 def test_bounds_json(capsys):
     code, out = run(capsys, "bounds", "--n", "10", "--k", "3", "--s", "2", "--format", "json")
     assert code == 0
-    assert json.loads(out)["hm_bound"] == 55
+    report = json.loads(out)
+    assert report["hm_bound"] == 55
+    assert report["argmax"] == "a2" and list(report)[-1] == "argmax"
 
 
 def test_shift_roundtrip(tmp_path, capsys):
@@ -180,7 +183,7 @@ def reference_jsonable(obj):
 
 def _reference_cell(v) -> str:
     if isinstance(v, (list, tuple)):
-        return "\t".join(_reference_cell(x) for x in v) if v else "-"
+        return ",".join(_reference_cell(x) for x in v) if v else "-"
     if isinstance(v, Hypergraph):
         return f"graph(n={v.n},k={v.k},e={v.e()})"
     if isinstance(v, dict):
@@ -257,6 +260,20 @@ def test_reports_encode_to_the_bytes_of_the_reference_walker(tmp_path, name):
         assert (tmp_path / "ours.json").read_text() == want
 
 
+def test_list_fields_are_one_tsv_cell():
+    # the A_i of a k-5 bound report, and a closeness partition, each one cell
+    assert render_report(REPORT_CASES["bounds"], "tsv") == (
+        "20\t5\t2\t6936\t2002\t6222\t5676,4592,3432\t6222\thm")
+    rows = render_report(REPORT_CASES["bound-table"], "tsv").splitlines()
+    assert len(rows) == 12 and {row.count("\t") for row in rows} == {8}
+    assert rows[0] == "40\t3\t1\t741\t10\t112\t112\t112\thm,a2"
+    assert rows[9:] == ["40\t3\t10\t5820\t4960\t5470\t5320\t5470\thm",
+                        "40\t3\t11\t6226\t6545\t5902\t6072\t6545\tclique",
+                        "40\t3\t12\t6604\t8436\t6305\t6800\t8436\tclique"]
+    rep = stability.closeness_to_clique(cover_family(9, 4, 2), 1, "exhaustive")
+    assert render_report(rep, "tsv").split("\t")[:3] == ["clique", "1,2,3,4,5,6,7", "5"]
+
+
 @pytest.mark.parametrize("what, flags", [(w, []) for w in ("nu", "tau", "alpha", "nustar", "taustar")]
                          + [("nustar", ["--exact-lp"]), ("taustar", ["--exact-lp"])])
 def test_solve_prints_the_bytes_of_the_reference_walker(tmp_path, capsys, what, flags):
@@ -310,10 +327,14 @@ def test_crossover(capsys):
     assert code == 0
     assert len(out.strip().split("\n")) == 6  # s = 1..6
 
-    # s, cover, clique, hm, A_2, the maximum and every family at it
+    # one bounds row per s: n, k, s, cover, clique, hm, A_2, the maximum and
+    # every family at it
     code, out = run(capsys, "crossover", "--n", "10", "--table")
     assert code == 0
-    assert out.splitlines() == ["1\t36\t10\t22\t22\t22\thm,a2", "2\t64\t56\t55\t60\t60\ta2"]
+    assert out.splitlines() == ["10\t3\t1\t36\t10\t22\t22\t22\thm,a2",
+                                "10\t3\t2\t64\t56\t55\t60\t60\ta2"]
+    code, row = run(capsys, "bounds", "--n", "10", "--k", "3", "--s", "2")
+    assert out.splitlines()[1] == row.rstrip("\n")
 
     code, out = run(capsys, "crossover", "--n", "6")  # the clique never overtakes
     assert code == 0
@@ -369,6 +390,15 @@ def test_verify_pruned_refuses_large_n_without_building_it(capsys, monkeypatch):
     argv = ["verify", "--n", "40", "--k", "2", "--s", "18", "--pruned", "--budget-ms", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("budget refusal: pruned search refuses k^s=262144")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_verify_pruned_answers_a_single_edge(capsys, k):
+    # K_k^k is one edge with tau = 1, so no family passes the tau floor
+    code, out = run(capsys, "verify", "--n", str(k), "--k", str(k), "--s", "1", "--pruned")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "complete" and report["max_edges_found"] is None
 
 
 def test_round_refusal_names_the_augmentation(tmp_path, capsys):

@@ -246,18 +246,21 @@ class TestBoundReport:
         assert rep.hm_bound == 55
         assert rep.a_bounds == [60]
         assert rep.max_nontrivial == 60
+        assert rep.argmax == "a2"
 
     def test_6_3_1_tie(self):
         rep = bound_report(6, 3, 1)
         assert rep.hm_bound == 20 - 10 - 1 + 1 == 10
         assert rep.clique_bound == math.comb(5, 3) == 10
         assert rep.max_nontrivial == 10
+        assert rep.argmax == "hm,clique,a2"  # A_2 = C(3,2)C(3,1) + C(3,3) = 10 too
 
     def test_k2_reduces_to_graph_bounds(self):
         rep = bound_report(8, 2, 2)
         assert rep.cover_bound == math.comb(8, 2) - math.comb(6, 2)
         assert rep.clique_bound == math.comb(5, 2)
         assert rep.a_bounds == []
+        assert rep.max_nontrivial == 10 and rep.argmax == "hm,clique"
 
     def test_hm_below_cover_once_room_exists(self):
         for n, k, s in [(10, 3, 2), (9, 3, 1), (12, 4, 1), (8, 2, 2)]:

@@ -25,7 +25,7 @@ from hypermatch.verify import (
 from conftest import cyclic_garbage
 
 # (max_edges_found, subsets_checked, witnesses, witness masks, search_nodes)
-# of the pruned search, pinned. Every row has n >= ks, so the search starts
+# of the pruned search, pinned. Every row has n >= k(s+1), so the search starts
 # from the fixed s-matching M0 and reports only extremal families that hold
 # it. It branches on edge orbits of the Young subgroup H of M0's blocks and
 # [ks+1..n]: (7,2,2) under the tau floor and (8,3,1) under nu <= s have one
@@ -71,7 +71,8 @@ PINNED_TREES = [
 ]
 
 # The grid the orbit walk is compared on against the reference walk: k 2-4,
-# s 1-3, n >= ks and C(n, k) <= 200, under both constraints. Each
+# s 1-3, n >= ks and C(n, k) <= 200, under both constraints (below
+# n = k(s+1) the pruned search checks K_n^k directly). Each
 # (k, s, constraint) series listed here stops at the largest n at which the
 # reference walk settles the cell within REFERENCE_NODES nodes; a series not
 # listed runs to the end.
@@ -92,7 +93,7 @@ def reference_search_maximal(index, s, tau_floor, cap=WITNESS_CAP, nodes=None):
 
     It takes the lowest candidate edge or leaves it out, with the same size
     bound, tau-floor transversal test and invariants as
-    ``verify._search_maximal`` at n >= ks, and returns (max_edges, witness
+    ``verify._search_maximal`` at n >= k(s+1), and returns (max_edges, witness
     subsets, subsets checked, nodes entered). ``cap`` None lists every leaf
     of the best size: every extremal family holding M0. With ``nodes`` it
     raises BudgetExceeded past that many nodes.
@@ -242,7 +243,8 @@ class TestVerifyExtremal:
         b = verify_extremal(n, k, s, constraint, method="pruned")
         assert a.max_edges_found == b.max_edges_found
         # n >= ks in every case, so the pruned witnesses are extremal families
-        # holding M0: as many of them as there are, up to the cap
+        # holding M0 (below n = k(s+1), K_n^k alone): as many of them as there
+        # are, up to the cap
         every = _extremal_families_holding_m0(n, k, s, constraint, b.max_edges_found)
         got = [w.edge_set for w in b.extremal_witnesses]
         # at least one and at most WITNESS_CAP distinct ones; below the cap,
@@ -364,16 +366,22 @@ class TestPrunedSearch:
     @pytest.mark.parametrize(
         "n,k,s,constraint,max_edges,checked,masks",
         [
-            # n < ks: every family has nu < s, so K_n^k is the one maximal
-            # family, checked directly, and the one witness
+            # n < k(s+1): nu(K_n^k) = floor(n/k) <= s, so K_n^k is the one
+            # maximal family, checked directly, and the one witness
+            pytest.param(5, 3, 1, NU_LE_S_TAU_GT_S, 10, 1, (0x3FF,), id="5-3-1-nutau"),
+            pytest.param(7, 2, 3, NU_LE_S, 21, 1, ((1 << 21) - 1,), id="7-2-3-nu"),
             pytest.param(5, 3, 2, NU_LE_S_TAU_GT_S, 10, 1, (0x3FF,), id="5-3-2-nutau"),
             pytest.param(5, 2, 3, NU_LE_S, 10, 1, (0x3FF,), id="5-2-3-nu"),
             # tau(K_5^3) = 3 <= s, so K_5^3 is checked and no family qualifies
             pytest.param(5, 3, 3, NU_LE_S_TAU_GT_S, None, 1, (), id="5-3-3-nutau"),
             # k^s > C(n, k) (27 > 20, 64 > 55), yet no transversal mask is
-            # listed below n = ks, so the pruned search does not refuse them
+            # listed below n = k(s+1), so the pruned search does not refuse them
             pytest.param(6, 3, 3, NU_LE_S_TAU_GT_S, 20, 1, ((1 << 20) - 1,), id="6-3-3-nutau"),
             pytest.param(11, 2, 6, NU_LE_S_TAU_GT_S, 55, 1, ((1 << 55) - 1,), id="11-2-6-nutau"),
+            # K_k^k is one edge with tau = 1: no family qualifies, and k > 1 =
+            # C(k, k) transversal masks is no refusal either
+            *(pytest.param(k, k, 1, NU_LE_S_TAU_GT_S, None, 1, (), id=f"{k}-{k}-1-nutau")
+              for k in (2, 3, 4)),
         ],
     )
     def test_below_ks_the_search_starts_from_the_empty_family(
@@ -386,6 +394,24 @@ class TestPrunedSearch:
         want = [tuple(e for i, e in enumerate(every) if mask >> i & 1) for mask in masks]
         assert [w.edges for w in res.extremal_witnesses] == want
         assert revalidate_witnesses(res)
+
+    def test_below_k_s_plus_one_agrees_with_exhaustive(self):
+        # every cell with n < k(s+1) and C(n, k) <= 24 at k 2-4, s 1-3, under
+        # both constraints: the same maximum, witnesses, bound and status
+        cells = 0
+        for k, s in product((2, 3, 4), (1, 2, 3)):
+            for n in range(k, k * (s + 1)):
+                if math.comb(n, k) > 24:
+                    break
+                for constraint in (NU_LE_S, NU_LE_S_TAU_GT_S):
+                    a = verify_extremal(n, k, s, constraint)
+                    b = verify_extremal(n, k, s, constraint, method="pruned")
+                    cells += 1
+                    assert (b.max_edges_found, b.matches_bound, b.bound_value, b.status) == (
+                        a.max_edges_found, a.matches_bound, a.bound_value, a.status), (n, k, s)
+                    assert [w.edges for w in b.extremal_witnesses] == [
+                        w.edges for w in a.extremal_witnesses], (n, k, s, constraint)
+        assert cells == 64
 
     @pytest.mark.parametrize("n,k,s", [(6, 3, 1), (7, 2, 2), (8, 2, 2), (7, 3, 2)])
     def test_transversal_test_decides_tau_le_s(self, n, k, s):
@@ -434,7 +460,7 @@ class TestPrunedSearch:
     def test_one_tau_test_per_node_and_no_cover_search(self, monkeypatch, n, k, s, tests):
         # every node that passes the size bound reads the transversal masks
         # once, so their count pins the tree of nodes, cuts included; for
-        # n >= ks the cover search never runs
+        # n >= k(s+1) the cover search never runs
         count = 0
 
         class CountingHits(list):
@@ -552,14 +578,26 @@ class TestReportRendering:
     def test_search_nodes_reach_both_reports(self):
         res = verify_extremal(7, 3, 1, NU_LE_S_TAU_GT_S, method="pruned")
         assert json.loads(render_report(res, "json"))["search_nodes"] == res.search_nodes == 1185
-        # the witness list spreads over one cell per witness, so count from the end
         names = [f.name for f in dataclasses.fields(res)]
-        assert render_report(res, "tsv").split("\t")[names.index("search_nodes") - len(names)] == "1185"
+        assert render_report(res, "tsv").split("\t")[names.index("search_nodes")] == "1185"
         # a refused walk reports the nodes it entered before its budget ran out
         refused = verify_extremal(9, 3, 2, NU_LE_S, method="pruned", budget_ms=20)
         assert refused.status == "budget refusal" and refused.search_nodes > 0
         # the exhaustive method walks no tree
         assert verify_extremal(5, 3, 1, NU_LE_S).search_nodes == 0
+
+    def test_tsv_rows_have_one_column_per_field(self):
+        # the witness list is one comma-joined cell, whatever its length
+        names = [f.name for f in dataclasses.fields(verify.VerifyResult)]
+        counts = set()
+        for n, constraint in product((7, 8), (NU_LE_S, NU_LE_S_TAU_GT_S)):
+            res = verify_extremal(n, 3, 1, constraint, method="pruned")
+            row = render_report(res, "tsv").split("\t")
+            assert len(row) == len(names)
+            assert row[names.index("extremal_witnesses")] == ",".join(
+                f"graph(n={n},k=3,e={w.e()})" for w in res.extremal_witnesses)
+            counts.add(len(res.extremal_witnesses))
+        assert counts == {1, 4}
 
     def test_empty_witness_list_renders(self):
         res = verify_extremal(6, 3, 1, NU_LE_S_TAU_GT_S, budget_ms=0.001)
