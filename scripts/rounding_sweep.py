@@ -35,7 +35,7 @@ def main() -> None:
     print(f"extraction: {fam.status} ({len(fam.members)}/{args.t} members)")
     print(f"max pair load: {float(fam.max_pair_load()):.6f} (cap {fam.cap})")
     heavy = fam.heavy_pairs_by_vertex()
-    print(f"max heavy pairs per vertex: {max(heavy.values(), default=0)} (ceiling {2 * args.t})")
+    print(f"max heavy pairs per vertex: {int(heavy.max(initial=0))} (ceiling {2 * args.t})")
     if not fam.complete:
         return
 

@@ -199,10 +199,9 @@ def _cmd_solve(args) -> int:
         value = fa.value
         if what == "nustar":
             # only the nonzero weights, keyed by their rows of the vertex array
-            w = fa.weights  # float64 array, or a list of Fractions in rational mode
-            nz = np.flatnonzero(w).tolist() if mode == "float" else [i for i, x in enumerate(w) if x]
-            rows = h.vertex_array()[nz].tolist()
-            cert = {"weights": {" ".join(map(str, e)): w[i] for e, i in zip(rows, nz)}}
+            nz = np.flatnonzero(fa.weights)
+            keys = [" ".join(map(str, e)) for e in h.vertex_array()[nz].tolist()]
+            cert = {"weights": dict(zip(keys, fa.weights[nz].tolist()))}
         else:
             cert = {"weights": dict(zip(h.vertices(), fa.weights))}
     else:

@@ -75,13 +75,13 @@ class VertexCover:
 class FractionalAssignment:
     """Weights on edges (kind='matching') or vertices (kind='cover').
 
-    ``weights`` is one vector, indexed like ``h.edges`` for a matching and
-    like ``h.vertices()`` for a cover: a float64 array in float mode, a list
-    of ``Fraction`` in rational mode.
+    ``weights`` is one 1-D array, indexed like ``h.edges`` for a matching
+    and like ``h.vertices()`` for a cover: float64 in float mode, an object
+    array of ``Fraction``s in rational mode.
     """
 
     kind: str
-    weights: np.ndarray | list[Fraction]
+    weights: np.ndarray
     value: Fraction | float
     mode: str = "rational"
     residual: float | None = None
@@ -90,8 +90,12 @@ class FractionalAssignment:
     lp_rows: int | None = None  # on the HiGHS paths: edge rows in the last of them
     lp_iterations: int | None = None  # on the HiGHS paths: simplex iterations of all of them
 
+    def slack(self, tol: float) -> float:
+        """How far a bound may be missed: 0 in rational mode, ``tol`` in float mode."""
+        return 0 if self.mode == "rational" else tol
+
     def validate(self, h: Hypergraph, tol: float = 1e-9) -> None:
-        slack = 0 if self.mode == "rational" else tol
+        slack = self.slack(tol)
         if self.kind == "matching":
             keys, what = h.edges, "edges"
         elif self.kind == "cover":
@@ -672,7 +676,6 @@ def _highs_pair(
         nonzero = np.flatnonzero(num)
         fracs = np.full(len(num), Fraction(0), dtype=object)
         fracs[nonzero] = [Fraction(a, den) for a in num[nonzero].tolist()]
-        fracs = fracs.tolist()
         value = Fraction(int(num[:h.n].sum()), den)
         return (
             FractionalAssignment(
@@ -697,23 +700,18 @@ def _highs_pair(
 
 def _matching_simplex(h: Hypergraph) -> FractionalAssignment:
     """The matching LP over the live vertices, by the rational simplex."""
-    m = h.e()
-    if m == 0:
-        return FractionalAssignment("matching", [], Fraction(0), "rational", 0.0, LP_SIMPLEX)
     live = sorted(set(chain.from_iterable(h.edges)))
     rows = [[Fraction(int(v in e)) for e in h.edges] for v in live]
-    status, x, value = lp.simplex_rational([Fraction(1)] * m, rows, [Fraction(1)] * len(live))
+    status, x, value = lp.simplex_rational([Fraction(1)] * h.e(), rows, [Fraction(1)] * len(live))
     if status != lp.OPTIMAL:
         raise RuntimeError(f"matching LP came back {status}")
-    return FractionalAssignment("matching", x, value, "rational", 0.0, LP_SIMPLEX)
+    weights = np.array(x, dtype=object)  # on the empty graph too: no row, no column
+    return FractionalAssignment("matching", weights, value, "rational", 0.0, LP_SIMPLEX)
 
 
 def _cover_simplex(h: Hypergraph) -> FractionalAssignment:
     """The cover LP by the rational simplex, in the slack-basis substitution."""
     n, k = h.n, h.k
-    if h.e() == 0:
-        zeros = [Fraction(0)] * n
-        return FractionalAssignment("cover", zeros, Fraction(0), "rational", 0.0, LP_SIMPLEX)
     # substitute w = 1 - u so the feasible start is the slack basis:
     # min sum(w) == n - max sum(u) with sum_{v in e} u_v <= k-1, u <= 1
     rows = [[Fraction(int(v in e)) for v in h.vertices()] for e in h.edges]
@@ -724,10 +722,8 @@ def _cover_simplex(h: Hypergraph) -> FractionalAssignment:
     status, u, value = lp.simplex_rational([Fraction(1)] * n, rows, rhs)
     if status != lp.OPTIMAL:
         raise RuntimeError(f"cover LP came back {status}")
-    weights = [Fraction(1) - ui for ui in u]
-    return FractionalAssignment(
-        "cover", weights, Fraction(n) - value, "rational", 0.0, LP_SIMPLEX
-    )
+    weights = Fraction(1) - np.array(u, dtype=object)
+    return FractionalAssignment("cover", weights, Fraction(n) - value, "rational", 0.0, LP_SIMPLEX)
 
 
 def fractional_matching(h: Hypergraph, mode: str = "rational") -> FractionalAssignment:
@@ -859,17 +855,13 @@ def threshold_cover_graph(
     if cover.kind != "cover":
         raise ValueError("need a cover-kind assignment")
     cover.validate(h, tol)
-    w = cover.weights
+    w = np.asarray(cover.weights)
     order = sorted(h.vertices(), key=lambda v: (-w[v - 1], v))
     old_to_new = {v: i + 1 for i, v in enumerate(order)}
     # indexed by new label - 1; Fractions sum exactly in an object array
-    w_new = np.array([w[v - 1] for v in order], object if cover.mode == "rational" else float)
-    floor = 1 if cover.mode == "rational" else 1 - tol
+    w_new = w[np.array(order, dtype=np.intp) - 1]
     sets = k_sets(h.n, h.k)
-    total = w_new[sets[:, 0] - 1]
-    for j in range(1, h.k):  # column by column: the order sum() adds an edge's weights in
-        total = total + w_new[sets[:, j] - 1]
-    out = Hypergraph(h.n, h.k, sets[total >= floor])
+    out = Hypergraph(h.n, h.k, sets[_cover_sums(w_new, sets - 1) >= 1 - cover.slack(tol)])
     kept = out.has_edges([old_to_new[v] for v in e] for e in h.edges)
     for e, hit in zip(h.edges, kept):
         if not hit:

@@ -75,11 +75,13 @@ class FPMFamily:
     rounds share one read-only vector. ``pair_load[x, y]`` is the weight the
     members put on the vertex pair {x, y}: an (n+1)x(n+1) symmetric matrix
     whose row and column 0 are unused and whose diagonal is 0. A pair is
-    dead once its load reaches ``threshold``. ``rounds`` holds one record per
-    member, plus one for the round that stalled, if any: there the searches
-    found nothing and the LP proved the surviving graph infeasible. A round
-    that starts with no surviving edge gets no record. ``attempts`` counts
-    the extraction attempts run.
+    dead once its load reaches ``threshold``; ``heavy_pairs_by_vertex()``
+    counts the dead pairs through each vertex, in an int vector indexed like
+    ``h.vertices()``. ``rounds`` holds one record per member, plus one for
+    the round that stalled, if any: there the searches found nothing and the
+    LP proved the surviving graph infeasible. A round that starts with no
+    surviving edge gets no record. ``attempts`` counts the extraction
+    attempts run.
     """
 
     members: list[np.ndarray]
@@ -97,10 +99,9 @@ class FPMFamily:
     def complete(self) -> bool:
         return self.status == "complete"
 
-    def heavy_pairs_by_vertex(self) -> dict[int, int]:
+    def heavy_pairs_by_vertex(self) -> np.ndarray:
         """How many threshold-crossing pairs each vertex belongs to."""
-        counts = _dead_pairs_by_vertex(self.pair_load, self.threshold)
-        return dict(enumerate(counts[1:], start=1))
+        return _dead_pairs_by_vertex(self.pair_load, self.threshold)
 
     def max_pair_load(self) -> float:
         return float(self.pair_load.max())
@@ -113,24 +114,24 @@ def _uniform_round_budget(n: int, k: int, threshold: float) -> int:
     return max(0, math.ceil(Fraction(threshold) / Fraction(k - 1, n - 1)) - 1)
 
 
-def _dead_pairs_by_vertex(pair_load: np.ndarray, threshold: float) -> list[int]:
-    """Entry v counts the dead pairs through vertex v; entry 0 is unused."""
-    return (pair_load >= threshold - _EPS).sum(axis=1).tolist()
+def _dead_pairs_by_vertex(pair_load: np.ndarray, threshold: float) -> np.ndarray:
+    """Entry v - 1 counts the dead pairs through vertex v."""
+    return (pair_load[1:, 1:] >= threshold - _EPS).sum(axis=1)
 
 
 def _pick_gadget_vertices(
-    index: EdgeIndex, g: int, heavy: list[int], live: int, taken: tuple[int, ...] = ()
+    index: EdgeIndex, g: int, heavy: np.ndarray, live: int, taken: tuple[int, ...] = ()
 ) -> tuple[str, tuple[int, ...] | None]:
     """A g-set outside `taken` whose C(g,3) triples are all live.
 
-    ``heavy[v]`` counts the dead pairs through vertex v; candidates are tried
+    ``heavy[v - 1]`` counts the dead pairs through vertex v; candidates are tried
     with the vertices in fewest dead pairs first. ``live`` holds no edge
     through a dead pair, and each pair of a g-set (g >= 3) lies in one of its
     triples, so a set with a dead pair fails the triple test. Returns
     ("found", the set), ("none", None) once every candidate failed, or
     ("budget", None) after 5000 candidates.
     """
-    order = sorted(range(1, index.n + 1), key=lambda u: (heavy[u], u))
+    order = sorted(range(1, index.n + 1), key=lambda u: (heavy[u - 1], u))
     ranked = [v for v in order if v not in taken]
     tried = 0
     for cand in combinations(ranked, g):
@@ -337,13 +338,18 @@ def mix_and_halve(family: FPMFamily) -> np.ndarray:
 
 @dataclass
 class SampleReport:
-    """One binomial edge sample plus its concentration diagnostics."""
+    """One binomial edge sample plus its concentration diagnostics.
+
+    The degree vectors are indexed like ``h.vertices()``: expected degrees
+    and deviations (realized minus expected) as float64, realized degrees
+    as ints.
+    """
 
     sampled: Hypergraph
     seed: int
-    expected_degrees: dict[int, float]
-    realized_degrees: dict[int, int]
-    degree_deviations: dict[int, float]
+    expected_degrees: np.ndarray
+    realized_degrees: np.ndarray
+    degree_deviations: np.ndarray
     alpha: float
     vertex_violations: int
     vertex_violation_budget: float  # sum of 2 exp(-alpha^2 E/3) over vertices
@@ -388,8 +394,7 @@ def sample_binomial_subgraph(
         nz = np.flatnonzero(p)
         w, verts = p[nz], allv[nz]
     # astype: with no weighted edge bincount returns integer zeros
-    expected_arr = np.bincount(verts.ravel(), np.repeat(w, k), minlength=n + 1).astype(float)
-    expected = dict(zip(h.vertices(), expected_arr[1:].tolist()))
+    expected = np.bincount(verts.ravel(), np.repeat(w, k), minlength=n + 1)[1:].astype(float)
     cols = list(combinations(range(k), 2))
 
     def pair_codes(rows: np.ndarray) -> np.ndarray:
@@ -402,19 +407,16 @@ def sample_binomial_subgraph(
 
     pairs = pair_codes(verts)
     pair_expected = np.bincount(pairs, np.repeat(w, len(cols)), minlength=(n + 1) ** 2)
-    realized_arr = np.bincount(kept_v.ravel(), minlength=n + 1)
-    realized = dict(zip(h.vertices(), realized_arr[1:].tolist()))
-    deviations = {v: realized[v] - expected[v] for v in h.vertices()}
+    realized = np.bincount(kept_v.ravel(), minlength=n + 1)[1:]
+    deviations = realized - expected
 
-    violations = 0
+    # only vertices of positive expected degree count; the budget keeps
+    # math.exp and adds one vertex at a time, in vertex order
+    pos = expected > 0
+    violations = int(np.count_nonzero(pos & (np.abs(deviations) >= alpha * expected)))
     budget = 0.0
-    for v in h.vertices():
-        ev = expected[v]
-        if ev <= 0:
-            continue
+    for ev in expected[pos].tolist():
         budget += 2 * math.exp(-(alpha**2) * ev / 3)
-        if abs(deviations[v]) >= alpha * ev:
-            violations += 1
 
     max_pair = int(np.bincount(pair_codes(kept_v)).max()) if kept.size else 0
     max_expected_pair = float(pair_expected[pairs].max()) if pairs.size else 0.0

@@ -155,14 +155,13 @@ def _search_exhaustive(index: EdgeIndex, s: int, tau_floor: bool, deadline: floa
     return None, [], checked, 0, "complete"
 
 
-def _transversal_hits(index: EdgeIndex, k: int, s: int) -> list[int]:
+def _transversal_hits(index: EdgeIndex, blocks: list[range]) -> list[int]:
     """The edges meeting T, for each transversal T of M0's blocks (n >= k(s+1)).
 
     A family holding M0 has a cover of at most s vertices exactly when
     one of these masks holds the whole family: such a cover meets each
     of M0's s disjoint blocks, so it takes one vertex from each.
     """
-    blocks = [range(j * k + 1, j * k + k + 1) for j in range(s)]
     return [index.meeting(t) for t in product(*blocks)]
 
 
@@ -221,7 +220,8 @@ def _search_maximal(index: EdgeIndex, s: int, tau_floor: bool, deadline: float |
         if tau_floor and index.cover(index.full, s) is not None:
             return None, [], 1, 1, "complete"
         return len(index.verts), [index.full], 1, 1, "complete"
-    hits = _transversal_hits(index, k, s) if tau_floor else []
+    blocks = [range(j * k + 1, j * k + k + 1) for j in range(s)]  # M0's edges
+    hits = _transversal_hits(index, blocks) if tau_floor else []
     rows = index.vertex_rows()
     counts: dict[int, list[int]] = {}  # cell (a vertex bitmask) -> its meeting_counts
     best_size = -1
@@ -270,7 +270,6 @@ def _search_maximal(index: EdgeIndex, s: int, tau_floor: bool, deadline: float |
         expand(sub | low, size + 1, kept & rest, kept & banned, split)
         expand(sub, size, cand & ~orbit, banned | orbit, cells)
 
-    blocks = [range(j * k + 1, j * k + k + 1) for j in range(s)]
     fixed = sum(index.containing(block) for block in blocks)
     meets = index.meeting(range(1, k * s + 1))
     # k >= 2, so no cell of the root is one vertex

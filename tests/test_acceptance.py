@@ -233,7 +233,8 @@ def _frontier(n: int) -> int:
 def _family_invariants(fam, n: int, t: int) -> None:
     assert float(fam.max_pair_load()) < fam.cap + 1e-9
     per_vertex = fam.heavy_pairs_by_vertex()
-    assert all(c <= 2 * t for c in per_vertex.values())
+    assert per_vertex.shape == (n,)
+    assert all(c <= 2 * t for c in per_vertex.tolist())
     for heavy, removed in zip(fam.heavy_total, fam.removed_total):
         assert removed <= heavy * (n - 2)
 

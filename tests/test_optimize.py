@@ -719,10 +719,10 @@ class TestIntegerCertificate:
             assert pair is not None
         if pair is not None:
             fm, fc = pair
-            assert fm.weights == [Fraction(w).limit_denominator(optimize.CERT_DENOMINATOR)
-                                  for w in x.tolist()]
-            assert fc.weights == [Fraction(w).limit_denominator(optimize.CERT_DENOMINATOR)
-                                  for w in y.tolist()]
+            assert fm.weights.tolist() == [
+                Fraction(w).limit_denominator(optimize.CERT_DENOMINATOR) for w in x.tolist()]
+            assert fc.weights.tolist() == [
+                Fraction(w).limit_denominator(optimize.CERT_DENOMINATOR) for w in y.tolist()]
             assert fm.value == fc.value == sum(fc.weights, Fraction(0))
 
     @pytest.mark.parametrize("h, x, y", [
@@ -759,7 +759,7 @@ class TestIntegerCertificate:
         fm, fc = _highs_pair(h, "rational")
         assert fm.lp_path == fc.lp_path == LP_CERTIFIED
         assert fm.value == fc.value == 4
-        assert fc.weights[:2] == [Fraction(1, primes[0]), Fraction(primes[0] - 1, primes[0])]
+        assert fc.weights[:2].tolist() == [Fraction(1, primes[0]), Fraction(primes[0] - 1, primes[0])]
         # the first edge's cover sum falls to 1 - 1/p and its matching weight
         # with it, so only the edge sums can reject the pair
         y[1], x[0] = 1 - 2 / primes[0], 1 - 1 / primes[0]
@@ -972,6 +972,36 @@ class TestWeightVectors:
                 assert all(isinstance(w, Fraction) for w in fa.weights)
         # float matching weights are floored: solver noise reads exactly 0
         assert all(w == 0 or w > 1e-12 for w in rep.matching.weights)
+
+    @pytest.mark.parametrize(
+        "mode, path", [("float", LP_HIGHS), ("rational", LP_CERTIFIED), ("rational", LP_SIMPLEX)]
+    )
+    @pytest.mark.parametrize("h", [
+        random_hypergraph(12, 3, 0.3, 1), complete_graph(6, 3), Hypergraph(5, 3, []),
+    ], ids=["random", "K6", "empty"])
+    def test_every_weighting_is_one_1d_array(self, monkeypatch, h, mode, path):
+        # float64, or an object array holding only Fractions, of length e or n
+        def one_vector(fa, size):
+            w = fa.weights
+            assert isinstance(w, np.ndarray) and w.shape == (size,)
+            if fa.mode == "float":
+                assert w.dtype == np.float64
+            else:
+                assert w.dtype == object and all(type(x) is Fraction for x in w.tolist())
+
+        if path == LP_SIMPLEX:  # the exact check fails: both simplexes run, also on the empty graph
+            monkeypatch.setattr(optimize, "_certified_numerators", lambda h: None)
+        rep = check_lp_duality(h, mode)
+        for fm, fc in [(fractional_matching(h, mode), fractional_cover(h, mode)),
+                       (rep.matching, rep.cover)]:
+            assert fm.lp_path == fc.lp_path == path and fm.mode == fc.mode == mode
+            one_vector(fm, h.e())
+            one_vector(fc, h.n)
+        if mode == "float":  # the random graph and K6 both have one
+            fpm = fractional_perfect_matching(h)
+            assert (fpm is None) == (h.e() == 0)
+            if fpm is not None:
+                one_vector(fpm, h.e())
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     @pytest.mark.parametrize("delta", [-1, 1])
@@ -1267,6 +1297,18 @@ class TestThresholdCoverGraph:
         omega = FractionalAssignment("cover", [Fraction(1)] * size, Fraction(size))
         with pytest.raises(ValueError, match="weights for 5 vertices"):
             threshold_cover_graph(h, omega)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_a_plain_list_of_weights_is_accepted(self, mode):
+        # a hand-built cover need not be an array: the same graph comes back
+        h = seeded_graph(3, n_lo=6, n_hi=8)
+        omega = fractional_cover(h, mode)
+        listed = FractionalAssignment("cover", omega.weights.tolist(), omega.value, mode)
+        assert type(listed.weights) is list
+        assert threshold_cover_graph(h, listed) == threshold_cover_graph(h, omega)
+        third = FractionalAssignment("cover", [Fraction(1, 3)] * 6, Fraction(2), mode)
+        out, relabel = threshold_cover_graph(Hypergraph(6, 3, [(1, 2, 3), (4, 5, 6)]), third)
+        assert out == complete_graph(6, 3) and relabel == {v: v for v in range(1, 7)}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_preserves_fractional_optimum(self, seed):

@@ -83,7 +83,8 @@ class TestExtract:
             fam = extract_fpm_family(complete_graph(n, 3), t)
             assert fam.complete
             per_vertex = fam.heavy_pairs_by_vertex()
-            assert all(c <= 2 * t for c in per_vertex.values())
+            assert per_vertex.shape == (n,)
+            assert all(c <= 2 * t for c in per_vertex.tolist())
 
     def test_impossible_budget_reports_honestly(self):
         # t fractional tight rounds put t*n units on C(n,2) pairs; at t > n-2
@@ -188,8 +189,8 @@ def test_sampler_on_five_thousand_edges_equals_the_per_edge_reference(seed):
         kept, expected, max_pair = _sample_reference(h, p.tolist(), seed, 1.0)[:3]
         assert rep.sampled.edges == tuple(kept)
         assert rep.sampled.vertex_array().tolist() == [list(e) for e in kept]
-        assert rep.realized_degrees == {v: sum(v in e for e in kept) for v in h.vertices()}
-        assert [x.hex() for x in rep.expected_degrees.values()] == [
+        assert rep.realized_degrees.tolist() == [sum(v in e for e in kept) for v in h.vertices()]
+        assert [x.hex() for x in rep.expected_degrees.tolist()] == [
             x.hex() for x in expected.values()
         ]
         assert rep.max_expected_pair_degree.hex() == max_pair.hex()
@@ -205,8 +206,10 @@ class TestSample:
         rep = sample_binomial_subgraph(h, np.array(p), seed, alpha=alpha)
         kept, expected, max_pair, violations, budget = _sample_reference(h, p, seed, alpha)
         assert rep.sampled.edges == tuple(kept)
-        assert list(rep.expected_degrees) == list(expected)
-        assert [x.hex() for x in rep.expected_degrees.values()] == [
+        # one float64 entry per vertex, in the reference's vertex order
+        assert list(expected) == list(h.vertices())
+        assert rep.expected_degrees.shape == (h.n,) and rep.expected_degrees.dtype == np.float64
+        assert [x.hex() for x in rep.expected_degrees.tolist()] == [
             x.hex() for x in expected.values()
         ]
         assert rep.max_expected_pair_degree.hex() == max_pair.hex()
@@ -242,7 +245,8 @@ class TestSample:
         t = 6
         mixed = mix_and_halve(extract_fpm_family(h, t))
         rep = sample_binomial_subgraph(h, mixed, seed=0)
-        assert all(abs(ed - t / 2) < 1e-9 for ed in rep.expected_degrees.values())
+        assert rep.expected_degrees.shape == (h.n,)
+        assert all(abs(ed - t / 2) < 1e-9 for ed in rep.expected_degrees.tolist())
         assert rep.sampled.edge_set <= h.edge_set
 
     @given(hypergraphs(min_n=4, max_n=9), st.integers(0, 2**16))
@@ -250,8 +254,8 @@ class TestSample:
         p = np.array([((i * 7) % 5) / 4 for i in range(h.e())])
         rep = sample_binomial_subgraph(h, p, seed)
         assert rep.sampled == Hypergraph(h.n, h.k, rep.sampled.edges)
-        assert rep.realized_degrees == {v: rep.sampled.degree(v) for v in h.vertices()}
-        assert list(rep.realized_degrees) == list(h.vertices())
+        assert rep.realized_degrees.tolist() == [rep.sampled.degree(v) for v in h.vertices()]
+        assert rep.realized_degrees.shape == (h.n,) and rep.realized_degrees.dtype.kind == "i"
 
     @pytest.mark.parametrize(
         "shape", [(19,), (21,), (20, 1), (1, 20)], ids=["short", "long", "column", "row"]
@@ -832,7 +836,7 @@ def test_pair_loads_equal_per_edge_sums_on_every_round_path(h, t):
     else:
         assert dead == [] and fam.heavy_total == []
     per_vertex = Counter(chain.from_iterable(dead))
-    assert fam.heavy_pairs_by_vertex() == {v: per_vertex[v] for v in h.vertices()}
+    assert fam.heavy_pairs_by_vertex().tolist() == [per_vertex[v] for v in h.vertices()]
     assert fam.max_pair_load() == max(load.values(), default=0.0)
 
 

@@ -99,7 +99,7 @@ def reference_search_maximal(index, s, tau_floor, cap=WITNESS_CAP, nodes=None):
     raises BudgetExceeded past that many nodes.
     """
     k = index.k
-    hits = verify._transversal_hits(index, k, s) if tau_floor else []
+    hits = verify._transversal_hits(index, _fixed_matching(index.n, k, s)) if tau_floor else []
     best_size = -1
     best_subs = []
     checked = entered = 0
@@ -419,7 +419,7 @@ class TestPrunedSearch:
         # exactly when the cover search finds s vertices, and exactly when
         # the enumeration oracle puts tau at most s
         index = EdgeIndex(n, complete_graph(n, k).vertex_array())
-        hits = verify._transversal_hits(index, k, s)
+        hits = verify._transversal_hits(index, _fixed_matching(n, k, s))
         assert len(hits) == k**s
         fixed = sum(index.containing(block) for block in _fixed_matching(n, k, s))
         rnd = random.Random(n * 100 + k * 10 + s)
